@@ -12,7 +12,7 @@
 //! * the mirroring versions' torn-tail window is checkable byte-wise via
 //!   [`ShadowDb::last_txn_spans`].
 
-use dsnrep_rio::Arena;
+use dsnrep_rio::{first_difference, Arena};
 use dsnrep_simcore::{Addr, Region};
 
 /// A trivially correct reference database.
@@ -198,12 +198,7 @@ impl ShadowDb {
     /// Compares the committed image to the arena's database region,
     /// returning the first mismatching offset.
     pub fn first_mismatch(&self, arena: &Arena) -> Option<u64> {
-        let actual = arena.read_vec(self.region.start(), self.committed.len());
-        self.committed
-            .iter()
-            .zip(actual.iter())
-            .position(|(a, b)| a != b)
-            .map(|p| p as u64)
+        self.first_mismatch_with(arena, &self.committed)
     }
 
     /// `true` if the arena's database region equals the committed image.
@@ -214,7 +209,14 @@ impl ShadowDb {
     /// `true` if the arena equals `image` (helper for
     /// [`ShadowDb::prev_bytes`] comparisons).
     pub fn arena_equals(&self, arena: &Arena, image: &[u8]) -> bool {
-        arena.read_vec(self.region.start(), image.len()) == image
+        self.first_mismatch_with(arena, image).is_none()
+    }
+
+    /// First offset where the arena, read in place from the region's
+    /// start, differs from `image`.
+    fn first_mismatch_with(&self, arena: &Arena, image: &[u8]) -> Option<u64> {
+        let actual = arena.pieces(self.region.start(), image.len());
+        first_difference(image, actual, |_| None).map(|p| p as u64)
     }
 
     /// The shadowed region.

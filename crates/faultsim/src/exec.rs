@@ -331,10 +331,6 @@ fn run_txn_loop(
     true
 }
 
-fn read_db(arena: &Rc<RefCell<Arena>>, db: Region) -> Vec<u8> {
-    arena.borrow().read_vec(db.start(), db.len() as usize)
-}
-
 fn check_image(
     out: &mut Outcome,
     reference: &Reference,
@@ -350,8 +346,9 @@ fn check_image(
         });
         return;
     }
-    let actual = read_db(arena, db);
-    if let Some(offset) = reference.first_unexplained_mismatch(seq, &actual, allow_torn_tail) {
+    let arena = arena.borrow();
+    if let Some(offset) = reference.first_unexplained_mismatch_in(seq, &arena, db, allow_torn_tail)
+    {
         out.violation = Some(Violation::Divergence { seq, offset });
     }
 }

@@ -9,7 +9,8 @@
 //! recovered sequence number, reading its own database region.
 
 use dsnrep_core::{build_engine, shared_arena, Machine, ShadowDb, VersionTag};
-use dsnrep_simcore::CostModel;
+use dsnrep_rio::{first_difference, Arena};
+use dsnrep_simcore::{CostModel, Region};
 use dsnrep_workloads::TxCtx;
 
 use crate::scenario::Scenario;
@@ -111,15 +112,87 @@ impl Reference {
         actual: &[u8],
         allow_torn_tail: bool,
     ) -> Option<u64> {
+        self.first_unexplained(seq, [actual], actual.len(), allow_torn_tail)
+    }
+
+    /// As [`Reference::first_unexplained_mismatch`], reading the recovered
+    /// database region `db` in place from `arena` instead of from a copy.
+    pub fn first_unexplained_mismatch_in(
+        &self,
+        seq: u64,
+        arena: &Arena,
+        db: Region,
+        allow_torn_tail: bool,
+    ) -> Option<u64> {
+        let len = usize::try_from(db.len()).expect("region too large");
+        self.first_unexplained(seq, arena.pieces(db.start(), len), len, allow_torn_tail)
+    }
+
+    /// The one comparison behind both entry points: slice equality piece
+    /// by piece, with the torn tail consulted only at bytes that differ.
+    fn first_unexplained<'a>(
+        &self,
+        seq: u64,
+        actual: impl IntoIterator<Item = &'a [u8]>,
+        actual_len: usize,
+        allow_torn_tail: bool,
+    ) -> Option<u64> {
         let expect = self.image(seq);
         assert_eq!(
             expect.len(),
-            actual.len(),
+            actual_len,
             "oracle and run disagree on the database size"
         );
+        let mut torn: Option<Vec<(u64, u64)>> = None;
+        first_difference(expect, actual, |at| {
+            if !allow_torn_tail {
+                return None;
+            }
+            let runs = torn.get_or_insert_with(|| merged_runs(self.tail_spans(seq)));
+            let at = at as u64;
+            let i = runs.partition_point(|&(start, _)| start <= at);
+            let &(_, end) = runs[..i].last()?;
+            (at < end).then_some(end as usize)
+        })
+        .map(|off| off as u64)
+    }
+}
+
+/// `(offset, len)` spans, in any order and possibly overlapping, as
+/// sorted disjoint `(start, end)` runs.
+fn merged_runs(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    spans.sort_unstable();
+    let mut runs: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (off, len) in spans {
+        match runs.last_mut() {
+            Some(last) if off <= last.1 => last.1 = last.1.max(off + len),
+            _ => runs.push((off, off + len)),
+        }
+    }
+    runs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsnrep_rio::PAGE_SIZE;
+    use dsnrep_simcore::{Addr, SplitMix64};
+    use dsnrep_workloads::WorkloadKind;
+    use proptest::prelude::*;
+
+    /// The byte-mask check the in-place one replaced, kept as its
+    /// reference: mark every torn byte, then scan byte by byte.
+    fn naive_first_unexplained_mismatch(
+        r: &Reference,
+        seq: u64,
+        actual: &[u8],
+        allow_torn_tail: bool,
+    ) -> Option<u64> {
+        let expect = r.image(seq);
+        assert_eq!(expect.len(), actual.len());
         let mut torn = vec![false; expect.len()];
         if allow_torn_tail {
-            for (off, len) in self.tail_spans(seq) {
+            for (off, len) in r.tail_spans(seq) {
                 for b in off..off + len {
                     torn[b as usize] = true;
                 }
@@ -129,12 +202,146 @@ impl Reference {
             .find(|&i| expect[i] != actual[i] && !torn[i])
             .map(|i| i as u64)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsnrep_workloads::WorkloadKind;
+    /// A recovered image to check, both as bytes and in place in an arena.
+    struct Recovered {
+        reference: Reference,
+        seq: u64,
+        actual: Vec<u8>,
+        arena: Arena,
+        db: Region,
+    }
+
+    fn flip(rng: &mut SplitMix64, byte: &mut u8) {
+        *byte ^= 1 + rng.next_below(255) as u8;
+    }
+
+    /// A random reference over a 2-4 page database at an unaligned arena
+    /// offset, plus a recovered image that differs from it at random
+    /// bytes, inside random torn spans, on page edges and across whole
+    /// pages; all-zero pages of the image stay unmaterialized.
+    fn recovered(seed: u64) -> Recovered {
+        let mut rng = SplitMix64::new(seed);
+        let page = PAGE_SIZE as u64;
+        let base = rng.next_below(page);
+        let db_len = 2 * page + rng.next_below(2 * page);
+        let db = Region::new(Addr::new(base), db_len);
+        // Only some arena pages hold data.
+        let populated: Vec<bool> = (0..(base + db_len).div_ceil(page))
+            .map(|_| rng.next_below(2) == 0)
+            .collect();
+        let mut image = vec![0u8; db_len as usize];
+        for _ in 0..2 + rng.next_below(30) {
+            let off = rng.next_below(db_len);
+            if populated[((base + off) / page) as usize] {
+                let end = (off + 1 + rng.next_below(512)).min(db_len);
+                for b in &mut image[off as usize..end as usize] {
+                    *b = rng.next_u64() as u8;
+                }
+            }
+        }
+        let mut next = image.clone();
+        for _ in 0..rng.next_below(8) {
+            let off = rng.next_below(db_len) as usize;
+            flip(&mut rng, &mut next[off]);
+        }
+        // Unsorted, overlapping torn spans, some short, some long.
+        let txn_spans: Vec<Vec<(u64, u64)>> = (0..1 + TAIL_WINDOW)
+            .map(|_| {
+                (0..rng.next_below(5))
+                    .map(|_| {
+                        let off = rng.next_below(db_len);
+                        let len = if rng.next_below(4) == 0 { 2048 } else { 64 };
+                        (off, rng.next_below(len).min(db_len - off))
+                    })
+                    .collect()
+            })
+            .collect();
+        let reference = Reference {
+            images: vec![image, next],
+            txn_spans,
+        };
+        let seq = rng.next_below(2);
+
+        let mut actual = reference.image(seq).to_vec();
+        for _ in 0..rng.next_below(4) {
+            let off = rng.next_below(db_len) as usize;
+            flip(&mut rng, &mut actual[off]);
+        }
+        // Inside torn spans, and just past either end of one.
+        let spans = reference.tail_spans(seq);
+        for _ in 0..rng.next_below(8) {
+            if let Some(&(off, len)) = spans.get(rng.next_below(8) as usize) {
+                let b = match rng.next_below(4) {
+                    0 => off + len,
+                    1 => off.wrapping_sub(1),
+                    _ => off + rng.next_below(len.max(1)),
+                };
+                if b < db_len {
+                    flip(&mut rng, &mut actual[b as usize]);
+                }
+            }
+        }
+        // The last byte of a page and the first of the next (`base` lies
+        // inside the first page, so every edge is past it).
+        let edge = page * (1 + rng.next_below(3));
+        for addr in [edge - 1, edge] {
+            if rng.next_below(3) == 0 && addr < base + db_len {
+                flip(&mut rng, &mut actual[(addr - base) as usize]);
+            }
+        }
+        // A page the recovery never wrote reads as zeros.
+        if rng.next_below(4) == 0 {
+            let start = (edge - base).min(db_len) as usize;
+            let end = (edge + page - base).min(db_len) as usize;
+            actual[start..end].fill(0);
+        }
+
+        let mut arena = Arena::new(base + db_len);
+        let mut off = 0usize;
+        while off < actual.len() {
+            let n = (PAGE_SIZE - (base as usize + off) % PAGE_SIZE).min(actual.len() - off);
+            let piece = &actual[off..off + n];
+            if piece.iter().any(|&b| b != 0) || rng.next_below(4) == 0 {
+                arena.write(Addr::new(base + off as u64), piece);
+            }
+            off += n;
+        }
+        Recovered {
+            reference,
+            seq,
+            actual,
+            arena,
+            db,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn the_in_place_check_agrees_with_the_byte_mask(seed in any::<u64>()) {
+            let Recovered { reference, seq, actual, arena, db } = recovered(seed);
+            prop_assert_eq!(arena.region_vec(db), actual.clone());
+            for torn in [false, true] {
+                let want = naive_first_unexplained_mismatch(&reference, seq, &actual, torn);
+                prop_assert_eq!(
+                    reference.first_unexplained_mismatch(seq, &actual, torn),
+                    want
+                );
+                prop_assert_eq!(
+                    reference.first_unexplained_mismatch_in(seq, &arena, db, torn),
+                    want
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn torn_spans_merge_into_sorted_disjoint_runs() {
+        let runs = merged_runs(vec![(40, 10), (0, 5), (3, 4), (7, 0), (45, 20), (7, 1)]);
+        assert_eq!(runs, [(0, 8), (40, 65)]);
+    }
 
     #[test]
     fn the_reference_is_deterministic_and_sized() {

@@ -351,6 +351,56 @@ fn quorum_reads_fall_back_to_the_head_when_replicas_are_cut() {
 }
 
 #[test]
+fn chain_tail_reads_stop_at_a_partition_hole() {
+    let config = config();
+    let topology = Topology::new(3, ReplicationStrategy::Chain).unwrap();
+    let mut set = ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        VersionTag::ImprovedLog,
+        &config,
+        topology,
+    );
+    let mut w = DebitCredit::new(set.engine().db_region(), 31);
+    set.run(&mut w, 20);
+    // Cut the 1→2 hop: the tail never holds another whole transaction,
+    // so no later commit hears the tail's acknowledgement.
+    set.partition_drop_after(1, 2, 0);
+    set.run(&mut w, 20);
+    assert_eq!(set.degraded_commits(), 20);
+    let later = set.machine().now() + VirtualDuration::from_millis(10);
+    for i in 0..3 {
+        let sample = set.serve_read(later + VirtualDuration::from_micros(i));
+        assert_eq!(sample.node, NodeId::new(2), "read {i}");
+        assert_eq!(sample.seq, 20, "read {i}");
+        assert_eq!(sample.staleness, 20, "read {i}");
+    }
+}
+
+#[test]
+fn quorum_reads_stay_current_past_a_holed_replica() {
+    let config = config();
+    let topology = Topology::new(3, ReplicationStrategy::Quorum { read: 2, write: 2 }).unwrap();
+    let mut set = ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        VersionTag::ImprovedLog,
+        &config,
+        topology,
+    );
+    let mut w = DebitCredit::new(set.engine().db_region(), 37);
+    set.run(&mut w, 20);
+    // Cut the 0→2 fan-out (and read requests): node 2's copy stops at
+    // 20, but every read set of two holds the head or node 1.
+    set.partition_drop_after(0, 2, 0);
+    set.run(&mut w, 20);
+    let later = set.machine().now() + VirtualDuration::from_millis(10);
+    for i in 0..6 {
+        let sample = set.serve_read(later + VirtualDuration::from_micros(i));
+        assert_eq!(sample.seq, 40, "rotation {i}");
+        assert_eq!(sample.staleness, 0, "rotation {i}");
+    }
+}
+
+#[test]
 fn replica_reads_are_deterministic() {
     let run = || {
         let config = config();

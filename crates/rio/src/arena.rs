@@ -16,6 +16,10 @@ use dsnrep_simcore::{copy_small, Addr, Region};
 /// Size of a lazily allocated arena page.
 pub const PAGE_SIZE: usize = 64 * 1024;
 
+/// What an unmaterialized page reads as: [`Arena::pieces`] lends slices
+/// of it, so untouched pages compare as zeros without being allocated.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// A flat, lazily paged, crash-surviving byte space.
 ///
 /// Untouched bytes read as zero, mirroring freshly mapped recoverable
@@ -237,6 +241,40 @@ impl Arena {
         }
     }
 
+    /// Borrows the `len` bytes at `addr` page piece by page piece, in
+    /// address order and without copying. Every piece lies inside one
+    /// page; an unmaterialized page yields zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range falls outside the arena.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dsnrep_rio::{Arena, PAGE_SIZE};
+    /// use dsnrep_simcore::Addr;
+    ///
+    /// let mut arena = Arena::new(3 * PAGE_SIZE as u64);
+    /// arena.write(Addr::new(PAGE_SIZE as u64 - 1), &[7, 8]);
+    /// let pieces: Vec<&[u8]> = arena.pieces(Addr::new(PAGE_SIZE as u64 - 1), 4).collect();
+    /// assert_eq!(pieces, [&[7][..], &[8, 0, 0][..]]);
+    /// ```
+    pub fn pieces(&self, addr: Addr, len: usize) -> impl Iterator<Item = &[u8]> + '_ {
+        self.check(addr, len);
+        let (mut off, end) = (addr.as_usize(), addr.as_usize() + len);
+        core::iter::from_fn(move || {
+            if off == end {
+                return None;
+            }
+            let page_off = off % PAGE_SIZE;
+            let n = (PAGE_SIZE - page_off).min(end - off);
+            let page = self.pages[off / PAGE_SIZE].as_deref().unwrap_or(&ZERO_PAGE);
+            off += n;
+            Some(&page[page_off..page_off + n])
+        })
+    }
+
     /// Reads `len` bytes at `addr` into a fresh vector.
     pub fn read_vec(&self, addr: Addr, len: usize) -> Vec<u8> {
         let mut v = vec![0u8; len];
@@ -301,6 +339,76 @@ impl Arena {
             usize::try_from(region.len()).expect("region too large"),
         )
     }
+}
+
+/// Offset of the first byte where `actual` — consecutive pieces of one
+/// byte run, such as [`Arena::pieces`] or a single slice — differs from
+/// `image` and `explain` does not account for it.
+///
+/// Each piece is compared with slice equality first; `explain` is asked
+/// only about bytes that actually differ. It returns the end (exclusive)
+/// of the explained run holding that offset, and the comparison resumes
+/// there, or `None` when the difference is unexplained. `|_| None`
+/// makes this a plain first-mismatch search.
+///
+/// # Panics
+///
+/// Panics if the pieces hold more bytes than `image`.
+///
+/// # Examples
+///
+/// ```
+/// use dsnrep_rio::first_difference;
+///
+/// let image = [1, 2, 3, 4, 5];
+/// let actual = [1, 9, 3, 9, 5];
+/// assert_eq!(first_difference(&image, [&actual[..]], |_| None), Some(1));
+/// // Bytes 0..3 may differ: the comparison resumes at 3.
+/// assert_eq!(first_difference(&image, [&actual[..]], |at| (at < 3).then_some(3)), Some(3));
+/// ```
+pub fn first_difference<'a>(
+    image: &[u8],
+    actual: impl IntoIterator<Item = &'a [u8]>,
+    mut explain: impl FnMut(usize) -> Option<usize>,
+) -> Option<usize> {
+    let mut off = 0;
+    // Differences before `resume` are already explained.
+    let mut resume = 0usize;
+    for piece in actual {
+        let expect = &image[off..off + piece.len()];
+        if expect != piece {
+            let mut i = resume.saturating_sub(off);
+            while i < piece.len() {
+                let Some(d) = first_unequal(&expect[i..], &piece[i..]) else {
+                    break;
+                };
+                let at = off + i + d;
+                match explain(at) {
+                    Some(end) => resume = end.max(at + 1),
+                    None => return Some(at),
+                }
+                i = resume - off;
+            }
+        }
+        off += piece.len();
+    }
+    None
+}
+
+/// Index of the first unequal byte, compared a cache line at a time.
+fn first_unequal(a: &[u8], b: &[u8]) -> Option<usize> {
+    const LINE: usize = 64;
+    let lines = a.chunks(LINE).zip(b.chunks(LINE));
+    for (k, (la, lb)) in lines.enumerate() {
+        if la != lb {
+            return la
+                .iter()
+                .zip(lb)
+                .position(|(x, y)| x != y)
+                .map(|j| k * LINE + j);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -421,6 +529,42 @@ mod tests {
         a.clear_halt();
         a.write(Addr::new(2), &[3]);
         assert_eq!(a.read_vec(Addr::new(0), 3), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn pieces_follow_pages_and_read_unwritten_pages_as_zeros() {
+        let mut a = Arena::new(PAGE_SIZE as u64 * 3);
+        let start = PAGE_SIZE as u64 - 2;
+        a.write(Addr::new(start), &[1, 2]);
+        a.write(Addr::new(2 * PAGE_SIZE as u64), &[3]);
+        let len = PAGE_SIZE + 4;
+        let lens: Vec<usize> = a.pieces(Addr::new(start), len).map(<[u8]>::len).collect();
+        assert_eq!(lens, [2, PAGE_SIZE, 2]);
+        let mut want = vec![0u8; len];
+        want[..2].copy_from_slice(&[1, 2]);
+        want[2 + PAGE_SIZE] = 3;
+        let bytes: Vec<u8> = a.pieces(Addr::new(start), len).flatten().copied().collect();
+        assert_eq!(bytes, want);
+        assert_eq!(a.read_vec(Addr::new(start), len), want);
+        assert_eq!(a.pages_touched(), 2, "walking materializes nothing");
+        assert_eq!(a.pieces(Addr::new(0), 0).count(), 0);
+    }
+
+    #[test]
+    fn first_difference_resumes_past_explained_runs_across_pieces() {
+        let image = [0u8; 8];
+        let actual = [[0, 0, 1, 1], [1, 0, 0, 1]];
+        let pieces = || actual.iter().map(|p| &p[..]);
+        assert_eq!(first_difference(&image, pieces(), |_| None), Some(2));
+        // Bytes 2..5 are explained, straddling the piece edge; byte 7 is not.
+        let mut asked = Vec::new();
+        let explain = |at: usize| {
+            asked.push(at);
+            (at < 5).then_some(5)
+        };
+        assert_eq!(first_difference(&image, pieces(), explain), Some(7));
+        assert_eq!(asked, [2, 7], "explain sees only the first byte of a run");
+        assert_eq!(first_difference(&image, pieces(), |_| Some(8)), None);
     }
 
     #[test]

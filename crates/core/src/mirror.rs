@@ -178,12 +178,12 @@ impl MirrorEngine {
         let layout = Layout::read(arena)?;
         let db = layout.expect_region(RegionId::Database);
         let mirror = layout.expect_region(RegionId::Mirror);
-        // Page-sized chunks keep memory bounded for gigabyte databases.
+        // One counted write per 64 KiB chunk: a mid-recovery crash point
+        // per chunk.
         let mut off = 0u64;
         while off < db.len() {
             let n = (db.len() - off).min(64 * 1024) as usize;
-            let chunk = arena.read_vec(mirror.start() + off, n);
-            arena.write(db.start() + off, &chunk);
+            arena.copy(mirror.start() + off, db.start() + off, n);
             off += n as u64;
         }
         // The ranges region was never replicated: clear any stale content.
@@ -205,8 +205,7 @@ impl MirrorEngine {
         let mut off = 0u64;
         while off < self.db.len() {
             let n = (self.db.len() - off).min(64 * 1024) as usize;
-            let chunk = arena.read_vec(self.db.start() + off, n);
-            arena.write(self.mirror.start() + off, &chunk);
+            arena.copy(self.db.start() + off, self.mirror.start() + off, n);
             off += n as u64;
         }
     }
@@ -437,8 +436,7 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
             PHASE_ACTIVE => {
                 // Roll back: mirror -> database, newest-first.
                 for r in ranges.iter().rev() {
-                    let data = arena.read_vec(self.mirror_addr(r.start()), r.len() as usize);
-                    arena.write(r.start(), &data);
+                    arena.copy(self.mirror_addr(r.start()), r.start(), r.len() as usize);
                     report.bytes_restored += r.len();
                 }
                 report.rolled_back = !ranges.is_empty();
@@ -448,8 +446,7 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
                 // Roll forward: database -> mirror (idempotent), and finish
                 // the commit.
                 for r in &ranges {
-                    let data = arena.read_vec(r.start(), r.len() as usize);
-                    arena.write(self.mirror_addr(r.start()), &data);
+                    arena.copy(r.start(), self.mirror_addr(r.start()), r.len() as usize);
                     report.bytes_restored += r.len();
                 }
                 report.rolled_forward = true;

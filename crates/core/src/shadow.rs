@@ -47,6 +47,11 @@ pub struct ShadowDb {
     last_spans: Vec<(u64, u64)>,
     /// Ranges declared by the most recent commit.
     last_ranges: Vec<(u64, u64)>,
+    /// Ranges declared by attempts aborted since the most recent commit.
+    aborted_ranges: Vec<(u64, u64)>,
+    /// Ranges declared by attempts aborted between the previous commit
+    /// and the most recent one.
+    last_aborted_ranges: Vec<(u64, u64)>,
     active: bool,
     seq: u64,
 }
@@ -62,6 +67,8 @@ impl ShadowDb {
             last_undo: Vec::new(),
             last_spans: Vec::new(),
             last_ranges: Vec::new(),
+            aborted_ranges: Vec::new(),
+            last_aborted_ranges: Vec::new(),
             active: false,
             seq: 0,
         }
@@ -134,6 +141,8 @@ impl ShadowDb {
         self.last_spans.clear();
         self.last_ranges.clear();
         self.last_ranges.append(&mut self.pending_ranges);
+        self.last_aborted_ranges.clear();
+        self.last_aborted_ranges.append(&mut self.aborted_ranges);
         for (off, bytes) in self.pending.drain(..) {
             let off_usize = off as usize;
             self.last_undo.push((
@@ -155,7 +164,7 @@ impl ShadowDb {
     pub fn abort(&mut self) {
         assert!(self.active, "shadow abort outside a transaction");
         self.pending.clear();
-        self.pending_ranges.clear();
+        self.aborted_ranges.append(&mut self.pending_ranges);
         self.active = false;
     }
 
@@ -193,6 +202,15 @@ impl ShadowDb {
     /// whenever the workload declares whole records but writes fields.
     pub fn last_txn_ranges(&self) -> &[(u64, u64)] {
         &self.last_ranges
+    }
+
+    /// `(offset, len)` undo ranges declared by attempts that aborted after
+    /// the previous commit and before the most recent one, such as a
+    /// transaction that aborts and retries as another type. An aborted
+    /// attempt's undo record can reach a 1-safe backup torn, so a crash
+    /// before the retry commits may roll these ranges back to stale bytes.
+    pub fn last_txn_aborted_ranges(&self) -> &[(u64, u64)] {
+        &self.last_aborted_ranges
     }
 
     /// Compares the committed image to the arena's database region,
@@ -304,6 +322,28 @@ mod tests {
         s.declare(Addr::new(72), 8);
         s.commit();
         assert_eq!(s.last_txn_ranges(), &[(8, 8)]);
+    }
+
+    #[test]
+    fn aborted_attempts_ranges_belong_to_the_next_commit() {
+        let mut s = ShadowDb::new(region());
+        s.begin();
+        s.declare(Addr::new(80), 8);
+        s.abort();
+        assert_eq!(s.last_txn_aborted_ranges(), &[] as &[(u64, u64)]);
+        s.begin();
+        s.declare(Addr::new(88), 4);
+        s.abort();
+        s.begin();
+        s.declare(Addr::new(64), 16);
+        s.commit();
+        assert_eq!(s.last_txn_aborted_ranges(), &[(16, 8), (24, 4)]);
+        assert_eq!(s.last_txn_ranges(), &[(0, 16)]);
+        // A commit with no aborted attempt before it clears them.
+        s.begin();
+        s.declare(Addr::new(72), 8);
+        s.commit();
+        assert_eq!(s.last_txn_aborted_ranges(), &[] as &[(u64, u64)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! recovered sequence number, reading its own database region.
 
 use dsnrep_core::{build_engine, shared_arena, Machine, ShadowDb, VersionTag};
-use dsnrep_rio::{first_difference, Arena};
+use dsnrep_rio::{first_difference, Arena, Image, Piece};
 use dsnrep_simcore::{CostModel, Region};
 use dsnrep_workloads::TxCtx;
 
@@ -25,6 +25,10 @@ pub const TAIL_WINDOW: u64 = 8;
 pub struct Reference {
     /// `images[s]` is the committed database image after `s` transactions.
     images: Vec<Vec<u8>>,
+    /// `nonzero[s]` holds sorted, disjoint region-relative `(start, end)`
+    /// runs that cover every nonzero byte of `images[s]`, so the check
+    /// can skip the zeros of an unmaterialized arena page.
+    nonzero: Vec<Vec<(u64, u64)>>,
     /// `txn_spans[i]` holds the region-relative torn window (declared
     /// undo ranges plus written spans) of the (1-based) transaction
     /// `i + 1`; extends `TAIL_WINDOW` past `txns`.
@@ -46,6 +50,9 @@ impl Reference {
 
         let mut images = Vec::with_capacity(scenario.txns as usize + 1);
         images.push(shadow.committed().to_vec());
+        // The shadow starts zeroed, so image `s` can be nonzero only in
+        // the spans transactions 1..=s wrote.
+        let mut nonzero = vec![Vec::new()];
         let mut txn_spans = Vec::with_capacity((scenario.txns + TAIL_WINDOW) as usize);
         for i in 0..scenario.txns + TAIL_WINDOW {
             let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
@@ -57,13 +64,23 @@ impl Reference {
             // rollback restores whole declared ranges, possibly from a
             // torn undo image (the record header publishes atomically
             // over the SAN, its data blocks may still be in write
-            // buffers). Keep the written spans too — ranges cover them
-            // by construction, but the union is cheap insurance.
+            // buffers). That holds for the ranges of an attempt the
+            // transaction aborted before it committed as well. Keep the
+            // written spans too — ranges cover them by construction, but
+            // the union is cheap insurance.
             let mut window = shadow.last_txn_ranges().to_vec();
+            window.extend_from_slice(shadow.last_txn_aborted_ranges());
             window.extend_from_slice(shadow.last_txn_spans());
             txn_spans.push(window);
             if i < scenario.txns {
                 images.push(shadow.committed().to_vec());
+                let runs = &nonzero[i as usize];
+                let mut written: Vec<(u64, u64)> = runs
+                    .iter()
+                    .map(|&(start, end)| (start, end - start))
+                    .collect();
+                written.extend_from_slice(shadow.last_txn_spans());
+                nonzero.push(merged_runs(written));
             }
         }
         // The shadow is the truth the images came from; the engine that
@@ -72,7 +89,11 @@ impl Reference {
             shadow.matches(&m.arena().borrow()),
             "the reference engine diverged from its own shadow"
         );
-        Reference { images, txn_spans }
+        Reference {
+            images,
+            nonzero,
+            txn_spans,
+        }
     }
 
     /// Transactions the reference covers (a recovered sequence must not
@@ -129,22 +150,26 @@ impl Reference {
     }
 
     /// The one comparison behind both entry points: slice equality piece
-    /// by piece, with the torn tail consulted only at bytes that differ.
-    fn first_unexplained<'a>(
+    /// by piece, the image's nonzero runs against an unmaterialized
+    /// piece, and the torn tail consulted only at bytes that differ.
+    fn first_unexplained<'a, P: Into<Piece<'a>>>(
         &self,
         seq: u64,
-        actual: impl IntoIterator<Item = &'a [u8]>,
+        actual: impl IntoIterator<Item = P>,
         actual_len: usize,
         allow_torn_tail: bool,
     ) -> Option<u64> {
-        let expect = self.image(seq);
+        let expect = Committed {
+            bytes: self.image(seq),
+            nonzero: &self.nonzero[seq as usize],
+        };
         assert_eq!(
-            expect.len(),
+            expect.bytes.len(),
             actual_len,
             "oracle and run disagree on the database size"
         );
         let mut torn: Option<Vec<(u64, u64)>> = None;
-        first_difference(expect, actual, |at| {
+        first_difference(&expect, actual, |at| {
             if !allow_torn_tail {
                 return None;
             }
@@ -155,6 +180,32 @@ impl Reference {
             (at < end).then_some(end as usize)
         })
         .map(|off| off as u64)
+    }
+}
+
+/// A committed image with the runs that cover its nonzero bytes.
+struct Committed<'a> {
+    bytes: &'a [u8],
+    nonzero: &'a [(u64, u64)],
+}
+
+impl Image for Committed<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.bytes
+    }
+
+    /// Scans only the covering runs that meet `from..to`.
+    fn first_nonzero(&self, from: usize, to: usize) -> Option<usize> {
+        let (from, to) = (from as u64, to as u64);
+        let i = self.nonzero.partition_point(|&(_, end)| end <= from);
+        self.nonzero[i..]
+            .iter()
+            .take_while(|&&(start, _)| start < to)
+            .find_map(|&(start, end)| {
+                let (start, end) = (start.max(from) as usize, end.min(to) as usize);
+                let run = &self.bytes[start..end];
+                run.iter().position(|&b| b != 0).map(|p| start + p)
+            })
     }
 }
 
@@ -216,10 +267,18 @@ mod tests {
         *byte ^= 1 + rng.next_below(255) as u8;
     }
 
+    /// The maximal runs of nonzero bytes, found by a byte scan.
+    fn scanned_runs(image: &[u8]) -> Vec<(u64, u64)> {
+        let nonzero = image.iter().enumerate().filter(|&(_, &b)| b != 0);
+        merged_runs(nonzero.map(|(i, _)| (i as u64, 1)).collect())
+    }
+
     /// A random reference over a 2-4 page database at an unaligned arena
     /// offset, plus a recovered image that differs from it at random
     /// bytes, inside random torn spans, on page edges and across whole
-    /// pages; all-zero pages of the image stay unmaterialized.
+    /// pages; all-zero pages of the image stay unmaterialized. Some
+    /// reference bytes lie in pages the recovery never wrote, whose arena
+    /// pages then stay unmaterialized too.
     fn recovered(seed: u64) -> Recovered {
         let mut rng = SplitMix64::new(seed);
         let page = PAGE_SIZE as u64;
@@ -240,6 +299,11 @@ mod tests {
                 }
             }
         }
+        // Committed bytes anywhere, unpopulated pages included.
+        for _ in 0..rng.next_below(4) {
+            let off = rng.next_below(db_len) as usize;
+            flip(&mut rng, &mut image[off]);
+        }
         let mut next = image.clone();
         for _ in 0..rng.next_below(8) {
             let off = rng.next_below(db_len) as usize;
@@ -258,6 +322,7 @@ mod tests {
             })
             .collect();
         let reference = Reference {
+            nonzero: vec![scanned_runs(&image), scanned_runs(&next)],
             images: vec![image, next],
             txn_spans,
         };
@@ -290,11 +355,19 @@ mod tests {
                 flip(&mut rng, &mut actual[(addr - base) as usize]);
             }
         }
-        // A page the recovery never wrote reads as zeros.
+        // A page the recovery never wrote reads as zeros, whatever the
+        // reference holds there.
         if rng.next_below(4) == 0 {
             let start = (edge - base).min(db_len) as usize;
             let end = (edge + page - base).min(db_len) as usize;
             actual[start..end].fill(0);
+        }
+        for (p, _) in populated.iter().enumerate().filter(|&(_, &pop)| !pop) {
+            if rng.next_below(2) == 0 {
+                let start = (p as u64 * page).saturating_sub(base).min(db_len) as usize;
+                let end = ((p as u64 + 1) * page - base).min(db_len) as usize;
+                actual[start..end].fill(0);
+            }
         }
 
         let mut arena = Arena::new(base + db_len);
@@ -351,6 +424,21 @@ mod tests {
         assert_eq!(a.txns(), scenario.txns);
         for s in 0..=scenario.txns {
             assert_eq!(a.image(s), b.image(s), "image {s} differs");
+        }
+        // The nonzero runs cover every nonzero byte, on both benchmarks.
+        let oe = Reference::build(&Scenario::standalone(
+            VersionTag::ImprovedLog,
+            WorkloadKind::OrderEntry,
+        ));
+        for r in [&a, &oe] {
+            for s in 0..=r.txns() {
+                let runs = &r.nonzero[s as usize];
+                for (start, end) in scanned_runs(r.image(s)) {
+                    let i = runs.partition_point(|&(_, e)| e <= start);
+                    let covered = runs.get(i).is_some_and(|&(a, b)| a <= start && end <= b);
+                    assert!(covered, "image {s}: nonzero {start}..{end} uncovered");
+                }
+            }
         }
         // Transactions write something, so consecutive images differ.
         assert_ne!(a.image(0), a.image(1));

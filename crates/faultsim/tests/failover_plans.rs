@@ -172,3 +172,23 @@ fn longer_random_passive_campaign_stays_clean() {
     );
     assert_eq!(campaign.plans_run, 16);
 }
+
+/// Order-Entry's Delivery aborts when its district has nothing to deliver
+/// and falls back to a Payment inside the same transaction. Workload seed
+/// 1928555252 does so in its second transaction. A crash while the
+/// Payment runs can leave a 1-safe backup holding the aborted attempt's
+/// undo header without its payload, and its rollback then writes stale
+/// log bytes over the attempt's declared ranges, so those ranges belong
+/// to the transaction's torn window.
+#[test]
+fn an_aborted_attempt_s_ranges_join_the_torn_window() {
+    for scenario in [
+        Scenario::passive(VersionTag::ImprovedLog, WorkloadKind::OrderEntry),
+        Scenario::chain(VersionTag::ImprovedLog, WorkloadKind::OrderEntry, 3),
+    ] {
+        let scenario = scenario.with_txns(2).with_seed(1928555252);
+        for store in 16..=23 {
+            run(&scenario, &format!("crash primary @ store={store}"));
+        }
+    }
+}

@@ -16,9 +16,61 @@ use dsnrep_simcore::{copy_small, Addr, Region};
 /// Size of a lazily allocated arena page.
 pub const PAGE_SIZE: usize = 64 * 1024;
 
-/// What an unmaterialized page reads as: [`Arena::pieces`] lends slices
-/// of it, so untouched pages compare as zeros without being allocated.
-static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+/// One page piece of an arena byte run, as [`Arena::pieces`] lends it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// Bytes of a materialized page.
+    Bytes(&'a [u8]),
+    /// This many bytes of an unmaterialized page, which read as zeros.
+    Zeros(usize),
+}
+
+impl Piece<'_> {
+    /// Bytes in the piece.
+    pub fn len(&self) -> usize {
+        match self {
+            Piece::Bytes(bytes) => bytes.len(),
+            Piece::Zeros(n) => *n,
+        }
+    }
+
+    /// Whether the piece holds no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether every byte of the piece is zero.
+    fn is_zero(&self) -> bool {
+        match self {
+            Piece::Bytes(bytes) => bytes.iter().all(|&b| b == 0),
+            Piece::Zeros(_) => true,
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Piece<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        Piece::Bytes(bytes)
+    }
+}
+
+/// Stores `piece` at `page_off` of the page in `slot`. An unmaterialized
+/// page already reads as zeros, so it is materialized only for a piece
+/// holding a nonzero byte. Returns whether it was materialized.
+fn put(slot: &mut Option<Box<[u8]>>, page_off: usize, piece: Piece<'_>) -> bool {
+    let fresh = slot.is_none();
+    let page = match slot {
+        Some(page) => page,
+        None if piece.is_zero() => return false,
+        None => slot.insert(vec![0u8; PAGE_SIZE].into_boxed_slice()),
+    };
+    let dst = &mut page[page_off..page_off + piece.len()];
+    match piece {
+        Piece::Bytes(bytes) => dst.copy_from_slice(bytes),
+        Piece::Zeros(_) => dst.fill(0),
+    }
+    fresh
+}
 
 /// A flat, lazily paged, crash-surviving byte space.
 ///
@@ -164,7 +216,8 @@ impl Arena {
         );
     }
 
-    /// Writes `bytes` at `addr`.
+    /// Writes `bytes` at `addr`. All-zero bytes leave an unmaterialized
+    /// page unmaterialized: it already reads as zeros.
     ///
     /// # Panics
     ///
@@ -175,34 +228,27 @@ impl Arena {
         self.check(addr, bytes.len());
         let off = addr.as_usize();
         let page_off = off % PAGE_SIZE;
-        // Fast path: the write stays inside one page (virtually all
-        // simulated stores are word-sized); `copy_small` keeps these
-        // copies inline instead of calling libc.
+        // Fast path: the write stays inside one materialized page
+        // (virtually all simulated stores are word-sized); `copy_small`
+        // keeps these copies inline instead of calling libc.
         if bytes.len() <= PAGE_SIZE - page_off {
-            let slot = &mut self.pages[off / PAGE_SIZE];
-            let page = match slot {
-                Some(page) => page,
-                None => {
-                    self.touched += 1;
-                    slot.insert(vec![0u8; PAGE_SIZE].into_boxed_slice())
-                }
-            };
-            copy_small(&mut page[page_off..page_off + bytes.len()], bytes);
+            match &mut self.pages[off / PAGE_SIZE] {
+                Some(page) => copy_small(&mut page[page_off..page_off + bytes.len()], bytes),
+                slot => self.touched += usize::from(put(slot, page_off, Piece::Bytes(bytes))),
+            }
             return;
         }
         let mut off = off;
         let mut src = bytes;
         while !src.is_empty() {
-            let page_idx = off / PAGE_SIZE;
             let page_off = off % PAGE_SIZE;
             let n = (PAGE_SIZE - page_off).min(src.len());
-            let slot = &mut self.pages[page_idx];
-            if slot.is_none() {
-                *slot = Some(vec![0u8; PAGE_SIZE].into_boxed_slice());
-                self.touched += 1;
-            }
-            let page = slot.as_mut().expect("just materialized");
-            page[page_off..page_off + n].copy_from_slice(&src[..n]);
+            let fresh = put(
+                &mut self.pages[off / PAGE_SIZE],
+                page_off,
+                Piece::Bytes(&src[..n]),
+            );
+            self.touched += usize::from(fresh);
             src = &src[n..];
             off += n;
         }
@@ -243,7 +289,7 @@ impl Arena {
 
     /// Borrows the `len` bytes at `addr` page piece by page piece, in
     /// address order and without copying. Every piece lies inside one
-    /// page; an unmaterialized page yields zeros.
+    /// page; an unmaterialized page yields a [`Piece::Zeros`].
     ///
     /// # Panics
     ///
@@ -252,15 +298,17 @@ impl Arena {
     /// # Examples
     ///
     /// ```
-    /// use dsnrep_rio::{Arena, PAGE_SIZE};
+    /// use dsnrep_rio::{Arena, Piece, PAGE_SIZE};
     /// use dsnrep_simcore::Addr;
     ///
     /// let mut arena = Arena::new(3 * PAGE_SIZE as u64);
     /// arena.write(Addr::new(PAGE_SIZE as u64 - 1), &[7, 8]);
-    /// let pieces: Vec<&[u8]> = arena.pieces(Addr::new(PAGE_SIZE as u64 - 1), 4).collect();
-    /// assert_eq!(pieces, [&[7][..], &[8, 0, 0][..]]);
+    /// let pieces: Vec<Piece> = arena.pieces(Addr::new(PAGE_SIZE as u64 - 1), 4).collect();
+    /// assert_eq!(pieces, [Piece::Bytes(&[7]), Piece::Bytes(&[8, 0, 0])]);
+    /// let far: Vec<Piece> = arena.pieces(Addr::new(2 * PAGE_SIZE as u64), 4).collect();
+    /// assert_eq!(far, [Piece::Zeros(4)]);
     /// ```
-    pub fn pieces(&self, addr: Addr, len: usize) -> impl Iterator<Item = &[u8]> + '_ {
+    pub fn pieces(&self, addr: Addr, len: usize) -> impl Iterator<Item = Piece<'_>> + '_ {
         self.check(addr, len);
         let (mut off, end) = (addr.as_usize(), addr.as_usize() + len);
         core::iter::from_fn(move || {
@@ -269,9 +317,12 @@ impl Arena {
             }
             let page_off = off % PAGE_SIZE;
             let n = (PAGE_SIZE - page_off).min(end - off);
-            let page = self.pages[off / PAGE_SIZE].as_deref().unwrap_or(&ZERO_PAGE);
+            let piece = match &self.pages[off / PAGE_SIZE] {
+                Some(page) => Piece::Bytes(&page[page_off..page_off + n]),
+                None => Piece::Zeros(n),
+            };
             off += n;
-            Some(&page[page_off..page_off + n])
+            Some(piece)
         })
     }
 
@@ -316,8 +367,11 @@ impl Arena {
         self.write_u64(addr, value as u64)
     }
 
-    /// Copies `len` bytes from `src` to `dst` within the arena. Ranges may
-    /// not overlap.
+    /// Copies `len` bytes from `src` to `dst` within the arena, as one
+    /// [`write`](Arena::write) of what `src` reads as. Ranges may not
+    /// overlap. Works page piece by page piece without a buffer; a piece
+    /// whose source and destination pages are both unmaterialized is
+    /// skipped.
     ///
     /// # Panics
     ///
@@ -327,8 +381,38 @@ impl Arena {
             !Region::new(src, len as u64).overlaps(Region::new(dst, len as u64)),
             "arena copy ranges overlap"
         );
-        let data = self.read_vec(src, len);
-        self.write(dst, &data);
+        self.check(src, len);
+        self.consume_write_budget();
+        self.writes += 1;
+        self.check(dst, len);
+        let (mut s, mut d, end) = (src.as_usize(), dst.as_usize(), src.as_usize() + len);
+        while s < end {
+            let (sp, so) = (s / PAGE_SIZE, s % PAGE_SIZE);
+            let (dp, dof) = (d / PAGE_SIZE, d % PAGE_SIZE);
+            let n = (PAGE_SIZE - so).min(PAGE_SIZE - dof).min(end - s);
+            if sp == dp {
+                // Disjoint runs of one page; an unmaterialized page reads
+                // as zeros on both sides.
+                if let Some(page) = &mut self.pages[sp] {
+                    page.copy_within(so..so + n, dof);
+                }
+            } else {
+                let (from, to) = if sp < dp {
+                    let (low, high) = self.pages.split_at_mut(dp);
+                    (&low[sp], &mut high[0])
+                } else {
+                    let (low, high) = self.pages.split_at_mut(sp);
+                    (&high[0], &mut low[dp])
+                };
+                let piece = match from {
+                    Some(page) => Piece::Bytes(&page[so..so + n]),
+                    None => Piece::Zeros(n),
+                };
+                self.touched += usize::from(put(to, dof, piece));
+            }
+            s += n;
+            d += n;
+        }
     }
 
     /// Returns the whole region's bytes; intended for test oracles on small
@@ -341,11 +425,35 @@ impl Arena {
     }
 }
 
+/// The expected side of [`first_difference`]: a byte image that can say
+/// where its nonzero bytes are, which is where a [`Piece::Zeros`] differs
+/// from it.
+pub trait Image {
+    /// The image's bytes.
+    fn bytes(&self) -> &[u8];
+
+    /// Offset of the first nonzero byte in `from..to`, if any. The
+    /// default scans the bytes; an image that indexes its nonzero bytes
+    /// answers without reading the zeros.
+    fn first_nonzero(&self, from: usize, to: usize) -> Option<usize> {
+        let run = &self.bytes()[from..to];
+        run.iter().position(|&b| b != 0).map(|i| from + i)
+    }
+}
+
+impl Image for [u8] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
 /// Offset of the first byte where `actual` — consecutive pieces of one
 /// byte run, such as [`Arena::pieces`] or a single slice — differs from
 /// `image` and `explain` does not account for it.
 ///
-/// Each piece is compared with slice equality first; `explain` is asked
+/// Each [`Piece::Bytes`] is compared with slice equality first; a
+/// [`Piece::Zeros`] differs exactly where [`Image::first_nonzero`] finds
+/// a nonzero byte, so its zeros are never compared. `explain` is asked
 /// only about bytes that actually differ. It returns the end (exclusive)
 /// of the explained run holding that offset, and the comparison resumes
 /// there, or `None` when the difference is unexplained. `|_| None`
@@ -358,39 +466,49 @@ impl Arena {
 /// # Examples
 ///
 /// ```
-/// use dsnrep_rio::first_difference;
+/// use dsnrep_rio::{first_difference, Piece};
 ///
-/// let image = [1, 2, 3, 4, 5];
+/// let image: [u8; 5] = [1, 2, 3, 4, 5];
 /// let actual = [1, 9, 3, 9, 5];
-/// assert_eq!(first_difference(&image, [&actual[..]], |_| None), Some(1));
+/// assert_eq!(first_difference(&image[..], [&actual[..]], |_| None), Some(1));
 /// // Bytes 0..3 may differ: the comparison resumes at 3.
-/// assert_eq!(first_difference(&image, [&actual[..]], |at| (at < 3).then_some(3)), Some(3));
+/// assert_eq!(first_difference(&image[..], [&actual[..]], |at| (at < 3).then_some(3)), Some(3));
+/// // An unmaterialized piece differs where the image is nonzero.
+/// let sparse: [u8; 4] = [0, 0, 7, 0];
+/// assert_eq!(first_difference(&sparse[..], [Piece::Zeros(4)], |_| None), Some(2));
 /// ```
-pub fn first_difference<'a>(
-    image: &[u8],
-    actual: impl IntoIterator<Item = &'a [u8]>,
+pub fn first_difference<'a, P: Into<Piece<'a>>>(
+    image: &(impl Image + ?Sized),
+    actual: impl IntoIterator<Item = P>,
     mut explain: impl FnMut(usize) -> Option<usize>,
 ) -> Option<usize> {
+    let bytes = image.bytes();
     let mut off = 0;
     // Differences before `resume` are already explained.
     let mut resume = 0usize;
     for piece in actual {
-        let expect = &image[off..off + piece.len()];
-        if expect != piece {
-            let mut i = resume.saturating_sub(off);
-            while i < piece.len() {
-                let Some(d) = first_unequal(&expect[i..], &piece[i..]) else {
+        let piece = piece.into();
+        let end = off + piece.len();
+        let expect = &bytes[off..end];
+        // The first difference at or after `at`.
+        let next = |at: usize| match piece {
+            Piece::Bytes(p) => first_unequal(&bytes[at..end], &p[at - off..]).map(|d| at + d),
+            Piece::Zeros(_) => image.first_nonzero(at, end),
+        };
+        if piece != Piece::Bytes(expect) {
+            let mut at = resume.max(off);
+            while at < end {
+                let Some(d) = next(at) else {
                     break;
                 };
-                let at = off + i + d;
-                match explain(at) {
-                    Some(end) => resume = end.max(at + 1),
-                    None => return Some(at),
+                match explain(d) {
+                    Some(e) => resume = e.max(d + 1),
+                    None => return Some(d),
                 }
-                i = resume - off;
+                at = resume;
             }
         }
-        off += piece.len();
+        off = end;
     }
     None
 }
@@ -533,17 +651,32 @@ mod tests {
 
     #[test]
     fn pieces_follow_pages_and_read_unwritten_pages_as_zeros() {
-        let mut a = Arena::new(PAGE_SIZE as u64 * 3);
+        let mut a = Arena::new(PAGE_SIZE as u64 * 4);
         let start = PAGE_SIZE as u64 - 2;
         a.write(Addr::new(start), &[1, 2]);
-        a.write(Addr::new(2 * PAGE_SIZE as u64), &[3]);
-        let len = PAGE_SIZE + 4;
-        let lens: Vec<usize> = a.pieces(Addr::new(start), len).map(<[u8]>::len).collect();
-        assert_eq!(lens, [2, PAGE_SIZE, 2]);
+        a.write(Addr::new(3 * PAGE_SIZE as u64), &[3]);
+        let len = 2 * PAGE_SIZE + 4;
+        let pieces: Vec<Piece> = a.pieces(Addr::new(start), len).collect();
+        assert_eq!(
+            pieces.iter().map(Piece::len).collect::<Vec<_>>(),
+            [2, PAGE_SIZE, PAGE_SIZE, 2]
+        );
+        assert_eq!(pieces[0], Piece::Bytes(&[1, 2]));
+        assert_eq!(
+            pieces[2],
+            Piece::Zeros(PAGE_SIZE),
+            "page 2 was never written"
+        );
         let mut want = vec![0u8; len];
         want[..2].copy_from_slice(&[1, 2]);
-        want[2 + PAGE_SIZE] = 3;
-        let bytes: Vec<u8> = a.pieces(Addr::new(start), len).flatten().copied().collect();
+        want[2 + 2 * PAGE_SIZE] = 3;
+        let bytes: Vec<u8> = pieces
+            .iter()
+            .flat_map(|p| match *p {
+                Piece::Bytes(b) => b.to_vec(),
+                Piece::Zeros(n) => vec![0; n],
+            })
+            .collect();
         assert_eq!(bytes, want);
         assert_eq!(a.read_vec(Addr::new(start), len), want);
         assert_eq!(a.pages_touched(), 2, "walking materializes nothing");
@@ -551,20 +684,191 @@ mod tests {
     }
 
     #[test]
+    fn zero_writes_and_copies_leave_pages_unmaterialized() {
+        let page = PAGE_SIZE as u64;
+        let mut a = Arena::new(4 * page);
+        a.write(Addr::new(page - 8), &[0; 16]);
+        a.copy(Addr::new(2 * page), Addr::new(10), PAGE_SIZE);
+        assert_eq!(a.pages_touched(), 0);
+        assert_eq!(a.writes(), 2, "skipped writes still count");
+        // A materialized source page of zeros does not materialize the
+        // destination; a nonzero byte does.
+        a.write(Addr::new(2 * page), &[0, 5]);
+        assert_eq!(a.pages_touched(), 1);
+        a.copy(Addr::new(2 * page), Addr::new(3 * page), 1);
+        assert_eq!(a.pages_touched(), 1);
+        a.copy(Addr::new(2 * page), Addr::new(3 * page), 2);
+        assert_eq!(a.pages_touched(), 2);
+        assert_eq!(a.read_vec(Addr::new(3 * page), 2), [0, 5]);
+        // Zeros still overwrite a materialized page.
+        a.copy(Addr::new(0), Addr::new(3 * page), 2);
+        assert_eq!(a.read_vec(Addr::new(3 * page), 2), [0, 0]);
+    }
+
+    #[test]
     fn first_difference_resumes_past_explained_runs_across_pieces() {
-        let image = [0u8; 8];
+        let image = &[0u8; 8][..];
         let actual = [[0, 0, 1, 1], [1, 0, 0, 1]];
         let pieces = || actual.iter().map(|p| &p[..]);
-        assert_eq!(first_difference(&image, pieces(), |_| None), Some(2));
+        assert_eq!(first_difference(image, pieces(), |_| None), Some(2));
         // Bytes 2..5 are explained, straddling the piece edge; byte 7 is not.
         let mut asked = Vec::new();
         let explain = |at: usize| {
             asked.push(at);
             (at < 5).then_some(5)
         };
-        assert_eq!(first_difference(&image, pieces(), explain), Some(7));
+        assert_eq!(first_difference(image, pieces(), explain), Some(7));
         assert_eq!(asked, [2, 7], "explain sees only the first byte of a run");
-        assert_eq!(first_difference(&image, pieces(), |_| Some(8)), None);
+        assert_eq!(first_difference(image, pieces(), |_| Some(8)), None);
+        // The same, with the image as actual and zero pieces as image.
+        let zeros = [Piece::Zeros(4), Piece::Zeros(4)];
+        let flat = actual.concat();
+        let explain = |at: usize| (at < 5).then_some(5);
+        assert_eq!(first_difference(&flat[..], zeros, explain), Some(7));
+        assert_eq!(first_difference(image, zeros, |_| None), None);
+    }
+
+    /// One step of the sparse-path equivalence property.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Write `len` bytes at `addr`: zeros, or a nonzero-led pattern.
+        Write { addr: u64, len: usize, zero: bool },
+        /// Copy `len` bytes from `src` to `dst` (skipped if they overlap).
+        Copy { src: u64, dst: u64, len: usize },
+        /// Arm a write budget.
+        Arm(u64),
+    }
+
+    /// Hides the panic message of a simulated halt; other panics print.
+    fn quiet_halts() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let msg = info.payload().downcast_ref::<&str>().copied();
+                if !msg.unwrap_or_default().contains("fault injection") {
+                    default(info);
+                }
+            }));
+        });
+    }
+
+    /// Runs `f`, reporting whether it halted on the armed write budget.
+    fn halts(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(core::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    mod sparse_equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        const LEN: u64 = 3 * PAGE_SIZE as u64 + 1234;
+
+        /// Short runs inside a page, or runs across page edges.
+        fn len() -> impl Strategy<Value = usize> {
+            prop_oneof![0usize..256, 0usize..2 * PAGE_SIZE]
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                4 => (0..LEN, len(), any::<bool>())
+                    .prop_map(|(addr, len, zero)| Op::Write { addr, len, zero }),
+                4 => (0..LEN, 0..LEN, len()).prop_map(|(src, dst, len)| Op::Copy { src, dst, len }),
+                1 => (0u64..3).prop_map(Op::Arm),
+            ]
+        }
+
+        /// A state to compare: contents, write count, pages touched.
+        fn state(a: &Arena) -> (Vec<u8>, u64, usize) {
+            (
+                a.read_vec(Addr::new(0), LEN as usize),
+                a.writes(),
+                a.pages_touched(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// `copy` behaves as `read_vec` + `write`: the same contents
+            /// and write count, the same halts under a budget with
+            /// nothing mutated by the halting call, and never more pages
+            /// touched. Zero writes and copies leave the bytes of a flat
+            /// model, and neither path touches more pages than writes
+            /// that materialize every page they cover would.
+            #[test]
+            fn sparse_paths_match_read_then_write(ops in prop::collection::vec(op(), 1..40)) {
+                quiet_halts();
+                let mut fast = Arena::new(LEN);
+                let mut slow = Arena::new(LEN);
+                let mut pages = std::collections::BTreeSet::new();
+                let mut model = vec![0u8; LEN as usize];
+                for op in ops {
+                    let before = state(&fast);
+                    let (halted, slow_halted) = match op {
+                        Op::Arm(budget) => {
+                            fast.inject_halt_after_writes(budget);
+                            slow.inject_halt_after_writes(budget);
+                            (false, false)
+                        }
+                        Op::Write { addr, len, zero } => {
+                            let len = len.min((LEN - addr) as usize);
+                            let bytes: Vec<u8> = (0..len)
+                                .map(|i| if zero { 0 } else { (i % 251) as u8 + 1 })
+                                .collect();
+                            let (a, n) = (Addr::new(addr), bytes.len());
+                            let slow_halted = halts(|| {
+                                slow.write(a, &bytes);
+                                if n > 0 {
+                                    let last = (addr as usize + n - 1) / PAGE_SIZE;
+                                    pages.extend(addr as usize / PAGE_SIZE..=last);
+                                }
+                            });
+                            let halted = halts(|| fast.write(a, &bytes));
+                            if !halted {
+                                model[addr as usize..addr as usize + n].copy_from_slice(&bytes);
+                            }
+                            (halted, slow_halted)
+                        }
+                        Op::Copy { src, dst, len } => {
+                            let len = len.min((LEN - src.max(dst)) as usize);
+                            let (s, d) = (Addr::new(src), Addr::new(dst));
+                            if Region::new(s, len as u64).overlaps(Region::new(d, len as u64)) {
+                                continue;
+                            }
+                            let slow_halted = halts(|| {
+                                let data = slow.read_vec(s, len);
+                                slow.write(d, &data);
+                                if len > 0 {
+                                    let last = (dst as usize + len - 1) / PAGE_SIZE;
+                                    pages.extend(dst as usize / PAGE_SIZE..=last);
+                                }
+                            });
+                            let halted = halts(|| fast.copy(s, d, len));
+                            if !halted {
+                                let src = src as usize;
+                                model.copy_within(src..src + len, dst as usize);
+                            }
+                            (halted, slow_halted)
+                        }
+                    };
+                    prop_assert_eq!(halted, slow_halted);
+                    prop_assert_eq!(fast.has_halted(), slow.has_halted());
+                    if halted {
+                        prop_assert!(state(&fast) == before, "a halting call mutated the arena");
+                        fast.clear_halt();
+                        slow.clear_halt();
+                    }
+                    let (bytes, writes, touched) = state(&fast);
+                    let (slow_bytes, slow_writes, slow_touched) = state(&slow);
+                    prop_assert!(bytes == model, "contents diverged from the flat model");
+                    prop_assert!(bytes == slow_bytes, "contents diverged");
+                    prop_assert_eq!(writes, slow_writes);
+                    prop_assert!(touched <= slow_touched);
+                    prop_assert!(slow_touched <= pages.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,13 +52,17 @@ impl CacheOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DirectMappedCache {
-    /// Tag per line: the full line number; `u32::MAX` marks an invalid
-    /// line. 32-bit tags halve the host footprint of the tag arrays —
-    /// which a many-node cell multiplies by machine count — and suffice
-    /// for any line number below `u32::MAX`, i.e. 256 GB of simulated
-    /// address space ([`touch_range`](DirectMappedCache::touch_range)
+    /// Tag per line, in chunks of [`CHUNK_LINES`] lines created on first
+    /// touch: a missing chunk holds only invalid lines, so building the
+    /// 8 MB board cache allocates no tags and a flush resets only the
+    /// chunks that exist. A cache of fewer lines is one chunk whose tail
+    /// is never indexed. A tag is the full line number; `u32::MAX` marks
+    /// an invalid line. 32-bit tags halve the host footprint of the tag
+    /// arrays — which a many-node cell multiplies by machine count — and
+    /// suffice for any line number below `u32::MAX`, i.e. 256 GB of
+    /// simulated address space ([`touch_range`](DirectMappedCache::touch_range)
     /// asserts the bound).
-    tags: Vec<u32>,
+    chunks: Vec<Option<Box<Chunk>>>,
     line_shift: u32,
     index_mask: u64,
     total: CacheOutcome,
@@ -70,6 +74,25 @@ pub struct DirectMappedCache {
 }
 
 const INVALID: u32 = u32::MAX;
+
+/// Lines per tag chunk: 4 KiB of tags.
+const CHUNK_LINES: usize = 1024;
+const CHUNK_SHIFT: u32 = CHUNK_LINES.trailing_zeros();
+
+type Chunk = [u32; CHUNK_LINES];
+
+/// The tag chunk holding line index `idx`, created all-invalid on first
+/// touch. A free function so callers can update other fields while they
+/// hold the chunk.
+#[inline]
+fn chunk(chunks: &mut [Option<Box<Chunk>>], idx: u64) -> &mut Chunk {
+    chunks[(idx >> CHUNK_SHIFT) as usize].get_or_insert_with(invalid_chunk)
+}
+
+#[cold]
+fn invalid_chunk() -> Box<Chunk> {
+    Box::new([INVALID; CHUNK_LINES])
+}
 
 impl DirectMappedCache {
     /// Creates a cache of `capacity` bytes with `line_size`-byte lines.
@@ -89,8 +112,9 @@ impl DirectMappedCache {
         );
         assert!(capacity >= line_size, "cache must hold at least one line");
         let lines = capacity / line_size;
+        let chunks = usize::try_from(lines.div_ceil(CHUNK_LINES as u64)).expect("cache too large");
         DirectMappedCache {
-            tags: vec![INVALID; usize::try_from(lines).expect("cache too large")],
+            chunks: vec![None; chunks],
             line_shift: line_size.trailing_zeros(),
             index_mask: lines - 1,
             total: CacheOutcome::default(),
@@ -112,7 +136,7 @@ impl DirectMappedCache {
     /// The capacity in bytes.
     #[inline]
     pub fn capacity(&self) -> u64 {
-        (self.tags.len() as u64) << self.line_shift
+        (self.index_mask + 1) << self.line_shift
     }
 
     /// Accesses the `len` bytes at `addr` (read or write: the model is
@@ -140,10 +164,12 @@ impl DirectMappedCache {
             last < u64::from(u32::MAX),
             "simulated address space exceeds the 32-bit line-tag range"
         );
+        let chunk_mask = CHUNK_LINES as u64 - 1;
         // Word-sized accesses — the bulk of all simulated stores — touch a
         // single line; skip the chunk-walk machinery for them.
         if first == last {
-            let tag = &mut self.tags[(first & self.index_mask) as usize];
+            let idx = first & self.index_mask;
+            let tag = &mut chunk(&mut self.chunks, idx)[(idx & chunk_mask) as usize];
             let out = if *tag == first as u32 {
                 CacheOutcome { hits: 1, misses: 0 }
             } else {
@@ -155,13 +181,16 @@ impl DirectMappedCache {
             return out;
         }
         let mut out = CacheOutcome::default();
-        let lines = self.tags.len() as u64;
         let mut line = first;
         while line <= last {
-            let idx = (line & self.index_mask) as usize;
-            // Lines map to consecutive indices until the index wraps.
-            let chunk = (lines - idx as u64).min(last - line + 1) as usize;
-            for (expect, tag) in (line as u32..).zip(&mut self.tags[idx..idx + chunk]) {
+            let idx = line & self.index_mask;
+            // Lines map to consecutive indices until the chunk ends or
+            // the index space wraps.
+            let start = (idx & chunk_mask) as usize;
+            let room = (self.index_mask - idx + 1).min(chunk_mask + 1 - start as u64);
+            let n = room.min(last - line + 1) as usize;
+            let tags = chunk(&mut self.chunks, idx);
+            for (expect, tag) in (line as u32..).zip(&mut tags[start..start + n]) {
                 if *tag == expect {
                     out.hits += 1;
                 } else {
@@ -170,7 +199,7 @@ impl DirectMappedCache {
                     *tag = expect;
                 }
             }
-            line += chunk as u64;
+            line += n as u64;
         }
         self.total = self.total.merge(out);
         out
@@ -192,7 +221,9 @@ impl DirectMappedCache {
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID);
+        for tags in self.chunks.iter_mut().flatten() {
+            tags.fill(INVALID);
+        }
         self.total = CacheOutcome::default();
         self.occupied = 0;
     }
@@ -298,54 +329,132 @@ mod tests {
         let _ = DirectMappedCache::new(100, 64);
     }
 
-    /// The pre-optimization per-line loop, kept verbatim as the oracle
-    /// for the `touch_range` equivalence property.
-    fn ref_touch(cache: &mut DirectMappedCache, addr: Addr, len: u64) -> CacheOutcome {
-        if len == 0 {
-            return CacheOutcome::default();
-        }
-        let first = addr.as_u64() >> cache.line_shift;
-        let last = (addr.as_u64() + len - 1) >> cache.line_shift;
-        let mut out = CacheOutcome::default();
-        for line in first..=last {
-            let idx = (line & cache.index_mask) as usize;
-            if cache.tags[idx] == line as u32 {
-                out.hits += 1;
-            } else {
-                out.misses += 1;
-                cache.tags[idx] = line as u32;
+    /// The flat tag array the chunked one replaced, driven by the
+    /// pre-optimization per-line loop: the oracle for the `touch_range`
+    /// equivalence property.
+    struct FlatCache {
+        tags: Vec<u32>,
+        line_shift: u32,
+        total: CacheOutcome,
+    }
+
+    impl FlatCache {
+        fn new(capacity: u64, line_size: u64) -> Self {
+            FlatCache {
+                tags: vec![INVALID; (capacity / line_size) as usize],
+                line_shift: line_size.trailing_zeros(),
+                total: CacheOutcome::default(),
             }
         }
-        cache.total = cache.total.merge(out);
-        out
+
+        fn touch(&mut self, addr: Addr, len: u64) -> CacheOutcome {
+            if len == 0 {
+                return CacheOutcome::default();
+            }
+            let first = addr.as_u64() >> self.line_shift;
+            let last = (addr.as_u64() + len - 1) >> self.line_shift;
+            let mut out = CacheOutcome::default();
+            for line in first..=last {
+                let idx = (line % self.tags.len() as u64) as usize;
+                if self.tags[idx] == line as u32 {
+                    out.hits += 1;
+                } else {
+                    out.misses += 1;
+                    self.tags[idx] = line as u32;
+                }
+            }
+            self.total = self.total.merge(out);
+            out
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(INVALID);
+            self.total = CacheOutcome::default();
+        }
+
+        /// Valid lines, recounted from the tags.
+        fn occupied(&self) -> u64 {
+            self.tags.iter().filter(|&&t| t != INVALID).count() as u64
+        }
+    }
+
+    impl DirectMappedCache {
+        /// The tags as one flat array, a missing chunk as invalid lines.
+        fn flat_tags(&self) -> Vec<u32> {
+            let invalid = [INVALID; CHUNK_LINES];
+            let tags = self
+                .chunks
+                .iter()
+                .flat_map(|c| c.as_deref().unwrap_or(&invalid));
+            tags.take((self.index_mask + 1) as usize).copied().collect()
+        }
+    }
+
+    #[test]
+    fn construction_and_flush_touch_only_touched_chunks() {
+        let mut c = DirectMappedCache::alpha_board_cache();
+        assert!(
+            c.chunks.iter().all(Option::is_none),
+            "no tags before a touch"
+        );
+        c.touch(Addr::new(0), 64);
+        c.touch(Addr::new(3 << 20), 8);
+        assert_eq!(c.chunks.iter().flatten().count(), 2);
+        c.flush();
+        assert_eq!(c.chunks.iter().flatten().count(), 2);
+        assert_eq!(c.occupied_lines(), 0);
+        assert!(c.flat_tags().iter().all(|&t| t == INVALID));
     }
 
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
 
+        /// A touch, or (`None`) a flush. Long touches wrap even the
+        /// largest cache tested.
+        fn op() -> impl Strategy<Value = Option<(u64, u64)>> {
+            prop_oneof![
+                1 => Just(None),
+                12 => (0u64..1 << 20, 0u64..2048).prop_map(Some),
+                3 => (0u64..1 << 20, 0u64..1 << 19).prop_map(Some),
+            ]
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `touch_range` matches the per-line reference loop outcome
-            /// for outcome, stats, and final tag state — including ranges
-            /// much larger than the cache (multiple index wraps).
+            /// `touch_range` over chunked tags matches the per-line loop
+            /// over a flat array in outcome, stats, occupancy and final
+            /// tag state, with flushes interleaved, on caches smaller
+            /// than, equal to and larger than one chunk.
             #[test]
             fn touch_range_matches_per_line_reference(
-                capacity_lines_log2 in 1u32..6,
-                accesses in prop::collection::vec((0u64..1 << 14, 0u64..2048), 1..60),
+                small_log2 in 1u32..10,
+                large_log2 in 11u32..13,
+                ops in prop::collection::vec(op(), 1..40),
             ) {
                 let line = 64u64;
-                let capacity = line << capacity_lines_log2;
-                let mut fast = DirectMappedCache::new(capacity, line);
-                let mut oracle = DirectMappedCache::new(capacity, line);
-                for &(addr, len) in &accesses {
-                    let got = fast.touch_range(Addr::new(addr), len);
-                    let want = ref_touch(&mut oracle, Addr::new(addr), len);
-                    prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
-                    prop_assert_eq!(&fast.tags, &oracle.tags, "tag state diverged");
+                for lines_log2 in [small_log2, CHUNK_LINES.trailing_zeros(), large_log2] {
+                    let capacity = line << lines_log2;
+                    let mut fast = DirectMappedCache::new(capacity, line);
+                    let mut oracle = FlatCache::new(capacity, line);
+                    for &op in &ops {
+                        match op {
+                            None => {
+                                fast.flush();
+                                oracle.flush();
+                            }
+                            Some((addr, len)) => {
+                                let got = fast.touch_range(Addr::new(addr), len);
+                                let want = oracle.touch(Addr::new(addr), len);
+                                prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
+                            }
+                        }
+                        prop_assert_eq!(fast.stats(), oracle.total);
+                        prop_assert_eq!(fast.occupied_lines(), oracle.occupied());
+                    }
+                    prop_assert_eq!(fast.flat_tags(), oracle.tags, "tag state diverged");
                 }
-                prop_assert_eq!(fast.stats(), oracle.stats());
             }
         }
     }

@@ -25,10 +25,10 @@ pub const TAIL_WINDOW: u64 = 8;
 pub struct Reference {
     /// `images[s]` is the committed database image after `s` transactions.
     images: Vec<Vec<u8>>,
-    /// `nonzero[s]` holds sorted, disjoint region-relative `(start, end)`
-    /// runs that cover every nonzero byte of `images[s]`, so the check
-    /// can skip the zeros of an unmaterialized arena page.
-    nonzero: Vec<Vec<(u64, u64)>>,
+    /// Sorted, disjoint region-relative `(start, end)` runs that cover
+    /// every nonzero byte of every image, so the check can skip the zeros
+    /// of an unmaterialized arena page.
+    nonzero: Vec<(u64, u64)>,
     /// `txn_spans[i]` holds the region-relative torn window (declared
     /// undo ranges plus written spans) of the (1-based) transaction
     /// `i + 1`; extends `TAIL_WINDOW` past `txns`.
@@ -50,9 +50,7 @@ impl Reference {
 
         let mut images = Vec::with_capacity(scenario.txns as usize + 1);
         images.push(shadow.committed().to_vec());
-        // The shadow starts zeroed, so image `s` can be nonzero only in
-        // the spans transactions 1..=s wrote.
-        let mut nonzero = vec![Vec::new()];
+        let mut written = Vec::new();
         let mut txn_spans = Vec::with_capacity((scenario.txns + TAIL_WINDOW) as usize);
         for i in 0..scenario.txns + TAIL_WINDOW {
             let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
@@ -74,15 +72,12 @@ impl Reference {
             txn_spans.push(window);
             if i < scenario.txns {
                 images.push(shadow.committed().to_vec());
-                let runs = &nonzero[i as usize];
-                let mut written: Vec<(u64, u64)> = runs
-                    .iter()
-                    .map(|&(start, end)| (start, end - start))
-                    .collect();
                 written.extend_from_slice(shadow.last_txn_spans());
-                nonzero.push(merged_runs(written));
             }
         }
+        // The shadow starts zeroed, so every image is nonzero only in
+        // spans its committed transactions wrote.
+        let nonzero = merged_runs(written);
         // The shadow is the truth the images came from; the engine that
         // produced them must agree with it at the final boundary.
         debug_assert!(
@@ -133,7 +128,7 @@ impl Reference {
         actual: &[u8],
         allow_torn_tail: bool,
     ) -> Option<u64> {
-        self.first_unexplained(seq, [actual], actual.len(), allow_torn_tail)
+        self.first_unexplained(seq, [Piece::Bytes(actual)], actual.len(), allow_torn_tail)
     }
 
     /// As [`Reference::first_unexplained_mismatch`], reading the recovered
@@ -152,16 +147,16 @@ impl Reference {
     /// The one comparison behind both entry points: slice equality piece
     /// by piece, the image's nonzero runs against an unmaterialized
     /// piece, and the torn tail consulted only at bytes that differ.
-    fn first_unexplained<'a, P: Into<Piece<'a>>>(
+    fn first_unexplained<'a>(
         &self,
         seq: u64,
-        actual: impl IntoIterator<Item = P>,
+        actual: impl IntoIterator<Item = Piece<'a>>,
         actual_len: usize,
         allow_torn_tail: bool,
     ) -> Option<u64> {
         let expect = Committed {
             bytes: self.image(seq),
-            nonzero: &self.nonzero[seq as usize],
+            nonzero: &self.nonzero,
         };
         assert_eq!(
             expect.bytes.len(),
@@ -321,8 +316,10 @@ mod tests {
                     .collect()
             })
             .collect();
+        // Runs shared by both images, so each has zeros inside them.
+        let either: Vec<u8> = image.iter().zip(&next).map(|(a, b)| a | b).collect();
         let reference = Reference {
-            nonzero: vec![scanned_runs(&image), scanned_runs(&next)],
+            nonzero: scanned_runs(&either),
             images: vec![image, next],
             txn_spans,
         };
@@ -431,8 +428,8 @@ mod tests {
             WorkloadKind::OrderEntry,
         ));
         for r in [&a, &oe] {
+            let runs = &r.nonzero;
             for s in 0..=r.txns() {
-                let runs = &r.nonzero[s as usize];
                 for (start, end) in scanned_runs(r.image(s)) {
                     let i = runs.partition_point(|&(_, e)| e <= start);
                     let covered = runs.get(i).is_some_and(|&(a, b)| a <= start && end <= b);

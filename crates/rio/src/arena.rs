@@ -48,12 +48,6 @@ impl Piece<'_> {
     }
 }
 
-impl<'a> From<&'a [u8]> for Piece<'a> {
-    fn from(bytes: &'a [u8]) -> Self {
-        Piece::Bytes(bytes)
-    }
-}
-
 /// Stores `piece` at `page_off` of the page in `slot`. An unmaterialized
 /// page already reads as zeros, so it is materialized only for a piece
 /// holding a nonzero byte. Returns whether it was materialized.
@@ -98,10 +92,12 @@ pub struct Arena {
     /// (called from `Debug` formatting inside hot loops when tracing) is
     /// O(1) instead of a scan of the page vector.
     touched: usize,
-    /// Monotone count of [`Arena::write`] calls. Every mutation funnels
-    /// through `write`, so this counter enumerates the halt points the
-    /// fault-injection layer can crash at — including recovery-procedure
-    /// writes that bypass the machine's store accounting.
+    /// Monotone count of [`Arena::write`] and [`Arena::copy`] calls, the
+    /// only mutations. Each call consumes one unit of an armed write
+    /// budget before it mutates anything, so this counter enumerates the
+    /// halt points the fault-injection layer can crash at — including
+    /// recovery-procedure writes that bypass the machine's store
+    /// accounting.
     writes: u64,
     /// Armed fault: remaining writes before a simulated halt.
     write_budget: Option<u64>,
@@ -140,8 +136,8 @@ impl Arena {
         }
     }
 
-    /// Monotone count of [`Arena::write`] calls since construction (clones
-    /// inherit the count). Recovery procedures mutate the arena directly,
+    /// Monotone count of [`Arena::write`] and [`Arena::copy`] calls since
+    /// construction (clones inherit the count). Recovery procedures mutate the arena directly,
     /// so deltas of this counter enumerate mid-recovery crash points.
     #[inline]
     pub fn writes(&self) -> u64 {
@@ -149,8 +145,8 @@ impl Arena {
     }
 
     /// Arms a fault: the arena halts (panics) when `budget` more writes
-    /// have been attempted; `0` halts on the very next write. The halting
-    /// write does **not** mutate the arena.
+    /// (a copy counts as one) have been attempted; `0` halts on the very
+    /// next write. The halting write does **not** mutate the arena.
     pub fn inject_halt_after_writes(&mut self, budget: u64) {
         self.write_budget = Some(budget);
     }
@@ -448,8 +444,8 @@ impl Image for [u8] {
 }
 
 /// Offset of the first byte where `actual` — consecutive pieces of one
-/// byte run, such as [`Arena::pieces`] or a single slice — differs from
-/// `image` and `explain` does not account for it.
+/// byte run, such as [`Arena::pieces`] or a single [`Piece::Bytes`] —
+/// differs from `image` and `explain` does not account for it.
 ///
 /// Each [`Piece::Bytes`] is compared with slice equality first; a
 /// [`Piece::Zeros`] differs exactly where [`Image::first_nonzero`] finds
@@ -469,17 +465,17 @@ impl Image for [u8] {
 /// use dsnrep_rio::{first_difference, Piece};
 ///
 /// let image: [u8; 5] = [1, 2, 3, 4, 5];
-/// let actual = [1, 9, 3, 9, 5];
-/// assert_eq!(first_difference(&image[..], [&actual[..]], |_| None), Some(1));
+/// let actual = [Piece::Bytes(&[1, 9, 3, 9, 5])];
+/// assert_eq!(first_difference(&image[..], actual, |_| None), Some(1));
 /// // Bytes 0..3 may differ: the comparison resumes at 3.
-/// assert_eq!(first_difference(&image[..], [&actual[..]], |at| (at < 3).then_some(3)), Some(3));
+/// assert_eq!(first_difference(&image[..], actual, |at| (at < 3).then_some(3)), Some(3));
 /// // An unmaterialized piece differs where the image is nonzero.
 /// let sparse: [u8; 4] = [0, 0, 7, 0];
 /// assert_eq!(first_difference(&sparse[..], [Piece::Zeros(4)], |_| None), Some(2));
 /// ```
-pub fn first_difference<'a, P: Into<Piece<'a>>>(
+pub fn first_difference<'a>(
     image: &(impl Image + ?Sized),
-    actual: impl IntoIterator<Item = P>,
+    actual: impl IntoIterator<Item = Piece<'a>>,
     mut explain: impl FnMut(usize) -> Option<usize>,
 ) -> Option<usize> {
     let bytes = image.bytes();
@@ -487,7 +483,6 @@ pub fn first_difference<'a, P: Into<Piece<'a>>>(
     // Differences before `resume` are already explained.
     let mut resume = 0usize;
     for piece in actual {
-        let piece = piece.into();
         let end = off + piece.len();
         let expect = &bytes[off..end];
         // The first difference at or after `at`.
@@ -709,7 +704,7 @@ mod tests {
     fn first_difference_resumes_past_explained_runs_across_pieces() {
         let image = &[0u8; 8][..];
         let actual = [[0, 0, 1, 1], [1, 0, 0, 1]];
-        let pieces = || actual.iter().map(|p| &p[..]);
+        let pieces = || actual.iter().map(|p| Piece::Bytes(p));
         assert_eq!(first_difference(image, pieces(), |_| None), Some(2));
         // Bytes 2..5 are explained, straddling the piece edge; byte 7 is not.
         let mut asked = Vec::new();

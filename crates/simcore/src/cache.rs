@@ -424,9 +424,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// `touch_range` over chunked tags matches the per-line loop
-            /// over a flat array in outcome, stats, occupancy and final
-            /// tag state, with flushes interleaved, on caches smaller
-            /// than, equal to and larger than one chunk.
+            /// over a flat array in outcome, stats, occupancy and tag
+            /// state after every step, with flushes interleaved, on caches
+            /// smaller than, equal to and larger than one chunk.
             #[test]
             fn touch_range_matches_per_line_reference(
                 small_log2 in 1u32..10,
@@ -452,8 +452,8 @@ mod tests {
                         }
                         prop_assert_eq!(fast.stats(), oracle.total);
                         prop_assert_eq!(fast.occupied_lines(), oracle.occupied());
+                        prop_assert_eq!(&fast.flat_tags(), &oracle.tags, "tag state diverged");
                     }
-                    prop_assert_eq!(fast.flat_tags(), oracle.tags, "tag state diverged");
                 }
             }
         }

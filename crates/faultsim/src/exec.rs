@@ -1,17 +1,21 @@
 //! Deterministic execution of a [`FaultPlan`] against a [`Scenario`].
 //!
-//! The executor builds the scenario's driver from scratch, arms the
-//! injection hooks the plan names (store budgets on the primary machine,
-//! packet budgets on the SAN adapter, arena write budgets on the
-//! recovering backup), runs the workload, catches every simulated halt,
-//! and drives recovery to completion — re-entering it over the surviving
-//! arena as many times as the plan crashes it. The outcome is checked
-//! against the shadow [`Reference`](crate::Reference) and the recovery
-//! invariants. Everything is a pure function of (scenario, plan):
+//! Every driver runs the same pipeline. The executor builds the
+//! scenario's driver from scratch, arms the injection hooks the plan
+//! names (store budgets on the primary machine, packet budgets on the SAN
+//! adapter, arena write budgets on the recovering node), runs the
+//! workload, catches every simulated halt, and drives recovery to
+//! completion — re-entering it over the surviving arena as many times as
+//! the plan crashes it. The outcome is checked against the shadow
+//! [`Reference`](crate::Reference) and the driver's contract: which
+//! copies a fault-free run must hold exactly, the sequence and loss
+//! bounds, the torn-tail allowance and the takeover timeline, all set in
+//! one place. Everything is a pure function of (scenario, plan):
 //! replaying the same pair is bit-deterministic.
 
 use std::cell::RefCell;
 use std::fmt;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Once;
@@ -20,14 +24,17 @@ use dsnrep_cluster::{
     takeover_timeline_with_faults, HeartbeatConfig, HeartbeatFaults, NodeId, TakeoverTimeline,
     ViewManager,
 };
-use dsnrep_core::{arena_len, attach_engine, build_engine, Durability, EngineConfig, Machine};
+use dsnrep_core::{
+    arena_len, attach_engine, build_engine, Durability, Engine, EngineConfig, Machine, TxError,
+    VersionTag,
+};
 use dsnrep_obs::NullTracer;
 use dsnrep_repl::{
-    modeled_pairs, ActiveCluster, ActiveTakeover, Failover, PassiveCluster, ReplicaSet, Takeover,
+    modeled_pairs, ActiveCluster, ActiveTakeover, PassiveCluster, ReplicaSet, Takeover,
 };
 use dsnrep_rio::{Arena, Layout, RegionId};
 use dsnrep_simcore::{CostModel, Region, VirtualDuration, VirtualInstant};
-use dsnrep_workloads::TxCtx;
+use dsnrep_workloads::{TxCtx, Workload};
 
 use crate::oracle::Reference;
 use crate::plan::{FaultPlan, FaultSite, PlanError};
@@ -68,7 +75,8 @@ pub enum Violation {
         /// Transactions the primary completed before the crash.
         committed: u64,
     },
-    /// 1-safe replication lost more than the in-flight window.
+    /// A pair failover lost more than its durability allows: anything
+    /// when 2-safe, more than the in-flight window when 1-safe.
     ExcessiveLoss {
         /// What recovery reported.
         recovered: u64,
@@ -292,43 +300,7 @@ pub fn execute_against(
 ) -> Result<Outcome, PlanError> {
     check_plan(scenario, plan)?;
     silence_fault_panics();
-    Ok(match scenario.driver {
-        Driver::Standalone => run_standalone(scenario, plan, reference, mutation),
-        Driver::Passive => run_passive(scenario, plan, reference, mutation),
-        Driver::Active => run_active(scenario, plan, reference, mutation),
-        Driver::Chain | Driver::Quorum => run_replica_set(scenario, plan, reference, mutation),
-    })
-}
-
-/// Runs the workload loop, halting at the plan's transaction boundary or
-/// on an injected mid-transaction fault. Returns `false` on a violation.
-fn run_txn_loop(
-    out: &mut Outcome,
-    txns: u64,
-    crash_txn: Option<u64>,
-    mut one_txn: impl FnMut() -> Result<(), dsnrep_core::TxError>,
-) -> bool {
-    while out.committed < txns {
-        if crash_txn == Some(out.committed) {
-            return true;
-        }
-        match run_caught(&mut one_txn) {
-            Ok(Ok(())) => out.committed += 1,
-            Ok(Err(e)) => {
-                out.violation = Some(Violation::UnexpectedPanic(format!("engine error: {e:?}")));
-                return false;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                return true;
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return false;
-            }
-        }
-    }
-    true
+    Ok(run(scenario, plan, reference, mutation))
 }
 
 fn check_image(
@@ -399,563 +371,432 @@ fn check_timeline(
     }
 }
 
-fn run_standalone(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let arena = dsnrep_core::shared_arena(arena_len(scenario.version, &config));
-    let mut m = Machine::standalone(costs.clone(), Rc::clone(&arena));
-    let mut engine = build_engine(scenario.version, &mut m, &config);
-    let db = engine.db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    if let Some(FaultSite::Store(n)) = site {
-        m.inject_crash_after_stores(n);
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = m.stores_executed();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        let mut ctx = TxCtx::new(&mut m, engine.as_mut());
-        workload.run_txn(&mut ctx)
-    });
-    out.stores = m.stores_executed() - stores_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        out.recovered = engine.committed_seq(&mut m);
-        if out.recovered != scenario.txns {
-            out.violation = Some(Violation::SequenceDrift {
-                recovered: out.recovered,
-                committed: out.committed,
-            });
-            return out;
-        }
-        let seq = out.recovered;
-        check_image(&mut out, reference, &arena, db, seq, false);
-        return out;
-    }
-
-    // The primary is gone; recover in place over the surviving arena,
-    // crashing recovery itself as many times as the plan demands.
-    m.clear_fault();
-    m.crash();
-    let mut at = m.now();
-    drop(engine);
-    drop(m);
-    let recover_once = |at: VirtualInstant, arena: &Rc<RefCell<Arena>>| {
-        let mut rm = Machine::standalone(costs.clone(), Rc::clone(arena));
-        rm.clock_mut().advance_to(at);
-        let mut engine = attach_engine(scenario.version, &mut rm);
-        let report = engine.recover(&mut rm);
-        (report, rm.now())
-    };
-    let mut done = None;
-    for budget in plan.recovery_crashes() {
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(|| recover_once(at, &arena));
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok((report, t)) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                at = t;
-                done = Some(report);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => out.faults_fired += 1,
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let report = match done {
-        Some(report) => report,
-        None => {
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(|| recover_once(at, &arena)) {
-                Ok((report, _)) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    report
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = report.committed_seq;
-    // Local recovery loses nothing: every completed transaction was
-    // durable, and at most the in-flight one may have committed after
-    // the loop's count was taken.
-    if out.recovered < out.committed || out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, false);
-    out
-}
-
 /// 1-safe replication may lose the in-flight tail; more than this many
 /// transactions behind the primary is a bug (matches the bound the
 /// failover property tests have always enforced).
 const LOSS_BOUND: u64 = 64;
 
-fn run_passive(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let mut cluster = PassiveCluster::new(costs.clone(), scenario.version, &config);
-    let db = cluster.engine().db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => cluster.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => cluster.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = cluster.machine().stores_executed();
-    let packets_before = cluster.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        cluster.run_txn(workload.as_mut());
-        Ok(())
-    });
-    out.stores = cluster.machine().stores_executed() - stores_before;
-    out.packets = cluster.machine().packets_emitted() - packets_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        cluster.quiesce();
-        out.recovered = out.committed;
-        let backup = Rc::clone(cluster.backup_arena());
-        let seq = out.recovered;
-        check_image(&mut out, reference, &backup, db, seq, false);
-        return out;
-    }
-
-    cluster.machine_mut().clear_fault();
-    cluster.machine_mut().clear_packet_fault();
-    let mut takeover = Some(cluster.begin_takeover(0));
-    let crashed_at = takeover.as_ref().map(Takeover::now).unwrap();
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok(f) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                takeover = Some(Takeover::resume(
-                    scenario.version,
-                    costs.clone(),
-                    Rc::clone(&arena),
-                    NullTracer,
-                    at,
-                ));
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(f) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = failover.report.committed_seq;
-    if out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    if out.committed.saturating_sub(out.recovered) >= LOSS_BOUND {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, true);
-    if out.violation.is_none() {
-        check_timeline(&mut out, plan, crashed_at, failover.recovery_time, 2);
-    }
-    out
+/// What a driver promises about a run. Every driver's contract lives in
+/// [`Contract::of`]; FAULTS.md's per-driver table mirrors it.
+struct Contract {
+    /// Nodes whose images must match the oracle exactly after a
+    /// fault-free run (node 0 is the primary).
+    settled: Range<u8>,
+    /// A recovered sequence this many transactions or more behind the
+    /// primary is [`Violation::ExcessiveLoss`]. `None`: nothing committed
+    /// may be lost, and a shortfall is [`Violation::SequenceDrift`].
+    loss_bound: Option<u64>,
+    /// Whether the recovered image may keep the in-flight transaction's
+    /// torn undo ranges.
+    torn_tail: bool,
+    /// The node count of the takeover timeline to check; `None` for
+    /// recovery in place.
+    timeline_rf: Option<u8>,
 }
 
-fn run_active(
+impl Contract {
+    fn of(scenario: &Scenario, plan: &FaultPlan) -> Self {
+        // A 2-safe pair waits for the backup before a commit returns, so
+        // it may lose nothing.
+        let pair_loss = Some(if scenario.two_safe { 1 } else { LOSS_BOUND });
+        // Chain and quorum heads commit 2-safe toward node 1, so it is
+        // exact at every graceful boundary, partitions or not. Without
+        // partitions, every further replica converges too.
+        let replicas = if plan.partition_pairs().is_empty() {
+            1..scenario.rf
+        } else {
+            1..2
+        };
+        // Local recovery and the 2-safe chain and quorum lose nothing. The
+        // active backup applies whole publications, so its image is never
+        // torn.
+        let (settled, loss_bound, torn_tail, timeline_rf) = match scenario.driver {
+            Driver::Standalone => (0..1, None, false, None),
+            Driver::Passive => (1..2, pair_loss, true, Some(2)),
+            Driver::Active => (1..2, pair_loss, false, Some(2)),
+            Driver::Chain | Driver::Quorum => (replicas, None, true, Some(scenario.rf)),
+        };
+        Contract {
+            settled,
+            loss_bound,
+            torn_tail,
+            timeline_rf,
+        }
+    }
+
+    /// Checks a recovered sequence against what the primary completed.
+    /// At most the in-flight transaction may have committed past the
+    /// count.
+    fn check_sequence(&self, recovered: u64, committed: u64) -> Option<Violation> {
+        let lost = committed.saturating_sub(recovered);
+        if recovered > committed + 1 || (self.loss_bound.is_none() && lost > 0) {
+            Some(Violation::SequenceDrift {
+                recovered,
+                committed,
+            })
+        } else if self.loss_bound.is_some_and(|bound| lost >= bound) {
+            Some(Violation::ExcessiveLoss {
+                recovered,
+                committed,
+            })
+        } else {
+            None
+        }
+    }
+}
+
+/// The system a scenario runs on, up to its primary's crash.
+enum Cluster {
+    /// One machine and its engine, recovering in place.
+    Standalone(Machine, Box<dyn Engine>),
+    Passive(PassiveCluster),
+    Active(ActiveCluster),
+    /// Boxed: a replica set is several times the size of a pair.
+    Set(Box<ReplicaSet>),
+}
+
+impl Cluster {
+    /// Builds the scenario's driver with the plan's partitions and
+    /// primary crash armed.
+    fn build(scenario: &Scenario, plan: &FaultPlan) -> Self {
+        let costs = CostModel::alpha_21164a();
+        let config = EngineConfig::for_db(scenario.db_len);
+        let mut cluster = match scenario.driver {
+            Driver::Standalone => {
+                let arena = dsnrep_core::shared_arena(arena_len(scenario.version, &config));
+                let mut machine = Machine::standalone(costs, arena);
+                let engine = build_engine(scenario.version, &mut machine, &config);
+                Cluster::Standalone(machine, engine)
+            }
+            Driver::Passive => {
+                Cluster::Passive(PassiveCluster::new(costs, scenario.version, &config))
+            }
+            Driver::Active => Cluster::Active(ActiveCluster::new(costs, &config)),
+            Driver::Chain | Driver::Quorum => {
+                let topology = scenario
+                    .topology()
+                    .expect("chain/quorum drivers have a topology")
+                    .expect("check_plan validated the topology");
+                let mut set = ReplicaSet::new(costs, scenario.version, &config, topology);
+                for (from, to, ps) in plan.partition_delays() {
+                    set.partition_delay(from, to, VirtualDuration::from_picos(ps));
+                }
+                for (from, to, n) in plan.partition_drops() {
+                    set.partition_drop_after(from, to, n);
+                }
+                Cluster::Set(Box::new(set))
+            }
+        };
+        let machine = cluster.machine_mut();
+        // Chain and quorum heads already commit 2-safe, and a lone
+        // machine has no port to wait on.
+        if scenario.two_safe {
+            machine.set_durability(Durability::TwoSafe);
+        }
+        match plan.primary_crash() {
+            Some(FaultSite::Store(n)) => machine.inject_crash_after_stores(n),
+            Some(FaultSite::Packet(n)) => machine.inject_crash_after_packets(n),
+            _ => {}
+        }
+        cluster
+    }
+
+    fn machine(&self) -> &Machine {
+        match self {
+            Cluster::Standalone(machine, _) => machine,
+            Cluster::Passive(cluster) => cluster.machine(),
+            Cluster::Active(cluster) => cluster.machine(),
+            Cluster::Set(set) => set.machine(),
+        }
+    }
+
+    fn machine_mut(&mut self) -> &mut Machine {
+        match self {
+            Cluster::Standalone(machine, _) => machine,
+            Cluster::Passive(cluster) => cluster.machine_mut(),
+            Cluster::Active(cluster) => cluster.machine_mut(),
+            Cluster::Set(set) => set.machine_mut(),
+        }
+    }
+
+    fn db_region(&self) -> Region {
+        match self {
+            Cluster::Standalone(_, engine) => engine.db_region(),
+            Cluster::Passive(cluster) => cluster.engine().db_region(),
+            Cluster::Active(cluster) => cluster.db_region(),
+            Cluster::Set(set) => set.engine().db_region(),
+        }
+    }
+
+    /// Runs one transaction on the primary. A lone machine reports an
+    /// engine error; the clusters panic on one.
+    fn run_txn(&mut self, workload: &mut dyn Workload) -> Result<(), TxError> {
+        match self {
+            Cluster::Standalone(machine, engine) => {
+                return workload.run_txn(&mut TxCtx::new(machine, engine.as_mut()));
+            }
+            Cluster::Passive(cluster) => cluster.run_txn(workload),
+            Cluster::Active(cluster) => cluster.run_txn(workload),
+            Cluster::Set(set) => set.run_txn(workload),
+        }
+        Ok(())
+    }
+
+    /// Ends a fault-free run and returns the sequence the settled copies
+    /// hold.
+    fn settle(&mut self, committed: u64) -> u64 {
+        match self {
+            Cluster::Standalone(machine, engine) => engine.committed_seq(machine),
+            Cluster::Passive(cluster) => {
+                cluster.quiesce();
+                committed
+            }
+            Cluster::Active(cluster) => {
+                cluster.settle();
+                cluster.backup_applied_seq()
+            }
+            Cluster::Set(set) => {
+                set.quiesce();
+                committed
+            }
+        }
+    }
+
+    fn degraded_commits(&self) -> u64 {
+        match self {
+            Cluster::Set(set) => set.degraded_commits(),
+            _ => 0,
+        }
+    }
+
+    /// The arena of `node`: 0 is the primary, and a pair's backup is 1.
+    fn arena(&self, node: u8) -> &Rc<RefCell<Arena>> {
+        match (self, node) {
+            (Cluster::Standalone(machine, _), 0) => machine.arena(),
+            (Cluster::Passive(cluster), 1) => cluster.backup_arena(),
+            (Cluster::Active(cluster), 1) => cluster.backup_arena(),
+            (Cluster::Set(set), _) => set.replica_arena(node),
+            _ => unreachable!("the driver has no node {node}"),
+        }
+    }
+
+    /// Crashes the primary. Returns the recovery to run and the instant
+    /// the takeover timeline starts from.
+    fn crash(mut self, version: VersionTag) -> (Recovery, VirtualInstant) {
+        let machine = self.machine_mut();
+        machine.clear_fault();
+        machine.clear_packet_fault();
+        match self {
+            Cluster::Standalone(mut machine, _) => {
+                machine.crash();
+                let at = machine.now();
+                let arena = Rc::clone(machine.arena());
+                (Recovery::InPlace { version, arena, at }, at)
+            }
+            Cluster::Passive(cluster) => {
+                let takeover = cluster.begin_takeover(0);
+                let at = takeover.now();
+                (Recovery::Takeover(takeover), at)
+            }
+            Cluster::Active(cluster) => {
+                let takeover = cluster.begin_takeover();
+                let at = takeover.now();
+                (Recovery::Active(takeover), at)
+            }
+            Cluster::Set(set) => {
+                let replica = set.begin_takeover();
+                (Recovery::Takeover(replica.takeover), replica.crashed_at)
+            }
+        }
+    }
+}
+
+/// A crashed run's recovery, ready for its next attempt.
+enum Recovery {
+    /// A fresh machine over the crashed node's own arena.
+    InPlace {
+        version: VersionTag,
+        arena: Rc<RefCell<Arena>>,
+        at: VirtualInstant,
+    },
+    /// A promoted passive backup, chain successor or quorum replica.
+    Takeover(Takeover),
+    /// A promoted active backup.
+    Active(ActiveTakeover),
+}
+
+impl Recovery {
+    /// Re-enters recovery over the arena a halted attempt left behind,
+    /// the way `driver` recovers.
+    fn resume(
+        driver: Driver,
+        version: VersionTag,
+        arena: Rc<RefCell<Arena>>,
+        at: VirtualInstant,
+    ) -> Result<Self, String> {
+        let costs = CostModel::alpha_21164a();
+        Ok(match driver {
+            Driver::Standalone => Recovery::InPlace { version, arena, at },
+            Driver::Active => Recovery::Active(
+                ActiveTakeover::resume(costs, arena, NullTracer, at)
+                    .map_err(|e| format!("mid-recovery halt corrupted the layout: {e}"))?,
+            ),
+            Driver::Passive | Driver::Chain | Driver::Quorum => {
+                Recovery::Takeover(Takeover::resume(version, costs, arena, NullTracer, at))
+            }
+        })
+    }
+
+    fn arena(&self) -> Rc<RefCell<Arena>> {
+        match self {
+            Recovery::InPlace { arena, .. } => Rc::clone(arena),
+            Recovery::Takeover(takeover) => takeover.arena(),
+            Recovery::Active(takeover) => takeover.arena(),
+        }
+    }
+
+    fn now(&self) -> VirtualInstant {
+        match self {
+            Recovery::InPlace { at, .. } => *at,
+            Recovery::Takeover(takeover) => takeover.now(),
+            Recovery::Active(takeover) => takeover.now(),
+        }
+    }
+
+    /// Runs recovery to completion. Returns the recovered sequence and
+    /// the virtual time recovery took, or why the arena was unreadable.
+    fn run(self) -> Result<(u64, VirtualDuration), String> {
+        match self {
+            Recovery::InPlace { version, arena, at } => {
+                let mut machine = Machine::standalone(CostModel::alpha_21164a(), arena);
+                machine.clock_mut().advance_to(at);
+                let report = attach_engine(version, &mut machine).recover(&mut machine);
+                Ok((report.committed_seq, machine.now().duration_since(at)))
+            }
+            Recovery::Takeover(takeover) => {
+                let failover = takeover.recover();
+                Ok((failover.report.committed_seq, failover.recovery_time))
+            }
+            Recovery::Active(takeover) => takeover
+                .recover()
+                .map(|failover| (failover.report.committed_seq, failover.recovery_time))
+                .map_err(|e| format!("backup layout unreadable: {e}")),
+        }
+    }
+}
+
+/// The executor's one pipeline: build, run, then either settle and check
+/// the driver's settled copies, or crash, recover through every planned
+/// halt, and check the recovered copy against the driver's contract.
+fn run(
     scenario: &Scenario,
     plan: &FaultPlan,
     reference: &Reference,
     mutation: Option<Mutation>,
 ) -> Outcome {
     let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let mut cluster = ActiveCluster::new(costs.clone(), &config);
-    if scenario.two_safe {
-        cluster.set_durability(Durability::TwoSafe);
-    }
+    let contract = Contract::of(scenario, plan);
+    let mut cluster = Cluster::build(scenario, plan);
     let db = cluster.db_region();
     let mut workload = scenario.workload.build(db, scenario.seed);
 
     let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => cluster.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => cluster.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
     let crash_txn = match site {
         Some(FaultSite::Txn(n)) => Some(n),
         _ => None,
     };
     let stores_before = cluster.machine().stores_executed();
     let packets_before = cluster.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        cluster.run_txn(workload.as_mut());
-        Ok(())
-    });
+    // Run until the plan's transaction boundary or an injected fault.
+    while out.committed < scenario.txns && crash_txn != Some(out.committed) {
+        match run_caught(|| cluster.run_txn(workload.as_mut())) {
+            Ok(Ok(())) => out.committed += 1,
+            Ok(Err(e)) => {
+                out.violation = Some(Violation::UnexpectedPanic(format!("engine error: {e:?}")));
+                break;
+            }
+            Err(msg) if is_fault(&msg) => {
+                out.faults_fired += 1;
+                break;
+            }
+            Err(msg) => {
+                out.violation = Some(Violation::UnexpectedPanic(msg));
+                break;
+            }
+        }
+    }
     out.stores = cluster.machine().stores_executed() - stores_before;
     out.packets = cluster.machine().packets_emitted() - packets_before;
-    if !ok {
+    if out.violation.is_some() {
         return out;
     }
 
     if site.is_none() {
-        cluster.settle();
-        out.recovered = cluster.backup_applied_seq();
-        if out.recovered != scenario.txns {
+        out.recovered = cluster.settle(out.committed);
+        out.degraded = cluster.degraded_commits();
+        if out.recovered != out.committed {
             out.violation = Some(Violation::SequenceDrift {
                 recovered: out.recovered,
                 committed: out.committed,
             });
             return out;
         }
-        let backup = Rc::clone(cluster.backup_arena());
         let seq = out.recovered;
-        check_image(&mut out, reference, &backup, db, seq, false);
+        for node in contract.settled {
+            check_image(&mut out, reference, cluster.arena(node), db, seq, false);
+            if out.violation.is_some() {
+                break;
+            }
+        }
         return out;
     }
 
-    cluster.machine_mut().clear_fault();
-    cluster.machine_mut().clear_packet_fault();
-    let mut takeover = Some(cluster.begin_takeover());
-    let crashed_at = takeover.as_ref().map(ActiveTakeover::now).unwrap();
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
+    // The primary is gone. Recover, crashing recovery itself once per
+    // planned budget and re-entering over the surviving arena; the
+    // attempt after the last budget runs unarmed.
+    out.degraded = cluster.degraded_commits();
+    let (mut recovery, crashed_at) = cluster.crash(scenario.version);
+    let mut budgets = plan.recovery_crashes().into_iter();
+    let (seq, recovery_time, arena) = loop {
+        let budget = budgets.next();
+        let arena = recovery.arena();
+        let at = recovery.now();
         apply_mutation(mutation, &arena);
         let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
+        if let Some(budget) = budget {
+            arena.borrow_mut().inject_halt_after_writes(budget);
+        }
+        let result = run_caught(move || recovery.run());
         arena.borrow_mut().clear_halt();
         match result {
-            Ok(Ok(f)) => {
+            Ok(Ok((seq, recovery_time))) => {
                 out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
+                break (seq, recovery_time, arena);
             }
-            Ok(Err(e)) => {
-                out.violation = Some(Violation::UnexpectedPanic(format!(
-                    "backup layout unreadable: {e}"
-                )));
-                return out;
-            }
-            Err(msg) if is_fault(&msg) => {
+            Err(msg) if budget.is_some() && is_fault(&msg) => {
                 out.faults_fired += 1;
-                match ActiveTakeover::resume(costs.clone(), Rc::clone(&arena), NullTracer, at) {
-                    Ok(t) => takeover = Some(t),
-                    Err(e) => {
-                        out.violation = Some(Violation::UnexpectedPanic(format!(
-                            "mid-recovery halt corrupted the layout: {e}"
-                        )));
+                match Recovery::resume(scenario.driver, scenario.version, arena, at) {
+                    Ok(next) => recovery = next,
+                    Err(msg) => {
+                        out.violation = Some(Violation::UnexpectedPanic(msg));
                         return out;
                     }
                 }
             }
-            Err(msg) => {
+            Ok(Err(msg)) | Err(msg) => {
                 out.violation = Some(Violation::UnexpectedPanic(msg));
                 return out;
             }
         }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(Ok(f)) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Ok(Err(e)) => {
-                    out.violation = Some(Violation::UnexpectedPanic(format!(
-                        "backup layout unreadable: {e}"
-                    )));
-                    return out;
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
     };
-    out.recovered = failover.report.committed_seq;
-    if out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
+    out.recovered = seq;
+    if let Some(violation) = contract.check_sequence(seq, out.committed) {
+        out.violation = Some(violation);
         return out;
     }
-    if scenario.two_safe && out.recovered < out.committed {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    if out.committed.saturating_sub(out.recovered) >= LOSS_BOUND {
-        out.violation = Some(Violation::ExcessiveLoss {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    // The active backup applies whole publications: its recovered image
-    // is byte-exact at its own boundary, never torn.
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, false);
-    if out.violation.is_none() {
-        check_timeline(&mut out, plan, crashed_at, failover.recovery_time, 2);
-    }
-    out
-}
-
-fn run_replica_set(
-    scenario: &Scenario,
-    plan: &FaultPlan,
-    reference: &Reference,
-    mutation: Option<Mutation>,
-) -> Outcome {
-    let mut out = Outcome::new(scenario, plan);
-    let costs = CostModel::alpha_21164a();
-    let config = EngineConfig::for_db(scenario.db_len);
-    let topology = scenario
-        .topology()
-        .expect("chain/quorum drivers have a topology")
-        .expect("check_plan validated the topology");
-    let mut set = ReplicaSet::new(costs.clone(), scenario.version, &config, topology);
-    for (from, to, ps) in plan.partition_delays() {
-        set.partition_delay(from, to, VirtualDuration::from_picos(ps));
-    }
-    for (from, to, n) in plan.partition_drops() {
-        set.partition_drop_after(from, to, n);
-    }
-    let db = set.engine().db_region();
-    let mut workload = scenario.workload.build(db, scenario.seed);
-
-    let site = plan.primary_crash();
-    match site {
-        Some(FaultSite::Store(n)) => set.machine_mut().inject_crash_after_stores(n),
-        Some(FaultSite::Packet(n)) => set.machine_mut().inject_crash_after_packets(n),
-        _ => {}
-    }
-    let crash_txn = match site {
-        Some(FaultSite::Txn(n)) => Some(n),
-        _ => None,
-    };
-    let stores_before = set.machine().stores_executed();
-    let packets_before = set.machine().packets_emitted();
-    let ok = run_txn_loop(&mut out, scenario.txns, crash_txn, || {
-        set.run_txn(workload.as_mut());
-        Ok(())
-    });
-    out.stores = set.machine().stores_executed() - stores_before;
-    out.packets = set.machine().packets_emitted() - packets_before;
-    if !ok {
-        return out;
-    }
-
-    if site.is_none() {
-        set.quiesce();
-        out.degraded = set.degraded_commits();
-        out.recovered = out.committed;
-        // Chain and quorum heads run 2-safe toward node 1: its image is
-        // exact at every graceful boundary, partitions or not.
-        let node1 = Rc::clone(set.replica_arena(1));
-        let seq = out.recovered;
-        check_image(&mut out, reference, &node1, db, seq, false);
-        // Without partitions, every further replica converges too.
-        if out.violation.is_none() && plan.partition_pairs().is_empty() {
-            for node in 2..scenario.rf {
-                let arena = Rc::clone(set.replica_arena(node));
-                check_image(&mut out, reference, &arena, db, seq, false);
-                if out.violation.is_some() {
-                    break;
-                }
-            }
-        }
-        return out;
-    }
-
-    set.machine_mut().clear_fault();
-    set.machine_mut().clear_packet_fault();
-    out.degraded = set.degraded_commits();
-    let replica_takeover = set.begin_takeover();
-    let crashed_at = replica_takeover.crashed_at;
-    let mut takeover = Some(replica_takeover.takeover);
-    let mut failover: Option<Failover> = None;
-    for budget in plan.recovery_crashes() {
-        let t = takeover
-            .take()
-            .expect("the takeover survives until a failover exists");
-        let arena = t.arena();
-        let at = t.now();
-        apply_mutation(mutation, &arena);
-        let writes_before = arena.borrow().writes();
-        arena.borrow_mut().inject_halt_after_writes(budget);
-        let result = run_caught(move || t.recover());
-        arena.borrow_mut().clear_halt();
-        match result {
-            Ok(f) => {
-                out.recovery_writes = arena.borrow().writes() - writes_before;
-                failover = Some(f);
-                break;
-            }
-            Err(msg) if is_fault(&msg) => {
-                out.faults_fired += 1;
-                takeover = Some(Takeover::resume(
-                    scenario.version,
-                    costs.clone(),
-                    Rc::clone(&arena),
-                    NullTracer,
-                    at,
-                ));
-            }
-            Err(msg) => {
-                out.violation = Some(Violation::UnexpectedPanic(msg));
-                return out;
-            }
-        }
-    }
-    let failover = match failover {
-        Some(f) => f,
-        None => {
-            let t = takeover
-                .take()
-                .expect("no failover yet, so the takeover survived");
-            let arena = t.arena();
-            apply_mutation(mutation, &arena);
-            let writes_before = arena.borrow().writes();
-            match run_caught(move || t.recover()) {
-                Ok(f) => {
-                    out.recovery_writes = arena.borrow().writes() - writes_before;
-                    f
-                }
-                Err(msg) => {
-                    out.violation = Some(Violation::UnexpectedPanic(msg));
-                    return out;
-                }
-            }
-        }
-    };
-    out.recovered = failover.report.committed_seq;
-    // Chain and quorum commits are 2-safe: nothing committed is ever
-    // lost, partitions included, and at most the in-flight transaction
-    // may have committed past the loop's count.
-    if out.recovered < out.committed || out.recovered > out.committed + 1 {
-        out.violation = Some(Violation::SequenceDrift {
-            recovered: out.recovered,
-            committed: out.committed,
-        });
-        return out;
-    }
-    let arena = Rc::clone(failover.machine.arena());
-    let seq = out.recovered;
-    check_image(&mut out, reference, &arena, db, seq, true);
-    if out.violation.is_none() {
-        check_timeline(
-            &mut out,
-            plan,
-            crashed_at,
-            failover.recovery_time,
-            scenario.rf,
-        );
+    check_image(&mut out, reference, &arena, db, seq, contract.torn_tail);
+    if let (None, Some(rf)) = (&out.violation, contract.timeline_rf) {
+        check_timeline(&mut out, plan, crashed_at, recovery_time, rf);
     }
     out
 }

@@ -62,8 +62,11 @@ pub struct Scenario {
     pub db_len: u64,
     /// Workload RNG seed.
     pub seed: u64,
-    /// Run commits 2-safe (active driver only; passive/standalone runs
-    /// are 1-safe like the paper's measurements).
+    /// Run commits 2-safe: every commit waits until the backup holds it,
+    /// so a passive or active failover may lose nothing. Off by default,
+    /// like the paper's measurements. Chain and quorum heads always
+    /// commit 2-safe toward node 1, and the standalone driver has no
+    /// backup, so the flag changes nothing for them.
     pub two_safe: bool,
     /// Replication factor (node count). 2 for the classic pair drivers;
     /// ≥ 2 for [`Driver::Chain`] and [`Driver::Quorum`].
@@ -171,7 +174,8 @@ impl Scenario {
         self
     }
 
-    /// Commits 2-safe (meaningful for the active driver only).
+    /// Commits 2-safe (meaningful for the passive and active drivers;
+    /// see [`Scenario::two_safe`](Scenario#structfield.two_safe)).
     pub fn two_safe(mut self) -> Self {
         self.two_safe = true;
         self

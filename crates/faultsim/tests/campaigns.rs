@@ -10,7 +10,7 @@
 use dsnrep_core::VersionTag;
 use dsnrep_faultsim::{
     execute, exhaustive_single_fault, random_campaign, silence_fault_panics, Campaign, Mutation,
-    Scenario,
+    Probe, Scenario, Violation,
 };
 use dsnrep_workloads::WorkloadKind;
 
@@ -30,20 +30,26 @@ fn assert_clean(campaign: &Campaign) {
     );
 }
 
-fn sweep_standalone(version: VersionTag) {
+/// Sweeps a standalone scenario and pins its exact counters: plans run,
+/// faults fired, store sites and recovery sites, then the probe. Neither
+/// `faultcov.json` nor the host benchmark runs the standalone driver, so
+/// these numbers are its only bit-exact gate.
+fn sweep_standalone(version: VersionTag, counters: [u64; 4], probe: Probe) {
     silence_fault_panics();
     let scenario = Scenario::standalone(version, WorkloadKind::DebitCredit);
     let campaign = exhaustive_single_fault(&scenario, None).unwrap();
     assert_clean(&campaign);
-    // The sweep must actually cover store boundaries and recovery steps;
-    // 40 matches the floor of the hand-rolled sweep this test replaces.
-    assert!(
-        campaign.store_sites > 40,
-        "too few store boundaries swept: {}",
-        campaign.store_sites
+    assert_eq!(
+        [
+            campaign.plans_run,
+            campaign.faults_fired,
+            campaign.store_sites,
+            campaign.recovery_sites,
+        ],
+        counters,
+        "{scenario}: plans run, faults fired, store sites, recovery sites"
     );
-    assert!(campaign.recovery_sites > 0, "no mid-recovery crashes swept");
-    assert!(campaign.faults_fired > 0);
+    assert_eq!(campaign.probe, probe, "{scenario}: probe");
 }
 
 fn sweep_passive(version: VersionTag) {
@@ -65,22 +71,54 @@ fn sweep_passive(version: VersionTag) {
 
 #[test]
 fn exhaustive_sweep_standalone_v0() {
-    sweep_standalone(VersionTag::Vista);
+    sweep_standalone(
+        VersionTag::Vista,
+        [696, 702, 691, 11],
+        Probe {
+            stores: 680,
+            packets: 0,
+            recovery_writes: 11,
+        },
+    );
 }
 
 #[test]
 fn exhaustive_sweep_standalone_v1() {
-    sweep_standalone(VersionTag::MirrorCopy);
+    sweep_standalone(
+        VersionTag::MirrorCopy,
+        [107, 104, 102, 2],
+        Probe {
+            stores: 100,
+            packets: 0,
+            recovery_writes: 2,
+        },
+    );
 }
 
 #[test]
 fn exhaustive_sweep_standalone_v2() {
-    sweep_standalone(VersionTag::MirrorDiff);
+    sweep_standalone(
+        VersionTag::MirrorDiff,
+        [117, 114, 112, 2],
+        Probe {
+            stores: 110,
+            packets: 0,
+            recovery_writes: 2,
+        },
+    );
 }
 
 #[test]
 fn exhaustive_sweep_standalone_v3() {
-    sweep_standalone(VersionTag::ImprovedLog);
+    sweep_standalone(
+        VersionTag::ImprovedLog,
+        [62, 62, 57, 5],
+        Probe {
+            stores: 52,
+            packets: 0,
+            recovery_writes: 5,
+        },
+    );
 }
 
 #[test]
@@ -162,22 +200,43 @@ fn planted_recovery_bug_is_caught_and_shrunk_standalone() {
 }
 
 #[test]
-fn planted_recovery_bug_is_caught_passive() {
+fn planted_recovery_bug_is_caught_on_every_takeover_driver() {
     silence_fault_panics();
     // SkipUndoChain is legitimately invisible to a 1-safe failover (its
-    // torn window covers the unrolled bytes), so the passive planted bug
+    // torn window covers the unrolled bytes), so the takeover planted bug
     // scribbles over *committed* data instead — no window explains that.
-    let scenario =
-        Scenario::passive(VersionTag::ImprovedLog, WorkloadKind::DebitCredit).with_txns(2);
-    let campaign = exhaustive_single_fault(&scenario, Some(Mutation::ScribbleCommitted)).unwrap();
-    assert!(
-        !campaign.clean(),
-        "the planted bug must also surface through a passive takeover"
-    );
-    assert!(campaign
-        .counterexamples
-        .iter()
-        .all(|c| c.shrunk.events().len() <= 3));
+    // The chain driver's row lives in n_node_campaigns.rs.
+    let v3 = VersionTag::ImprovedLog;
+    let dc = WorkloadKind::DebitCredit;
+    for scenario in [
+        Scenario::passive(v3, dc),
+        Scenario::active(dc),
+        Scenario::active(dc).two_safe(),
+        Scenario::quorum(v3, dc, 3, 2, 2),
+        Scenario::quorum(v3, dc, 3, 1, 3),
+    ] {
+        let scenario = scenario.with_txns(2);
+        let campaign =
+            exhaustive_single_fault(&scenario, Some(Mutation::ScribbleCommitted)).unwrap();
+        assert!(
+            !campaign.clean(),
+            "{scenario}: the planted bug must surface through the takeover"
+        );
+        for c in &campaign.counterexamples {
+            assert!(
+                matches!(c.shrunk_violation, Violation::Divergence { .. }),
+                "{scenario}: `{}` shrunk to a non-divergence: {}",
+                c.shrunk,
+                c.shrunk_violation
+            );
+            assert!(
+                c.shrunk.events().len() <= 3,
+                "{scenario}: shrunk plan `{}` still has {} events",
+                c.shrunk,
+                c.shrunk.events().len()
+            );
+        }
+    }
 }
 
 #[test]

@@ -71,14 +71,16 @@ fn active_failover_is_byte_exact_one_safe() {
 }
 
 #[test]
-fn active_failover_two_safe_loses_nothing() {
-    let scenario = Scenario::active(WorkloadKind::DebitCredit)
-        .with_txns(6)
-        .two_safe();
-    let outcome = run(&scenario, "crash primary @ txn=4");
-    // The executor asserts recovered >= committed for 2-safe runs; pin
-    // the stronger equality here for the boundary crash.
-    assert_eq!(outcome.recovered, outcome.committed);
+fn two_safe_failover_loses_nothing() {
+    let active = Scenario::active(WorkloadKind::DebitCredit);
+    let passive = VersionTag::ALL.map(|v| Scenario::passive(v, WorkloadKind::DebitCredit));
+    for scenario in [active].into_iter().chain(passive) {
+        let scenario = scenario.with_txns(6).two_safe();
+        let outcome = run(&scenario, "crash primary @ txn=4");
+        // The executor asserts recovered >= committed for 2-safe runs;
+        // pin the stronger equality here for the boundary crash.
+        assert_eq!(outcome.recovered, outcome.committed, "{scenario}");
+    }
 }
 
 #[test]

@@ -368,17 +368,6 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
         &mut self.machine
     }
 
-    /// The primary-side engine (for direct API use in examples/tests).
-    pub fn engine_mut(&mut self) -> &mut ActivePrimaryEngine<T> {
-        &mut self.engine
-    }
-
-    /// Splits the cluster into the primary machine and engine for direct
-    /// transaction use (e.g. by a `TxCtx`).
-    pub fn parts_mut(&mut self) -> (&mut Machine<T>, &mut ActivePrimaryEngine<T>) {
-        (&mut self.machine, &mut self.engine)
-    }
-
     /// The backup arena (for oracles and assertions).
     pub fn backup_arena(&self) -> &Rc<RefCell<Arena>> {
         &self.backup_arena
@@ -501,11 +490,12 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 /// the redo ring has not been drained, the sequence roots are unstamped.
 ///
 /// Mirrors [`Takeover`](crate::Takeover) for the active scheme: a fault
-/// campaign arms a write budget on [`ActiveTakeover::machine_mut`],
-/// catches the halt from [`ActiveTakeover::recover`], and re-enters over
-/// the surviving arena via [`ActiveTakeover::resume`]. The procedure is
-/// idempotent: redo records are absolute writes, so a fresh poll re-applies
-/// them byte-identically, and the sequence root is kept monotone.
+/// campaign arms a write budget on the backup's arena
+/// ([`ActiveTakeover::arena`]), catches the halt from
+/// [`ActiveTakeover::recover`], and re-enters over the surviving arena via
+/// [`ActiveTakeover::resume`]. The procedure is idempotent: redo records
+/// are absolute writes, so a fresh poll re-applies them byte-identically,
+/// and the sequence root is kept monotone.
 #[derive(Debug)]
 pub struct ActiveTakeover<T: Tracer + 'static = NullTracer> {
     machine: Machine<T>,
@@ -547,11 +537,6 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
     /// The promoted backup's current virtual time.
     pub fn now(&self) -> VirtualInstant {
         self.machine.now()
-    }
-
-    /// The promoted backup machine (fault campaigns arm budgets here).
-    pub fn machine_mut(&mut self) -> &mut Machine<T> {
-        &mut self.machine
     }
 
     /// Drains the redo ring, stamps the sequence roots, and brings the

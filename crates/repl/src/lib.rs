@@ -2,7 +2,7 @@
 //!
 //! This crate wires the engine versions of `dsnrep-core` to the Memory
 //! Channel model of `dsnrep-mcsim` into the three cluster configurations
-//! the paper evaluates:
+//! the paper evaluates, plus their N-node generalization:
 //!
 //! * [`PassiveCluster`] — the backup CPU is idle; data travels purely by
 //!   write doubling on the primary (paper §3 for Version 0, §5 for the
@@ -16,8 +16,9 @@
 //!   multi-link fabric running primary-backup fan-out, chain, or R/W
 //!   quorum replication (see `dsnrep-cluster`'s `Topology`).
 //!
-//! All three expose crash/failover entry points used by the failure
-//! injection tests and by `dsnrep-cluster`'s takeover orchestration.
+//! The passive, active and N-node clusters expose the crash and failover
+//! entry points that the failure injection tests and the fault campaigns
+//! use.
 //!
 //! # Examples
 //!

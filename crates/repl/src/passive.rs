@@ -359,12 +359,12 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
 /// A promoted backup that has not yet run recovery: the state between
 /// "the primary is gone" and "the backup is serving".
 ///
-/// The split exists for fault injection: a campaign can arm an arena
-/// write budget on [`Takeover::machine_mut`], catch the simulated halt
-/// from [`Takeover::recover`], and re-enter recovery over the surviving
-/// arena with [`Takeover::resume`] — the paper's recovery procedures are
-/// idempotent, so a crashed recovery is just another crash to recover
-/// from.
+/// The split exists for fault injection: a campaign can arm a write
+/// budget on the backup's arena ([`Takeover::arena`]), catch the
+/// simulated halt from [`Takeover::recover`], and re-enter recovery over
+/// the surviving arena with [`Takeover::resume`] — the paper's recovery
+/// procedures are idempotent, so a crashed recovery is just another crash
+/// to recover from.
 #[derive(Debug)]
 pub struct Takeover<T: Tracer + 'static = NullTracer> {
     version: VersionTag,
@@ -392,11 +392,6 @@ impl<T: Tracer + 'static> Takeover<T> {
         }
     }
 
-    /// The engine version being recovered.
-    pub fn version(&self) -> VersionTag {
-        self.version
-    }
-
     /// The promoted backup's arena handle (hold a clone across
     /// [`Takeover::recover`] to survive an injected mid-recovery halt).
     pub fn arena(&self) -> Rc<RefCell<Arena>> {
@@ -406,11 +401,6 @@ impl<T: Tracer + 'static> Takeover<T> {
     /// The promoted backup's current virtual time.
     pub fn now(&self) -> VirtualInstant {
         self.machine.now()
-    }
-
-    /// The promoted backup machine (fault campaigns arm budgets here).
-    pub fn machine_mut(&mut self) -> &mut Machine<T> {
-        &mut self.machine
     }
 
     /// Runs the version's recovery procedure and completes the failover.

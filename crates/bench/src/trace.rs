@@ -65,8 +65,9 @@ pub struct TracedRun {
     pub summary: TraceSummary,
     /// Per-node virtual-time attribution tree, conservation-checked.
     pub attribution: AttributionTree,
-    /// Windowed metrics time-series, conservation-checked against both the
-    /// summary aggregates and the attribution tree's stall leaves.
+    /// Windowed metrics time-series. The summary's counts are its windows
+    /// summed; its stall counters are conservation-checked against the
+    /// attribution tree's stall leaves.
     pub timeseries: TimeSeries,
     /// Per-transaction critical-path profile, conservation-checked against
     /// the attribution tree's leaves (per-txn segments sum to the commit
@@ -181,9 +182,10 @@ fn drive_sampled(
 
 /// Checks the time-series against the attribution tree: for every node,
 /// the per-cause windowed stall counters must re-aggregate to exactly the
-/// stall leaves of that node's attributed clock. Together with
-/// [`TimeSeries::verify_against_summary`] this pins every exported series
-/// to an independently-computed whole-run total.
+/// stall leaves of that node's attributed clock. The probes' stall
+/// counters and the clocks are the only two independent records of a
+/// stall, so this is the check that they agree. (The summary's counts need
+/// no such check: they are the windows summed.)
 fn verify_against_attribution(ts: &TimeSeries, tree: &AttributionTree) -> Result<(), String> {
     for node in &tree.nodes {
         let track = ts.tracks.iter().find(|t| t.track == node.track);
@@ -397,29 +399,7 @@ pub fn traced_run_with(
     crash: bool,
     post_txns: u64,
 ) -> TracedRun {
-    traced_run_on(
-        FlightRecorder::from_env(),
-        scheme,
-        kind,
-        txns,
-        db_len,
-        crash,
-        post_txns,
-    )
-}
-
-/// As [`traced_run_with`], on a caller-supplied recorder. Tests use this to
-/// toggle recorder knobs (e.g. the causal stores) directly, without racing
-/// on process-global environment variables.
-pub fn traced_run_on(
-    recorder: FlightRecorder,
-    scheme: TracedScheme,
-    kind: WorkloadKind,
-    txns: u64,
-    db_len: u64,
-    crash: bool,
-    post_txns: u64,
-) -> TracedRun {
+    let recorder = FlightRecorder::from_env();
     recorder.set_track_name(TRACK_PRIMARY, "primary");
     recorder.set_track_name(TRACK_BACKUP, "backup");
     let config = EngineConfig::for_db(db_len);
@@ -540,14 +520,10 @@ pub fn traced_run_on(
         &primary_stats,
         backup_stats.as_ref(),
     );
-    // Conservation: every exported windowed series must re-aggregate to
-    // the whole-run aggregates two independent paths computed — the
-    // summary's counters/histogram and the attribution tree's stall
-    // leaves. A mismatch means a probe fed one sink and not the other.
+    // Conservation: the windowed stall counters must re-aggregate to the
+    // attribution tree's leaves, which the clocks computed independently.
+    // A mismatch means a stall probe and its clock disagree.
     let timeseries = recorder.timeseries();
-    if let Err(e) = timeseries.verify_against_summary(&summary) {
-        panic!("time-series conservation violated: {e}");
-    }
     if let Err(e) = verify_against_attribution(&timeseries, &attribution) {
         panic!("time-series vs attribution conservation violated: {e}");
     }
@@ -567,5 +543,43 @@ pub fn traced_run_on(
         tps,
         violation,
         recovery_picos,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsnrep_obs::MetricsHub;
+
+    /// A one-node tree whose clock attributes `leaf` picoseconds to
+    /// `RingFull` stalls.
+    fn tree_with_ring_full_leaf(leaf: u64) -> AttributionTree {
+        let mut clock = ClockAttribution {
+            elapsed_picos: leaf,
+            ..Default::default()
+        };
+        clock.stall_picos[StallCause::RingFull.index()] = leaf;
+        let mut tree = AttributionTree::new("unit", "v3");
+        tree.add_node("primary", TRACK_PRIMARY, clock);
+        tree
+    }
+
+    #[test]
+    fn the_stall_check_passes_on_agreement_and_names_a_divergence() {
+        let ring_full = Metric::stall(StallCause::RingFull);
+        let mut hub = MetricsHub::new(100);
+        hub.counter_add(TRACK_PRIMARY, ring_full, VirtualInstant::from_picos(10), 2);
+        hub.counter_add(TRACK_PRIMARY, ring_full, VirtualInstant::from_picos(250), 3);
+        let ts = hub.snapshot(&|_| "primary".to_string());
+        verify_against_attribution(&ts, &tree_with_ring_full_leaf(5))
+            .expect("the windows sum to the clock leaf");
+        let err = verify_against_attribution(&ts, &tree_with_ring_full_leaf(6)).unwrap_err();
+        assert!(err.contains("'primary'"), "{err}");
+        assert!(err.contains("'ring_full'"), "{err}");
+        assert!(err.contains("5 ps") && err.contains("6 ps"), "{err}");
+        // A node with no series at all counts as zero windowed stall.
+        let empty = MetricsHub::new(100).snapshot(&|_| String::new());
+        verify_against_attribution(&empty, &tree_with_ring_full_leaf(0)).expect("nothing stalled");
+        assert!(verify_against_attribution(&empty, &tree_with_ring_full_leaf(1)).is_err());
     }
 }

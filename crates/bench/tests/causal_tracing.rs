@@ -17,12 +17,21 @@
 //!    post-recovery transactions are profiled and the takeover spike is
 //!    attributed to out-of-transaction stall segments, conservation
 //!    intact.
+//! 4. **N-node traffic, counted once**: a traced chain or quorum set
+//!    reports every SAN packet, fabric hops and acks included, through the
+//!    one packet probe, and the summary's totals equal the links' own
+//!    counters.
 
+use std::collections::BTreeSet;
+
+use dsnrep_bench::experiments::{costs, SEED};
 use dsnrep_bench::json::{parse, JsonValue};
 use dsnrep_bench::trace::{traced_run_with, TracedScheme};
-use dsnrep_core::VersionTag;
-use dsnrep_obs::{Phase, Segment, TRACK_BACKUP};
-use dsnrep_simcore::MIB;
+use dsnrep_cluster::{ReplicationStrategy, Topology};
+use dsnrep_core::{EngineConfig, VersionTag};
+use dsnrep_obs::{FlightRecorder, Phase, Segment, TRACK_BACKUP};
+use dsnrep_repl::ReplicaSet;
+use dsnrep_simcore::{TrafficClass, MIB};
 use dsnrep_workloads::WorkloadKind;
 use proptest::prelude::*;
 
@@ -251,4 +260,55 @@ fn failover_critical_path_attributes_the_takeover_spike() {
             && s.end.as_picos() >= crash),
         "the takeover ring drain must appear as an apply span on the backup track"
     );
+}
+
+/// Contract 4: the links' own counters are an independent source for the
+/// summary's traffic. A chain or quorum set's fabric hops and acks reach
+/// the summary exactly once each, under lifecycle ids of their own, and
+/// render as well-formed Perfetto spans.
+#[test]
+fn replica_set_packets_reach_the_summary_once() {
+    for strategy in [
+        ReplicationStrategy::Chain,
+        ReplicationStrategy::Quorum { read: 2, write: 2 },
+    ] {
+        let topology = Topology::new(3, strategy).expect("a valid rf3 topology");
+        let recorder = FlightRecorder::new();
+        let mut set = ReplicaSet::new_traced(
+            costs(),
+            VersionTag::ImprovedLog,
+            &EngineConfig::for_db(MIB),
+            topology,
+            recorder.clone(),
+        );
+        let mut workload = WorkloadKind::DebitCredit.build_traced(set.engine().db_region(), SEED);
+        set.run(workload.as_mut(), 50);
+        set.quiesce();
+
+        let traffic = set.traffic();
+        let summary = recorder.summary();
+        let packets: u64 = summary.tracks.iter().map(|t| t.packets).sum();
+        assert_eq!(packets, traffic.total_packets(), "{strategy}");
+        for class in TrafficClass::ALL {
+            let bytes: u64 = summary
+                .tracks
+                .iter()
+                .map(|t| t.bytes_by_class[class.index()])
+                .sum();
+            assert_eq!(bytes, traffic.bytes(class), "{strategy}: {class:?}");
+        }
+        let lives = recorder.packet_lives();
+        assert_eq!(recorder.dropped_packet_lives(), 0);
+        let ids: BTreeSet<u64> = lives.iter().map(|(_, life)| life.id).collect();
+        assert_eq!(
+            ids.len(),
+            lives.len(),
+            "{strategy}: duplicate lifecycle ids"
+        );
+        assert!(
+            lives.iter().any(|&(track, _)| track > 0),
+            "{strategy}: no fabric hop reported a lifecycle"
+        );
+        assert_flows_well_formed(&recorder.chrome_trace_json());
+    }
 }

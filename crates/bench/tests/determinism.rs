@@ -10,7 +10,6 @@
 //! check.
 
 use dsnrep_bench::experiments::{self, RunScale};
-use dsnrep_bench::trace::{traced_run_on, TracedScheme};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_mcsim::Traffic;
 use dsnrep_obs::FlightRecorder;
@@ -138,66 +137,6 @@ fn tracing_does_not_change_simulated_outcomes() {
     );
 }
 
-/// The causal stores (packet lives, apply records, txn paths) feed only
-/// the flow events and the critical-path profile; disabling them (the
-/// `DSNREP_TRACE_FLOWS=0` escape hatch) may not move a single bit of any
-/// other exported artifact. Both runs attach a recorder, so this holds the
-/// flow layer itself to the pure-observer contract — not just the
-/// recorder as a whole.
-#[test]
-fn causal_stores_do_not_change_exported_metrics() {
-    for (scheme, crash) in [
-        (TracedScheme::Passive(VersionTag::ImprovedLog), false),
-        (TracedScheme::Active, true),
-    ] {
-        let run = |causal: bool| {
-            let recorder = FlightRecorder::new();
-            recorder.set_causal_enabled(causal);
-            traced_run_on(
-                recorder,
-                scheme,
-                WorkloadKind::DebitCredit,
-                120,
-                10 * MIB,
-                crash,
-                if crash { 20 } else { 0 },
-            )
-        };
-        let flows_on = run(true);
-        let flows_off = run(false);
-        assert!(
-            !flows_on.recorder.packet_lives().is_empty()
-                && flows_off.recorder.packet_lives().is_empty(),
-            "the toggle did not actually gate the causal stores"
-        );
-        assert_eq!(
-            flows_on.tps.to_bits(),
-            flows_off.tps.to_bits(),
-            "TPS not bit-identical across the flows toggle ({scheme:?})"
-        );
-        assert_eq!(
-            flows_on.summary.to_json(),
-            flows_off.summary.to_json(),
-            "summary.json changed under the flows toggle ({scheme:?})"
-        );
-        assert_eq!(
-            flows_on.timeseries.to_json(),
-            flows_off.timeseries.to_json(),
-            "timeseries.json changed under the flows toggle ({scheme:?})"
-        );
-        assert_eq!(
-            flows_on.attribution.to_json(),
-            flows_off.attribution.to_json(),
-            "attribution.json changed under the flows toggle ({scheme:?})"
-        );
-        assert_eq!(
-            flows_on.availability.to_json(),
-            flows_off.availability.to_json(),
-            "availability.json changed under the flows toggle ({scheme:?})"
-        );
-    }
-}
-
 /// The stall-attribution split must account for every stalled picosecond:
 /// the per-cause breakdown sums exactly to the machine's total stall time.
 #[test]
@@ -218,9 +157,8 @@ fn stall_breakdown_sums_to_total_stall() {
 }
 
 /// The batched store pipeline is a host-speed optimization only: forcing
-/// every store back through the legacy per-op path (the test-only
-/// `Machine::set_per_op_stores` switch, also reachable via
-/// `DSNREP_STORE_PATH=per-op`) must reproduce the batched run's TPS
+/// every store back through the legacy per-op path (the
+/// `Machine::set_per_op_stores` switch) must reproduce the batched run's TPS
 /// (bit-identical), packet counts, and per-class byte counts — at more
 /// than one scale, since batch boundaries shift with transaction count.
 #[test]

@@ -4,9 +4,10 @@
 //!   a sampled run and an unsampled run of the same workload produce
 //!   bit-identical simulated outcomes and bit-identical exported
 //!   artifacts (`timeseries.json`, the Chrome trace, the summary);
-//! * conservation — Σ per-window deltas == whole-run totals for every
-//!   exported series — is enforced inside `traced_run` itself (it panics
-//!   on a leak), so every test here exercises it;
+//! * conservation — the windowed stall counters re-aggregate to the
+//!   clocks' stall leaves — is enforced inside `traced_run` itself (it
+//!   panics on a leak), and the summary's counts are the windows summed,
+//!   so every test here exercises both;
 //! * a failover run's availability report shows the goodput dip and the
 //!   recovery: SLO-violation windows during the takeover and a measured
 //!   time-to-first-committed-txn after `recovery_start`.

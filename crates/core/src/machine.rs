@@ -21,8 +21,8 @@ use dsnrep_mcsim::TxPort;
 use dsnrep_obs::{Metric, NullTracer, Phase, TraceEventKind, Tracer, NO_TXN};
 use dsnrep_rio::{AllocMem, Arena};
 use dsnrep_simcore::{
-    Addr, BusyCause, CacheOutcome, Clock, CostModel, DirectMappedCache, Region, StallCause,
-    StoreSink, TrafficClass, VirtualDuration, VirtualInstant,
+    Addr, BusyCause, Clock, CostModel, DirectMappedCache, Region, StallCause, StoreSink,
+    TrafficClass, VirtualDuration, VirtualInstant,
 };
 
 /// When a commit may return (Gray & Reuter's taxonomy, paper §2.1).
@@ -257,7 +257,7 @@ impl<T: Tracer> Machine<T> {
             durability: Durability::OneSafe,
             store_budget: None,
             stores_executed: 0,
-            per_op_stores: std::env::var_os("DSNREP_STORE_PATH").is_some_and(|v| v == "per-op"),
+            per_op_stores: false,
             tracer,
             track,
             tx_open: None,
@@ -535,9 +535,8 @@ impl<T: Tracer> Machine<T> {
     /// stores through the per-op [`Machine::write`] path instead of the
     /// batched one. The two paths are virtual-time identical (the
     /// determinism suite drives full scenarios down both); this switch
-    /// exists so those tests — and bisection of any future divergence —
-    /// can select a path explicitly. Also settable for a whole process via
-    /// the `DSNREP_STORE_PATH=per-op` environment variable.
+    /// exists so those tests, the batching benchmark and bisection of any
+    /// future divergence can select a path explicitly.
     pub fn set_per_op_stores(&mut self, per_op: bool) {
         self.per_op_stores = per_op;
     }
@@ -716,11 +715,6 @@ impl<T: Tracer> Machine<T> {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
         }
-    }
-
-    /// The cache model's cumulative counters.
-    pub fn cache_stats(&self) -> CacheOutcome {
-        self.cache.stats()
     }
 
     /// An unaccounted, undoubled store. Only for initial database load and

@@ -198,18 +198,6 @@ impl MirrorEngine {
         Ok(db.len())
     }
 
-    /// Re-initializes the mirror to equal the database (setup path,
-    /// unaccounted). Call after the initial database load.
-    pub fn sync_mirror_from_db<T: Tracer>(&self, m: &mut Machine<T>) {
-        let mut arena = m.arena().borrow_mut();
-        let mut off = 0u64;
-        while off < self.db.len() {
-            let n = (self.db.len() - off).min(64 * 1024) as usize;
-            arena.copy(self.db.start() + off, self.mirror.start() + off, n);
-            off += n as u64;
-        }
-    }
-
     fn seq_addr(&self) -> Addr {
         Layout::root_addr(RootSlot::TxnSeq)
     }

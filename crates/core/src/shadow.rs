@@ -213,28 +213,16 @@ impl ShadowDb {
         &self.last_aborted_ranges
     }
 
-    /// Compares the committed image to the arena's database region,
-    /// returning the first mismatching offset.
+    /// Compares the committed image to the arena's database region, read
+    /// in place, returning the first mismatching offset.
     pub fn first_mismatch(&self, arena: &Arena) -> Option<u64> {
-        self.first_mismatch_with(arena, &self.committed)
+        let actual = arena.pieces(self.region.start(), self.committed.len());
+        first_difference(self.committed.as_slice(), actual, |_| None).map(|p| p as u64)
     }
 
     /// `true` if the arena's database region equals the committed image.
     pub fn matches(&self, arena: &Arena) -> bool {
         self.first_mismatch(arena).is_none()
-    }
-
-    /// `true` if the arena equals `image` (helper for
-    /// [`ShadowDb::prev_bytes`] comparisons).
-    pub fn arena_equals(&self, arena: &Arena, image: &[u8]) -> bool {
-        self.first_mismatch_with(arena, image).is_none()
-    }
-
-    /// First offset where the arena, read in place from the region's
-    /// start, differs from `image`.
-    fn first_mismatch_with(&self, arena: &Arena, image: &[u8]) -> Option<u64> {
-        let actual = arena.pieces(self.region.start(), image.len());
-        first_difference(image, actual, |_| None).map(|p| p as u64)
     }
 
     /// The shadowed region.

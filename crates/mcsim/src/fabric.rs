@@ -17,9 +17,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use dsnrep_obs::Tracer;
 use dsnrep_simcore::{CostModel, VirtualDuration, VirtualInstant};
 
 use crate::link::{Link, PacketTiming};
+use crate::port::fabric_packet_id;
 
 /// A directed node pair (sender, receiver) identifying one fabric link.
 pub type PairKey = (u8, u8);
@@ -62,6 +64,9 @@ pub struct Fabric {
     costs: CostModel,
     links: BTreeMap<PairKey, Rc<RefCell<Link>>>,
     faults: BTreeMap<PairKey, LinkFault>,
+    /// Packets reported to a tracer so far: the fabric's id sequence (see
+    /// [`Fabric::trace_packet`]).
+    traced: u64,
 }
 
 impl Fabric {
@@ -72,6 +77,7 @@ impl Fabric {
             costs: costs.clone(),
             links: BTreeMap::new(),
             faults: BTreeMap::new(),
+            traced: 0,
         }
     }
 
@@ -107,6 +113,27 @@ impl Fabric {
         }
         timing.delivered += fault.extra_delay;
         Some(timing)
+    }
+
+    /// Reports one packet this fabric sent for `track` with `timing` to
+    /// `tracer`: its lifecycle, issued by transaction `txn` (or
+    /// [`NO_TXN`](dsnrep_obs::NO_TXN)) and carrying `class_bytes`, under
+    /// the next id of the fabric's own sequence. Fabric ids never equal a
+    /// [`TxPort`](crate::TxPort)'s. A disabled tracer takes no id, so an
+    /// untraced run does nothing here.
+    pub fn trace_packet<T: Tracer>(
+        &mut self,
+        tracer: &T,
+        track: u32,
+        timing: PacketTiming,
+        txn: u64,
+        class_bytes: [u64; 3],
+    ) {
+        if tracer.is_enabled() {
+            let id = fabric_packet_id(self.traced);
+            self.traced += 1;
+            tracer.packet_life(track, timing.life(id, txn, class_bytes));
+        }
     }
 
     /// Models one replica-read round trip: a control-metadata request on
@@ -283,6 +310,28 @@ mod tests {
         f.heal_partitions();
         f.partition_drop_after(0, 2, 0);
         assert!(f.read_round_trip(0, 2, done, 16, 64).is_none());
+    }
+
+    #[test]
+    fn traced_packets_take_fresh_fabric_ids_and_keep_their_timing() {
+        let mut f = Fabric::new(&CostModel::alpha_21164a());
+        let t = f.send(0, 1, VirtualInstant::EPOCH, modified(32)).unwrap();
+        // An untraced report takes no id.
+        f.trace_packet(&dsnrep_obs::NullTracer, 0, t, 7, modified(32));
+        let rec = dsnrep_obs::FlightRecorder::new();
+        f.trace_packet(&rec, 0, t, 7, modified(32));
+        f.trace_packet(&rec, 1, t, dsnrep_obs::NO_TXN, [0, 0, 8]);
+        let lives = rec.packet_lives();
+        assert_eq!(lives.len(), 2);
+        let (track, life) = lives[0];
+        assert_eq!(track, 0);
+        assert_eq!(life.id, fabric_packet_id(0));
+        assert_eq!(lives[1].1.id, fabric_packet_id(1));
+        assert_eq!(
+            (life.txn, life.ready, life.start, life.done, life.delivered),
+            (7, t.ready, t.start, t.done, t.delivered)
+        );
+        assert_eq!(life.class_bytes, modified(32));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! pointer write-back path) may share a link; that sharing is exactly the
 //! bottleneck the paper's Figures 2 and 3 expose.
 
+use dsnrep_obs::PacketLife;
 use dsnrep_simcore::{CostModel, TrafficClass, VirtualDuration, VirtualInstant};
 
 use crate::traffic::Traffic;
@@ -41,6 +42,21 @@ impl PacketTiming {
     /// serialization time.
     pub fn service(&self) -> VirtualDuration {
         self.done.duration_since(self.start)
+    }
+
+    /// The lifecycle record of packet `id`, issued by transaction `txn`
+    /// (or [`NO_TXN`](dsnrep_obs::NO_TXN)), carrying `class_bytes`, served
+    /// with this timing.
+    pub(crate) fn life(&self, id: u64, txn: u64, class_bytes: [u64; 3]) -> PacketLife {
+        PacketLife {
+            id,
+            txn,
+            ready: self.ready,
+            start: self.start,
+            done: self.done,
+            delivered: self.delivered,
+            class_bytes,
+        }
     }
 }
 

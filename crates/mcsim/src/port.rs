@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use dsnrep_obs::{Metric, NullTracer, PacketLife, Tracer, NO_TXN, TRACK_BACKUP};
+use dsnrep_obs::{Metric, NullTracer, Tracer, NO_TXN, TRACK_BACKUP};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{
     Addr, BusyCause, Clock, CostModel, StallCause, StoreSink, TrafficClass, VirtualDuration,
@@ -38,11 +38,21 @@ struct Delivery {
     txn: u64,
 }
 
+/// The id bit that marks a fabric packet: set in every
+/// [`fabric_packet_id`], clear in every [`packet_id`].
+const FABRIC_ID: u64 = 1 << 63;
+
 /// Packs a stable per-run packet id from the sending track and the port's
 /// monotone emission sequence. Txn ids use the same packing (in `Machine`)
 /// but live in a separate id space — flow ids are packet ids only.
 const fn packet_id(track: u32, seq: u64) -> u64 {
-    ((track as u64) << 40) | (seq & ((1 << 40) - 1))
+    (((track as u64) << 40) | (seq & ((1 << 40) - 1))) & !FABRIC_ID
+}
+
+/// The stable id of the `seq`-th packet a [`Fabric`](crate::Fabric)
+/// reports. It never equals a [`packet_id`], whatever the track.
+pub(crate) const fn fabric_packet_id(seq: u64) -> u64 {
+    FABRIC_ID | seq
 }
 
 /// One packet recorded by a [`TxPort`] tap: the full first-hop timing plus
@@ -168,8 +178,6 @@ impl<T: Tracer> Emitter<T> {
                 txn: self.current_txn,
             });
         }
-        self.tracer
-            .packet(self.track, timing.start, flushed.class_bytes);
         self.outstanding.push_back((timing.done, payload));
         self.outstanding_bytes += payload;
         self.inflight.push_back(Delivery {
@@ -183,15 +191,7 @@ impl<T: Tracer> Emitter<T> {
         if self.tracer.is_enabled() {
             self.tracer.packet_life(
                 self.track,
-                PacketLife {
-                    id,
-                    txn: self.current_txn,
-                    ready: timing.ready,
-                    start: timing.start,
-                    done: timing.done,
-                    delivered: timing.delivered,
-                    class_bytes: flushed.class_bytes,
-                },
+                timing.life(id, self.current_txn, flushed.class_bytes),
             );
             self.tracer.counter_add(
                 self.track,
@@ -286,16 +286,6 @@ impl<T: Tracer> TxPort<T> {
     /// so one packet reaches every mapped peer at no extra link cost.
     pub fn add_peer(&mut self, peer: Rc<RefCell<Arena>>) {
         self.peers.push(peer);
-    }
-
-    /// Number of receivers mapped to this port.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
-    /// Cumulative write-buffer coalescing counters.
-    pub fn wbuf_stats(&self) -> crate::wbuf::WbufStats {
-        self.bufs.stats()
     }
 
     fn build(
@@ -566,11 +556,6 @@ impl<T: Tracer> TxPort<T> {
         self.tx.packet_budget = None;
     }
 
-    /// The shared link (for reading traffic statistics).
-    pub fn link(&self) -> &Rc<RefCell<Link>> {
-        &self.tx.link
-    }
-
     /// Installs a pure-observer tap: from now on every emitted packet is
     /// also copied (payload + first-hop timing) into `tap`. Multi-hop
     /// replication drivers (chain forwarding, quorum fan-out) read the tap
@@ -578,11 +563,6 @@ impl<T: Tracer> TxPort<T> {
     /// changes timing, accounting, or delivery on this port.
     pub fn set_tap(&mut self, tap: PacketTap) {
         self.tx.tap = Some(tap);
-    }
-
-    /// Removes an installed tap.
-    pub fn clear_tap(&mut self) {
-        self.tx.tap = None;
     }
 
     /// [`StoreSink::store`] minus the trailing delivery drain: issue-time
@@ -800,15 +780,11 @@ mod tests {
         port.store(&mut clock, Addr::new(640_064), &[2; 4], TrafficClass::Undo);
         port.barrier(&mut clock);
         let t = link.borrow();
-        assert_eq!(rec.packets(0), t.traffic().total_packets());
-        assert_eq!(
-            rec.class_bytes(0, TrafficClass::Meta),
-            t.traffic().bytes(TrafficClass::Meta)
-        );
-        assert_eq!(
-            rec.class_bytes(0, TrafficClass::Undo),
-            t.traffic().bytes(TrafficClass::Undo)
-        );
+        let row = &rec.summary().tracks[0];
+        assert_eq!(row.packets, t.traffic().total_packets());
+        for class in TrafficClass::ALL {
+            assert_eq!(row.bytes_by_class[class.index()], t.traffic().bytes(class));
+        }
         assert!(clock.stalled_by(StallCause::PostedWindow) > VirtualDuration::ZERO);
         // Every stall this port caused is attributed to one of its two
         // causes; nothing leaks into Other.
@@ -863,6 +839,18 @@ mod tests {
             assert_eq!(apply.id, life.id);
             assert_eq!(apply.txn, life.txn);
             assert_eq!(apply.at, life.delivered);
+        }
+    }
+
+    #[test]
+    fn fabric_ids_never_equal_port_ids() {
+        for track in [0, 1, 7, 1 << 23, u32::MAX] {
+            for seq in [0, 1, (1 << 40) - 1, 1 << 40, u64::MAX] {
+                let port = packet_id(track, seq);
+                for fabric_seq in [0, 1, seq, port, u64::MAX] {
+                    assert_ne!(port, fabric_packet_id(fabric_seq));
+                }
+            }
         }
     }
 

@@ -191,16 +191,15 @@ impl AttributionTree {
         });
     }
 
-    /// Folds a recorder into the tree: per-track packet/byte counters and
-    /// the observed phase profile land on the node with the matching track.
+    /// Folds a recorder into the tree: per-track packet/byte totals (its
+    /// metrics windows summed) and the observed phase profile land on the
+    /// node with the matching track.
     pub fn fold_recorder(&mut self, recorder: &FlightRecorder) {
         let partial = recorder.dropped_spans() > 0;
         let faults = recorder.instants_of(crate::TraceEventKind::FaultInjected);
+        let ts = recorder.timeseries();
         for node in &mut self.nodes {
-            node.packets = recorder.packets(node.track);
-            for class in TrafficClass::ALL {
-                node.bytes_by_class[class.index()] = recorder.class_bytes(node.track, class);
-            }
+            (node.packets, node.bytes_by_class) = ts.traffic(node.track);
             node.faults = faults.iter().filter(|i| i.track == node.track).count() as u64;
             let mut picos = [0u64; Phase::ALL.len()];
             let mut count = [0u64; Phase::ALL.len()];
@@ -430,7 +429,7 @@ fn pct(part: u64, total: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracer::Tracer;
+    use crate::tracer::{PacketLife, Tracer};
     use dsnrep_simcore::VirtualInstant;
 
     fn conserving_clock() -> ClockAttribution {
@@ -470,7 +469,7 @@ mod tests {
     #[test]
     fn fold_recorder_attaches_traffic_and_phases() {
         let rec = FlightRecorder::new();
-        rec.packet(0, VirtualInstant::from_picos(0), [32, 0, 4]);
+        rec.packet_life(0, PacketLife::sent(VirtualInstant::EPOCH, [32, 0, 4]));
         rec.span(
             0,
             Phase::Commit,
@@ -539,7 +538,7 @@ mod tests {
     #[test]
     fn json_is_balanced_and_carries_the_sections() {
         let rec = FlightRecorder::new();
-        rec.packet(0, VirtualInstant::from_picos(0), [8, 0, 0]);
+        rec.packet_life(0, PacketLife::sent(VirtualInstant::EPOCH, [8, 0, 0]));
         let mut tree = AttributionTree::new("passive-v3/debit-credit", "v3");
         tree.add_node("primary", 0, conserving_clock());
         tree.fold_recorder(&rec);

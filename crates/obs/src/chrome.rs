@@ -52,7 +52,8 @@ impl FlightRecorder {
         let mut out = String::new();
         out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
         let mut first = true;
-        for track in self.known_tracks() {
+        let ts = self.timeseries();
+        for track in self.known_tracks(&ts) {
             let name = json_escape(&self.track_name(track));
             if !first {
                 out.push(',');
@@ -231,7 +232,6 @@ impl FlightRecorder {
                 picos_to_us(at_picos)
             );
         };
-        let ts = self.timeseries();
         let mut end_picos = 0u64;
         for (idx, t) in ts.tracks.iter().enumerate() {
             let label = json_escape(&t.name);

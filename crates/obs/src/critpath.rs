@@ -27,11 +27,8 @@ use dsnrep_simcore::{BusyCause, StallCause};
 use crate::attribution::AttributionTree;
 use crate::json_escape;
 use crate::recorder::FlightRecorder;
-use crate::timeseries::sparse_percentile;
+use crate::timeseries::{log2_bucket, sparse_hist, sparse_percentile, LOG2_BUCKETS};
 use crate::TRACE_SCHEMA_VERSION;
-
-/// Number of buckets in a per-segment log₂ histogram (covers `u64`).
-const SEGMENT_BUCKETS: usize = 64;
 
 /// A reader-facing critical-path segment: a disjoint grouping of the
 /// clock's eleven busy/stall causes into where-did-the-latency-go buckets.
@@ -186,7 +183,7 @@ pub struct TxnPathStats {
     /// Per-segment log₂ histograms of the *nonzero* per-transaction
     /// values (bucket = `floor(log2(picos))`, same as the latency
     /// histogram).
-    pub seg_hist: Vec<[u64; SEGMENT_BUCKETS]>,
+    pub seg_hist: Vec<[u64; LOG2_BUCKETS]>,
 }
 
 impl Default for TxnPathStats {
@@ -195,7 +192,7 @@ impl Default for TxnPathStats {
             txns: 0,
             seg_totals: [0; Segment::COUNT],
             seg_txns: [0; Segment::COUNT],
-            seg_hist: vec![[0; SEGMENT_BUCKETS]; Segment::COUNT],
+            seg_hist: vec![[0; LOG2_BUCKETS]; Segment::COUNT],
         }
     }
 }
@@ -208,8 +205,7 @@ impl TxnPathStats {
             self.seg_totals[i] += picos;
             if picos > 0 {
                 self.seg_txns[i] += 1;
-                let bucket = 63 - picos.leading_zeros() as usize;
-                self.seg_hist[i][bucket] += 1;
+                self.seg_hist[i][log2_bucket(picos)] += 1;
             }
         }
     }
@@ -218,12 +214,7 @@ impl TxnPathStats {
     /// bucket lower bounds in picoseconds (the same semantics as the
     /// commit-latency percentiles); `None` when the segment never appeared.
     pub fn percentiles(&self, segment: Segment) -> Option<(u64, u64, u64)> {
-        let sparse: Vec<(u8, u64)> = self.seg_hist[segment.index()]
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (b as u8, c))
-            .collect();
+        let sparse = sparse_hist(&self.seg_hist[segment.index()]);
         Some((
             sparse_percentile(&sparse, 0.50)?,
             sparse_percentile(&sparse, 0.95)?,

@@ -57,26 +57,6 @@ pub fn parse_window_us(raw: Option<&str>) -> (u64, Option<String>) {
     }
 }
 
-/// Interprets `DSNREP_TRACE_FLOWS` (causal recording: packet lifecycles,
-/// apply events, per-transaction critical paths): unset means enabled;
-/// `0`/`false`/`off` disable, `1`/`true`/`on` enable, anything else falls
-/// back to enabled with a warning.
-pub fn parse_flows_flag(raw: Option<&str>) -> (bool, Option<String>) {
-    match raw.map(|v| v.trim().to_ascii_lowercase()).as_deref() {
-        None => (true, None),
-        Some("0" | "false" | "off") => (false, None),
-        Some("1" | "true" | "on") => (true, None),
-        Some(_) => (
-            true,
-            Some(format!(
-                "DSNREP_TRACE_FLOWS={:?} is not a boolean (0/1/true/false/on/off); \
-                 causal recording stays enabled",
-                raw.unwrap_or_default()
-            )),
-        ),
-    }
-}
-
 /// Default seed for the open-system arrival generator (`DSNREP_ARRIVAL_SEED`).
 pub const DEFAULT_ARRIVAL_SEED: u64 = 0xA221;
 
@@ -212,25 +192,6 @@ mod tests {
             let message = warning.unwrap_or_else(|| panic!("no warning for {bad:?}"));
             assert!(message.contains("DSNREP_SLO_US"), "{message}");
             assert!(message.contains(&format!("{bad:?}")), "{message}");
-        }
-    }
-
-    #[test]
-    fn flows_flag_parses_booleans_and_warns_on_noise() {
-        assert_eq!(parse_flows_flag(None), (true, None));
-        for on in ["1", "true", "on", " ON "] {
-            assert_eq!(parse_flows_flag(Some(on)), (true, None), "input {on:?}");
-        }
-        for off in ["0", "false", "off", " Off "] {
-            assert_eq!(parse_flows_flag(Some(off)), (false, None), "input {off:?}");
-        }
-        for bad in ["yes", "2", ""] {
-            let (value, warning) = parse_flows_flag(Some(bad));
-            assert!(value, "unusable value must fall back to enabled");
-            assert!(
-                warning.is_some_and(|m| m.contains("DSNREP_TRACE_FLOWS")),
-                "input {bad:?}"
-            );
         }
     }
 }

@@ -11,15 +11,19 @@
 //!   `Machine`, the engines, the ports and the clusters. Its default impl is
 //!   a no-op on every method, so the [`NullTracer`] monomorphizes away and a
 //!   production run pays nothing.
-//! * [`FlightRecorder`] — a cheap-to-clone handle over a bounded in-memory
-//!   ring of virtual-time [`SpanRecord`]s and [`InstantRecord`]s, plus
-//!   per-track per-[`TrafficClass`](dsnrep_simcore::TrafficClass) packet
-//!   counters and a log2 commit-latency histogram.
+//! * [`FlightRecorder`] — a cheap-to-clone handle over bounded in-memory
+//!   rings of virtual-time [`SpanRecord`]s, [`InstantRecord`]s and
+//!   [`PacketLife`]s. It keeps no totals of its own: every count it exports
+//!   lives in one [`MetricsHub`].
 //! * [`MetricsHub`] — named per-track [`Metric`] counters and gauges folded
-//!   into fixed-width virtual-time windows, with a per-window commit-latency
-//!   histogram whose deltas re-aggregate exactly to the whole-run histogram;
-//!   snapshots export as a [`TimeSeries`] (goodput curves, stall
-//!   picoseconds and gauge levels over virtual time).
+//!   into fixed-width virtual-time windows, with per-window log2 commit- and
+//!   read-latency histograms. Snapshots export as a [`TimeSeries`] (goodput
+//!   curves, per-[`TrafficClass`](dsnrep_simcore::TrafficClass) SAN
+//!   traffic, stall picoseconds and gauge levels over virtual time); the
+//!   summary's and the attribution tree's counts are its windows summed.
+//! * [`Tracer::packet_life`] — the one packet probe: a port or a replica
+//!   set's fabric hop reports each SAN packet once, and the recorder both
+//!   counts it and keeps its lifecycle for flows and the critical path.
 //! * [`chrome_trace_json`](FlightRecorder::chrome_trace_json) /
 //!   [`events_jsonl`](FlightRecorder::events_jsonl) /
 //!   [`summary`](FlightRecorder::summary) /
@@ -63,7 +67,7 @@ pub use attribution::{
     AttributionTree, ClockAttribution, ConservationError, NodeAttribution, PhaseProfile,
 };
 pub use critpath::{fold_segments, CriticalPathReport, NodeCriticalPath, Segment, TxnPath};
-pub use recorder::{ApplyRecord, FlightRecorder, InstantRecord, PacketRecord, SpanRecord};
+pub use recorder::{ApplyRecord, FlightRecorder, InstantRecord, SpanRecord};
 pub use summary::{TraceSummary, TrackSummary};
 pub use timeseries::{MetricsHub, TimeSeries, TrackTimeSeries, DEFAULT_WINDOW_PICOS};
 pub use tracer::{

@@ -9,7 +9,7 @@ use dsnrep_simcore::{BusyCause, StallCause, TrafficClass, VirtualInstant};
 
 use crate::critpath::{fold_segments, TxnPath, TxnPathStats};
 use crate::summary::{TraceSummary, TrackSummary};
-use crate::timeseries::{MetricsHub, TimeSeries, DEFAULT_WINDOW_PICOS};
+use crate::timeseries::{log2_bucket, MetricsHub, TimeSeries, DEFAULT_WINDOW_PICOS};
 use crate::tracer::{Metric, PacketLife, Phase, TraceEventKind, Tracer};
 
 /// A completed phase span on one track.
@@ -38,17 +38,6 @@ pub struct InstantRecord {
     pub arg: u64,
 }
 
-/// One SAN packet, with its payload split per traffic class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PacketRecord {
-    /// The sending node.
-    pub track: u32,
-    /// Link-send instant (virtual time).
-    pub at: VirtualInstant,
-    /// Payload bytes per [`TrafficClass`] index.
-    pub class_bytes: [u64; 3],
-}
-
 /// A delivered packet applied into a peer arena (causal record).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ApplyRecord {
@@ -63,34 +52,16 @@ pub struct ApplyRecord {
     pub at: VirtualInstant,
 }
 
-/// Per-track packet/byte accumulators (the traffic-class matrix row).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct TrackTraffic {
-    packets: u64,
-    bytes_by_class: [u64; 3],
-}
-
-/// Commit-latency histogram bucket count: `floor(log2(picos))` of a `Txn`
-/// span duration indexes the bucket, so 64 covers the whole `u64` range.
-const LATENCY_BUCKETS: usize = 64;
-
 struct Inner {
     capacity: usize,
     spans: VecDeque<SpanRecord>,
     dropped_spans: u64,
     instants: VecDeque<InstantRecord>,
     dropped_instants: u64,
-    tracks: Vec<TrackTraffic>,
     track_names: Vec<Option<String>>,
-    txns: u64,
-    commit_latency_log2: [u64; LATENCY_BUCKETS],
-    read_latency_log2: [u64; LATENCY_BUCKETS],
+    /// Every count the recorder exports: the summary, the attribution
+    /// tree's traffic and the time-series all sum these windows.
     hub: MetricsHub,
-    /// Causal recording (packet lifecycles, applies, txn paths). Kept in
-    /// dedicated stores so toggling it never perturbs the span/instant
-    /// rings, the traffic matrix, or the metrics hub — the flows-on/off
-    /// bit-identity contract of the exported artifacts.
-    causal: bool,
     packet_lives: VecDeque<(u32, PacketLife)>,
     dropped_packet_lives: u64,
     applies: VecDeque<ApplyRecord>,
@@ -98,16 +69,6 @@ struct Inner {
     txn_paths: VecDeque<TxnPath>,
     dropped_txn_paths: u64,
     path_stats: Vec<TxnPathStats>,
-}
-
-impl Inner {
-    fn track_mut(&mut self, track: u32) -> &mut TrackTraffic {
-        let idx = track as usize;
-        if idx >= self.tracks.len() {
-            self.tracks.resize(idx + 1, TrackTraffic::default());
-        }
-        &mut self.tracks[idx]
-    }
 }
 
 /// An in-memory flight recorder implementing [`Tracer`].
@@ -148,7 +109,6 @@ impl fmt::Debug for FlightRecorder {
             .field("spans", &inner.spans.len())
             .field("dropped_spans", &inner.dropped_spans)
             .field("instants", &inner.instants.len())
-            .field("txns", &inner.txns)
             .finish()
     }
 }
@@ -170,13 +130,11 @@ impl FlightRecorder {
 
     /// Creates a recorder whose ring capacity honors the
     /// `DSNREP_TRACE_CAP` environment variable (records; falls back to
-    /// [`FlightRecorder::DEFAULT_CAPACITY`] when unset), whose metrics
+    /// [`FlightRecorder::DEFAULT_CAPACITY`] when unset) and whose metrics
     /// window honors `DSNREP_TS_WINDOW_US` (virtual microseconds; falls
-    /// back to 1 virtual millisecond), and whose causal recording honors
-    /// `DSNREP_TRACE_FLOWS` (on unless set to `0`/`false`/`off`). A
-    /// set-but-unusable value of any variable is a misconfiguration, not a
-    /// request for the default, so it warns once on stderr before falling
-    /// back (see [`crate::env`]).
+    /// back to 1 virtual millisecond). A set-but-unusable value of either
+    /// variable is a misconfiguration, not a request for the default, so
+    /// it warns once on stderr before falling back (see [`crate::env`]).
     ///
     /// Raise the capacity when attribution inputs must not be truncated by
     /// the drop-oldest ring; the summary's `ring` section reports whether
@@ -185,10 +143,8 @@ impl FlightRecorder {
         let capacity = crate::env::from_env_with("DSNREP_TRACE_CAP", crate::env::parse_trace_cap);
         let window_picos =
             crate::env::from_env_with("DSNREP_TS_WINDOW_US", crate::env::parse_window_us);
-        let causal = crate::env::from_env_with("DSNREP_TRACE_FLOWS", crate::env::parse_flows_flag);
         let rec = FlightRecorder::with_capacity(capacity);
         rec.set_window_picos(window_picos);
-        rec.set_causal_enabled(causal);
         rec
     }
 
@@ -207,13 +163,8 @@ impl FlightRecorder {
                 dropped_spans: 0,
                 instants: VecDeque::new(),
                 dropped_instants: 0,
-                tracks: Vec::new(),
                 track_names: Vec::new(),
-                txns: 0,
-                commit_latency_log2: [0; LATENCY_BUCKETS],
-                read_latency_log2: [0; LATENCY_BUCKETS],
                 hub: MetricsHub::new(DEFAULT_WINDOW_PICOS),
-                causal: true,
                 packet_lives: VecDeque::new(),
                 dropped_packet_lives: 0,
                 applies: VecDeque::new(),
@@ -294,19 +245,6 @@ impl FlightRecorder {
         self.inner.borrow().capacity
     }
 
-    /// Total transactions whose `Txn` span was recorded (counted even if the
-    /// span itself has since been dropped from the ring).
-    pub fn txns(&self) -> u64 {
-        self.inner.borrow().txns
-    }
-
-    /// The whole-run read-latency log₂ histogram fed by `Phase::Read`
-    /// spans. Kept apart from the commit histogram so read traffic never
-    /// perturbs [`TraceSummary::commit_latency_log2`].
-    pub fn read_latency_log2(&self) -> Vec<u64> {
-        self.inner.borrow().read_latency_log2.to_vec()
-    }
-
     /// A copy of the spans currently in the ring, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.inner.borrow().spans.iter().copied().collect()
@@ -329,29 +267,29 @@ impl FlightRecorder {
     }
 
     /// Aggregate statistics: transaction count, commit-latency histogram,
-    /// the per-track traffic-class matrix, and ring occupancy. Stall
-    /// attribution is owned by each stream's `Clock`; callers merge it in
-    /// via [`TraceSummary::set_stalls`].
+    /// the per-track traffic-class matrix, and ring occupancy. The counts
+    /// are the metrics windows summed (counted even for records the ring
+    /// has since dropped), so they agree with
+    /// [`FlightRecorder::timeseries`] by construction. Stall attribution is
+    /// owned by each stream's `Clock`; callers merge it in via
+    /// [`TraceSummary::set_stalls`].
     pub fn summary(&self) -> TraceSummary {
-        let inner = self.inner.borrow();
-        let tracks = inner
-            .tracks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TrackSummary {
-                track: i as u32,
-                name: inner
-                    .track_names
-                    .get(i)
-                    .and_then(|n| n.clone())
-                    .unwrap_or_else(|| format!("track {i}")),
-                packets: t.packets,
-                bytes_by_class: t.bytes_by_class,
+        let ts = self.timeseries();
+        let tracks = (0..ts.traffic_rows())
+            .map(|track| {
+                let (packets, bytes_by_class) = ts.traffic(track);
+                TrackSummary {
+                    track,
+                    name: self.track_name(track),
+                    packets,
+                    bytes_by_class,
+                }
             })
             .collect();
+        let inner = self.inner.borrow();
         TraceSummary {
-            txns: inner.txns,
-            commit_latency_log2: inner.commit_latency_log2.to_vec(),
+            txns: ts.counter_total(Metric::CommittedTxns),
+            commit_latency_log2: ts.latency_reaggregated(),
             tracks,
             ring_capacity: inner.capacity as u64,
             spans_recorded: inner.spans.len() as u64,
@@ -360,39 +298,6 @@ impl FlightRecorder {
             events_dropped: inner.dropped_instants,
             stall_picos: Vec::new(),
         }
-    }
-
-    /// Bytes recorded for `class` on `track` (0 if the track is unknown).
-    pub fn class_bytes(&self, track: u32, class: TrafficClass) -> u64 {
-        self.inner
-            .borrow()
-            .tracks
-            .get(track as usize)
-            .map_or(0, |t| t.bytes_by_class[class.index()])
-    }
-
-    /// Packets recorded on `track` (0 if the track is unknown).
-    pub fn packets(&self, track: u32) -> u64 {
-        self.inner
-            .borrow()
-            .tracks
-            .get(track as usize)
-            .map_or(0, |t| t.packets)
-    }
-
-    /// Enables or disables causal recording: packet lifecycles, apply
-    /// records and per-transaction critical paths. Enabled by default;
-    /// [`FlightRecorder::from_env`] honors `DSNREP_TRACE_FLOWS`. Toggling
-    /// never affects the span/instant rings, the traffic matrix, or the
-    /// metrics hub, so every other exported artifact is bit-identical
-    /// either way.
-    pub fn set_causal_enabled(&self, enabled: bool) {
-        self.inner.borrow_mut().causal = enabled;
-    }
-
-    /// Whether causal recording is enabled.
-    pub fn causal_enabled(&self) -> bool {
-        self.inner.borrow().causal
     }
 
     /// A copy of the packet lifecycles currently in the ring, oldest
@@ -447,14 +352,16 @@ impl FlightRecorder {
         f(&inner.spans, &inner.instants)
     }
 
-    pub(crate) fn known_tracks(&self) -> Vec<u32> {
+    /// Every track a span or point event in the ring names, plus the rows
+    /// of the summary's traffic matrix (`ts` is this recorder's snapshot).
+    pub(crate) fn known_tracks(&self, ts: &TimeSeries) -> Vec<u32> {
         let inner = self.inner.borrow();
         let mut tracks: Vec<u32> = inner
             .spans
             .iter()
             .map(|s| s.track)
             .chain(inner.instants.iter().map(|i| i.track))
-            .chain(0..inner.tracks.len() as u32)
+            .chain(0..ts.traffic_rows())
             .collect();
         tracks.sort_unstable();
         tracks.dedup();
@@ -471,25 +378,19 @@ impl Tracer for FlightRecorder {
     fn span(&self, track: u32, phase: Phase, start: VirtualInstant, end: VirtualInstant) {
         debug_assert!(end >= start, "span ends before it starts");
         let mut inner = self.inner.borrow_mut();
-        if phase == Phase::Txn {
-            inner.txns += 1;
-            let picos = end.duration_since(start).as_picos();
-            // floor(log2(picos)); zero-length spans land in bucket 0.
-            let bucket = 63 - picos.max(1).leading_zeros() as usize;
-            inner.commit_latency_log2[bucket] += 1;
-            // The time-series derives goodput and latency-over-time from
-            // the same events, attributed to the commit instant's window.
-            inner.hub.counter_add(track, Metric::CommittedTxns, end, 1);
-            inner.hub.observe_latency(track, end, bucket);
-        }
-        if phase == Phase::Read {
-            // Reads get their own histogram: folding them into the commit
-            // histogram would break the commit-latency conservation law.
-            let picos = end.duration_since(start).as_picos();
-            let bucket = 63 - picos.max(1).leading_zeros() as usize;
-            inner.read_latency_log2[bucket] += 1;
-            inner.hub.counter_add(track, Metric::ReadsServed, end, 1);
-            inner.hub.observe_read_latency(track, end, bucket);
+        let bucket = log2_bucket(end.duration_since(start).as_picos());
+        match phase {
+            // Goodput and latency land in the commit instant's window.
+            Phase::Txn => {
+                inner.hub.counter_add(track, Metric::CommittedTxns, end, 1);
+                inner.hub.observe_latency(track, end, bucket);
+            }
+            // Reads get their own histogram, apart from commit latency.
+            Phase::Read => {
+                inner.hub.counter_add(track, Metric::ReadsServed, end, 1);
+                inner.hub.observe_read_latency(track, end, bucket);
+            }
+            _ => {}
         }
         if inner.spans.len() == inner.capacity {
             inner.spans.pop_front();
@@ -517,26 +418,6 @@ impl Tracer for FlightRecorder {
         });
     }
 
-    fn packet(&self, track: u32, at: VirtualInstant, class_bytes: [u64; 3]) {
-        let mut inner = self.inner.borrow_mut();
-        let t = inner.track_mut(track);
-        t.packets += 1;
-        for (sum, bytes) in t.bytes_by_class.iter_mut().zip(class_bytes) {
-            *sum += bytes;
-        }
-        inner.hub.counter_add(track, Metric::SanPackets, at, 1);
-        let by_class = [
-            (TrafficClass::Modified, Metric::SanModifiedBytes),
-            (TrafficClass::Undo, Metric::SanUndoBytes),
-            (TrafficClass::Meta, Metric::SanMetaBytes),
-        ];
-        for (class, metric) in by_class {
-            inner
-                .hub
-                .counter_add(track, metric, at, class_bytes[class.index()]);
-        }
-    }
-
     fn counter_add(&self, track: u32, metric: Metric, at: VirtualInstant, delta: u64) {
         self.inner
             .borrow_mut()
@@ -557,8 +438,13 @@ impl Tracer for FlightRecorder {
             "packet lifecycle instants must be monotone"
         );
         let mut inner = self.inner.borrow_mut();
-        if !inner.causal {
-            return;
+        // The traffic counts land at link-service start, whatever the ring
+        // keeps.
+        let hub = &mut inner.hub;
+        hub.counter_add(track, Metric::SanPackets, life.start, 1);
+        for class in TrafficClass::ALL {
+            let bytes = life.class_bytes[class.index()];
+            hub.counter_add(track, Metric::san_bytes(class), life.start, bytes);
         }
         if inner.packet_lives.len() == inner.capacity {
             inner.packet_lives.pop_front();
@@ -569,9 +455,6 @@ impl Tracer for FlightRecorder {
 
     fn packet_applied(&self, track: u32, id: u64, txn: u64, at: VirtualInstant) {
         let mut inner = self.inner.borrow_mut();
-        if !inner.causal {
-            return;
-        }
         if inner.applies.len() == inner.capacity {
             inner.applies.pop_front();
             inner.dropped_applies += 1;
@@ -589,9 +472,6 @@ impl Tracer for FlightRecorder {
         stall_picos: [u64; StallCause::COUNT],
     ) {
         let mut inner = self.inner.borrow_mut();
-        if !inner.causal {
-            return;
-        }
         let segments = fold_segments(&busy_picos, &stall_picos);
         let path = TxnPath {
             track,
@@ -668,17 +548,31 @@ mod tests {
     }
 
     #[test]
-    fn packet_counters_accumulate_per_track_and_class() {
-        let rec = FlightRecorder::new();
-        rec.packet(0, at(0), [32, 0, 0]);
-        rec.packet(0, at(1), [0, 8, 4]);
-        rec.packet(1, at(2), [0, 0, 16]);
-        assert_eq!(rec.packets(0), 2);
-        assert_eq!(rec.class_bytes(0, TrafficClass::Modified), 32);
-        assert_eq!(rec.class_bytes(0, TrafficClass::Undo), 8);
-        assert_eq!(rec.class_bytes(0, TrafficClass::Meta), 4);
-        assert_eq!(rec.class_bytes(1, TrafficClass::Meta), 16);
-        assert_eq!(rec.class_bytes(7, TrafficClass::Meta), 0);
+    fn packet_lives_fill_the_traffic_matrix_whatever_the_ring_keeps() {
+        let rec = FlightRecorder::with_capacity(1);
+        rec.packet_life(0, PacketLife::sent(at(0), [32, 0, 0]));
+        rec.packet_life(0, PacketLife::sent(at(1), [0, 8, 4]));
+        rec.packet_life(2, PacketLife::sent(at(2), [0, 0, 16]));
+        // A track with metrics but no packets adds no row past the last
+        // sender.
+        rec.span(5, Phase::Txn, at(0), at(4));
+        assert_eq!(rec.packet_lives().len(), 1);
+        assert_eq!(rec.dropped_packet_lives(), 2);
+        let s = rec.summary();
+        assert_eq!(s.txns, 1);
+        let rows: Vec<_> = s
+            .tracks
+            .iter()
+            .map(|t| (t.track, t.name.as_str(), t.packets, t.bytes_by_class))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, "track 0", 2, [32, 8, 4]),
+                (1, "track 1", 0, [0, 0, 0]),
+                (2, "track 2", 1, [0, 0, 16]),
+            ]
+        );
     }
 
     #[test]
@@ -714,9 +608,21 @@ mod tests {
         let rec = FlightRecorder::new();
         rec.set_window_picos(1_000);
         rec.set_track_name(0, "primary");
-        rec.packet(0, at(100), [32, 8, 4]);
+        rec.packet_life(0, PacketLife::sent(at(100), [32, 8, 4]));
         rec.span(0, Phase::Txn, at(0), at(1024)); // commits in window 1
-        rec.packet(0, at(2_100), [16, 0, 0]);
+
+        // Counted in the window its link service starts in (2), not in its
+        // issue (1) or delivery (3) window.
+        rec.packet_life(
+            0,
+            PacketLife {
+                ready: at(1_900),
+                start: at(2_100),
+                done: at(2_200),
+                delivered: at(3_000),
+                ..PacketLife::sent(at(0), [16, 0, 0])
+            },
+        );
         let ts = rec.timeseries();
         let t = &ts.tracks[0];
         assert_eq!(t.name, "primary");
@@ -731,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn causal_toggle_gates_the_causal_stores_only() {
+    fn causal_stores_record_lives_applies_and_paths() {
         let life = PacketLife {
             id: 3,
             txn: 5,
@@ -741,34 +647,19 @@ mod tests {
             delivered: at(30),
             class_bytes: [64, 0, 0],
         };
-        let record = |causal: bool| {
-            let rec = FlightRecorder::new();
-            rec.set_causal_enabled(causal);
-            rec.span(0, Phase::Txn, at(0), at(100));
-            rec.packet(0, at(12), [64, 0, 0]);
-            rec.packet_life(0, life);
-            rec.packet_applied(1, 3, 5, at(30));
-            let mut busy = [0u64; BusyCause::COUNT];
-            busy[0] = 100;
-            rec.txn_path(0, 5, at(0), at(100), busy, [0; StallCause::COUNT]);
-            rec
-        };
-        let on = record(true);
-        assert_eq!(on.packet_lives(), vec![(0, life)]);
-        assert_eq!(on.applies().len(), 1);
-        assert_eq!(on.applies()[0].txn, 5);
-        assert_eq!(on.txn_paths().len(), 1);
-        assert_eq!(on.txn_path_stats(0).txns, 1);
-        assert_eq!(on.txn_path_stats(9).txns, 0);
-        let off = record(false);
-        assert!(!off.causal_enabled());
-        assert!(off.packet_lives().is_empty());
-        assert!(off.applies().is_empty());
-        assert!(off.txn_paths().is_empty());
-        assert_eq!(off.txn_path_stats(0).txns, 0);
-        // Everything else is identical either way.
-        assert_eq!(on.summary(), off.summary());
-        assert_eq!(on.timeseries(), off.timeseries());
+        let rec = FlightRecorder::new();
+        rec.span(0, Phase::Txn, at(0), at(100));
+        rec.packet_life(0, life);
+        rec.packet_applied(1, 3, 5, at(30));
+        let mut busy = [0u64; BusyCause::COUNT];
+        busy[0] = 100;
+        rec.txn_path(0, 5, at(0), at(100), busy, [0; StallCause::COUNT]);
+        assert_eq!(rec.packet_lives(), vec![(0, life)]);
+        assert_eq!(rec.applies().len(), 1);
+        assert_eq!(rec.applies()[0].txn, 5);
+        assert_eq!(rec.txn_paths().len(), 1);
+        assert_eq!(rec.txn_path_stats(0).txns, 1);
+        assert_eq!(rec.txn_path_stats(9).txns, 0);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::fmt::Write as _;
 use dsnrep_simcore::{StallCause, TrafficClass, VirtualDuration};
 
 use crate::json_escape;
+use crate::timeseries::{sparse_hist, sparse_percentile};
 
 /// One row of the traffic-class matrix: a track's packet and byte totals.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,9 +22,10 @@ pub struct TrackSummary {
 
 /// Aggregate statistics for one traced run.
 ///
-/// Produced by [`FlightRecorder::summary`](crate::FlightRecorder::summary);
-/// stall attribution lives in each stream's `Clock`, so callers merge it in
-/// with [`TraceSummary::set_stalls`] before rendering.
+/// Produced by [`FlightRecorder::summary`](crate::FlightRecorder::summary)
+/// from the recorder's metrics windows; stall attribution lives in each
+/// stream's `Clock`, so callers merge it in with
+/// [`TraceSummary::set_stalls`] before rendering.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Transactions whose `Txn` span was recorded.
@@ -71,22 +73,7 @@ impl TraceSummary {
     /// keeping every sample.
     pub fn commit_latency_percentile(&self, q: f64) -> Option<u64> {
         assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1], got {q}");
-        // u128 accumulation: counts are u64 per bucket, and a saturated
-        // histogram can overflow a u64 total.
-        let total: u128 = self.commit_latency_log2.iter().map(|&c| c as u128).sum();
-        if total == 0 {
-            return None;
-        }
-        // Rank of the quantile sample, 1-based: ceil(q * total), clamped.
-        let rank = ((q * total as f64).ceil() as u128).clamp(1, total);
-        let mut seen: u128 = 0;
-        for (bucket, &count) in self.commit_latency_log2.iter().enumerate() {
-            seen += count as u128;
-            if seen >= rank {
-                return Some(1u64 << bucket.min(63));
-            }
-        }
-        unreachable!("rank {rank} exceeds total {total}")
+        sparse_percentile(&sparse_hist(&self.commit_latency_log2), q)
     }
 
     /// The (p50, p95, p99) commit-latency percentiles, or `None` when no
@@ -185,7 +172,7 @@ impl TraceSummary {
 mod tests {
     use super::*;
     use crate::recorder::FlightRecorder;
-    use crate::tracer::{Phase, Tracer};
+    use crate::tracer::{PacketLife, Phase, Tracer};
     use dsnrep_simcore::VirtualInstant;
 
     #[test]
@@ -198,7 +185,10 @@ mod tests {
             VirtualInstant::from_picos(0),
             VirtualInstant::from_picos(1024),
         );
-        rec.packet(0, VirtualInstant::from_picos(5), [32, 0, 4]);
+        rec.packet_life(
+            0,
+            PacketLife::sent(VirtualInstant::from_picos(5), [32, 0, 4]),
+        );
         let mut s = rec.summary();
         let mut breakdown = [VirtualDuration::ZERO; StallCause::COUNT];
         breakdown[StallCause::PostedWindow.index()] = VirtualDuration::from_picos(11);

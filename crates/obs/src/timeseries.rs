@@ -8,9 +8,9 @@
 //! published through the [`Tracer`](crate::Tracer) seam into fixed
 //! virtual-time windows:
 //!
-//! * **Counters** accumulate per-window deltas whose sum equals the
-//!   whole-run total *exactly* ([`TimeSeries::verify_against_summary`]
-//!   checks the conservation law for every exported series).
+//! * **Counters** accumulate per-window deltas whose sum *is* the
+//!   whole-run total: the hub is the recorder's only accumulator, so the
+//!   summary's and the attribution tree's counts are these windows summed.
 //! * **Gauges** export the last value set within each window, carrying the
 //!   level across idle windows.
 //! * The **commit-latency log₂ histogram** is windowed the same way, so
@@ -35,13 +35,29 @@
 
 use std::fmt::Write as _;
 
-use dsnrep_simcore::{StallCause, TrafficClass, VirtualInstant};
+use dsnrep_simcore::{TrafficClass, VirtualInstant};
 
-use crate::summary::TraceSummary;
 use crate::tracer::{Metric, MetricKind};
 
-/// Commit-latency histogram bucket count (mirrors the recorder).
-const LATENCY_BUCKETS: usize = 64;
+/// Log₂ histogram bucket count: bucket [`log2_bucket`] of a `u64`
+/// picosecond duration, so 64 covers the whole range.
+pub(crate) const LOG2_BUCKETS: usize = 64;
+
+/// The log₂ histogram bucket of a picosecond duration:
+/// `floor(log2(picos))`, with zero-length durations in bucket 0.
+pub(crate) fn log2_bucket(picos: u64) -> usize {
+    63 - picos.max(1).leading_zeros() as usize
+}
+
+/// A dense log₂ histogram's nonzero buckets as `(bucket, count)`, in
+/// bucket order.
+pub(crate) fn sparse_hist(hist: &[u64]) -> Vec<(u8, u64)> {
+    hist.iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(b, &c)| (b as u8, c))
+        .collect()
+}
 
 /// Default window width: 1 virtual millisecond (10⁹ picoseconds).
 pub const DEFAULT_WINDOW_PICOS: u64 = 1_000_000_000;
@@ -51,8 +67,8 @@ pub const DEFAULT_WINDOW_PICOS: u64 = 1_000_000_000;
 struct OpenWindow {
     index: u64,
     values: [u64; Metric::COUNT],
-    latency: [u64; LATENCY_BUCKETS],
-    read_latency: [u64; LATENCY_BUCKETS],
+    latency: [u64; LOG2_BUCKETS],
+    read_latency: [u64; LOG2_BUCKETS],
 }
 
 impl OpenWindow {
@@ -66,23 +82,16 @@ impl OpenWindow {
         OpenWindow {
             index,
             values,
-            latency: [0; LATENCY_BUCKETS],
-            read_latency: [0; LATENCY_BUCKETS],
+            latency: [0; LOG2_BUCKETS],
+            read_latency: [0; LOG2_BUCKETS],
         }
     }
 
     fn close(&self) -> ClosedWindow {
-        let sparse = |hist: &[u64; LATENCY_BUCKETS]| {
-            hist.iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| (b as u8, c))
-                .collect()
-        };
         ClosedWindow {
             values: self.values,
-            latency: sparse(&self.latency),
-            read_latency: sparse(&self.read_latency),
+            latency: sparse_hist(&self.latency),
+            read_latency: sparse_hist(&self.read_latency),
         }
     }
 }
@@ -219,18 +228,17 @@ impl MetricsHub {
     pub fn observe_latency(&mut self, track: u32, at: VirtualInstant, bucket: usize) {
         let w = self.window_picos;
         let open = self.track_mut(track).ensure(at.as_picos(), w);
-        open.latency[bucket.min(LATENCY_BUCKETS - 1)] += 1;
+        open.latency[bucket.min(LOG2_BUCKETS - 1)] += 1;
     }
 
     /// Records one served read in log₂ latency `bucket` within the window
     /// containing `at` (a `Read` span's end instant). Read latency lives in
-    /// its own histogram so the commit-latency conservation law
-    /// ([`TimeSeries::verify_against_summary`]) is untouched by read
-    /// traffic.
+    /// its own histogram so read traffic never reaches the summary's
+    /// commit-latency histogram.
     pub fn observe_read_latency(&mut self, track: u32, at: VirtualInstant, bucket: usize) {
         let w = self.window_picos;
         let open = self.track_mut(track).ensure(at.as_picos(), w);
-        open.read_latency[bucket.min(LATENCY_BUCKETS - 1)] += 1;
+        open.read_latency[bucket.min(LOG2_BUCKETS - 1)] += 1;
     }
 
     /// Materializes every window that the timestamps recorded so far have
@@ -332,14 +340,18 @@ pub struct TimeSeries {
     pub tracks: Vec<TrackTimeSeries>,
 }
 
-/// The percentile of a sparse log₂ histogram, with the same bucket
-/// semantics as [`TraceSummary::commit_latency_percentile`]: the lower
-/// bound in picoseconds of the bucket containing the `q`-th quantile.
+/// The percentile of a sparse log₂ histogram (`(bucket, count)` in bucket
+/// order): the lower bound in picoseconds of the bucket containing the
+/// `q`-th quantile, or `None` for an empty histogram. Every percentile the
+/// crate reports goes through here.
 pub(crate) fn sparse_percentile(buckets: &[(u8, u64)], q: f64) -> Option<u64> {
+    // u128 accumulation: counts are u64 per bucket, and a saturated
+    // histogram can overflow a u64 total.
     let total: u128 = buckets.iter().map(|&(_, c)| c as u128).sum();
     if total == 0 {
         return None;
     }
+    // Rank of the quantile sample, 1-based: ceil(q * total), clamped.
     let rank = ((q * total as f64).ceil() as u128).clamp(1, total);
     let mut seen: u128 = 0;
     for &(bucket, count) in buckets {
@@ -353,27 +365,11 @@ pub(crate) fn sparse_percentile(buckets: &[(u8, u64)], q: f64) -> Option<u64> {
 
 impl TimeSeries {
     /// Sums the commit-latency windows of every track back into one
-    /// whole-run log₂ histogram — the re-aggregation that must equal the
-    /// recorder's `commit_latency_log2` exactly.
+    /// whole-run log₂ histogram — the summary's `commit_latency_log2`.
     pub fn latency_reaggregated(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; LATENCY_BUCKETS];
+        let mut hist = vec![0u64; LOG2_BUCKETS];
         for track in &self.tracks {
             for window in &track.latency {
-                for &(bucket, count) in window {
-                    hist[bucket as usize] += count;
-                }
-            }
-        }
-        hist
-    }
-
-    /// Sums the read-latency windows of every track back into one whole-run
-    /// log₂ histogram — must equal the recorder's `read_latency_log2`
-    /// exactly (the read-side twin of [`TimeSeries::latency_reaggregated`]).
-    pub fn read_latency_reaggregated(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; LATENCY_BUCKETS];
-        for track in &self.tracks {
-            for window in &track.read_latency {
                 for &(bucket, count) in window {
                     hist[bucket as usize] += count;
                 }
@@ -385,6 +381,27 @@ impl TimeSeries {
     /// The whole-run total of `metric` summed across every track.
     pub fn counter_total(&self, metric: Metric) -> u64 {
         self.tracks.iter().map(|t| t.counter_total(metric)).sum()
+    }
+
+    /// One track's whole-run SAN traffic: packets, and payload bytes per
+    /// [`TrafficClass`] index (zeros for a track with no series).
+    pub(crate) fn traffic(&self, track: u32) -> (u64, [u64; 3]) {
+        let series = self.tracks.iter().find(|t| t.track == track);
+        let total = |metric| series.map_or(0, |t| t.counter_total(metric));
+        (
+            total(Metric::SanPackets),
+            TrafficClass::ALL.map(|class| total(Metric::san_bytes(class))),
+        )
+    }
+
+    /// The traffic matrix's row count: one row per track from 0 up to the
+    /// last track that sent a packet.
+    pub(crate) fn traffic_rows(&self) -> u32 {
+        self.tracks
+            .iter()
+            .rev()
+            .find(|t| t.counter_total(Metric::SanPackets) > 0)
+            .map_or(0, |t| t.track + 1)
     }
 
     /// Per-window committed transactions summed across tracks, as
@@ -414,79 +431,6 @@ impl TimeSeries {
             curve.push((w, committed));
         }
         curve
-    }
-
-    /// Verifies every conservation law the export promises, against the
-    /// whole-run aggregates of the same recorder:
-    ///
-    /// * Σ `committed_txns` deltas == `summary.txns`;
-    /// * per track (matched by name), Σ packet/byte deltas == the
-    ///   traffic-class matrix row;
-    /// * the re-aggregated latency histogram == `commit_latency_log2`;
-    /// * per stream (matched by name), Σ per-cause stall deltas == the
-    ///   stall breakdown merged into the summary.
-    ///
-    /// Returns the first violated law as `Err`.
-    pub fn verify_against_summary(&self, summary: &TraceSummary) -> Result<(), String> {
-        let committed = self.counter_total(Metric::CommittedTxns);
-        if committed != summary.txns {
-            return Err(format!(
-                "committed_txns deltas sum to {committed}, summary says {}",
-                summary.txns
-            ));
-        }
-        for row in &summary.tracks {
-            let Some(track) = self.tracks.iter().find(|t| t.name == row.name) else {
-                if row.packets > 0 {
-                    return Err(format!("track {} has packets but no series", row.name));
-                }
-                continue;
-            };
-            let packets = track.counter_total(Metric::SanPackets);
-            if packets != row.packets {
-                return Err(format!(
-                    "{}: san_packets deltas sum to {packets}, summary says {}",
-                    row.name, row.packets
-                ));
-            }
-            let by_class = [
-                (TrafficClass::Modified, Metric::SanModifiedBytes),
-                (TrafficClass::Undo, Metric::SanUndoBytes),
-                (TrafficClass::Meta, Metric::SanMetaBytes),
-            ];
-            for (class, metric) in by_class {
-                let total = track.counter_total(metric);
-                if total != row.bytes_by_class[class.index()] {
-                    return Err(format!(
-                        "{}: {metric} deltas sum to {total}, summary says {}",
-                        row.name,
-                        row.bytes_by_class[class.index()]
-                    ));
-                }
-            }
-        }
-        let reagg = self.latency_reaggregated();
-        if reagg != summary.commit_latency_log2 {
-            return Err(
-                "windowed latency histogram does not re-aggregate to the run histogram".to_string(),
-            );
-        }
-        for (stream, picos) in &summary.stall_picos {
-            let Some(track) = self.tracks.iter().find(|t| &t.name == stream) else {
-                continue;
-            };
-            for cause in StallCause::ALL {
-                let metric = Metric::stall(cause);
-                let total = track.counter_total(metric);
-                if total != picos[cause.index()] {
-                    return Err(format!(
-                        "{stream}: {metric} deltas sum to {total}, clock says {}",
-                        picos[cause.index()]
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Renders the snapshot as pretty-printed, schema-versioned JSON
@@ -791,50 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_against_summary_accepts_matching_aggregates() {
-        use crate::tracer::{Phase, Tracer};
-        use crate::FlightRecorder;
-
-        let rec = FlightRecorder::new();
-        rec.set_track_name(0, "primary");
-        rec.span(0, Phase::Txn, at(0), at(1024));
-        rec.span(0, Phase::Txn, at(2_000), at(4_000));
-        rec.packet(0, at(100), [32, 8, 4]);
-        rec.counter_add(0, Metric::stall(StallCause::TwoSafe), at(3_000), 41);
-        let mut summary = rec.summary();
-        let mut breakdown = [dsnrep_simcore::VirtualDuration::ZERO; StallCause::COUNT];
-        breakdown[StallCause::TwoSafe.index()] = dsnrep_simcore::VirtualDuration::from_picos(41);
-        summary.set_stalls("primary", breakdown);
-        let ts = rec.timeseries();
-        ts.verify_against_summary(&summary).expect("conserved");
-
-        // Break one law and the check must name it.
-        let mut broken = summary.clone();
-        broken.txns += 1;
-        let err = ts.verify_against_summary(&broken).unwrap_err();
-        assert!(err.contains("committed_txns"), "{err}");
-    }
-
-    #[test]
-    fn verify_catches_stall_divergence() {
-        use crate::FlightRecorder;
-        use crate::Tracer;
-
-        let rec = FlightRecorder::new();
-        rec.set_track_name(0, "primary");
-        rec.counter_add(0, Metric::StallRingFull, at(10), 5);
-        let mut summary = rec.summary();
-        let mut breakdown = [dsnrep_simcore::VirtualDuration::ZERO; StallCause::COUNT];
-        breakdown[StallCause::RingFull.index()] = dsnrep_simcore::VirtualDuration::from_picos(6);
-        summary.set_stalls("primary", breakdown);
-        let err = rec
-            .timeseries()
-            .verify_against_summary(&summary)
-            .unwrap_err();
-        assert!(err.contains("ring_full"), "{err}");
-    }
-
-    #[test]
     fn json_is_schema_versioned_and_balanced() {
         let mut hub = MetricsHub::new(1_000);
         hub.counter_add(0, Metric::CommittedTxns, at(10), 1);
@@ -855,8 +755,18 @@ mod tests {
     }
 
     #[test]
-    fn sparse_percentile_matches_summary_semantics() {
-        let buckets = [(8u8, 90u64), (12, 9), (20, 1)];
+    fn log2_buckets_floor_and_sparse_percentiles_take_lower_bounds() {
+        assert_eq!(log2_bucket(0), 0);
+        assert_eq!(log2_bucket(1), 0);
+        assert_eq!(log2_bucket(1023), 9);
+        assert_eq!(log2_bucket(1024), 10);
+        assert_eq!(log2_bucket(u64::MAX), 63);
+        let mut dense = [0u64; LOG2_BUCKETS];
+        dense[8] = 90;
+        dense[12] = 9;
+        dense[20] = 1;
+        let buckets = sparse_hist(&dense);
+        assert_eq!(buckets, [(8u8, 90u64), (12, 9), (20, 1)]);
         assert_eq!(sparse_percentile(&buckets, 0.50), Some(1 << 8));
         assert_eq!(sparse_percentile(&buckets, 0.95), Some(1 << 12));
         assert_eq!(sparse_percentile(&buckets, 1.0), Some(1 << 20));

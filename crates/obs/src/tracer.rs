@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use dsnrep_simcore::{BusyCause, StallCause, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{BusyCause, StallCause, TrafficClass, VirtualDuration, VirtualInstant};
 
 /// The transaction id carried by SAN packets issued outside any
 /// transaction (barrier flushes, recovery writes, cursor write-backs).
@@ -237,6 +237,15 @@ impl Metric {
         }
     }
 
+    /// The SAN payload-byte counter of traffic `class`.
+    pub const fn san_bytes(class: TrafficClass) -> Metric {
+        match class {
+            TrafficClass::Modified => Metric::SanModifiedBytes,
+            TrafficClass::Undo => Metric::SanUndoBytes,
+            TrafficClass::Meta => Metric::SanMetaBytes,
+        }
+    }
+
     /// Whether this metric accumulates or snapshots.
     pub const fn kind(self) -> MetricKind {
         match self {
@@ -286,7 +295,7 @@ impl fmt::Display for Metric {
 }
 
 /// The full virtual-time lifecycle of one SAN packet, captured at issue
-/// time by the sending port.
+/// time by its sender (a port, or a replica set's fabric hop).
 ///
 /// The four instants are monotone (`ready <= start <= done <= delivered`)
 /// and name the lifecycle stages: **issue** (`ready`, the store reaches the
@@ -297,7 +306,7 @@ impl fmt::Display for Metric {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketLife {
     /// Stable packet id, unique per run (see `OBSERVABILITY.md` for the
-    /// `(track, sequence)` packing).
+    /// packing of port and fabric ids).
     pub id: u64,
     /// The transaction whose store issued this packet, or [`NO_TXN`].
     pub txn: u64,
@@ -310,8 +319,7 @@ pub struct PacketLife {
     pub done: VirtualInstant,
     /// Deliver: the instant the payload becomes applicable at the peer.
     pub delivered: VirtualInstant,
-    /// Payload bytes per [`TrafficClass`](dsnrep_simcore::TrafficClass)
-    /// index.
+    /// Payload bytes per [`TrafficClass`] index.
     pub class_bytes: [u64; 3],
 }
 
@@ -329,6 +337,21 @@ impl PacketLife {
     /// Total payload bytes across traffic classes.
     pub fn bytes(&self) -> u64 {
         self.class_bytes.iter().sum()
+    }
+
+    /// Unit-test shorthand: an untagged packet served and delivered at
+    /// `at`.
+    #[cfg(test)]
+    pub(crate) fn sent(at: VirtualInstant, class_bytes: [u64; 3]) -> Self {
+        PacketLife {
+            id: 0,
+            txn: NO_TXN,
+            ready: at,
+            start: at,
+            done: at,
+            delivered: at,
+            class_bytes,
+        }
     }
 }
 
@@ -364,14 +387,6 @@ pub trait Tracer: Clone + fmt::Debug {
         let _ = (track, kind, at, arg);
     }
 
-    /// Records one SAN packet sent at `at` from `track`, with its payload
-    /// bytes broken down per
-    /// [`TrafficClass`](dsnrep_simcore::TrafficClass) index.
-    #[inline]
-    fn packet(&self, track: u32, at: VirtualInstant, class_bytes: [u64; 3]) {
-        let _ = (track, at, class_bytes);
-    }
-
     /// Adds `delta` to the counter `metric` on `track` at instant `at`.
     ///
     /// Only meaningful for [`MetricKind::Counter`] metrics; the time-series
@@ -390,11 +405,11 @@ pub trait Tracer: Clone + fmt::Debug {
         let _ = (track, metric, at, value);
     }
 
-    /// Records the full lifecycle of one SAN packet sent from `track`
-    /// (issue → enqueue → transit → deliver), captured at issue time.
-    /// Complements [`Tracer::packet`], which feeds the aggregate traffic
-    /// matrix; lifecycle records feed flow events and the critical-path
-    /// profiler and may be disabled independently (causal recording).
+    /// Records one SAN packet sent from `track`: its full lifecycle (issue
+    /// → enqueue → transit → deliver), captured at issue time. This is the
+    /// only packet probe. The packet and its per-class bytes count toward
+    /// the traffic totals at `life.start`; the lifecycle itself feeds flow
+    /// events and the critical-path profiler.
     #[inline]
     fn packet_life(&self, track: u32, life: PacketLife) {
         let _ = (track, life);
@@ -467,7 +482,6 @@ mod tests {
             VirtualInstant::from_picos(1),
         );
         t.instant(0, TraceEventKind::PrimaryCrash, VirtualInstant::EPOCH, 0);
-        t.packet(0, VirtualInstant::EPOCH, [1, 2, 3]);
         t.counter_add(0, Metric::CommittedTxns, VirtualInstant::EPOCH, 1);
         t.gauge_set(0, Metric::InflightTxns, VirtualInstant::EPOCH, 1);
         t.packet_life(
@@ -527,6 +541,15 @@ mod tests {
             assert_eq!(m.kind(), MetricKind::Counter);
             assert!(m.name().starts_with("stall_"), "{m}");
             assert!(m.name().ends_with("_picos"), "{m}");
+        }
+        // Every traffic class has a distinct byte counter.
+        for class in TrafficClass::ALL {
+            let m = Metric::san_bytes(class);
+            assert_eq!(m.kind(), MetricKind::Counter);
+            assert!(
+                m.name().starts_with("san_") && m.name().ends_with("_bytes"),
+                "{m}"
+            );
         }
     }
 

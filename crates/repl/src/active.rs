@@ -447,11 +447,6 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
         self.link.borrow().traffic().clone()
     }
 
-    /// The shared link.
-    pub fn link(&self) -> &Rc<RefCell<Link>> {
-        &self.link
-    }
-
     /// Crashes the primary *now* and fails over to the backup: the backup
     /// applies whatever complete publications were delivered before the
     /// crash, stamps its sequence roots, and comes up as a standalone

@@ -294,11 +294,6 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
         self.link.borrow().traffic().clone()
     }
 
-    /// The shared link.
-    pub fn link(&self) -> &Rc<RefCell<Link>> {
-        &self.link
-    }
-
     /// Crashes the primary *now* (in-flight packets past the crash instant
     /// are lost) and fails over to the backup, running the version's
     /// takeover procedure.

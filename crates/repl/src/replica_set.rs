@@ -43,7 +43,7 @@ use std::rc::Rc;
 use dsnrep_cluster::{NodeId, ReplicationStrategy, Topology};
 use dsnrep_core::{Durability, Engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::{Fabric, PacketTap, TappedPacket, Traffic};
-use dsnrep_obs::{Metric, NullTracer, Phase, Tracer};
+use dsnrep_obs::{Metric, NullTracer, Phase, Tracer, NO_TXN};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{Addr, CostModel, StallCause, TrafficClass, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, Workload};
@@ -267,8 +267,10 @@ impl ReplicaSet {
 }
 
 impl<T: Tracer + 'static> ReplicaSet<T> {
-    /// As [`ReplicaSet::new`], reporting per-node spans and per-link
-    /// packets to `tracer` (node *i* reports as track *i*).
+    /// As [`ReplicaSet::new`], reporting per-node spans and every SAN
+    /// packet to `tracer` (node *i* reports as track *i*): the head port's
+    /// packets, and each fabric hop and acknowledgement as a lifecycle of
+    /// its own.
     pub fn new_traced(
         costs: CostModel,
         version: VersionTag,
@@ -502,7 +504,13 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                     }
                     match self.fabric.send(j - 1, j, ready, p.class_bytes) {
                         Some(t) => {
-                            self.tracer.packet(u32::from(j - 1), t.start, p.class_bytes);
+                            self.fabric.trace_packet(
+                                &self.tracer,
+                                u32::from(j - 1),
+                                t,
+                                p.txn,
+                                p.class_bytes,
+                            );
                             self.downstream[usize::from(j) - 2].receive(t.delivered, &p);
                             ready = t.delivered;
                         }
@@ -533,7 +541,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                     let node = &mut self.downstream[usize::from(j) - 2];
                     match self.fabric.send(0, j, p.timing.done, p.class_bytes) {
                         Some(t) => {
-                            self.tracer.packet(0, t.start, p.class_bytes);
+                            self.fabric
+                                .trace_packet(&self.tracer, 0, t, p.txn, p.class_bytes);
                             node.receive(t.delivered, &p);
                         }
                         None => node.data_lost = true,
@@ -590,7 +599,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         let tail_has_all = self.downstream[usize::from(tail) - 2].last_delivery;
         match self.fabric.send(tail, 0, tail_has_all, ack_payload()) {
             Some(t) => {
-                self.tracer.packet(u32::from(tail), t.start, ack_payload());
+                self.fabric
+                    .trace_packet(&self.tracer, u32::from(tail), t, NO_TXN, ack_payload());
                 self.head
                     .machine_mut()
                     .stall_until(StallCause::TwoSafe, t.delivered);
@@ -628,7 +638,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         let mut acks: Vec<VirtualInstant> = Vec::with_capacity(usize::from(rf) - 1);
         if summary.node1_missed == 0 {
             if let Some(t) = self.fabric.send(1, 0, summary.node1_last, ack_payload()) {
-                self.tracer.packet(1, t.start, ack_payload());
+                self.fabric
+                    .trace_packet(&self.tracer, 1, t, NO_TXN, ack_payload());
                 acks.push(t.delivered);
             }
         }
@@ -639,7 +650,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             }
             let ready = node.last_delivery;
             if let Some(t) = self.fabric.send(j, 0, ready, ack_payload()) {
-                self.tracer.packet(u32::from(j), t.start, ack_payload());
+                self.fabric
+                    .trace_packet(&self.tracer, u32::from(j), t, NO_TXN, ack_payload());
                 acks.push(t.delivered);
             }
         }

@@ -2,27 +2,21 @@
 //!
 //! Workloads issue their operations through a [`TxCtx`] so that correctness
 //! tests can attach a [`ShadowDb`] that observes exactly the same logical
-//! writes, and so the active-backup driver can observe writes for redo
-//! staging.
+//! writes. (The active-backup driver stages its redo records in its own
+//! engine's `write`, not here.)
 
 use dsnrep_core::{Engine, Machine, ShadowDb, TxError};
 use dsnrep_obs::{NullTracer, Tracer};
 use dsnrep_simcore::{Addr, VirtualDuration};
 
-/// A callback observing each logical write (used by the active-backup
-/// driver to stage redo records).
-pub type WriteObserver<'a> = &'a mut dyn FnMut(Addr, &[u8]);
-
 /// A handle through which a workload runs one transaction.
 ///
-/// Forwards every operation to the engine, mirrors writes into the optional
-/// shadow, and mirrors writes to an optional observer callback (used by the
-/// active-backup driver to stage redo records).
+/// Forwards every operation to the engine and mirrors it into the optional
+/// shadow.
 pub struct TxCtx<'a, T: Tracer = NullTracer> {
     machine: &'a mut Machine<T>,
     engine: &'a mut dyn Engine<T>,
     shadow: Option<&'a mut ShadowDb>,
-    observer: Option<WriteObserver<'a>>,
 }
 
 impl<T: Tracer> std::fmt::Debug for TxCtx<'_, T> {
@@ -30,7 +24,6 @@ impl<T: Tracer> std::fmt::Debug for TxCtx<'_, T> {
         f.debug_struct("TxCtx")
             .field("engine", &self.engine.version())
             .field("has_shadow", &self.shadow.is_some())
-            .field("has_observer", &self.observer.is_some())
             .finish()
     }
 }
@@ -42,19 +35,12 @@ impl<'a, T: Tracer> TxCtx<'a, T> {
             machine,
             engine,
             shadow: None,
-            observer: None,
         }
     }
 
     /// Attaches a shadow oracle.
     pub fn with_shadow(mut self, shadow: &'a mut ShadowDb) -> Self {
         self.shadow = Some(shadow);
-        self
-    }
-
-    /// Attaches a write observer (e.g. the redo stager).
-    pub fn with_observer(mut self, observer: WriteObserver<'a>) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -99,9 +85,6 @@ impl<'a, T: Tracer> TxCtx<'a, T> {
         self.engine.write(self.machine, base, bytes)?;
         if let Some(s) = self.shadow.as_deref_mut() {
             s.write(base, bytes);
-        }
-        if let Some(o) = self.observer.as_deref_mut() {
-            o(base, bytes);
         }
         Ok(())
     }

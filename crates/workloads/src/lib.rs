@@ -39,7 +39,7 @@ mod open;
 mod order_entry;
 mod synthetic;
 
-pub use ctx::{TxCtx, WriteObserver};
+pub use ctx::TxCtx;
 pub use debit_credit::DebitCredit;
 pub use open::{det_exp, det_ln, ArrivalGen, ArrivalProcess, ZipfKeys};
 pub use order_entry::OrderEntry;

@@ -14,7 +14,7 @@ use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_mcsim::Traffic;
 use dsnrep_obs::FlightRecorder;
 use dsnrep_repl::{ActiveCluster, PassiveCluster, Scheme, SmpExperiment};
-use dsnrep_simcore::{CostModel, MIB};
+use dsnrep_simcore::{CostModel, TrafficClass, MIB};
 use dsnrep_workloads::WorkloadKind;
 
 fn tiny() -> RunScale {
@@ -188,6 +188,64 @@ fn per_op_and_batched_store_paths_agree() {
             batched, legacy,
             "batched and per-op store paths diverged at {txns} txns"
         );
+    }
+}
+
+/// Virtual results off the default cost model, pinned to constants: one
+/// write buffer, twelve, and a 1 MiB cache, each under passive Vista and
+/// mirror-by-copy on Debit-Credit. The ablation benches run these
+/// configurations; this pins them where CI runs. Each row is elapsed
+/// picoseconds, packets, modified/undo/meta bytes, cache hits and misses.
+#[test]
+fn non_default_cost_models_keep_their_virtual_results() {
+    let costs = |tweak: fn(&mut CostModel)| {
+        let mut costs = CostModel::alpha_21164a();
+        tweak(&mut costs);
+        costs
+    };
+    let configs = [
+        ("1 write buffer", costs(|c| c.write_buffers = 1)),
+        ("12 write buffers", costs(|c| c.write_buffers = 12)),
+        ("1 MiB cache", costs(|c| c.cache_capacity = MIB)),
+    ];
+    let mut got = Vec::new();
+    for (name, costs) in configs {
+        for version in [VersionTag::Vista, VersionTag::MirrorCopy] {
+            let config = EngineConfig::for_db(10 * MIB);
+            let mut cluster = PassiveCluster::new(costs.clone(), version, &config);
+            let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 42);
+            cluster.run(workload.as_mut(), 300);
+            cluster.quiesce();
+            let stats = cluster.machine().stats();
+            let traffic = cluster.traffic();
+            got.push((
+                name,
+                version,
+                [
+                    stats.elapsed.as_picos(),
+                    traffic.total_packets(),
+                    traffic.bytes(TrafficClass::Modified),
+                    traffic.bytes(TrafficClass::Undo),
+                    traffic.bytes(TrafficClass::Meta),
+                    stats.cache_hits,
+                    stats.cache_misses,
+                ],
+            ));
+        }
+    }
+    // Captured before the word-sized store path went in.
+    #[rustfmt::skip]
+    let want: [[u64; 7]; 6] = [
+        [11_330_538_000, 35_400, 8_400, 19_200, 388_800, 101_145, 555],
+        [1_590_279_800, 3_900, 8_400, 19_200, 2_400, 9_088, 1_112],
+        [4_112_237_126, 9_010, 8_400, 7_232, 168_152, 101_145, 555],
+        [1_852_319_600, 3_900, 8_400, 19_200, 2_400, 9_088, 1_112],
+        [4_713_776_946, 12_904, 8_400, 16_800, 206_480, 100_658, 1_042],
+        [1_947_657_600, 3_900, 8_400, 19_200, 2_400, 7_783, 2_417],
+    ];
+    assert_eq!(got.len(), want.len());
+    for ((name, version, got), want) in got.iter().zip(want) {
+        assert_eq!(*got, want, "{name}, passive {version}");
     }
 }
 

@@ -506,14 +506,7 @@ impl<T: Tracer> Machine<T> {
 
     /// An accounted store: local write + cache charge + doubling.
     pub fn write(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) {
-        self.consume_store_budget();
-        self.charge_cache(addr, bytes.len() as u64);
-        self.arena.borrow_mut().write(addr, bytes);
-        if self.is_replicated(addr) {
-            if let Some(port) = self.port.as_mut() {
-                port.store(&mut self.clock, addr, bytes, class);
-            }
-        }
+        self.store(addr, bytes, class, true);
     }
 
     /// An accounted store whose doubled words do not merge in the write
@@ -521,14 +514,35 @@ impl<T: Tracer> Machine<T> {
     /// whose interleaved loads defeat the 21164's store merging. Locally it
     /// behaves exactly like [`Machine::write`].
     pub fn write_scattered(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) {
+        self.store(addr, bytes, class, false);
+    }
+
+    /// The body of every per-op accounted store: budget tick, cache
+    /// charge, arena write, port issue (merged or not). It and
+    /// `Arena::write` are inlined, so a word's length stays a
+    /// compile-time constant down to the arena page.
+    #[inline(always)]
+    fn store(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass, merged: bool) {
         self.consume_store_budget();
         self.charge_cache(addr, bytes.len() as u64);
         self.arena.borrow_mut().write(addr, bytes);
         if self.is_replicated(addr) {
             if let Some(port) = self.port.as_mut() {
-                port.store_unmerged(&mut self.clock, addr, bytes, class);
+                if merged {
+                    port.store(&mut self.clock, addr, bytes, class);
+                } else {
+                    port.store_unmerged(&mut self.clock, addr, bytes, class);
+                }
             }
         }
+    }
+
+    /// The body of every accounted load: cache charge, arena read,
+    /// inlined like [`store`](Machine::store).
+    #[inline(always)]
+    fn load(&mut self, addr: Addr, buf: &mut [u8]) {
+        self.charge_cache(addr, buf.len() as u64);
+        self.arena.borrow().read_into(addr, buf);
     }
 
     /// Test-only: when `true`, [`Machine::write_batch`] replays its staged
@@ -605,8 +619,7 @@ impl<T: Tracer> Machine<T> {
 
     /// An accounted load.
     pub fn read(&mut self, addr: Addr, buf: &mut [u8]) {
-        self.charge_cache(addr, buf.len() as u64);
-        self.arena.borrow().read_into(addr, buf);
+        self.load(addr, buf);
     }
 
     /// An accounted load into a fresh vector.
@@ -618,25 +631,25 @@ impl<T: Tracer> Machine<T> {
 
     /// Accounted `u64` store.
     pub fn write_u64(&mut self, addr: Addr, value: u64, class: TrafficClass) {
-        self.write(addr, &value.to_le_bytes(), class);
+        self.store(addr, &value.to_le_bytes(), class, true);
     }
 
     /// Accounted `u64` load.
     pub fn read_u64(&mut self, addr: Addr) -> u64 {
         let mut b = [0u8; 8];
-        self.read(addr, &mut b);
+        self.load(addr, &mut b);
         u64::from_le_bytes(b)
     }
 
     /// Accounted `u32` store.
     pub fn write_u32(&mut self, addr: Addr, value: u32, class: TrafficClass) {
-        self.write(addr, &value.to_le_bytes(), class);
+        self.store(addr, &value.to_le_bytes(), class, true);
     }
 
     /// Accounted `u32` load.
     pub fn read_u32(&mut self, addr: Addr) -> u32 {
         let mut b = [0u8; 4];
-        self.read(addr, &mut b);
+        self.load(addr, &mut b);
         u32::from_le_bytes(b)
     }
 

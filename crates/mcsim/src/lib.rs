@@ -63,12 +63,4 @@ pub use link::{Link, PacketTiming};
 pub use port::{PacketTap, TappedPacket, TxPort};
 pub use stride::{figure1_sweep, measure_stride_bandwidth, measure_write_latency, BandwidthPoint};
 pub use traffic::Traffic;
-pub use wbuf::{DirtyRuns, FlushedBuffer, WbufStats, WriteBufferSet, BLOCK};
-
-use dsnrep_simcore::VirtualDuration;
-
-/// CPU time to issue `len` bytes of posted I/O stores at `per_store` each
-/// (stores are up to 8 bytes wide).
-pub(crate) fn io_issue_time(per_store: VirtualDuration, len: u64) -> VirtualDuration {
-    VirtualDuration::from_picos(per_store.as_picos() * len.div_ceil(8).max(1))
-}
+pub use wbuf::{DirtyRuns, FlushedBuffer, WriteBufferSet, BLOCK};

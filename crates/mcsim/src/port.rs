@@ -19,8 +19,7 @@ use std::rc::Rc;
 use dsnrep_obs::{Metric, NullTracer, Tracer, NO_TXN, TRACK_BACKUP};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{
-    Addr, BusyCause, Clock, CostModel, StallCause, StoreSink, TrafficClass, VirtualDuration,
-    VirtualInstant,
+    Addr, BusyCause, Clock, CostModel, StallCause, StoreSink, TrafficClass, VirtualInstant,
 };
 
 use crate::link::{Link, PacketTiming};
@@ -240,7 +239,7 @@ impl<T: Tracer> Emitter<T> {
 pub struct TxPort<T: Tracer = NullTracer> {
     peers: Vec<Rc<RefCell<Arena>>>,
     bufs: WriteBufferSet,
-    io_store_issue: VirtualDuration,
+    costs: CostModel,
     tx: Emitter<T>,
 }
 
@@ -302,7 +301,7 @@ impl<T: Tracer> TxPort<T> {
         TxPort {
             peers,
             bufs: WriteBufferSet::new(costs.write_buffers),
-            io_store_issue: costs.io_store_issue,
+            costs: costs.clone(),
             tx: Emitter {
                 link,
                 window_cap: costs.posted_window,
@@ -376,7 +375,7 @@ impl<T: Tracer> TxPort<T> {
         }
         clock.advance_for(
             BusyCause::san(class),
-            crate::io_issue_time(self.io_store_issue, bytes.len() as u64),
+            self.costs.io_issue_time(bytes.len() as u64),
         );
         // Emit one packet per 8-byte-aligned word run, bypassing the
         // write buffers — but first flush any buffer holding the same
@@ -430,10 +429,16 @@ impl<T: Tracer> TxPort<T> {
     }
 
     /// Applies every packet whose delivery instant is at or before `t`.
+    #[inline]
     pub fn deliver_up_to(&mut self, t: VirtualInstant) {
-        if self.tx.inflight.front().is_none_or(|d| d.at > t) {
-            return;
+        if self.tx.inflight.front().is_some_and(|d| d.at <= t) {
+            self.drain_up_to(t);
         }
+    }
+
+    /// [`deliver_up_to`](TxPort::deliver_up_to) once something is due.
+    #[inline(never)]
+    fn drain_up_to(&mut self, t: VirtualInstant) {
         let traced = self.tx.tracer.is_enabled();
         let mut last_applied_at = None;
         // Something is due. Borrow the peer arena once for the whole drain
@@ -585,7 +590,7 @@ impl<T: Tracer> TxPort<T> {
         }
         clock.advance_for(
             BusyCause::san(class),
-            crate::io_issue_time(self.io_store_issue, bytes.len() as u64),
+            self.costs.io_issue_time(bytes.len() as u64),
         );
         let TxPort { bufs, tx, .. } = self;
         tx.stall_cause = StallCause::PostedWindow;
@@ -622,6 +627,7 @@ impl<T: Tracer> StoreSink for TxPort<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsnrep_simcore::VirtualDuration;
 
     fn setup() -> (
         CostModel,

@@ -35,9 +35,10 @@ pub struct FlushedBuffer {
 }
 
 impl FlushedBuffer {
-    /// Number of dirty (payload) bytes.
+    /// Number of dirty (payload) bytes: the sum of `class_bytes`, which
+    /// counts each dirty bit of `mask` once.
     pub fn payload(&self) -> u64 {
-        u64::from(self.mask.count_ones())
+        self.class_bytes.iter().sum()
     }
 
     /// Iterates over the `(addr, bytes)` runs of contiguous dirty bytes.
@@ -77,14 +78,8 @@ impl<'a> Iterator for DirtyRuns<'a> {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    block: u64, // block index = addr / 32
-    mask: u32,
-    data: [u8; BLOCK as usize],
-    class_bytes: [u64; 3],
-    stamp: u64,
-}
+/// The block index of a clean buffer: never `addr / 32` of an address.
+const EMPTY: u64 = u64::MAX;
 
 /// The dirty-byte mask of an `n`-byte store at offset `in_block`
 /// (`n` ≤ 32, `in_block + n` ≤ 32).
@@ -99,6 +94,13 @@ pub(crate) fn span_mask(in_block: usize, n: usize) -> u32 {
 }
 
 /// A set of N write buffers with merge-on-same-block and LRU eviction.
+///
+/// The buffers are laid out flat: one array of block indices, scanned on
+/// every store, with a sentinel block for a clean buffer, and one array of
+/// the buffers' contents. Each buffer keeps one dirty mask per
+/// traffic class: a byte belongs to the class of the store that first
+/// dirtied it, so a store costs two mask operations and a packet's class
+/// bytes are counted once, when it flushes.
 ///
 /// # Examples
 ///
@@ -119,42 +121,30 @@ pub(crate) fn span_mask(in_block: usize, n: usize) -> u32 {
 /// ```
 #[derive(Clone, Debug)]
 pub struct WriteBufferSet {
-    slots: Vec<Option<Slot>>,
+    /// Block index (`addr / 32`) per buffer, [`EMPTY`] when clean.
+    blocks: Vec<u64>,
+    /// Contents per buffer, meaningful while its block is not [`EMPTY`].
+    bufs: Vec<Buffer>,
     next_stamp: u64,
-    /// Slot index of the most recent store. Only a hint: it may be stale
-    /// (slot since flushed or reused for another block), so users must
-    /// re-check the block tag. Because at most one slot ever holds a given
-    /// block, a verified hit is exactly what the linear scan would find.
+    /// Buffer index of the most recent store. Only a hint: it may be stale
+    /// (buffer since flushed or reused for another block), so users must
+    /// re-check the block tag. Because at most one buffer ever holds a
+    /// given block, a verified hit is exactly what the linear scan would
+    /// find.
     mru: usize,
-    stats: WbufStats,
 }
 
-/// Observation-only counters for a [`WriteBufferSet`]: how well stores
-/// coalesce. This is the mechanism behind the paper's aggregation argument
-/// (sequential log writes merge into full packets; scattered in-place
-/// writes do not), so the counters make "how much merging happened" a
-/// measured quantity rather than an inference from packet sizes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WbufStats {
-    /// Per-block store operations applied to the set.
-    pub stores: u64,
-    /// Stores that coalesced into a buffer already holding their block.
-    pub merges: u64,
-    /// Stores that claimed a buffer (free or evicted) for a new block.
-    pub placements: u64,
-    /// Placements that had to evict the least-recently-used dirty buffer.
-    pub evictions: u64,
-    /// Newly dirtied bytes added by merges, per
-    /// [`TrafficClass`] index — the bytes that rode an existing packet
-    /// instead of costing one of their own.
-    pub merged_bytes_by_class: [u64; 3],
-}
-
-impl WbufStats {
-    /// Total newly dirtied bytes added by merges, across classes.
-    pub fn merged_bytes(&self) -> u64 {
-        self.merged_bytes_by_class.iter().sum()
-    }
+/// One write buffer's contents.
+#[derive(Clone, Copy, Debug, Default)]
+struct Buffer {
+    /// Union of `class_masks`.
+    mask: u32,
+    /// Dirty-byte masks, indexed by `TrafficClass::index`.
+    class_masks: [u32; 3],
+    /// Stamp of the latest store, for LRU order.
+    stamp: u64,
+    /// Block contents; bytes outside `mask` are zero.
+    data: [u8; BLOCK as usize],
 }
 
 impl WriteBufferSet {
@@ -166,21 +156,16 @@ impl WriteBufferSet {
     pub fn new(count: usize) -> Self {
         assert!(count > 0, "need at least one write buffer");
         WriteBufferSet {
-            slots: vec![None; count],
+            blocks: vec![EMPTY; count],
+            bufs: vec![Buffer::default(); count],
             next_stamp: 0,
             mru: 0,
-            stats: WbufStats::default(),
         }
     }
 
     /// Number of buffers currently holding dirty bytes.
     pub fn dirty_buffers(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Cumulative coalescing counters (never reset by flushes or crashes).
-    pub fn stats(&self) -> WbufStats {
-        self.stats
+        self.blocks.iter().filter(|&&b| b != EMPTY).count()
     }
 
     /// Applies a store, merging into an existing buffer when the block
@@ -214,83 +199,60 @@ impl WriteBufferSet {
         flush: &mut impl FnMut(FlushedBuffer),
     ) {
         self.next_stamp += 1;
-        let stamp = self.next_stamp;
-        self.stats.stores += 1;
-
         // Find a matching buffer. MRU fast path first: sequential log
         // appends hit the same block as the previous store, so most
-        // lookups resolve without scanning the slot array.
-        let matched = if self.slots[self.mru]
-            .as_ref()
-            .is_some_and(|s| s.block == block)
-        {
+        // lookups resolve without scanning the block array.
+        let matched = if self.blocks[self.mru] == block {
             Some(self.mru)
         } else {
-            self.slots
-                .iter()
-                .position(|s| s.as_ref().is_some_and(|s| s.block == block))
+            self.blocks.iter().position(|&b| b == block)
         };
-        if let Some(idx) = matched {
-            let slot = self.slots[idx].as_mut().expect("matched slot is dirty");
-            slot.stamp = stamp;
-            let add = span_mask(in_block, bytes.len());
-            let fresh = u64::from((add & !slot.mask).count_ones());
-            self.stats.merges += 1;
-            self.stats.merged_bytes_by_class[class.index()] += fresh;
-            slot.class_bytes[class.index()] += fresh;
-            slot.mask |= add;
-            copy_small(&mut slot.data[in_block..in_block + bytes.len()], bytes);
-            if slot.mask == u32::MAX {
-                let full = self.slots[idx].take().expect("just matched");
-                flush(Self::to_flushed(full));
+        let idx = match matched {
+            Some(idx) => idx,
+            None => {
+                let idx = self.claim(flush);
+                self.blocks[idx] = block;
+                self.bufs[idx] = Buffer::default();
+                idx
             }
-            self.mru = idx;
-            return;
+        };
+        let buf = &mut self.bufs[idx];
+        buf.stamp = self.next_stamp;
+        let add = span_mask(in_block, bytes.len());
+        buf.class_masks[class.index()] |= add & !buf.mask;
+        buf.mask |= add;
+        copy_small(&mut buf.data[in_block..in_block + bytes.len()], bytes);
+        if buf.mask == u32::MAX {
+            flush(self.take(idx));
         }
-        self.place(block, in_block, bytes, class, stamp, flush);
+        self.mru = idx;
     }
 
-    fn place(
-        &mut self,
-        block: u64,
-        in_block: usize,
-        bytes: &[u8],
-        class: TrafficClass,
-        stamp: u64,
-        flush: &mut impl FnMut(FlushedBuffer),
-    ) {
-        self.stats.placements += 1;
-        let idx = match self.slots.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => {
-                // Evict the least recently used buffer.
-                self.stats.evictions += 1;
-                let (i, _) = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| s.as_ref().map_or(u64::MAX, |s| s.stamp))
-                    .expect("slots is non-empty");
-                let victim = self.slots[i].take().expect("all slots were full");
-                flush(Self::to_flushed(victim));
-                i
-            }
-        };
-        let mask = span_mask(in_block, bytes.len());
-        let mut slot = Slot {
-            block,
-            mask,
-            data: [0; BLOCK as usize],
-            class_bytes: [0; 3],
-            stamp,
-        };
-        copy_small(&mut slot.data[in_block..in_block + bytes.len()], bytes);
-        slot.class_bytes[class.index()] = u64::from(mask.count_ones());
-        if slot.mask == u32::MAX {
-            flush(Self::to_flushed(slot));
-        } else {
-            self.slots[idx] = Some(slot);
-            self.mru = idx;
+    /// A clean buffer for a new block: the first clean one, else the
+    /// least recently used one, flushed.
+    fn claim(&mut self, flush: &mut impl FnMut(FlushedBuffer)) -> usize {
+        if let Some(idx) = self.blocks.iter().position(|&b| b == EMPTY) {
+            return idx;
+        }
+        let (idx, _) = self
+            .bufs
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, buf)| buf.stamp)
+            .expect("the set is non-empty");
+        flush(self.take(idx));
+        idx
+    }
+
+    /// Cleans buffer `idx` and returns its packet.
+    fn take(&mut self, idx: usize) -> FlushedBuffer {
+        let block = std::mem::replace(&mut self.blocks[idx], EMPTY);
+        let buf = &self.bufs[idx];
+        FlushedBuffer {
+            base: Addr::new(block * BLOCK),
+            mask: buf.mask,
+            data: buf.data,
+            class_bytes: buf.class_masks.map(|m| u64::from(m.count_ones())),
         }
     }
 
@@ -298,50 +260,31 @@ impl WriteBufferSet {
     /// any. Used by the unmerged-store path to preserve same-block store
     /// ordering.
     pub fn flush_block(&mut self, block: u64, flush: &mut impl FnMut(FlushedBuffer)) {
-        if let Some(idx) = self
-            .slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.block == block))
-        {
-            let slot = self.slots[idx].take().expect("position() found it");
-            flush(Self::to_flushed(slot));
+        if let Some(idx) = self.blocks.iter().position(|&b| b == block) {
+            flush(self.take(idx));
         }
     }
 
     /// Flushes every dirty buffer (a write memory barrier), oldest first.
     ///
-    /// Allocation-free: repeatedly selects the minimum-stamp dirty slot.
-    /// Quadratic in the slot count, but the set holds at most a handful of
-    /// buffers (six on the Alpha 21164A) and barriers run on every commit.
+    /// Allocation-free: repeatedly selects the minimum-stamp dirty buffer.
+    /// Quadratic in the buffer count, but the set holds at most a handful
+    /// of buffers (six on the Alpha 21164A) and barriers run on every
+    /// commit.
     pub fn flush_all(&mut self, flush: &mut impl FnMut(FlushedBuffer)) {
-        loop {
-            let oldest = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|s| (s.stamp, i)))
-                .min();
-            let Some((_, idx)) = oldest else { return };
-            let slot = self.slots[idx].take().expect("selected slot is dirty");
-            flush(Self::to_flushed(slot));
+        while let Some((_, idx)) = (self.blocks.iter().zip(&self.bufs).enumerate())
+            .filter(|&(_, (&block, _))| block != EMPTY)
+            .map(|(i, (_, buf))| (buf.stamp, i))
+            .min()
+        {
+            flush(self.take(idx));
         }
     }
 
     /// Discards every dirty buffer without flushing (a crash: buffered
     /// stores that never reached the PCI bus are lost).
     pub fn discard_all(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
-    }
-
-    fn to_flushed(slot: Slot) -> FlushedBuffer {
-        FlushedBuffer {
-            base: Addr::new(slot.block * BLOCK),
-            mask: slot.mask,
-            data: slot.data,
-            class_bytes: slot.class_bytes,
-        }
+        self.blocks.fill(EMPTY);
     }
 }
 
@@ -766,7 +709,7 @@ mod tests {
             /// produce the exact flush sequence of the byte-loop model.
             #[test]
             fn fast_paths_match_reference(
-                slots in 1usize..7,
+                slots in 1usize..=12,
                 ops in prop::collection::vec(op_strategy(), 1..120),
             ) {
                 let mut fast = WriteBufferSet::new(slots);
@@ -800,47 +743,6 @@ mod tests {
                 prop_assert_eq!(&got, &want, "final barrier state diverged");
             }
         }
-    }
-
-    #[test]
-    fn stats_count_merges_placements_and_evictions() {
-        let mut bufs = WriteBufferSet::new(1);
-        let mut out = Vec::new();
-        // Placement (free slot).
-        bufs.store(
-            Addr::new(0),
-            &[1; 4],
-            TrafficClass::Modified,
-            &mut collect(&mut out),
-        );
-        // Merge: 4 fresh undo bytes into the same block.
-        bufs.store(
-            Addr::new(4),
-            &[2; 4],
-            TrafficClass::Undo,
-            &mut collect(&mut out),
-        );
-        // Re-dirty the same bytes: a merge that adds 0 fresh bytes.
-        bufs.store(
-            Addr::new(4),
-            &[3; 4],
-            TrafficClass::Undo,
-            &mut collect(&mut out),
-        );
-        // New block with the single slot full: placement + eviction.
-        bufs.store(
-            Addr::new(64),
-            &[4; 4],
-            TrafficClass::Meta,
-            &mut collect(&mut out),
-        );
-        let s = bufs.stats();
-        assert_eq!(s.stores, 4);
-        assert_eq!(s.merges, 2);
-        assert_eq!(s.placements, 2);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.merged_bytes_by_class[TrafficClass::Undo.index()], 4);
-        assert_eq!(s.merged_bytes(), 4);
     }
 
     #[test]

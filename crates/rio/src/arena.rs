@@ -215,9 +215,14 @@ impl Arena {
     /// Writes `bytes` at `addr`. All-zero bytes leave an unmaterialized
     /// page unmaterialized: it already reads as zeros.
     ///
+    /// Inlined across crates, so a word written through it keeps its
+    /// length a compile-time constant and `copy_small`'s length dispatch
+    /// folds away.
+    ///
     /// # Panics
     ///
     /// Panics if the range falls outside the arena.
+    #[inline(always)]
     pub fn write(&mut self, addr: Addr, bytes: &[u8]) {
         self.consume_write_budget();
         self.writes += 1;
@@ -228,14 +233,18 @@ impl Arena {
         // (virtually all simulated stores are word-sized); `copy_small`
         // keeps these copies inline instead of calling libc.
         if bytes.len() <= PAGE_SIZE - page_off {
-            match &mut self.pages[off / PAGE_SIZE] {
-                Some(page) => copy_small(&mut page[page_off..page_off + bytes.len()], bytes),
-                slot => self.touched += usize::from(put(slot, page_off, Piece::Bytes(bytes))),
+            if let Some(page) = &mut self.pages[off / PAGE_SIZE] {
+                copy_small(&mut page[page_off..page_off + bytes.len()], bytes);
+                return;
             }
-            return;
         }
-        let mut off = off;
-        let mut src = bytes;
+        self.store_pieces(off, bytes);
+    }
+
+    /// The general write, page piece by page piece: materializes pages
+    /// for nonzero bytes and crosses page edges.
+    #[inline(never)]
+    fn store_pieces(&mut self, mut off: usize, mut src: &[u8]) {
         while !src.is_empty() {
             let page_off = off % PAGE_SIZE;
             let n = (PAGE_SIZE - page_off).min(src.len());
@@ -255,6 +264,7 @@ impl Arena {
     /// # Panics
     ///
     /// Panics if the range falls outside the arena.
+    #[inline(always)]
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) {
         self.check(addr, buf.len());
         let off = addr.as_usize();
@@ -267,8 +277,13 @@ impl Arena {
             }
             return;
         }
-        let mut off = off;
-        let mut dst: &mut [u8] = buf;
+        self.load_pieces(off, buf);
+    }
+
+    /// The general read across page edges; unmaterialized pages read as
+    /// zeros.
+    #[inline(never)]
+    fn load_pieces(&self, mut off: usize, mut dst: &mut [u8]) {
         while !dst.is_empty() {
             let page_idx = off / PAGE_SIZE;
             let page_off = off % PAGE_SIZE;

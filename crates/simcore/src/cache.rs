@@ -154,32 +154,45 @@ impl DirectMappedCache {
     /// access (a mirror copy, a log append) costs one bounds check and one
     /// stats merge per wrap of the index space instead of per line. The
     /// hit/miss outcome is identical to touching each line in order.
+    ///
+    /// A single-line hit — most word-sized accesses — is decided inline
+    /// by the line's tag. Misses and multi-line walks take the
+    /// out-of-line path.
+    #[inline]
     pub fn touch_range(&mut self, addr: Addr, len: u64) -> CacheOutcome {
+        if len != 0 {
+            let first = addr.as_u64() >> self.line_shift;
+            let last = (addr.as_u64() + len - 1) >> self.line_shift;
+            assert!(
+                last < u64::from(u32::MAX),
+                "simulated address space exceeds the 32-bit line-tag range"
+            );
+            if first == last && self.holds(first) {
+                self.total.hits += 1;
+                return CacheOutcome { hits: 1, misses: 0 };
+            }
+        }
+        self.walk(addr, len)
+    }
+
+    /// Whether `line`'s tag is resident (no chunk: an invalid line).
+    #[inline]
+    fn holds(&self, line: u64) -> bool {
+        let idx = line & self.index_mask;
+        self.chunks[(idx >> CHUNK_SHIFT) as usize]
+            .as_ref()
+            .is_some_and(|tags| tags[(idx & (CHUNK_LINES as u64 - 1)) as usize] == line as u32)
+    }
+
+    /// The general touch: fills missing lines and walks multi-line ranges.
+    #[inline(never)]
+    fn walk(&mut self, addr: Addr, len: u64) -> CacheOutcome {
         if len == 0 {
             return CacheOutcome::default();
         }
         let first = addr.as_u64() >> self.line_shift;
         let last = (addr.as_u64() + len - 1) >> self.line_shift;
-        assert!(
-            last < u64::from(u32::MAX),
-            "simulated address space exceeds the 32-bit line-tag range"
-        );
         let chunk_mask = CHUNK_LINES as u64 - 1;
-        // Word-sized accesses — the bulk of all simulated stores — touch a
-        // single line; skip the chunk-walk machinery for them.
-        if first == last {
-            let idx = first & self.index_mask;
-            let tag = &mut chunk(&mut self.chunks, idx)[(idx & chunk_mask) as usize];
-            let out = if *tag == first as u32 {
-                CacheOutcome { hits: 1, misses: 0 }
-            } else {
-                self.occupied += u64::from(*tag == INVALID);
-                *tag = first as u32;
-                CacheOutcome { hits: 0, misses: 1 }
-            };
-            self.total = self.total.merge(out);
-            return out;
-        }
         let mut out = CacheOutcome::default();
         let mut line = first;
         while line <= last {
@@ -410,13 +423,25 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// A touch, or (`None`) a flush. Long touches wrap even the
-        /// largest cache tested.
-        fn op() -> impl Strategy<Value = Option<(u64, u64)>> {
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Flush,
+            Touch(u64, u64),
+            /// Touch 8 bytes of the last non-empty touch's first (`false`)
+            /// or last (`true`) line again, after a single-line touch, a
+            /// multi-line one or a flush: the inline hit, or a miss where
+            /// a wrapping walk or a flush evicted the line. Random touches
+            /// alone rarely repeat a line.
+            Again(bool),
+        }
+
+        /// Long touches wrap even the largest cache tested.
+        fn op() -> impl Strategy<Value = Op> {
             prop_oneof![
-                1 => Just(None),
-                12 => (0u64..1 << 20, 0u64..2048).prop_map(Some),
-                3 => (0u64..1 << 20, 0u64..1 << 19).prop_map(Some),
+                1 => Just(Op::Flush),
+                12 => (0u64..1 << 20, 0u64..2048).prop_map(|(a, l)| Op::Touch(a, l)),
+                3 => (0u64..1 << 20, 0u64..1 << 19).prop_map(|(a, l)| Op::Touch(a, l)),
+                6 => any::<bool>().prop_map(Op::Again),
             ]
         }
 
@@ -425,8 +450,9 @@ mod tests {
 
             /// `touch_range` over chunked tags matches the per-line loop
             /// over a flat array in outcome, stats, occupancy and tag
-            /// state after every step, with flushes interleaved, on caches
-            /// smaller than, equal to and larger than one chunk.
+            /// state after every step, with flushes and repeated lines
+            /// interleaved, on caches smaller than, equal to and larger
+            /// than one chunk.
             #[test]
             fn touch_range_matches_per_line_reference(
                 small_log2 in 1u32..10,
@@ -438,16 +464,24 @@ mod tests {
                     let capacity = line << lines_log2;
                     let mut fast = DirectMappedCache::new(capacity, line);
                     let mut oracle = FlatCache::new(capacity, line);
+                    // First and last line of the last non-empty touch.
+                    let mut lines = (0u64, 0u64);
                     for &op in &ops {
-                        match op {
-                            None => {
+                        let touch = match op {
+                            Op::Flush => {
                                 fast.flush();
                                 oracle.flush();
+                                None
                             }
-                            Some((addr, len)) => {
-                                let got = fast.touch_range(Addr::new(addr), len);
-                                let want = oracle.touch(Addr::new(addr), len);
-                                prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
+                            Op::Touch(addr, len) => Some((addr, len)),
+                            Op::Again(last) => Some(((if last { lines.1 } else { lines.0 }) * line, 8)),
+                        };
+                        if let Some((addr, len)) = touch {
+                            let got = fast.touch_range(Addr::new(addr), len);
+                            let want = oracle.touch(Addr::new(addr), len);
+                            prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
+                            if len > 0 {
+                                lines = (addr / line, (addr + len - 1) / line);
                             }
                         }
                         prop_assert_eq!(fast.stats(), oracle.total);

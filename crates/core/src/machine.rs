@@ -175,8 +175,8 @@ pub struct Machine<T: Tracer = NullTracer> {
     replicated: Vec<Region>,
     durability: Durability,
     /// Fault injection: remaining accounted stores before the simulated
-    /// processor halts (None = healthy). After it reaches zero every
-    /// subsequent store is silently dropped — exactly what a crash at that
+    /// processor halts (None = healthy). The store that finds it at zero
+    /// panics before touching anything — exactly what a crash at that
     /// store boundary looks like to recoverable memory.
     store_budget: Option<u64>,
     /// Monotone count of accounted stores, so fault campaigns can
@@ -445,11 +445,6 @@ impl<T: Tracer> Machine<T> {
         self.store_budget = Some(stores);
     }
 
-    /// Whether the injected fault has fired.
-    pub fn has_halted(&self) -> bool {
-        self.store_budget == Some(0)
-    }
-
     /// Disarms fault injection.
     pub fn clear_fault(&mut self) {
         self.store_budget = None;
@@ -490,11 +485,6 @@ impl<T: Tracer> Machine<T> {
         if let Some(port) = self.port.as_mut() {
             port.inject_crash_after_packets(packets);
         }
-    }
-
-    /// Whether an armed packet-boundary fault has fired.
-    pub fn has_packet_halted(&self) -> bool {
-        self.port.as_ref().is_some_and(|p| p.has_packet_halted())
     }
 
     /// Disarms any packet-boundary fault on the port.

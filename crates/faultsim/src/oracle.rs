@@ -23,16 +23,36 @@ pub const TAIL_WINDOW: u64 = 8;
 /// The precomputed fault-free truth for one scenario shape.
 #[derive(Clone, Debug)]
 pub struct Reference {
-    /// `images[s]` is the committed database image after `s` transactions.
+    /// Bytes in the database region.
+    db_len: usize,
+    /// Sorted, disjoint region-relative runs that cover every nonzero
+    /// byte of every image: the union of the spans the reference run
+    /// committed, since the shadow starts zeroed.
+    nonzero: Vec<Run>,
+    /// `images[s]` is the committed database image after `s`
+    /// transactions, kept as its bytes inside `nonzero`, run after run;
+    /// every other byte of it is zero.
     images: Vec<Vec<u8>>,
-    /// Sorted, disjoint region-relative `(start, end)` runs that cover
-    /// every nonzero byte of every image, so the check can skip the zeros
-    /// of an unmaterialized arena page.
-    nonzero: Vec<(u64, u64)>,
     /// `txn_spans[i]` holds the region-relative torn window (declared
     /// undo ranges plus written spans) of the (1-based) transaction
     /// `i + 1`; extends `TAIL_WINDOW` past `txns`.
     txn_spans: Vec<Vec<(u64, u64)>>,
+}
+
+/// A region-relative run of bytes, `start..end`, whose bytes start at
+/// `packed` in a packed image.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: usize,
+    end: usize,
+    packed: usize,
+}
+
+impl Run {
+    /// The bytes of `start..end`, a part of this run, in `image`.
+    fn stored<'a>(&self, image: &'a [u8], start: usize, end: usize) -> &'a [u8] {
+        &image[self.packed + (start - self.start)..self.packed + (end - self.start)]
+    }
 }
 
 impl Reference {
@@ -48,9 +68,7 @@ impl Reference {
         let mut shadow = ShadowDb::new(db);
         let mut workload = scenario.workload.build(db, scenario.seed);
 
-        let mut images = Vec::with_capacity(scenario.txns as usize + 1);
-        images.push(shadow.committed().to_vec());
-        let mut written = Vec::new();
+        let mut commits = Vec::with_capacity(scenario.txns as usize);
         let mut txn_spans = Vec::with_capacity((scenario.txns + TAIL_WINDOW) as usize);
         for i in 0..scenario.txns + TAIL_WINDOW {
             let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
@@ -71,22 +89,74 @@ impl Reference {
             window.extend_from_slice(shadow.last_txn_spans());
             txn_spans.push(window);
             if i < scenario.txns {
-                images.push(shadow.committed().to_vec());
-                written.extend_from_slice(shadow.last_txn_spans());
+                let committed = shadow.committed();
+                let spans = shadow.last_txn_spans().iter();
+                let commit = spans.map(|&(off, len)| {
+                    let at = usize::try_from(off).expect("span offset");
+                    (off, committed[at..at + len as usize].to_vec())
+                });
+                commits.push(commit.collect());
             }
         }
-        // The shadow starts zeroed, so every image is nonzero only in
-        // spans its committed transactions wrote.
-        let nonzero = merged_runs(written);
         // The shadow is the truth the images came from; the engine that
         // produced them must agree with it at the final boundary.
         debug_assert!(
             shadow.matches(&m.arena().borrow()),
             "the reference engine diverged from its own shadow"
         );
+        Reference::from_commits(shadow.committed().len(), &commits, txn_spans)
+    }
+
+    /// The reference of a database of `db_len` bytes that starts zeroed,
+    /// where `commits[s - 1]` holds the region-relative `(offset, bytes)`
+    /// spans transaction `s` wrote, with the bytes it committed there,
+    /// and `txn_spans` the torn windows. Image `s` is image `s - 1` with
+    /// commit `s` applied; each is kept only inside the merged spans.
+    fn from_commits(
+        db_len: usize,
+        commits: &[Vec<(u64, Vec<u8>)>],
+        txn_spans: Vec<Vec<(u64, u64)>>,
+    ) -> Self {
+        let spans = commits
+            .iter()
+            .flatten()
+            .filter(|(_, bytes)| !bytes.is_empty());
+        let runs = merged_runs(
+            spans
+                .map(|(off, bytes)| (*off, bytes.len() as u64))
+                .collect(),
+        );
+        let mut packed = 0;
+        let nonzero: Vec<Run> = runs
+            .into_iter()
+            .map(|(start, end)| {
+                let (start, end) = (start as usize, end as usize);
+                let run = Run { start, end, packed };
+                packed += end - start;
+                run
+            })
+            .collect();
+        assert!(
+            nonzero.last().is_none_or(|run| run.end <= db_len),
+            "a commit wrote past the database"
+        );
+        let mut image = vec![0u8; packed];
+        let mut images = Vec::with_capacity(commits.len() + 1);
+        images.push(image.clone());
+        for commit in commits {
+            for (off, bytes) in commit.iter().filter(|(_, bytes)| !bytes.is_empty()) {
+                let off = *off as usize;
+                // The run whose merge took in this span holds all of it.
+                let run = nonzero[nonzero.partition_point(|run| run.end <= off)];
+                let at = run.packed + (off - run.start);
+                image[at..at + bytes.len()].copy_from_slice(bytes);
+            }
+            images.push(image.clone());
+        }
         Reference {
-            images,
+            db_len,
             nonzero,
+            images,
             txn_spans,
         }
     }
@@ -95,16 +165,6 @@ impl Reference {
     /// exceed this).
     pub fn txns(&self) -> u64 {
         self.images.len() as u64 - 1
-    }
-
-    /// The committed image after `seq` transactions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` exceeds [`Reference::txns`] (callers check the
-    /// sequence invariant first).
-    pub fn image(&self, seq: u64) -> &[u8] {
-        &self.images[seq as usize]
     }
 
     /// Region-relative spans a 1-safe backup at boundary `seq` may
@@ -122,6 +182,11 @@ impl Reference {
     /// [`Reference::tail_spans`] may differ (partially applied in-flight
     /// writes); everything else must match exactly. Returns the
     /// region-relative offset of the first unexplained mismatch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seq` exceeds [`Reference::txns`] (callers check the
+    /// sequence invariant first) or `actual` is not the database's size.
     pub fn first_unexplained_mismatch(
         &self,
         seq: u64,
@@ -144,9 +209,9 @@ impl Reference {
         self.first_unexplained(seq, arena.pieces(db.start(), len), len, allow_torn_tail)
     }
 
-    /// The one comparison behind both entry points: slice equality piece
-    /// by piece, the image's nonzero runs against an unmaterialized
-    /// piece, and the torn tail consulted only at bytes that differ.
+    /// The one comparison behind both entry points: the committed image
+    /// against each piece, and the torn tail consulted only at bytes
+    /// that differ.
     fn first_unexplained<'a>(
         &self,
         seq: u64,
@@ -155,12 +220,12 @@ impl Reference {
         allow_torn_tail: bool,
     ) -> Option<u64> {
         let expect = Committed {
-            bytes: self.image(seq),
-            nonzero: &self.nonzero,
+            len: self.db_len,
+            runs: &self.nonzero,
+            image: &self.images[seq as usize],
         };
         assert_eq!(
-            expect.bytes.len(),
-            actual_len,
+            expect.len, actual_len,
             "oracle and run disagree on the database size"
         );
         let mut torn: Option<Vec<(u64, u64)>> = None;
@@ -178,29 +243,57 @@ impl Reference {
     }
 }
 
-/// A committed image with the runs that cover its nonzero bytes.
+/// A committed image: zeros outside `runs`, the packed `image` inside.
 struct Committed<'a> {
-    bytes: &'a [u8],
-    nonzero: &'a [(u64, u64)],
+    len: usize,
+    runs: &'a [Run],
+    image: &'a [u8],
+}
+
+impl Committed<'_> {
+    /// The runs that meet `from..to`.
+    fn runs_meeting(&self, from: usize, to: usize) -> impl Iterator<Item = &Run> {
+        let first = self.runs.partition_point(|run| run.end <= from);
+        self.runs[first..]
+            .iter()
+            .take_while(move |run| run.start < to)
+    }
 }
 
 impl Image for Committed<'_> {
-    fn bytes(&self) -> &[u8] {
-        self.bytes
+    fn len(&self) -> usize {
+        self.len
     }
 
-    /// Scans only the covering runs that meet `from..to`.
+    /// `actual` must be zero between the runs and equal the stored bytes
+    /// inside them; both are checked through the flat `[u8]` image.
+    fn first_unequal(&self, from: usize, actual: &[u8]) -> Option<usize> {
+        let to = from + actual.len();
+        let mut at = from;
+        for run in self.runs_meeting(from, to) {
+            let (start, end) = (run.start.max(at), run.end.min(to));
+            let gap = actual.first_nonzero(at - from, start - from);
+            let stored = run.stored(self.image, start, end);
+            let differs = gap.or_else(|| {
+                stored
+                    .first_unequal(0, &actual[start - from..end - from])
+                    .map(|d| start - from + d)
+            });
+            if let Some(d) = differs {
+                return Some(from + d);
+            }
+            at = end;
+        }
+        actual.first_nonzero(at - from, to - from).map(|d| from + d)
+    }
+
+    /// Scans only the stored bytes of the runs that meet `from..to`.
     fn first_nonzero(&self, from: usize, to: usize) -> Option<usize> {
-        let (from, to) = (from as u64, to as u64);
-        let i = self.nonzero.partition_point(|&(_, end)| end <= from);
-        self.nonzero[i..]
-            .iter()
-            .take_while(|&&(start, _)| start < to)
-            .find_map(|&(start, end)| {
-                let (start, end) = (start.max(from) as usize, end.min(to) as usize);
-                let run = &self.bytes[start..end];
-                run.iter().position(|&b| b != 0).map(|p| start + p)
-            })
+        self.runs_meeting(from, to).find_map(|run| {
+            let (start, end) = (run.start.max(from), run.end.min(to));
+            let stored = run.stored(self.image, start, end);
+            stored.first_nonzero(0, stored.len()).map(|d| start + d)
+        })
     }
 }
 
@@ -221,10 +314,19 @@ fn merged_runs(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsnrep_rio::PAGE_SIZE;
     use dsnrep_simcore::{Addr, SplitMix64};
     use dsnrep_workloads::WorkloadKind;
     use proptest::prelude::*;
+
+    /// The whole committed image after `seq` transactions.
+    fn unpacked(r: &Reference, seq: u64) -> Vec<u8> {
+        let mut image = vec![0u8; r.db_len];
+        for run in &r.nonzero {
+            let stored = run.stored(&r.images[seq as usize], run.start, run.end);
+            image[run.start..run.end].copy_from_slice(stored);
+        }
+        image
+    }
 
     /// The byte-mask check the in-place one replaced, kept as its
     /// reference: mark every torn byte, then scan byte by byte.
@@ -234,7 +336,7 @@ mod tests {
         actual: &[u8],
         allow_torn_tail: bool,
     ) -> Option<u64> {
-        let expect = r.image(seq);
+        let expect = unpacked(r, seq);
         assert_eq!(expect.len(), actual.len());
         let mut torn = vec![false; expect.len()];
         if allow_torn_tail {
@@ -262,21 +364,25 @@ mod tests {
         *byte ^= 1 + rng.next_below(255) as u8;
     }
 
-    /// The maximal runs of nonzero bytes, found by a byte scan.
-    fn scanned_runs(image: &[u8]) -> Vec<(u64, u64)> {
-        let nonzero = image.iter().enumerate().filter(|&(_, &b)| b != 0);
-        merged_runs(nonzero.map(|(i, _)| (i as u64, 1)).collect())
+    /// `(offset, len)` spans as a commit: each with the bytes `image`
+    /// holds there.
+    fn commit(spans: &[(u64, u64)], image: &[u8]) -> Vec<(u64, Vec<u8>)> {
+        let bytes = |&(off, len): &(u64, u64)| image[off as usize..(off + len) as usize].to_vec();
+        spans.iter().map(|span| (span.0, bytes(span))).collect()
     }
 
-    /// A random reference over a 2-4 page database at an unaligned arena
-    /// offset, plus a recovered image that differs from it at random
-    /// bytes, inside random torn spans, on page edges and across whole
-    /// pages; all-zero pages of the image stay unmaterialized. Some
-    /// reference bytes lie in pages the recovery never wrote, whose arena
-    /// pages then stay unmaterialized too.
+    /// A random reference over a 2-4 page database at an unaligned offset
+    /// of an arena with 4, 16 or 64 KiB pages, plus a recovered image
+    /// that differs from it at random bytes, inside random torn spans, on
+    /// page edges and across whole pages; all-zero pages of the image
+    /// stay unmaterialized. Some reference bytes lie in pages the
+    /// recovery never wrote, whose arena pages then stay unmaterialized
+    /// too. The reference has three boundaries: zeros, a first commit of
+    /// random spans and a second of flipped bytes.
     fn recovered(seed: u64) -> Recovered {
         let mut rng = SplitMix64::new(seed);
-        let page = PAGE_SIZE as u64;
+        let mut arena = Arena::new([5 << 12, 12 << 20, 40 << 20][rng.next_below(3) as usize]);
+        let page = arena.page_len() as u64;
         let base = rng.next_below(page);
         let db_len = 2 * page + rng.next_below(2 * page);
         let db = Region::new(Addr::new(base), db_len);
@@ -285,6 +391,7 @@ mod tests {
             .map(|_| rng.next_below(2) == 0)
             .collect();
         let mut image = vec![0u8; db_len as usize];
+        let mut first = Vec::new();
         for _ in 0..2 + rng.next_below(30) {
             let off = rng.next_below(db_len);
             if populated[((base + off) / page) as usize] {
@@ -292,20 +399,24 @@ mod tests {
                 for b in &mut image[off as usize..end as usize] {
                     *b = rng.next_u64() as u8;
                 }
+                first.push((off, end - off));
             }
         }
         // Committed bytes anywhere, unpopulated pages included.
         for _ in 0..rng.next_below(4) {
-            let off = rng.next_below(db_len) as usize;
-            flip(&mut rng, &mut image[off]);
+            let off = rng.next_below(db_len);
+            flip(&mut rng, &mut image[off as usize]);
+            first.push((off, 1));
         }
         let mut next = image.clone();
+        let mut second = Vec::new();
         for _ in 0..rng.next_below(8) {
-            let off = rng.next_below(db_len) as usize;
-            flip(&mut rng, &mut next[off]);
+            let off = rng.next_below(db_len);
+            flip(&mut rng, &mut next[off as usize]);
+            second.push((off, 1));
         }
         // Unsorted, overlapping torn spans, some short, some long.
-        let txn_spans: Vec<Vec<(u64, u64)>> = (0..1 + TAIL_WINDOW)
+        let txn_spans: Vec<Vec<(u64, u64)>> = (0..2 + TAIL_WINDOW)
             .map(|_| {
                 (0..rng.next_below(5))
                     .map(|_| {
@@ -316,16 +427,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        // Runs shared by both images, so each has zeros inside them.
-        let either: Vec<u8> = image.iter().zip(&next).map(|(a, b)| a | b).collect();
-        let reference = Reference {
-            nonzero: scanned_runs(&either),
-            images: vec![image, next],
-            txn_spans,
-        };
-        let seq = rng.next_below(2);
+        // The runs cover both commits, so each image has zeros inside
+        // them (image 0 nothing else).
+        let commits = [commit(&first, &image), commit(&second, &next)];
+        let reference = Reference::from_commits(db_len as usize, &commits, txn_spans);
+        let seq = rng.next_below(3);
 
-        let mut actual = reference.image(seq).to_vec();
+        let mut actual = unpacked(&reference, seq);
         for _ in 0..rng.next_below(4) {
             let off = rng.next_below(db_len) as usize;
             flip(&mut rng, &mut actual[off]);
@@ -367,10 +475,9 @@ mod tests {
             }
         }
 
-        let mut arena = Arena::new(base + db_len);
         let mut off = 0usize;
         while off < actual.len() {
-            let n = (PAGE_SIZE - (base as usize + off) % PAGE_SIZE).min(actual.len() - off);
+            let n = (page as usize - (base as usize + off) % page as usize).min(actual.len() - off);
             let piece = &actual[off..off + n];
             if piece.iter().any(|&b| b != 0) || rng.next_below(4) == 0 {
                 arena.write(Addr::new(base + off as u64), piece);
@@ -413,32 +520,53 @@ mod tests {
         assert_eq!(runs, [(0, 8), (40, 65)]);
     }
 
+    /// The shadow's whole committed image at every boundary of the
+    /// reference run, as `Reference::build` runs it.
+    fn shadow_images(scenario: &Scenario) -> Vec<Vec<u8>> {
+        let config = dsnrep_core::EngineConfig::for_db(scenario.db_len);
+        let arena = shared_arena(dsnrep_core::arena_len(VersionTag::ImprovedLog, &config));
+        let mut m = Machine::standalone(CostModel::alpha_21164a(), arena);
+        let mut engine = build_engine(VersionTag::ImprovedLog, &mut m, &config);
+        let mut shadow = ShadowDb::new(engine.db_region());
+        let mut workload = scenario.workload.build(engine.db_region(), scenario.seed);
+        let mut images = vec![shadow.committed().to_vec()];
+        for _ in 0..scenario.txns {
+            let mut ctx = TxCtx::new(&mut m, engine.as_mut()).with_shadow(&mut shadow);
+            workload.run_txn(&mut ctx).expect("the reference run");
+            images.push(shadow.committed().to_vec());
+        }
+        images
+    }
+
     #[test]
     fn the_reference_is_deterministic_and_sized() {
-        let scenario = Scenario::standalone(VersionTag::ImprovedLog, WorkloadKind::DebitCredit);
-        let a = Reference::build(&scenario);
-        let b = Reference::build(&scenario);
-        assert_eq!(a.txns(), scenario.txns);
-        for s in 0..=scenario.txns {
-            assert_eq!(a.image(s), b.image(s), "image {s} differs");
-        }
-        // The nonzero runs cover every nonzero byte, on both benchmarks.
-        let oe = Reference::build(&Scenario::standalone(
-            VersionTag::ImprovedLog,
-            WorkloadKind::OrderEntry,
-        ));
-        for r in [&a, &oe] {
-            let runs = &r.nonzero;
-            for s in 0..=r.txns() {
-                for (start, end) in scanned_runs(r.image(s)) {
-                    let i = runs.partition_point(|&(_, e)| e <= start);
-                    let covered = runs.get(i).is_some_and(|&(a, b)| a <= start && end <= b);
-                    assert!(covered, "image {s}: nonzero {start}..{end} uncovered");
-                }
+        for workload in [WorkloadKind::DebitCredit, WorkloadKind::OrderEntry] {
+            let scenario = Scenario::standalone(VersionTag::ImprovedLog, workload);
+            let a = Reference::build(&scenario);
+            let b = Reference::build(&scenario);
+            assert_eq!(a.txns(), scenario.txns);
+            assert_eq!(a.images, b.images);
+            let shadow = shadow_images(&scenario);
+            for (s, image) in shadow.iter().enumerate() {
+                let s = s as u64;
+                assert!(unpacked(&a, s) == *image, "{workload:?} image {s} differs");
+                assert_eq!(a.first_unexplained_mismatch(s, image, false), None);
             }
+            // Transactions write something, so consecutive images differ.
+            assert_ne!(a.images[0], a.images[1]);
         }
-        // Transactions write something, so consecutive images differ.
-        assert_ne!(a.image(0), a.image(1));
+    }
+
+    #[test]
+    fn the_order_entry_reference_keeps_only_its_runs_bytes() {
+        let scenario = Scenario::standalone(VersionTag::ImprovedLog, WorkloadKind::OrderEntry);
+        let r = Reference::build(&scenario);
+        let run_bytes: usize = r.nonzero.iter().map(|run| run.end - run.start).sum();
+        assert_eq!(r.db_len, 1 << 20);
+        assert!(run_bytes < 1024, "{run_bytes} bytes per boundary");
+        for image in &r.images {
+            assert_eq!(image.len(), run_bytes);
+        }
     }
 
     #[test]
@@ -447,7 +575,7 @@ mod tests {
         let r = Reference::build(&scenario);
         // A backup that stopped at boundary 2 but partially applied txn 3:
         // corrupt one byte inside txn 3's first span.
-        let mut actual = r.image(2).to_vec();
+        let mut actual = unpacked(&r, 2);
         let spans = r.tail_spans(2);
         let (off, _) = spans[0];
         actual[off as usize] ^= 0xFF;
@@ -462,7 +590,7 @@ mod tests {
         let outside = (0..actual.len() as u64)
             .find(|b| !torn.contains(b))
             .expect("the tail does not cover the whole database");
-        let mut actual = r.image(2).to_vec();
+        let mut actual = unpacked(&r, 2);
         actual[outside as usize] ^= 0xFF;
         assert_eq!(
             r.first_unexplained_mismatch(2, &actual, true),

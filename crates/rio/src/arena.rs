@@ -3,7 +3,9 @@
 //! An [`Arena`] stands in for Rio reliable memory: a flat byte space whose
 //! contents survive a simulated crash. Pages are allocated lazily, so a
 //! "1 GB database" experiment only materializes the pages it actually
-//! touches (the paper's Table 8 sweeps database sizes up to 1 GB).
+//! touches (the paper's Table 8 sweeps database sizes up to 1 GB). A
+//! page's length follows the arena's ([`Arena::page_len`]), so a small
+//! arena materializes, clones and compares small pages.
 //!
 //! The arena is deliberately *dumb*: it stores bytes. All cost accounting
 //! (cache model, write doubling) happens in the layers above, which is what
@@ -13,8 +15,10 @@ use core::fmt;
 
 use dsnrep_simcore::{copy_small, Addr, Region};
 
-/// Size of a lazily allocated arena page.
-pub const PAGE_SIZE: usize = 64 * 1024;
+/// Shortest page of any arena.
+const MIN_PAGE_LEN: u64 = 4 * 1024;
+/// Longest page of any arena.
+const MAX_PAGE_LEN: u64 = 64 * 1024;
 
 /// One page piece of an arena byte run, as [`Arena::pieces`] lends it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,21 +46,22 @@ impl Piece<'_> {
     /// Whether every byte of the piece is zero.
     fn is_zero(&self) -> bool {
         match self {
-            Piece::Bytes(bytes) => bytes.iter().all(|&b| b == 0),
+            Piece::Bytes(bytes) => first_nonzero(bytes).is_none(),
             Piece::Zeros(_) => true,
         }
     }
 }
 
-/// Stores `piece` at `page_off` of the page in `slot`. An unmaterialized
-/// page already reads as zeros, so it is materialized only for a piece
-/// holding a nonzero byte. Returns whether it was materialized.
-fn put(slot: &mut Option<Box<[u8]>>, page_off: usize, piece: Piece<'_>) -> bool {
+/// Stores `piece` at `page_off` of the page in `slot`, a page of
+/// `page_len` bytes. An unmaterialized page already reads as zeros, so it
+/// is materialized only for a piece holding a nonzero byte. Returns
+/// whether it was materialized.
+fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Piece<'_>) -> bool {
     let fresh = slot.is_none();
     let page = match slot {
         Some(page) => page,
         None if piece.is_zero() => return false,
-        None => slot.insert(vec![0u8; PAGE_SIZE].into_boxed_slice()),
+        None => slot.insert(vec![0u8; page_len].into_boxed_slice()),
     };
     let dst = &mut page[page_off..page_off + piece.len()];
     match piece {
@@ -87,6 +92,9 @@ fn put(slot: &mut Option<Box<[u8]>>, page_off: usize, piece: Piece<'_>) -> bool 
 #[derive(Clone)]
 pub struct Arena {
     pages: Vec<Option<Box<[u8]>>>,
+    /// Log2 of [`page_len`](Arena::page_len): an offset's page is
+    /// `off >> page_shift`.
+    page_shift: u32,
     len: u64,
     /// Count of `Some` pages, so [`pages_touched`](Arena::pages_touched)
     /// (called from `Debug` formatting inside hot loops when tracing) is
@@ -118,16 +126,22 @@ impl fmt::Debug for Arena {
 }
 
 impl Arena {
-    /// Creates an arena of `len` addressable bytes.
+    /// Creates an arena of `len` addressable bytes, paged as
+    /// [`Arena::page_len`] says.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero.
     pub fn new(len: u64) -> Self {
         assert!(len > 0, "arena must not be empty");
-        let pages = len.div_ceil(PAGE_SIZE as u64);
+        let page_len = len
+            .div_ceil(1024)
+            .clamp(MIN_PAGE_LEN, MAX_PAGE_LEN)
+            .next_power_of_two();
+        let pages = len.div_ceil(page_len);
         Arena {
             pages: vec![None; usize::try_from(pages).expect("arena too large")],
+            page_shift: page_len.trailing_zeros(),
             len,
             touched: 0,
             writes: 0,
@@ -191,6 +205,21 @@ impl Arena {
         self.len == 0
     }
 
+    /// Bytes in one lazily allocated page: a 1024th of the arena's
+    /// length, rounded up to a power of two and clamped to 4–64 KiB. The
+    /// page table so holds at most 1024 entries up to 64 MiB, and every
+    /// arena over 32 MiB has 64 KiB pages.
+    #[inline]
+    pub fn page_len(&self) -> usize {
+        1 << self.page_shift
+    }
+
+    /// Splits `off` into its page index and its offset in that page.
+    #[inline(always)]
+    fn page_of(&self, off: usize) -> (usize, usize) {
+        (off >> self.page_shift, off & (self.page_len() - 1))
+    }
+
     /// Number of pages that have been materialized by writes.
     #[inline]
     pub fn pages_touched(&self) -> usize {
@@ -228,12 +257,12 @@ impl Arena {
         self.writes += 1;
         self.check(addr, bytes.len());
         let off = addr.as_usize();
-        let page_off = off % PAGE_SIZE;
+        let (page_idx, page_off) = self.page_of(off);
         // Fast path: the write stays inside one materialized page
         // (virtually all simulated stores are word-sized); `copy_small`
         // keeps these copies inline instead of calling libc.
-        if bytes.len() <= PAGE_SIZE - page_off {
-            if let Some(page) = &mut self.pages[off / PAGE_SIZE] {
+        if bytes.len() <= self.page_len() - page_off {
+            if let Some(page) = &mut self.pages[page_idx] {
                 copy_small(&mut page[page_off..page_off + bytes.len()], bytes);
                 return;
             }
@@ -245,11 +274,13 @@ impl Arena {
     /// for nonzero bytes and crosses page edges.
     #[inline(never)]
     fn store_pieces(&mut self, mut off: usize, mut src: &[u8]) {
+        let page_len = self.page_len();
         while !src.is_empty() {
-            let page_off = off % PAGE_SIZE;
-            let n = (PAGE_SIZE - page_off).min(src.len());
+            let (page_idx, page_off) = self.page_of(off);
+            let n = (page_len - page_off).min(src.len());
             let fresh = put(
-                &mut self.pages[off / PAGE_SIZE],
+                &mut self.pages[page_idx],
+                page_len,
                 page_off,
                 Piece::Bytes(&src[..n]),
             );
@@ -268,10 +299,10 @@ impl Arena {
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) {
         self.check(addr, buf.len());
         let off = addr.as_usize();
-        let page_off = off % PAGE_SIZE;
+        let (page_idx, page_off) = self.page_of(off);
         // Fast path mirroring `write`: single-page reads stay inline.
-        if buf.len() <= PAGE_SIZE - page_off {
-            match &self.pages[off / PAGE_SIZE] {
+        if buf.len() <= self.page_len() - page_off {
+            match &self.pages[page_idx] {
                 Some(page) => copy_small(buf, &page[page_off..page_off + buf.len()]),
                 None => buf.fill(0),
             }
@@ -285,9 +316,8 @@ impl Arena {
     #[inline(never)]
     fn load_pieces(&self, mut off: usize, mut dst: &mut [u8]) {
         while !dst.is_empty() {
-            let page_idx = off / PAGE_SIZE;
-            let page_off = off % PAGE_SIZE;
-            let n = (PAGE_SIZE - page_off).min(dst.len());
+            let (page_idx, page_off) = self.page_of(off);
+            let n = (self.page_len() - page_off).min(dst.len());
             match &self.pages[page_idx] {
                 Some(page) => dst[..n].copy_from_slice(&page[page_off..page_off + n]),
                 None => dst[..n].fill(0),
@@ -309,14 +339,16 @@ impl Arena {
     /// # Examples
     ///
     /// ```
-    /// use dsnrep_rio::{Arena, Piece, PAGE_SIZE};
+    /// use dsnrep_rio::{Arena, Piece};
     /// use dsnrep_simcore::Addr;
     ///
-    /// let mut arena = Arena::new(3 * PAGE_SIZE as u64);
-    /// arena.write(Addr::new(PAGE_SIZE as u64 - 1), &[7, 8]);
-    /// let pieces: Vec<Piece> = arena.pieces(Addr::new(PAGE_SIZE as u64 - 1), 4).collect();
+    /// let mut arena = Arena::new(3 * 4096);
+    /// let page = arena.page_len() as u64;
+    /// assert_eq!(page, 4096);
+    /// arena.write(Addr::new(page - 1), &[7, 8]);
+    /// let pieces: Vec<Piece> = arena.pieces(Addr::new(page - 1), 4).collect();
     /// assert_eq!(pieces, [Piece::Bytes(&[7]), Piece::Bytes(&[8, 0, 0])]);
-    /// let far: Vec<Piece> = arena.pieces(Addr::new(2 * PAGE_SIZE as u64), 4).collect();
+    /// let far: Vec<Piece> = arena.pieces(Addr::new(2 * page), 4).collect();
     /// assert_eq!(far, [Piece::Zeros(4)]);
     /// ```
     pub fn pieces(&self, addr: Addr, len: usize) -> impl Iterator<Item = Piece<'_>> + '_ {
@@ -326,9 +358,9 @@ impl Arena {
             if off == end {
                 return None;
             }
-            let page_off = off % PAGE_SIZE;
-            let n = (PAGE_SIZE - page_off).min(end - off);
-            let piece = match &self.pages[off / PAGE_SIZE] {
+            let (page_idx, page_off) = self.page_of(off);
+            let n = (self.page_len() - page_off).min(end - off);
+            let piece = match &self.pages[page_idx] {
                 Some(page) => Piece::Bytes(&page[page_off..page_off + n]),
                 None => Piece::Zeros(n),
             };
@@ -396,11 +428,12 @@ impl Arena {
         self.consume_write_budget();
         self.writes += 1;
         self.check(dst, len);
+        let page_len = self.page_len();
         let (mut s, mut d, end) = (src.as_usize(), dst.as_usize(), src.as_usize() + len);
         while s < end {
-            let (sp, so) = (s / PAGE_SIZE, s % PAGE_SIZE);
-            let (dp, dof) = (d / PAGE_SIZE, d % PAGE_SIZE);
-            let n = (PAGE_SIZE - so).min(PAGE_SIZE - dof).min(end - s);
+            let (sp, so) = self.page_of(s);
+            let (dp, dof) = self.page_of(d);
+            let n = (page_len - so).min(page_len - dof).min(end - s);
             if sp == dp {
                 // Disjoint runs of one page; an unmaterialized page reads
                 // as zeros on both sides.
@@ -419,7 +452,7 @@ impl Arena {
                     Some(page) => Piece::Bytes(&page[so..so + n]),
                     None => Piece::Zeros(n),
                 };
-                self.touched += usize::from(put(to, dof, piece));
+                self.touched += usize::from(put(to, page_len, dof, piece));
             }
             s += n;
             d += n;
@@ -436,25 +469,39 @@ impl Arena {
     }
 }
 
-/// The expected side of [`first_difference`]: a byte image that can say
-/// where its nonzero bytes are, which is where a [`Piece::Zeros`] differs
-/// from it.
+/// The expected side of [`first_difference`]: a byte image that finds
+/// where it differs from actual bytes, and where its nonzero bytes are,
+/// which is where a [`Piece::Zeros`] differs from it. An image need not
+/// keep its zeros: only these two questions are asked.
 pub trait Image {
-    /// The image's bytes.
-    fn bytes(&self) -> &[u8];
+    /// Bytes in the image.
+    fn len(&self) -> usize;
 
-    /// Offset of the first nonzero byte in `from..to`, if any. The
-    /// default scans the bytes; an image that indexes its nonzero bytes
-    /// answers without reading the zeros.
-    fn first_nonzero(&self, from: usize, to: usize) -> Option<usize> {
-        let run = &self.bytes()[from..to];
-        run.iter().position(|&b| b != 0).map(|i| from + i)
+    /// Whether the image holds no bytes.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
+
+    /// Offset of the first byte in `from..from + actual.len()` where the
+    /// image differs from `actual`, which lies at `from`, if any.
+    fn first_unequal(&self, from: usize, actual: &[u8]) -> Option<usize>;
+
+    /// Offset of the first nonzero byte in `from..to`, if any.
+    fn first_nonzero(&self, from: usize, to: usize) -> Option<usize>;
 }
 
+/// A flat image compares a cache line at a time (a memcmp per line).
 impl Image for [u8] {
-    fn bytes(&self) -> &[u8] {
-        self
+    fn len(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn first_unequal(&self, from: usize, actual: &[u8]) -> Option<usize> {
+        first_unequal(&self[from..from + actual.len()], actual).map(|d| from + d)
+    }
+
+    fn first_nonzero(&self, from: usize, to: usize) -> Option<usize> {
+        first_nonzero(&self[from..to]).map(|d| from + d)
     }
 }
 
@@ -462,13 +509,13 @@ impl Image for [u8] {
 /// byte run, such as [`Arena::pieces`] or a single [`Piece::Bytes`] —
 /// differs from `image` and `explain` does not account for it.
 ///
-/// Each [`Piece::Bytes`] is compared with slice equality first; a
-/// [`Piece::Zeros`] differs exactly where [`Image::first_nonzero`] finds
-/// a nonzero byte, so its zeros are never compared. `explain` is asked
-/// only about bytes that actually differ. It returns the end (exclusive)
-/// of the explained run holding that offset, and the comparison resumes
-/// there, or `None` when the difference is unexplained. `|_| None`
-/// makes this a plain first-mismatch search.
+/// A [`Piece::Bytes`] differs where [`Image::first_unequal`] says, a
+/// [`Piece::Zeros`] where [`Image::first_nonzero`] finds a nonzero byte,
+/// so its zeros are never compared. `explain` is asked only about bytes
+/// that actually differ. It returns the end (exclusive) of the explained
+/// run holding that offset, and the comparison resumes there, or `None`
+/// when the difference is unexplained. `|_| None` makes this a plain
+/// first-mismatch search.
 ///
 /// # Panics
 ///
@@ -493,39 +540,38 @@ pub fn first_difference<'a>(
     actual: impl IntoIterator<Item = Piece<'a>>,
     mut explain: impl FnMut(usize) -> Option<usize>,
 ) -> Option<usize> {
-    let bytes = image.bytes();
     let mut off = 0;
     // Differences before `resume` are already explained.
     let mut resume = 0usize;
     for piece in actual {
         let end = off + piece.len();
-        let expect = &bytes[off..end];
+        assert!(end <= image.len(), "more actual bytes than image bytes");
         // The first difference at or after `at`.
         let next = |at: usize| match piece {
-            Piece::Bytes(p) => first_unequal(&bytes[at..end], &p[at - off..]).map(|d| at + d),
+            Piece::Bytes(p) => image.first_unequal(at, &p[at - off..]),
             Piece::Zeros(_) => image.first_nonzero(at, end),
         };
-        if piece != Piece::Bytes(expect) {
-            let mut at = resume.max(off);
-            while at < end {
-                let Some(d) = next(at) else {
-                    break;
-                };
-                match explain(d) {
-                    Some(e) => resume = e.max(d + 1),
-                    None => return Some(d),
-                }
-                at = resume;
+        let mut at = resume.max(off);
+        while at < end {
+            let Some(d) = next(at) else {
+                break;
+            };
+            match explain(d) {
+                Some(e) => resume = e.max(d + 1),
+                None => return Some(d),
             }
+            at = resume;
         }
         off = end;
     }
     None
 }
 
+/// Bytes compared or scanned at once: one cache line.
+const LINE: usize = 64;
+
 /// Index of the first unequal byte, compared a cache line at a time.
 fn first_unequal(a: &[u8], b: &[u8]) -> Option<usize> {
-    const LINE: usize = 64;
     let lines = a.chunks(LINE).zip(b.chunks(LINE));
     for (k, (la, lb)) in lines.enumerate() {
         if la != lb {
@@ -539,13 +585,49 @@ fn first_unequal(a: &[u8], b: &[u8]) -> Option<usize> {
     None
 }
 
+/// Index of the first nonzero byte, found a cache line at a time (the
+/// OR of a line vectorizes; a byte search would not).
+fn first_nonzero(bytes: &[u8]) -> Option<usize> {
+    for (k, line) in bytes.chunks(LINE).enumerate() {
+        if line.iter().fold(0, |acc, &b| acc | b) != 0 {
+            return line.iter().position(|&b| b != 0).map(|j| k * LINE + j);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn page_length_follows_the_arena_length() {
+        const KIB: u64 = 1 << 10;
+        const MIB: u64 = 1 << 20;
+        for (len, page) in [
+            (1, 4 * KIB),
+            (64 * KIB, 4 * KIB),
+            (4 * MIB, 4 * KIB),
+            (4 * MIB + 1, 8 * KIB),
+            (6 * MIB, 8 * KIB),
+            (12 * MIB, 16 * KIB),
+            (32 * MIB, 32 * KIB),
+            (32 * MIB + 1, 64 * KIB),
+            (54 * MIB, 64 * KIB),
+            (64 * MIB, 64 * KIB),
+            (1 << 30, 64 * KIB),
+        ] {
+            let a = Arena::new(len);
+            assert_eq!(a.page_len() as u64, page, "an arena of {len} bytes");
+            let entries = a.pages.len() as u64;
+            assert_eq!(entries, len.div_ceil(page));
+            assert!(len > 64 * MIB || entries <= 1024, "{entries} pages");
+        }
+    }
+
+    #[test]
     fn zero_filled_by_default() {
-        let a = Arena::new(PAGE_SIZE as u64 * 3);
+        let a = Arena::new(3 << 16);
         assert_eq!(a.read_vec(Addr::new(12345), 16), vec![0u8; 16]);
         assert_eq!(a.pages_touched(), 0);
     }
@@ -559,8 +641,8 @@ mod tests {
 
     #[test]
     fn cross_page_write_and_read() {
-        let mut a = Arena::new(PAGE_SIZE as u64 * 2);
-        let addr = Addr::new(PAGE_SIZE as u64 - 3);
+        let mut a = Arena::new(2 << 20);
+        let addr = Addr::new(a.page_len() as u64 - 3);
         a.write(addr, b"abcdef");
         assert_eq!(a.read_vec(addr, 6), b"abcdef");
         assert_eq!(a.pages_touched(), 2);
@@ -617,11 +699,12 @@ mod tests {
 
     #[test]
     fn pages_touched_counter_is_stable() {
-        let mut a = Arena::new(PAGE_SIZE as u64 * 4);
+        let mut a = Arena::new(6 << 20);
+        let page = a.page_len() as u64;
         a.write(Addr::new(0), &[1]);
-        a.write(Addr::new(1), &[2]); // same page: not a new materialization
+        a.write(Addr::new(page - 1), &[2]); // same page: not a new materialization
         assert_eq!(a.pages_touched(), 1);
-        a.write(Addr::new(PAGE_SIZE as u64 * 3), &[3]);
+        a.write(Addr::new(page * 3), &[3]);
         assert_eq!(a.pages_touched(), 2);
         assert_eq!(a.clone().pages_touched(), 2);
     }
@@ -661,25 +744,22 @@ mod tests {
 
     #[test]
     fn pieces_follow_pages_and_read_unwritten_pages_as_zeros() {
-        let mut a = Arena::new(PAGE_SIZE as u64 * 4);
-        let start = PAGE_SIZE as u64 - 2;
+        let mut a = Arena::new(12 << 20);
+        let page = a.page_len();
+        let start = page as u64 - 2;
         a.write(Addr::new(start), &[1, 2]);
-        a.write(Addr::new(3 * PAGE_SIZE as u64), &[3]);
-        let len = 2 * PAGE_SIZE + 4;
+        a.write(Addr::new(3 * page as u64), &[3]);
+        let len = 2 * page + 4;
         let pieces: Vec<Piece> = a.pieces(Addr::new(start), len).collect();
         assert_eq!(
             pieces.iter().map(Piece::len).collect::<Vec<_>>(),
-            [2, PAGE_SIZE, PAGE_SIZE, 2]
+            [2, page, page, 2]
         );
         assert_eq!(pieces[0], Piece::Bytes(&[1, 2]));
-        assert_eq!(
-            pieces[2],
-            Piece::Zeros(PAGE_SIZE),
-            "page 2 was never written"
-        );
+        assert_eq!(pieces[2], Piece::Zeros(page), "page 2 was never written");
         let mut want = vec![0u8; len];
         want[..2].copy_from_slice(&[1, 2]);
-        want[2 + 2 * PAGE_SIZE] = 3;
+        want[2 + 2 * page] = 3;
         let bytes: Vec<u8> = pieces
             .iter()
             .flat_map(|p| match *p {
@@ -695,10 +775,10 @@ mod tests {
 
     #[test]
     fn zero_writes_and_copies_leave_pages_unmaterialized() {
-        let page = PAGE_SIZE as u64;
-        let mut a = Arena::new(4 * page);
+        let mut a = Arena::new(40 << 20);
+        let page = a.page_len() as u64;
         a.write(Addr::new(page - 8), &[0; 16]);
-        a.copy(Addr::new(2 * page), Addr::new(10), PAGE_SIZE);
+        a.copy(Addr::new(2 * page), Addr::new(10), page as usize);
         assert_eq!(a.pages_touched(), 0);
         assert_eq!(a.writes(), 2, "skipped writes still count");
         // A materialized source page of zeros does not materialize the
@@ -772,111 +852,141 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        const LEN: u64 = 3 * PAGE_SIZE as u64 + 1234;
+        /// Bytes the ops address: three pages and a bit of a fourth.
+        fn window(page: usize) -> u64 {
+            3 * page as u64 + 1234
+        }
 
         /// Short runs inside a page, or runs across page edges.
-        fn len() -> impl Strategy<Value = usize> {
-            prop_oneof![0usize..256, 0usize..2 * PAGE_SIZE]
+        fn len(page: usize) -> impl Strategy<Value = usize> {
+            prop_oneof![0usize..256, 0usize..2 * page]
         }
 
-        fn op() -> impl Strategy<Value = Op> {
-            prop_oneof![
-                4 => (0..LEN, len(), any::<bool>())
+        /// Ops inside the [`window`] of an arena of `page`-byte pages.
+        fn ops(page: usize) -> impl Strategy<Value = Vec<Op>> {
+            let window = window(page);
+            let op = prop_oneof![
+                4 => (0..window, len(page), any::<bool>())
                     .prop_map(|(addr, len, zero)| Op::Write { addr, len, zero }),
-                4 => (0..LEN, 0..LEN, len()).prop_map(|(src, dst, len)| Op::Copy { src, dst, len }),
+                4 => (0..window, 0..window, len(page))
+                    .prop_map(|(src, dst, len)| Op::Copy { src, dst, len }),
                 1 => (0u64..3).prop_map(Op::Arm),
-            ]
+            ];
+            prop::collection::vec(op, 1..40)
         }
 
-        /// A state to compare: contents, write count, pages touched.
-        fn state(a: &Arena) -> (Vec<u8>, u64, usize) {
+        /// A state to compare: the window's contents, write count, pages
+        /// touched.
+        fn state(a: &Arena, window: u64) -> (Vec<u8>, u64, usize) {
             (
-                a.read_vec(Addr::new(0), LEN as usize),
+                a.read_vec(Addr::new(0), window as usize),
                 a.writes(),
                 a.pages_touched(),
             )
         }
 
+        /// `copy` behaves as `read_vec` + `write` on an arena of
+        /// `arena_len` bytes and `page`-byte pages: the same contents
+        /// and write count, the same halts under a budget with nothing
+        /// mutated by the halting call, and never more pages touched.
+        /// Zero writes and copies leave the bytes of a flat model, and
+        /// neither path touches more pages than writes that materialize
+        /// every page they cover would.
+        fn sparse_paths_match(
+            arena_len: u64,
+            page: usize,
+            ops: Vec<Op>,
+        ) -> Result<(), TestCaseError> {
+            quiet_halts();
+            let window = window(page);
+            let mut fast = Arena::new(arena_len);
+            let mut slow = Arena::new(arena_len);
+            prop_assert_eq!(fast.page_len(), page);
+            let mut pages = std::collections::BTreeSet::new();
+            let mut model = vec![0u8; window as usize];
+            for op in ops {
+                let before = state(&fast, window);
+                let (halted, slow_halted) = match op {
+                    Op::Arm(budget) => {
+                        fast.inject_halt_after_writes(budget);
+                        slow.inject_halt_after_writes(budget);
+                        (false, false)
+                    }
+                    Op::Write { addr, len, zero } => {
+                        let len = len.min((window - addr) as usize);
+                        let bytes: Vec<u8> = (0..len)
+                            .map(|i| if zero { 0 } else { (i % 251) as u8 + 1 })
+                            .collect();
+                        let (a, n) = (Addr::new(addr), bytes.len());
+                        let slow_halted = halts(|| {
+                            slow.write(a, &bytes);
+                            if n > 0 {
+                                let last = (addr as usize + n - 1) / page;
+                                pages.extend(addr as usize / page..=last);
+                            }
+                        });
+                        let halted = halts(|| fast.write(a, &bytes));
+                        if !halted {
+                            model[addr as usize..addr as usize + n].copy_from_slice(&bytes);
+                        }
+                        (halted, slow_halted)
+                    }
+                    Op::Copy { src, dst, len } => {
+                        let len = len.min((window - src.max(dst)) as usize);
+                        let (s, d) = (Addr::new(src), Addr::new(dst));
+                        if Region::new(s, len as u64).overlaps(Region::new(d, len as u64)) {
+                            continue;
+                        }
+                        let slow_halted = halts(|| {
+                            let data = slow.read_vec(s, len);
+                            slow.write(d, &data);
+                            if len > 0 {
+                                let last = (dst as usize + len - 1) / page;
+                                pages.extend(dst as usize / page..=last);
+                            }
+                        });
+                        let halted = halts(|| fast.copy(s, d, len));
+                        if !halted {
+                            let src = src as usize;
+                            model.copy_within(src..src + len, dst as usize);
+                        }
+                        (halted, slow_halted)
+                    }
+                };
+                prop_assert_eq!(halted, slow_halted);
+                prop_assert_eq!(fast.has_halted(), slow.has_halted());
+                if halted {
+                    prop_assert!(
+                        state(&fast, window) == before,
+                        "a halting call mutated the arena"
+                    );
+                    fast.clear_halt();
+                    slow.clear_halt();
+                }
+                let (bytes, writes, touched) = state(&fast, window);
+                let (slow_bytes, slow_writes, slow_touched) = state(&slow, window);
+                prop_assert!(bytes == model, "contents diverged from the flat model");
+                prop_assert!(bytes == slow_bytes, "contents diverged");
+                prop_assert_eq!(writes, slow_writes);
+                prop_assert!(touched <= slow_touched);
+                prop_assert!(slow_touched <= pages.len());
+            }
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `copy` behaves as `read_vec` + `write`: the same contents
-            /// and write count, the same halts under a budget with
-            /// nothing mutated by the halting call, and never more pages
-            /// touched. Zero writes and copies leave the bytes of a flat
-            /// model, and neither path touches more pages than writes
-            /// that materialize every page they cover would.
+            /// On an arena of 4 KiB pages that ends at the window's end.
             #[test]
-            fn sparse_paths_match_read_then_write(ops in prop::collection::vec(op(), 1..40)) {
-                quiet_halts();
-                let mut fast = Arena::new(LEN);
-                let mut slow = Arena::new(LEN);
-                let mut pages = std::collections::BTreeSet::new();
-                let mut model = vec![0u8; LEN as usize];
-                for op in ops {
-                    let before = state(&fast);
-                    let (halted, slow_halted) = match op {
-                        Op::Arm(budget) => {
-                            fast.inject_halt_after_writes(budget);
-                            slow.inject_halt_after_writes(budget);
-                            (false, false)
-                        }
-                        Op::Write { addr, len, zero } => {
-                            let len = len.min((LEN - addr) as usize);
-                            let bytes: Vec<u8> = (0..len)
-                                .map(|i| if zero { 0 } else { (i % 251) as u8 + 1 })
-                                .collect();
-                            let (a, n) = (Addr::new(addr), bytes.len());
-                            let slow_halted = halts(|| {
-                                slow.write(a, &bytes);
-                                if n > 0 {
-                                    let last = (addr as usize + n - 1) / PAGE_SIZE;
-                                    pages.extend(addr as usize / PAGE_SIZE..=last);
-                                }
-                            });
-                            let halted = halts(|| fast.write(a, &bytes));
-                            if !halted {
-                                model[addr as usize..addr as usize + n].copy_from_slice(&bytes);
-                            }
-                            (halted, slow_halted)
-                        }
-                        Op::Copy { src, dst, len } => {
-                            let len = len.min((LEN - src.max(dst)) as usize);
-                            let (s, d) = (Addr::new(src), Addr::new(dst));
-                            if Region::new(s, len as u64).overlaps(Region::new(d, len as u64)) {
-                                continue;
-                            }
-                            let slow_halted = halts(|| {
-                                let data = slow.read_vec(s, len);
-                                slow.write(d, &data);
-                                if len > 0 {
-                                    let last = (dst as usize + len - 1) / PAGE_SIZE;
-                                    pages.extend(dst as usize / PAGE_SIZE..=last);
-                                }
-                            });
-                            let halted = halts(|| fast.copy(s, d, len));
-                            if !halted {
-                                let src = src as usize;
-                                model.copy_within(src..src + len, dst as usize);
-                            }
-                            (halted, slow_halted)
-                        }
-                    };
-                    prop_assert_eq!(halted, slow_halted);
-                    prop_assert_eq!(fast.has_halted(), slow.has_halted());
-                    if halted {
-                        prop_assert!(state(&fast) == before, "a halting call mutated the arena");
-                        fast.clear_halt();
-                        slow.clear_halt();
-                    }
-                    let (bytes, writes, touched) = state(&fast);
-                    let (slow_bytes, slow_writes, slow_touched) = state(&slow);
-                    prop_assert!(bytes == model, "contents diverged from the flat model");
-                    prop_assert!(bytes == slow_bytes, "contents diverged");
-                    prop_assert_eq!(writes, slow_writes);
-                    prop_assert!(touched <= slow_touched);
-                    prop_assert!(slow_touched <= pages.len());
-                }
+            fn sparse_paths_match_read_then_write(ops in ops(4 << 10)) {
+                sparse_paths_match(window(4 << 10), 4 << 10, ops)?;
+            }
+
+            /// On a 40 MiB arena, whose pages are 64 KiB.
+            #[test]
+            fn sparse_paths_match_read_then_write_on_64_kib_pages(ops in ops(64 << 10)) {
+                sparse_paths_match(40 << 20, 64 << 10, ops)?;
             }
         }
     }

@@ -46,7 +46,7 @@ mod arena;
 mod layout;
 
 pub use alloc::{AllocMem, FreeListHeap, HeapCorruption, HeapStats, OutOfMemory};
-pub use arena::{first_difference, Arena, Image, Piece, PAGE_SIZE};
+pub use arena::{first_difference, Arena, Image, Piece};
 pub use layout::{Layout, LayoutBuilder, LayoutError, RegionId, RootSlot, HEADER_LEN};
 
 use dsnrep_simcore::Addr;

@@ -51,11 +51,13 @@ fn bench_machine_store_paths(c: &mut Criterion) {
         b.iter(|| {
             base = (base + 4096) & ((1 << 20) - 1);
             for i in 0..SPANS {
-                per_op.write(
-                    Addr::new(base + i * SPAN_LEN),
-                    &payload,
-                    TrafficClass::Modified,
-                );
+                per_op
+                    .write(
+                        Addr::new(base + i * SPAN_LEN),
+                        &payload,
+                        TrafficClass::Modified,
+                    )
+                    .expect("no fault armed");
             }
         })
     });
@@ -73,7 +75,7 @@ fn bench_machine_store_paths(c: &mut Criterion) {
                     TrafficClass::Modified,
                 );
             }
-            batched.write_batch(&mut batch);
+            batched.write_batch(&mut batch).expect("no fault armed");
         })
     });
     group.finish();
@@ -98,7 +100,8 @@ fn bench_wbuf_merge_paths(c: &mut Criterion) {
                     Addr::new(base + i * SPAN_LEN),
                     &payload,
                     TrafficClass::Modified,
-                );
+                )
+                .expect("no fault armed");
             }
         })
     });
@@ -117,7 +120,8 @@ fn bench_wbuf_merge_paths(c: &mut Criterion) {
                     Addr::new(base + i * SPAN_LEN),
                     &payload,
                     TrafficClass::Modified,
-                );
+                )
+                .expect("no fault armed");
             }
             port.deliver_up_to(clock.now());
         })

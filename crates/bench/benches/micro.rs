@@ -24,13 +24,16 @@ fn bench_heap_cycle(c: &mut Criterion) {
     let region = Region::new(Addr::new(0), 1 << 20);
     let heap = {
         let mut mem = RawMem::new(&mut arena);
-        FreeListHeap::format(&mut mem, region)
+        FreeListHeap::format(&mut mem, region).expect("no fault armed")
     };
     c.bench_function("heap_alloc_free_64B", |b| {
         b.iter(|| {
             let mut mem = RawMem::new(&mut arena);
-            let p = heap.alloc(&mut mem, 64).expect("space available");
-            heap.free(&mut mem, p);
+            let p = heap
+                .alloc(&mut mem, 64)
+                .expect("no fault armed")
+                .expect("space available");
+            heap.free(&mut mem, p).expect("no fault armed");
             black_box(p)
         })
     });
@@ -63,7 +66,8 @@ fn bench_machine_write(c: &mut Criterion) {
     c.bench_function("machine_write_32B", |b| {
         b.iter(|| {
             addr = (addr + 64) & ((1 << 20) - 1 - 63);
-            m.write(Addr::new(addr), &[1u8; 32], TrafficClass::Modified);
+            m.write(Addr::new(addr), &[1u8; 32], TrafficClass::Modified)
+                .expect("no fault armed");
         })
     });
 }

@@ -34,9 +34,7 @@ use std::process::ExitCode;
 
 use dsnrep_bench::faultcov::{render, ScenarioCoverage};
 use dsnrep_core::VersionTag;
-use dsnrep_faultsim::{
-    exhaustive_single_fault, partition_campaign, random_campaign, silence_fault_panics, Scenario,
-};
+use dsnrep_faultsim::{exhaustive_single_fault, partition_campaign, random_campaign, Scenario};
 use dsnrep_workloads::WorkloadKind;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -144,7 +142,6 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    silence_fault_panics();
 
     let scenarios = matrix(opts.txns);
     let mut coverage = Vec::new();

@@ -27,8 +27,7 @@ use std::process::ExitCode;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_faultsim::{
-    exhaustive_single_fault, partition_campaign, random_campaign, silence_fault_panics, Campaign,
-    Scenario,
+    exhaustive_single_fault, partition_campaign, random_campaign, Campaign, Scenario,
 };
 use dsnrep_repl::ReplicaSet;
 use dsnrep_simcore::{CostModel, MIB};
@@ -182,7 +181,6 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    silence_fault_panics();
 
     let strategies = strategies();
     println!("# Replication strategy comparison\n");

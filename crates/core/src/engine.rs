@@ -15,7 +15,7 @@
 use core::fmt;
 
 use dsnrep_obs::{NullTracer, Tracer};
-use dsnrep_simcore::{Addr, Region};
+use dsnrep_simcore::{Addr, Halted, Region};
 
 use crate::error::TxError;
 use crate::machine::Machine;
@@ -81,6 +81,11 @@ pub struct RecoveryReport {
 /// the tracer threaded through the machine; it defaults to [`NullTracer`],
 /// so `dyn Engine` means the untraced engine and existing code compiles
 /// unchanged.
+///
+/// Every procedure that stores can meet an armed fault budget. It then
+/// returns [`TxError::Halted`] (or [`Halted`] from
+/// [`recover`](Engine::recover)) from the halting store at once: no
+/// cleanup, abort or free runs on a halted node.
 pub trait Engine<T: Tracer = NullTracer>: core::fmt::Debug {
     /// Which design this engine implements.
     fn version(&self) -> VersionTag;
@@ -98,7 +103,8 @@ pub trait Engine<T: Tracer = NullTracer>: core::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`TxError::TransactionActive`] if one is already running.
+    /// [`TxError::TransactionActive`] if one is already running, or
+    /// [`TxError::Halted`].
     fn begin(&mut self, m: &mut Machine<T>) -> Result<(), TxError>;
 
     /// Declares that the current transaction may modify `len` bytes at
@@ -107,14 +113,15 @@ pub trait Engine<T: Tracer = NullTracer>: core::fmt::Debug {
     /// # Errors
     ///
     /// [`TxError::NoActiveTransaction`], [`TxError::RangeOutOfDatabase`],
-    /// or a version-specific capacity error.
+    /// a version-specific capacity error, or [`TxError::Halted`].
     fn set_range(&mut self, m: &mut Machine<T>, base: Addr, len: u64) -> Result<(), TxError>;
 
     /// Writes `bytes` at `base`, in place, within a declared range.
     ///
     /// # Errors
     ///
-    /// [`TxError::NoActiveTransaction`] or [`TxError::UnprotectedWrite`].
+    /// [`TxError::NoActiveTransaction`], [`TxError::UnprotectedWrite`] or
+    /// [`TxError::Halted`].
     fn write(&mut self, m: &mut Machine<T>, base: Addr, bytes: &[u8]) -> Result<(), TxError>;
 
     /// Reads `buf.len()` bytes at `base` (allowed inside or outside a
@@ -126,20 +133,25 @@ pub trait Engine<T: Tracer = NullTracer>: core::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`TxError::NoActiveTransaction`].
+    /// [`TxError::NoActiveTransaction`] or [`TxError::Halted`].
     fn commit(&mut self, m: &mut Machine<T>) -> Result<(), TxError>;
 
     /// Aborts the current transaction, restoring every declared range.
     ///
     /// # Errors
     ///
-    /// [`TxError::NoActiveTransaction`].
+    /// [`TxError::NoActiveTransaction`] or [`TxError::Halted`].
     fn abort(&mut self, m: &mut Machine<T>) -> Result<(), TxError>;
 
     /// Runs crash recovery against the (surviving) arena: rolls back an
     /// interrupted transaction, or — for the mirroring versions — rolls an
     /// interrupted commit forward. Idempotent.
-    fn recover(&mut self, m: &mut Machine<T>) -> RecoveryReport;
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the arena's write budget halts recovery mid-flight;
+    /// being idempotent, recovery simply runs again over the arena it left.
+    fn recover(&mut self, m: &mut Machine<T>) -> Result<RecoveryReport, Halted>;
 
     /// Number of committed transactions (the persistent sequence number).
     fn committed_seq(&self, m: &mut Machine<T>) -> u64;

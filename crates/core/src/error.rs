@@ -4,7 +4,7 @@ use core::fmt;
 use std::error::Error;
 
 use dsnrep_rio::OutOfMemory;
-use dsnrep_simcore::Addr;
+use dsnrep_simcore::{Addr, Halted};
 
 /// Errors returned by the transaction API.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,6 +53,10 @@ pub enum TxError {
         /// The ring's total capacity.
         capacity: u64,
     },
+    /// An armed fault budget halted the node mid-operation (fault
+    /// injection): the engine stopped at the halting store and ran
+    /// nothing after it, not even an abort.
+    Halted,
 }
 
 impl fmt::Display for TxError {
@@ -88,6 +92,7 @@ impl fmt::Display for TxError {
                     "redo record of {needed} bytes exceeds ring capacity {capacity}"
                 )
             }
+            TxError::Halted => fmt::Display::fmt(&Halted, f),
         }
     }
 }
@@ -108,6 +113,13 @@ impl From<OutOfMemory> for TxError {
     }
 }
 
+/// A halt passes through the transaction API unchanged.
+impl From<Halted> for TxError {
+    fn from(_: Halted) -> Self {
+        TxError::Halted
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +137,12 @@ mod tests {
         assert!(TxError::NoActiveTransaction
             .to_string()
             .starts_with("no transaction"));
+    }
+
+    #[test]
+    fn a_halt_converts_and_displays_as_the_halt() {
+        assert_eq!(TxError::from(Halted), TxError::Halted);
+        assert_eq!(TxError::Halted.to_string(), Halted.to_string());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //!
 //! // Reboot: re-attach and recover. The interrupted transaction is gone.
 //! let mut engine = ImprovedLogEngine::attach(&mut m).expect("formatted arena");
-//! let report = engine.recover(&mut m);
+//! let report = engine.recover(&mut m).expect("no fault armed");
 //! assert!(report.rolled_back);
 //! assert_eq!(arena.borrow().read_u64(db), 1);
 //! # Ok::<(), dsnrep_core::TxError>(())

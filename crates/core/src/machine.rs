@@ -12,6 +12,10 @@
 //! This is the write-doubling discipline of the paper's §2.3: loopback is
 //! disabled, so shared data is written twice — once to the ordinary mapping
 //! and once to I/O space.
+//!
+//! Every store can halt the node: an armed fault budget (the machine's
+//! stores, its port's packets, its arena's writes) returns [`Halted`]
+//! from the store that meets it, and the store returns it to the engine.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -21,7 +25,7 @@ use dsnrep_mcsim::TxPort;
 use dsnrep_obs::{Metric, NullTracer, Phase, TraceEventKind, Tracer, NO_TXN};
 use dsnrep_rio::{AllocMem, Arena};
 use dsnrep_simcore::{
-    Addr, BusyCause, Clock, CostModel, DirectMappedCache, Region, StallCause, StoreSink,
+    Addr, BusyCause, Clock, CostModel, DirectMappedCache, Halted, Region, StallCause, StoreSink,
     TrafficClass, VirtualDuration, VirtualInstant,
 };
 
@@ -160,11 +164,12 @@ impl StoreBatch {
 ///
 /// let arena = Rc::new(RefCell::new(Arena::new(1 << 16)));
 /// let mut m = Machine::standalone(CostModel::alpha_21164a(), arena);
-/// m.write(Addr::new(64), &[1, 2, 3], TrafficClass::Modified);
+/// m.write(Addr::new(64), &[1, 2, 3], TrafficClass::Modified)?;
 /// let mut buf = [0u8; 3];
 /// m.read(Addr::new(64), &mut buf);
 /// assert_eq!(buf, [1, 2, 3]);
 /// assert!(m.now().as_picos() > 0); // accesses cost virtual time
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 pub struct Machine<T: Tracer = NullTracer> {
     costs: CostModel,
@@ -176,9 +181,14 @@ pub struct Machine<T: Tracer = NullTracer> {
     durability: Durability,
     /// Fault injection: remaining accounted stores before the simulated
     /// processor halts (None = healthy). The store that finds it at zero
-    /// panics before touching anything — exactly what a crash at that
-    /// store boundary looks like to recoverable memory.
+    /// returns [`Halted`] before touching anything — exactly what a crash
+    /// at that store boundary looks like to recoverable memory.
     store_budget: Option<u64>,
+    /// Whether a fault budget halted this node: set by every call that
+    /// returned [`Halted`], cleared when the faults are disarmed. Debug
+    /// builds assert that no accounted access or charge runs while it is
+    /// set.
+    halted: bool,
     /// Monotone count of accounted stores, so fault campaigns can
     /// enumerate every store boundary of a probe run.
     stores_executed: u64,
@@ -210,6 +220,16 @@ struct OpenTxn {
 /// two id spaces never meet).
 const fn txn_id(track: u32, seq: u64) -> u64 {
     ((track as u64) << 40) | (seq & ((1 << 40) - 1))
+}
+
+/// Passes `result` on, noting in `halted` whether it is a halt. A free
+/// function, so a caller can pass a machine's flag while holding its port.
+#[inline(always)]
+fn noting_halt(halted: &mut bool, result: Result<(), Halted>) -> Result<(), Halted> {
+    if result.is_err() {
+        *halted = true;
+    }
+    result
 }
 
 impl<T: Tracer> fmt::Debug for Machine<T> {
@@ -256,6 +276,7 @@ impl<T: Tracer> Machine<T> {
             replicated: Vec::new(),
             durability: Durability::OneSafe,
             store_budget: None,
+            halted: false,
             stores_executed: 0,
             per_op_stores: false,
             tracer,
@@ -406,11 +427,13 @@ impl<T: Tracer> Machine<T> {
     /// Charges `d` of CPU work.
     #[inline]
     pub fn charge(&mut self, d: VirtualDuration) {
+        self.assert_running();
         self.clock.advance(d);
     }
 
     #[inline]
     fn charge_cache(&mut self, addr: Addr, len: u64) {
+        self.assert_running();
         let out = self.cache.touch(addr, len);
         self.clock.advance_for(
             BusyCause::Cache,
@@ -432,26 +455,25 @@ impl<T: Tracer> Machine<T> {
     }
 
     /// Arms fault injection: when `stores` more accounted stores have
-    /// executed, the next store **panics** with a distinctive message —
-    /// the simulated processor halts at that exact store boundary
-    /// (including mid-commit), executing nothing further, just like a real
-    /// crash. Catch the unwind (the test harness does), then call
-    /// [`Machine::crash`] and run recovery. Tests only.
-    ///
-    /// # Panics
-    ///
-    /// The (`stores + 1`)-th accounted store after arming panics.
+    /// executed, the simulated processor halts at the next store boundary
+    /// (including mid-commit), just like a real crash. The store that
+    /// meets the spent budget returns [`Halted`] and mutates nothing — no
+    /// cache charge, no arena byte, no doubled packet, no store count —
+    /// and every later store halts too until [`Machine::clear_fault`].
+    /// The engine passes the halt up unchanged; the fault executor then
+    /// calls [`Machine::crash`] and runs recovery.
     pub fn inject_crash_after_stores(&mut self, stores: u64) {
         self.store_budget = Some(stores);
     }
 
-    /// Disarms fault injection.
+    /// Disarms the store budget; the node runs again.
     pub fn clear_fault(&mut self) {
         self.store_budget = None;
+        self.halted = false;
     }
 
     #[inline]
-    fn consume_store_budget(&mut self) {
+    fn consume_store_budget(&mut self) -> Result<(), Halted> {
         match &mut self.store_budget {
             None => {}
             Some(0) => {
@@ -461,11 +483,19 @@ impl<T: Tracer> Machine<T> {
                     self.clock.now(),
                     self.stores_executed,
                 );
-                panic!("dsnrep fault injection: simulated processor halt")
+                self.halted = true;
+                return Err(Halted);
             }
             Some(n) => *n -= 1,
         }
         self.stores_executed += 1;
+        Ok(())
+    }
+
+    /// Debug builds: nothing accounted may run on a halted node.
+    #[inline(always)]
+    fn assert_running(&self) {
+        debug_assert!(!self.halted, "an accounted access ran on a halted node");
     }
 
     /// Accounted stores executed so far (monotone).
@@ -479,52 +509,79 @@ impl<T: Tracer> Machine<T> {
     }
 
     /// Arms a packet-boundary fault on the SAN port: the node halts
-    /// (panics) before the `(packets + 1)`-th packet from now reaches the
-    /// link. No-op without a port.
+    /// before the `(packets + 1)`-th packet from now reaches the link.
+    /// The store, barrier or 2-safe wait that would emit it returns
+    /// [`Halted`] (see `TxPort::inject_crash_after_packets`), and so does
+    /// every later emission until [`Machine::clear_packet_fault`]. No-op
+    /// without a port.
     pub fn inject_crash_after_packets(&mut self, packets: u64) {
         if let Some(port) = self.port.as_mut() {
             port.inject_crash_after_packets(packets);
         }
     }
 
-    /// Disarms any packet-boundary fault on the port.
+    /// Disarms any packet-boundary fault on the port; the node runs again.
     pub fn clear_packet_fault(&mut self) {
         if let Some(port) = self.port.as_mut() {
             port.clear_packet_fault();
         }
+        self.halted = false;
     }
 
     /// An accounted store: local write + cache charge + doubling.
-    pub fn write(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) {
-        self.store(addr, bytes, class, true);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when a fault budget halts the node at this store; see
+    /// [`Machine::inject_crash_after_stores`].
+    pub fn write(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) -> Result<(), Halted> {
+        self.store(addr, bytes, class, true)
     }
 
     /// An accounted store whose doubled words do not merge in the write
     /// buffers: use for word-at-a-time copy loops (mirror propagation),
     /// whose interleaved loads defeat the 21164's store merging. Locally it
     /// behaves exactly like [`Machine::write`].
-    pub fn write_scattered(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) {
-        self.store(addr, bytes, class, false);
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::write`].
+    pub fn write_scattered(
+        &mut self,
+        addr: Addr,
+        bytes: &[u8],
+        class: TrafficClass,
+    ) -> Result<(), Halted> {
+        self.store(addr, bytes, class, false)
     }
 
     /// The body of every per-op accounted store: budget tick, cache
     /// charge, arena write, port issue (merged or not). It and
-    /// `Arena::write` are inlined, so a word's length stays a
+    /// `Arena::try_write` are inlined, so a word's length stays a
     /// compile-time constant down to the arena page.
     #[inline(always)]
-    fn store(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass, merged: bool) {
-        self.consume_store_budget();
+    fn store(
+        &mut self,
+        addr: Addr,
+        bytes: &[u8],
+        class: TrafficClass,
+        merged: bool,
+    ) -> Result<(), Halted> {
+        self.consume_store_budget()?;
         self.charge_cache(addr, bytes.len() as u64);
-        self.arena.borrow_mut().write(addr, bytes);
+        let written = self.arena.borrow_mut().try_write(addr, bytes);
+        noting_halt(&mut self.halted, written)?;
         if self.is_replicated(addr) {
             if let Some(port) = self.port.as_mut() {
-                if merged {
-                    port.store(&mut self.clock, addr, bytes, class);
+                let doubled = if merged {
+                    port.store(&mut self.clock, addr, bytes, class)
                 } else {
-                    port.store_unmerged(&mut self.clock, addr, bytes, class);
-                }
+                    port.store_unmerged(&mut self.clock, addr, bytes, class)
+                };
+                return noting_halt(&mut self.halted, doubled);
             }
         }
+        Ok(())
     }
 
     /// The body of every accounted load: cache charge, arena read,
@@ -563,14 +620,20 @@ impl<T: Tracer> Machine<T> {
     /// the batch falls back to the per-op path, so an injected halt lands
     /// between the same two stores with the same delivered prefix as the
     /// legacy path.
-    pub fn write_batch(&mut self, batch: &mut StoreBatch) {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] from the store that halted the node: the stores staged
+    /// before it landed, and the batch keeps its contents (a halted node
+    /// runs nothing more).
+    pub fn write_batch(&mut self, batch: &mut StoreBatch) -> Result<(), Halted> {
         if self.per_op_stores || self.store_budget.is_some() {
             for op in &batch.ops {
                 let bytes = &batch.data[op.off as usize..(op.off + op.len) as usize];
-                self.write(op.addr, bytes, op.class);
+                self.write(op.addr, bytes, op.class)?;
             }
             batch.clear();
-            return;
+            return Ok(());
         }
         {
             let mut arena = self.arena.borrow_mut();
@@ -580,6 +643,7 @@ impl<T: Tracer> Machine<T> {
                 // consume_store_budget() with no budget armed:
                 self.stores_executed += 1;
                 // charge_cache(), inlined to keep the borrows field-disjoint:
+                debug_assert!(!self.halted, "an accounted access ran on a halted node");
                 let out = self.cache.touch(op.addr, u64::from(op.len));
                 self.clock.advance_for(
                     BusyCause::Cache,
@@ -593,10 +657,12 @@ impl<T: Tracer> Machine<T> {
                         self.cache.occupied_lines(),
                     );
                 }
-                arena.write(op.addr, bytes);
+                noting_halt(&mut self.halted, arena.try_write(op.addr, bytes))?;
                 if self.replicated.iter().any(|r| r.contains(op.addr)) {
                     if let Some(port) = port.as_deref_mut() {
-                        port.store_no_deliver(&mut self.clock, op.addr, bytes, op.class);
+                        let doubled =
+                            port.store_no_deliver(&mut self.clock, op.addr, bytes, op.class);
+                        noting_halt(&mut self.halted, doubled)?;
                     }
                 }
             }
@@ -605,6 +671,7 @@ impl<T: Tracer> Machine<T> {
             port.deliver_up_to(self.clock.now());
         }
         batch.clear();
+        Ok(())
     }
 
     /// An accounted load.
@@ -620,8 +687,12 @@ impl<T: Tracer> Machine<T> {
     }
 
     /// Accounted `u64` store.
-    pub fn write_u64(&mut self, addr: Addr, value: u64, class: TrafficClass) {
-        self.store(addr, &value.to_le_bytes(), class, true);
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::write`].
+    pub fn write_u64(&mut self, addr: Addr, value: u64, class: TrafficClass) -> Result<(), Halted> {
+        self.store(addr, &value.to_le_bytes(), class, true)
     }
 
     /// Accounted `u64` load.
@@ -632,8 +703,12 @@ impl<T: Tracer> Machine<T> {
     }
 
     /// Accounted `u32` store.
-    pub fn write_u32(&mut self, addr: Addr, value: u32, class: TrafficClass) {
-        self.store(addr, &value.to_le_bytes(), class, true);
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::write`].
+    pub fn write_u32(&mut self, addr: Addr, value: u32, class: TrafficClass) -> Result<(), Halted> {
+        self.store(addr, &value.to_le_bytes(), class, true)
     }
 
     /// Accounted `u32` load.
@@ -645,13 +720,19 @@ impl<T: Tracer> Machine<T> {
 
     /// A write memory barrier: flushes the SAN write buffers so everything
     /// stored so far is ordered before everything stored later.
-    pub fn barrier(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node mid-flush.
+    pub fn barrier(&mut self) -> Result<(), Halted> {
+        self.assert_running();
         if let Some(port) = self.port.as_mut() {
             let t0 = self.clock.now();
-            port.barrier(&mut self.clock);
+            noting_halt(&mut self.halted, port.barrier(&mut self.clock))?;
             self.tracer
                 .span(self.track, Phase::Barrier, t0, self.clock.now());
         }
+        Ok(())
     }
 
     /// The configured commit durability.
@@ -668,9 +749,14 @@ impl<T: Tracer> Machine<T> {
     /// packet sent so far — including the commit record — has been
     /// delivered to the backup. Engines call this at the end of commit when
     /// [`Durability::TwoSafe`] is configured; it is a no-op without a port.
-    pub fn wait_delivered(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node mid-flush.
+    pub fn wait_delivered(&mut self) -> Result<(), Halted> {
+        self.assert_running();
         if let Some(port) = self.port.as_mut() {
-            port.barrier(&mut self.clock);
+            noting_halt(&mut self.halted, port.barrier(&mut self.clock))?;
             let delivered = port.last_delivered();
             let now = self.clock.now();
             if delivered > now {
@@ -684,6 +770,7 @@ impl<T: Tracer> Machine<T> {
             self.clock.advance_to_for(StallCause::TwoSafe, delivered);
             port.deliver_up_to(delivered);
         }
+        Ok(())
     }
 
     /// Stalls this node until `t` (no-op if `t` has passed), charging the
@@ -694,6 +781,7 @@ impl<T: Tracer> Machine<T> {
     /// delivery visibility, failover clamps) must prefer this over raw
     /// `clock_mut().advance_to_for` when the machine is traced.
     pub fn stall_until(&mut self, cause: StallCause, t: VirtualInstant) {
+        self.assert_running();
         let now = self.clock.now();
         if t > now {
             self.tracer.counter_add(
@@ -748,9 +836,14 @@ impl<T: Tracer> Machine<T> {
     }
 
     /// Flushes and delivers everything in flight (graceful quiesce).
-    pub fn quiesce(&mut self) {
-        if let Some(port) = self.port.as_mut() {
-            port.quiesce(&mut self.clock);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node mid-flush.
+    pub fn quiesce(&mut self) -> Result<(), Halted> {
+        match self.port.as_mut() {
+            Some(port) => noting_halt(&mut self.halted, port.quiesce(&mut self.clock)),
+            None => Ok(()),
         }
     }
 
@@ -772,8 +865,8 @@ impl<T: Tracer> AllocMem for MetaMem<'_, T> {
         self.machine.read_u64(addr)
     }
 
-    fn write_u64(&mut self, addr: Addr, value: u64) {
-        self.machine.write_u64(addr, value, TrafficClass::Meta);
+    fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), Halted> {
+        self.machine.write_u64(addr, value, TrafficClass::Meta)
     }
 }
 
@@ -788,10 +881,11 @@ mod tests {
     }
 
     #[test]
-    fn write_then_read_round_trips() {
+    fn write_then_read_round_trips() -> Result<(), Halted> {
         let mut m = standalone();
-        m.write(Addr::new(128), b"abc", TrafficClass::Modified);
+        m.write(Addr::new(128), b"abc", TrafficClass::Modified)?;
         assert_eq!(m.read_vec(Addr::new(128), 3), b"abc");
+        Ok(())
     }
 
     #[test]
@@ -824,82 +918,89 @@ mod tests {
     }
 
     #[test]
-    fn replicated_region_is_doubled() {
+    fn replicated_region_is_doubled() -> Result<(), Halted> {
         let (mut m, backup) = with_backup();
         m.replicate(Region::new(Addr::new(0), 1024));
-        m.write(Addr::new(100), &[7; 8], TrafficClass::Undo);
-        m.quiesce();
+        m.write(Addr::new(100), &[7; 8], TrafficClass::Undo)?;
+        m.quiesce()?;
         assert_eq!(backup.borrow().read_vec(Addr::new(100), 8), vec![7; 8]);
+        Ok(())
     }
 
     #[test]
-    fn unreplicated_region_stays_local() {
+    fn unreplicated_region_stays_local() -> Result<(), Halted> {
         let (mut m, backup) = with_backup();
         m.replicate(Region::new(Addr::new(0), 64));
-        m.write(Addr::new(4096), &[7; 8], TrafficClass::Undo);
-        m.quiesce();
+        m.write(Addr::new(4096), &[7; 8], TrafficClass::Undo)?;
+        m.quiesce()?;
         assert_eq!(backup.borrow().read_vec(Addr::new(4096), 8), vec![0; 8]);
+        Ok(())
     }
 
     #[test]
-    fn doubling_costs_more_than_local_write() {
+    fn doubling_costs_more_than_local_write() -> Result<(), Halted> {
         let (mut m, _) = with_backup();
         m.replicate(Region::new(Addr::new(0), 4096));
         let mut local = standalone();
-        m.write(Addr::new(0), &[1; 64], TrafficClass::Modified);
-        local.write(Addr::new(0), &[1; 64], TrafficClass::Modified);
+        m.write(Addr::new(0), &[1; 64], TrafficClass::Modified)?;
+        local.write(Addr::new(0), &[1; 64], TrafficClass::Modified)?;
         assert!(m.now() > local.now());
+        Ok(())
     }
 
     #[test]
-    fn crash_loses_inflight_doubled_bytes() {
+    fn crash_loses_inflight_doubled_bytes() -> Result<(), Halted> {
         let (mut m, backup) = with_backup();
         m.replicate(Region::new(Addr::new(0), 4096));
-        m.write(Addr::new(0), &[3; 32], TrafficClass::Modified);
+        m.write(Addr::new(0), &[3; 32], TrafficClass::Modified)?;
         // Packet flushed (full buffer) but latency has not elapsed.
         m.crash();
         assert_eq!(backup.borrow().read_vec(Addr::new(0), 32), vec![0; 32]);
         // Local arena survived.
         assert_eq!(m.peek_vec(Addr::new(0), 32), vec![3; 32]);
+        Ok(())
     }
 
     #[test]
-    fn meta_mem_routes_alloc_traffic() {
+    fn meta_mem_routes_alloc_traffic() -> Result<(), Halted> {
         let (mut m, backup) = with_backup();
         m.replicate(Region::new(Addr::new(0), 4096));
         {
             let mut mm = m.meta_mem();
-            mm.write_u64(Addr::new(8), 0x1122_3344_5566_7788);
+            mm.write_u64(Addr::new(8), 0x1122_3344_5566_7788)?;
             assert_eq!(mm.read_u64(Addr::new(8)), 0x1122_3344_5566_7788);
         }
-        m.quiesce();
+        m.quiesce()?;
         assert_eq!(
             backup.borrow().read_u64(Addr::new(8)),
             0x1122_3344_5566_7788
         );
+        Ok(())
     }
 
     #[test]
-    fn barrier_without_port_is_a_no_op() {
+    fn barrier_without_port_is_a_no_op() -> Result<(), Halted> {
         let mut m = standalone();
-        m.barrier();
+        m.barrier()?;
         assert_eq!(m.now(), VirtualInstant::EPOCH);
+        Ok(())
     }
 
     #[test]
-    fn write_batch_applies_and_clears() {
+    fn write_batch_applies_and_clears() -> Result<(), Halted> {
         let (mut m, backup) = with_backup();
         m.replicate(Region::new(Addr::new(0), 4096));
         let mut batch = StoreBatch::new();
         batch.push(Addr::new(8), &[1; 16], TrafficClass::Undo);
         batch.push_u64(Addr::new(24), 0xDEAD_BEEF, TrafficClass::Meta);
         assert_eq!(batch.len(), 2);
-        m.write_batch(&mut batch);
+        m.write_batch(&mut batch)?;
         assert!(batch.is_empty());
         assert_eq!(m.peek_vec(Addr::new(8), 16), vec![1; 16]);
-        m.quiesce();
+        m.quiesce()?;
         assert_eq!(backup.borrow().read_u64(Addr::new(24)), 0xDEAD_BEEF);
         assert_eq!(m.stores_executed(), 2);
+        Ok(())
     }
 
     mod batch_equivalence {
@@ -970,30 +1071,30 @@ mod tests {
                                     .collect();
                                 batch.push(Addr::new(addr), &data, class_of(class));
                             }
-                            fast.write_batch(&mut batch);
+                            fast.write_batch(&mut batch).unwrap();
                             for &(addr, len, class) in stores {
                                 let data: Vec<u8> = (0..len)
                                     .map(|i| (addr as u8).wrapping_add(i as u8))
                                     .collect();
-                                oracle.write(Addr::new(addr), &data, class_of(class));
+                                oracle.write(Addr::new(addr), &data, class_of(class)).unwrap();
                             }
                         }
                         Op::Single(addr, len, class) => {
                             let data: Vec<u8> = (0..*len)
                                 .map(|i| (*addr as u8).wrapping_add(i as u8))
                                 .collect();
-                            fast.write(Addr::new(*addr), &data, class_of(*class));
-                            oracle.write(Addr::new(*addr), &data, class_of(*class));
+                            fast.write(Addr::new(*addr), &data, class_of(*class)).unwrap();
+                            oracle.write(Addr::new(*addr), &data, class_of(*class)).unwrap();
                         }
                         Op::Barrier => {
-                            fast.barrier();
-                            oracle.barrier();
+                            fast.barrier().unwrap();
+                            oracle.barrier().unwrap();
                         }
                     }
                     prop_assert_eq!(fast.now(), oracle.now());
                 }
-                fast.quiesce();
-                oracle.quiesce();
+                fast.quiesce().unwrap();
+                oracle.quiesce().unwrap();
                 prop_assert_eq!(fast.now(), oracle.now());
                 prop_assert_eq!(fast.stats(), oracle.stats());
                 prop_assert_eq!(fast.stores_executed(), oracle.stores_executed());

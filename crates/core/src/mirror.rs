@@ -23,7 +23,7 @@
 
 use dsnrep_obs::{Phase, Tracer};
 use dsnrep_rio::{Arena, Layout, LayoutBuilder, LayoutError, RegionId, RootSlot};
-use dsnrep_simcore::{Addr, Region, TrafficClass, VirtualDuration};
+use dsnrep_simcore::{Addr, Halted, Region, TrafficClass, VirtualDuration};
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RecoveryReport, VersionTag};
@@ -173,9 +173,17 @@ impl MirrorEngine {
 
     /// The backup's takeover procedure: copy the entire mirror over the
     /// database (paper §5.1), leaving the arena ready for
-    /// [`MirrorEngine::attach`]. Returns the bytes copied.
-    pub fn backup_restore(arena: &mut Arena) -> Result<u64, LayoutError> {
-        let layout = Layout::read(arena)?;
+    /// [`MirrorEngine::attach`]. Returns the bytes copied, or
+    /// [`LayoutError`] if the arena carries no mirroring layout.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the arena's write budget halts the copy.
+    pub fn backup_restore(arena: &mut Arena) -> Result<Result<u64, LayoutError>, Halted> {
+        let layout = match Layout::read(arena) {
+            Ok(layout) => layout,
+            Err(e) => return Ok(Err(e)),
+        };
         let db = layout.expect_region(RegionId::Database);
         let mirror = layout.expect_region(RegionId::Mirror);
         // One counted write per 64 KiB chunk: a mid-recovery crash point
@@ -183,19 +191,14 @@ impl MirrorEngine {
         let mut off = 0u64;
         while off < db.len() {
             let n = (db.len() - off).min(64 * 1024) as usize;
-            arena.copy(mirror.start() + off, db.start() + off, n);
+            arena.try_copy(mirror.start() + off, db.start() + off, n)?;
             off += n as u64;
         }
         // The ranges region was never replicated: clear any stale content.
-        arena.write_u64(
-            layout.expect_region(RegionId::Ranges).start() + COUNT_OFF,
-            0,
-        );
-        arena.write_u64(
-            layout.expect_region(RegionId::Ranges).start() + PHASE_OFF,
-            0,
-        );
-        Ok(db.len())
+        let ranges = layout.expect_region(RegionId::Ranges);
+        arena.try_write_u64(ranges.start() + COUNT_OFF, 0)?;
+        arena.try_write_u64(ranges.start() + PHASE_OFF, 0)?;
+        Ok(Ok(db.len()))
     }
 
     fn seq_addr(&self) -> Addr {
@@ -219,7 +222,11 @@ impl MirrorEngine {
     }
 
     /// Propagates one range db -> mirror per the strategy, charging costs.
-    fn propagate_range<T: Tracer>(&mut self, m: &mut Machine<T>, range: Region) {
+    fn propagate_range<T: Tracer>(
+        &mut self,
+        m: &mut Machine<T>,
+        range: Region,
+    ) -> Result<(), Halted> {
         let len = range.len() as usize;
         self.scratch_db.resize(len, 0);
         m.read(range.start(), &mut self.scratch_db[..]);
@@ -229,11 +236,9 @@ impl MirrorEngine {
                 m.charge(VirtualDuration::from_picos(
                     m.costs().copy_per_byte.as_picos() * len as u64,
                 ));
-                let data = std::mem::take(&mut self.scratch_db);
                 // Word-at-a-time copy loop: loads interleave with stores,
                 // so the doubled stores do not merge (paper §8).
-                m.write_scattered(mirror_base, &data, TrafficClass::Undo);
-                self.scratch_db = data;
+                m.write_scattered(mirror_base, &self.scratch_db, TrafficClass::Undo)?;
             }
             MirrorStrategy::Diff => {
                 self.scratch_mirror.resize(len, 0);
@@ -255,20 +260,23 @@ impl MirrorEngine {
                     m.charge(VirtualDuration::from_picos(
                         m.costs().copy_per_byte.as_picos() * (i - start) as u64,
                     ));
-                    let data = std::mem::take(&mut self.scratch_db);
                     m.write_scattered(
                         mirror_base + start as u64,
-                        &data[start..i],
+                        &self.scratch_db[start..i],
                         TrafficClass::Undo,
-                    );
-                    self.scratch_db = data;
+                    )?;
                 }
             }
         }
+        Ok(())
     }
 
     /// Restores one range mirror -> db (abort path), charging costs.
-    fn restore_range<T: Tracer>(&mut self, m: &mut Machine<T>, range: Region) {
+    fn restore_range<T: Tracer>(
+        &mut self,
+        m: &mut Machine<T>,
+        range: Region,
+    ) -> Result<(), Halted> {
         let len = range.len() as usize;
         self.scratch_mirror.resize(len, 0);
         m.read(
@@ -278,9 +286,7 @@ impl MirrorEngine {
         m.charge(VirtualDuration::from_picos(
             m.costs().copy_per_byte.as_picos() * len as u64,
         ));
-        let data = std::mem::take(&mut self.scratch_mirror);
-        m.write(range.start(), &data, TrafficClass::Modified);
-        self.scratch_mirror = data;
+        m.write(range.start(), &self.scratch_mirror, TrafficClass::Modified)
     }
 
     fn read_persisted_ranges(&self, arena: &Arena) -> Vec<Region> {
@@ -323,7 +329,7 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
             self.phase_addr(),
             seq << 2 | PHASE_ACTIVE,
             TrafficClass::Meta,
-        );
+        )?;
         m.trace_phase(Phase::Begin, t0);
         Ok(())
     }
@@ -339,9 +345,9 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
         m.charge(m.costs().set_range);
         // Append the record to the persistent array and bump the count.
         let i = self.ranges.len() as u64 - 1;
-        m.write_u64(self.rec_addr(i), base.as_u64(), TrafficClass::Meta);
-        m.write_u64(self.rec_addr(i) + 8, len, TrafficClass::Meta);
-        m.write_u64(self.count_addr(), i + 1, TrafficClass::Meta);
+        m.write_u64(self.rec_addr(i), base.as_u64(), TrafficClass::Meta)?;
+        m.write_u64(self.rec_addr(i) + 8, len, TrafficClass::Meta)?;
+        m.write_u64(self.count_addr(), i + 1, TrafficClass::Meta)?;
         m.trace_phase(Phase::UndoWrite, t0);
         Ok(())
     }
@@ -350,7 +356,7 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
         self.ranges.check_covered(base, bytes.len() as u64)?;
         let t0 = m.now();
         m.charge(m.costs().write_call);
-        m.write(base, bytes, TrafficClass::Modified);
+        m.write(base, bytes, TrafficClass::Modified)?;
         m.trace_phase(Phase::DbWrite, t0);
         Ok(())
     }
@@ -370,25 +376,25 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
             self.phase_addr(),
             seq << 2 | PHASE_PROPAGATE,
             TrafficClass::Meta,
-        );
+        )?;
         let ranges: Vec<Region> = self.ranges.iter().collect();
         for r in ranges {
-            self.propagate_range(m, r);
+            self.propagate_range(m, r)?;
         }
         // All mirror writes precede the sequence flag on the wire, and the
         // flag precedes the next transaction's data.
-        m.barrier();
-        m.write_u64(self.seq_addr(), seq + 1, TrafficClass::Meta);
-        m.barrier();
+        m.barrier()?;
+        m.write_u64(self.seq_addr(), seq + 1, TrafficClass::Meta)?;
+        m.barrier()?;
         if m.durability() == crate::Durability::TwoSafe {
-            m.wait_delivered();
+            m.wait_delivered()?;
         }
         m.write_u64(
             self.phase_addr(),
             (seq + 1) << 2 | PHASE_IDLE,
             TrafficClass::Meta,
-        );
-        m.write_u64(self.count_addr(), 0, TrafficClass::Meta);
+        )?;
+        m.write_u64(self.count_addr(), 0, TrafficClass::Meta)?;
         self.ranges.end();
         m.trace_phase(Phase::Commit, t0);
         m.trace_tx_end();
@@ -403,17 +409,17 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
         let ranges: Vec<Region> = self.ranges.iter().collect();
         // Newest-first so the oldest (pre-transaction) data wins on overlap.
         for r in ranges.into_iter().rev() {
-            self.restore_range(m, r);
+            self.restore_range(m, r)?;
         }
-        m.write_u64(self.phase_addr(), seq << 2 | PHASE_IDLE, TrafficClass::Meta);
-        m.write_u64(self.count_addr(), 0, TrafficClass::Meta);
+        m.write_u64(self.phase_addr(), seq << 2 | PHASE_IDLE, TrafficClass::Meta)?;
+        m.write_u64(self.count_addr(), 0, TrafficClass::Meta)?;
         self.ranges.end();
         m.trace_phase(Phase::Abort, t0);
         m.trace_tx_end();
         Ok(())
     }
 
-    fn recover(&mut self, m: &mut Machine<T>) -> RecoveryReport {
+    fn recover(&mut self, m: &mut Machine<T>) -> Result<RecoveryReport, Halted> {
         let t0 = m.now();
         let mut arena = m.arena().borrow_mut();
         let phase_word = arena.read_u64(self.phase_addr());
@@ -424,32 +430,32 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
             PHASE_ACTIVE => {
                 // Roll back: mirror -> database, newest-first.
                 for r in ranges.iter().rev() {
-                    arena.copy(self.mirror_addr(r.start()), r.start(), r.len() as usize);
+                    arena.try_copy(self.mirror_addr(r.start()), r.start(), r.len() as usize)?;
                     report.bytes_restored += r.len();
                 }
                 report.rolled_back = !ranges.is_empty();
-                arena.write_u64(self.seq_addr(), seq_at_begin);
+                arena.try_write_u64(self.seq_addr(), seq_at_begin)?;
             }
             PHASE_PROPAGATE => {
                 // Roll forward: database -> mirror (idempotent), and finish
                 // the commit.
                 for r in &ranges {
-                    arena.copy(r.start(), self.mirror_addr(r.start()), r.len() as usize);
+                    arena.try_copy(r.start(), self.mirror_addr(r.start()), r.len() as usize)?;
                     report.bytes_restored += r.len();
                 }
                 report.rolled_forward = true;
-                arena.write_u64(self.seq_addr(), seq_at_begin + 1);
+                arena.try_write_u64(self.seq_addr(), seq_at_begin + 1)?;
             }
             _ => {}
         }
-        arena.write_u64(self.count_addr(), 0);
+        arena.try_write_u64(self.count_addr(), 0)?;
         let committed = arena.read_u64(self.seq_addr());
-        arena.write_u64(self.phase_addr(), committed << 2 | PHASE_IDLE);
+        arena.try_write_u64(self.phase_addr(), committed << 2 | PHASE_IDLE)?;
         report.committed_seq = committed;
         drop(arena);
         self.ranges = TxRanges::default();
         m.trace_phase(Phase::Recovery, t0);
-        report
+        Ok(report)
     }
 
     fn committed_seq(&self, m: &mut Machine<T>) -> u64 {

@@ -23,7 +23,7 @@
 
 use dsnrep_obs::Tracer;
 use dsnrep_rio::{Layout, RootSlot};
-use dsnrep_simcore::{Addr, Region, TrafficClass};
+use dsnrep_simcore::{Addr, Halted, Region, TrafficClass};
 
 use crate::error::TxError;
 use crate::machine::{Machine, StoreBatch};
@@ -156,7 +156,8 @@ impl RedoWriter {
     /// # Errors
     ///
     /// [`TxError::RedoRecordTooLarge`] if a single staged record cannot fit
-    /// in the ring at all (nothing is shipped; the staging is preserved).
+    /// in the ring at all (nothing is shipped; the staging is preserved),
+    /// or [`TxError::Halted`] if the node halts mid-publication.
     pub fn publish_commit<T: Tracer>(
         &mut self,
         m: &mut Machine<T>,
@@ -199,14 +200,14 @@ impl RedoWriter {
         marker[4..].copy_from_slice(&(seq as u32).to_le_bytes());
         self.batch.push(at, &marker, TrafficClass::Meta);
         self.prod += HDR;
-        m.write_batch(&mut self.batch);
+        m.write_batch(&mut self.batch)?;
         // Publish: every record precedes the cursor on the wire.
-        m.barrier();
+        m.barrier()?;
         m.write_u64(
             Layout::root_addr(RootSlot::RingProducer),
             self.prod,
             TrafficClass::Meta,
-        );
+        )?;
         Ok(())
     }
 
@@ -271,7 +272,12 @@ impl RedoReader {
     /// database, advances the consumer cursor, and writes the cursor back
     /// (write-through) once per commit marker — all charged to the backup
     /// machine's clock.
-    pub fn poll<T: Tracer>(&mut self, m: &mut Machine<T>) -> Applied {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when a fault budget halts the backup mid-apply (a
+    /// takeover's drain of the ring is recovery, and may be crashed).
+    pub fn poll<T: Tracer>(&mut self, m: &mut Machine<T>) -> Result<Applied, Halted> {
         let prod = m.read_u64(Layout::root_addr(RootSlot::RingProducer));
         let mut applied = Applied::default();
         while self.cons < prod {
@@ -292,8 +298,8 @@ impl RedoReader {
                     Layout::root_addr(RootSlot::RingConsumer),
                     self.cons,
                     TrafficClass::Meta,
-                );
-                m.barrier();
+                )?;
+                m.barrier()?;
                 continue;
             }
             self.scratch.resize(len as usize, 0);
@@ -305,11 +311,11 @@ impl RedoReader {
                 self.db.start() + u64::from(base_off),
                 &self.scratch,
                 TrafficClass::Modified,
-            );
+            )?;
             applied.bytes += u64::from(len);
             self.cons += rec_size(u64::from(len));
         }
-        applied
+        Ok(applied)
     }
 }
 
@@ -332,17 +338,18 @@ mod tests {
     }
 
     #[test]
-    fn publish_then_poll_applies_payloads() {
+    fn publish_then_poll_applies_payloads() -> Result<(), TxError> {
         let (mut m, mut writer, mut reader, db) = setup(1024);
         writer.record_write(db.start() + 16, &[1, 2, 3, 4]);
         writer.record_write(db.start() + 100, &[9; 12]);
-        writer.publish_commit(&mut m, 1).expect("fits");
-        let applied = reader.poll(&mut m);
+        writer.publish_commit(&mut m, 1)?;
+        let applied = reader.poll(&mut m)?;
         assert_eq!(applied.txns, 1);
         assert_eq!(applied.bytes, 16);
         assert_eq!(m.peek_vec(db.start() + 16, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.peek_vec(db.start() + 100, 12), vec![9; 12]);
         assert_eq!(reader.applied_seq(), 1);
+        Ok(())
     }
 
     #[test]
@@ -356,38 +363,40 @@ mod tests {
     }
 
     #[test]
-    fn discard_drops_the_staging() {
+    fn discard_drops_the_staging() -> Result<(), TxError> {
         let (mut m, mut writer, mut reader, db) = setup(1024);
         writer.record_write(db.start(), &[5; 8]);
         writer.discard();
-        writer.publish_commit(&mut m, 1).expect("empty commit fits");
-        let applied = reader.poll(&mut m);
+        writer.publish_commit(&mut m, 1)?;
+        let applied = reader.poll(&mut m)?;
         assert_eq!(applied.bytes, 0);
         assert_eq!(applied.txns, 1, "the commit marker still travels");
+        Ok(())
     }
 
     #[test]
-    fn ring_wraps_with_padding() {
+    fn ring_wraps_with_padding() -> Result<(), TxError> {
         let (mut m, mut writer, mut reader, db) = setup(256);
         // Fill the ring several times over; the reader keeps pace.
         for seq in 1..=40u64 {
             writer.record_write(db.start() + (seq % 7) * 24, &[seq as u8; 20]);
             let needed = writer.bytes_needed();
             assert!(writer.free_space(&mut m) >= needed, "reader keeps pace");
-            writer.publish_commit(&mut m, seq).expect("fits");
-            reader.poll(&mut m);
+            writer.publish_commit(&mut m, seq)?;
+            reader.poll(&mut m)?;
         }
         assert_eq!(reader.applied_seq(), 40);
+        Ok(())
     }
 
     #[test]
-    fn bytes_needed_accounts_for_wrap_padding() {
+    fn bytes_needed_accounts_for_wrap_padding() -> Result<(), TxError> {
         let (mut m, mut writer, mut reader, db) = setup(256);
         // Advance the cursors to just before the wrap point.
         for seq in 1..=3u64 {
             writer.record_write(db.start(), &[0; 48]);
-            writer.publish_commit(&mut m, seq).expect("fits");
-            reader.poll(&mut m);
+            writer.publish_commit(&mut m, seq)?;
+            reader.poll(&mut m)?;
         }
         // A record that cannot fit in the remaining contiguous space must
         // include the pad in its size estimate.
@@ -397,10 +406,11 @@ mod tests {
             needed >= 8 + 104,
             "needs header + padded payload, got {needed}"
         );
-        writer.publish_commit(&mut m, 4).expect("fits after pad");
-        let applied = reader.poll(&mut m);
+        writer.publish_commit(&mut m, 4)?;
+        let applied = reader.poll(&mut m)?;
         assert_eq!(applied.bytes, 100);
         assert_eq!(m.peek_vec(db.start(), 100), vec![7; 100]);
+        Ok(())
     }
 
     #[test]
@@ -412,14 +422,15 @@ mod tests {
     }
 
     #[test]
-    fn reader_only_sees_published_records() {
+    fn reader_only_sees_published_records() -> Result<(), TxError> {
         let (mut m, mut writer, mut reader, db) = setup(1024);
         writer.record_write(db.start(), &[1; 8]);
         // Not yet published: the reader must see nothing.
-        let applied = reader.poll(&mut m);
+        let applied = reader.poll(&mut m)?;
         assert_eq!(applied.txns + applied.bytes, 0);
-        writer.publish_commit(&mut m, 1).expect("fits");
-        assert_eq!(reader.poll(&mut m).txns, 1);
+        writer.publish_commit(&mut m, 1)?;
+        assert_eq!(reader.poll(&mut m)?.txns, 1);
+        Ok(())
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! checker lets us do better. A [`Tx`] borrows the engine and machine for
 //! the duration of one transaction and **aborts on drop** unless committed,
 //! so early returns and `?` propagation can never leak a half-finished
-//! transaction into the next one.
+//! transaction into the next one. The one exception is a halted node: after
+//! [`TxError::Halted`] the guard runs nothing more, abort included.
 
 use dsnrep_obs::{NullTracer, Tracer};
 use dsnrep_simcore::Addr;
@@ -74,7 +75,8 @@ impl<'a, T: Tracer> Tx<'a, T> {
     ///
     /// Propagates [`Engine::set_range`] errors.
     pub fn set_range(&mut self, base: Addr, len: u64) -> Result<(), TxError> {
-        self.engine.set_range(self.machine, base, len)
+        let result = self.engine.set_range(self.machine, base, len);
+        self.unless_halted(result)
     }
 
     /// Writes in place within a declared range.
@@ -83,7 +85,17 @@ impl<'a, T: Tracer> Tx<'a, T> {
     ///
     /// Propagates [`Engine::write`] errors.
     pub fn write(&mut self, base: Addr, bytes: &[u8]) -> Result<(), TxError> {
-        self.engine.write(self.machine, base, bytes)
+        let result = self.engine.write(self.machine, base, bytes);
+        self.unless_halted(result)
+    }
+
+    /// Passes `result` on; a halt finishes the guard, so its drop runs no
+    /// abort on the halted node.
+    fn unless_halted(&mut self, result: Result<(), TxError>) -> Result<(), TxError> {
+        if result == Err(TxError::Halted) {
+            self.finished = true;
+        }
+        result
     }
 
     /// Convenience: `set_range` + `write` of the same bytes.
@@ -113,9 +125,10 @@ impl<'a, T: Tracer> Tx<'a, T> {
     /// # Errors
     ///
     /// Propagates [`Engine::commit`] errors; on error the transaction is
-    /// still aborted by the drop.
+    /// still aborted by the drop, unless the node halted.
     pub fn commit(mut self) -> Result<(), TxError> {
-        self.engine.commit(self.machine)?;
+        let result = self.engine.commit(self.machine);
+        self.unless_halted(result)?;
         self.finished = true;
         Ok(())
     }
@@ -196,6 +209,37 @@ mod tests {
         let mut buf = [9u8; 8];
         engine.read(&mut m, db, &mut buf);
         assert_eq!(buf, [0; 8]);
+    }
+
+    #[test]
+    fn a_halt_skips_the_drop_abort() {
+        for version in VersionTag::ALL {
+            let (mut guarded, mut engine) = setup(version);
+            let (mut bare, mut twin) = setup(version);
+            let db = engine.db_region().start();
+            guarded.inject_crash_after_stores(1);
+            bare.inject_crash_after_stores(1);
+            {
+                let mut tx = Tx::begin(engine.as_mut(), &mut guarded).expect("idle");
+                assert_eq!(
+                    tx.update(db, &[0xEE; 16]),
+                    Err(TxError::Halted),
+                    "{version}"
+                );
+            } // dropped on a halted node: no abort runs
+            twin.begin(&mut bare).expect("idle");
+            assert_eq!(
+                twin.set_range(&mut bare, db, 16),
+                Err(TxError::Halted),
+                "{version}"
+            );
+            assert_eq!(guarded.stats(), bare.stats(), "{version}");
+            assert_eq!(
+                guarded.stores_executed(),
+                bare.stores_executed(),
+                "{version}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use dsnrep_obs::{Phase, Tracer};
 use dsnrep_rio::{
     Arena, FreeListHeap, Layout, LayoutBuilder, LayoutError, RawMem, RegionId, RootSlot,
 };
-use dsnrep_simcore::{Addr, Region, TrafficClass, VirtualDuration};
+use dsnrep_simcore::{Addr, Halted, Region, TrafficClass, VirtualDuration};
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RecoveryReport, VersionTag};
@@ -98,6 +98,7 @@ impl VistaEngine {
         let heap = {
             let mut raw = RawMem::new(&mut arena);
             FreeListHeap::format(&mut raw, heap_region)
+                .expect("a freshly formatted arena has no write budget armed")
         };
         VistaEngine {
             db: layout.expect_region(RegionId::Database),
@@ -153,7 +154,7 @@ impl VistaEngine {
         seq_addr: Addr,
         db: Region,
         heap: Region,
-    ) -> (u64, u64) {
+    ) -> Result<(u64, u64), Halted> {
         let committed = arena.read_u64(seq_addr);
         let mut restored = 0u64;
         let mut undone = 0u64;
@@ -169,13 +170,13 @@ impl VistaEngine {
             let data = Addr::new(arena.read_u64(rec + REC_DATA));
             if seq > committed && db.contains_range(base, len) && heap.contains_range(data, len) {
                 let bytes = arena.read_vec(data, len as usize);
-                arena.write(base, &bytes);
+                arena.try_write(base, &bytes)?;
                 restored += len;
                 undone = 1;
             }
             node = arena.read_u64(rec + REC_NEXT);
         }
-        (restored, undone)
+        Ok((restored, undone))
     }
 }
 
@@ -206,15 +207,17 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         let t0 = m.now();
         m.charge(m.costs().set_range);
         // Allocate the record and the data area from the recoverable heap.
+        // A halt passes straight through: the free-on-failure cleanup is
+        // for an exhausted heap, never for a halted node.
         m.charge(m.costs().heap_alloc * 2);
         let alloc_result = {
             let mut mem = m.meta_mem();
-            match self.heap.alloc(&mut mem, REC_SIZE) {
+            match self.heap.alloc(&mut mem, REC_SIZE)? {
                 Err(e) => Err(e),
-                Ok(node) => match self.heap.alloc(&mut mem, len.max(8)) {
+                Ok(node) => match self.heap.alloc(&mut mem, len.max(8))? {
                     Ok(area) => Ok((node, area)),
                     Err(e) => {
-                        self.heap.free(&mut mem, node);
+                        self.heap.free(&mut mem, node)?;
                         Err(e)
                     }
                 },
@@ -232,16 +235,16 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         m.charge(VirtualDuration::from_picos(
             m.costs().copy_per_byte.as_picos() * len,
         ));
-        m.write(area, &data, TrafficClass::Undo);
+        m.write(area, &data, TrafficClass::Undo)?;
         // Fill in the record, then publish it with a single head store.
         let seq = m.read_u64(self.seq_addr());
         let old_head = m.read_u64(self.head_addr());
-        m.write_u64(node + REC_SEQ, seq + 1, TrafficClass::Meta);
-        m.write_u64(node + REC_BASE, base.as_u64(), TrafficClass::Meta);
-        m.write_u64(node + REC_LEN, len, TrafficClass::Meta);
-        m.write_u64(node + REC_DATA, area.as_u64(), TrafficClass::Meta);
-        m.write_u64(node + REC_NEXT, old_head, TrafficClass::Meta);
-        m.write_u64(self.head_addr(), node.as_u64(), TrafficClass::Meta);
+        m.write_u64(node + REC_SEQ, seq + 1, TrafficClass::Meta)?;
+        m.write_u64(node + REC_BASE, base.as_u64(), TrafficClass::Meta)?;
+        m.write_u64(node + REC_LEN, len, TrafficClass::Meta)?;
+        m.write_u64(node + REC_DATA, area.as_u64(), TrafficClass::Meta)?;
+        m.write_u64(node + REC_NEXT, old_head, TrafficClass::Meta)?;
+        m.write_u64(self.head_addr(), node.as_u64(), TrafficClass::Meta)?;
         m.trace_phase(Phase::UndoWrite, t0);
         Ok(())
     }
@@ -250,7 +253,7 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         self.ranges.check_covered(base, bytes.len() as u64)?;
         let t0 = m.now();
         m.charge(m.costs().write_call);
-        m.write(base, bytes, TrafficClass::Modified);
+        m.write(base, bytes, TrafficClass::Modified)?;
         m.trace_phase(Phase::DbWrite, t0);
         Ok(())
     }
@@ -264,15 +267,15 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         let t0 = m.now();
         m.charge(m.costs().txn_commit);
         let seq = m.read_u64(self.seq_addr());
-        m.barrier(); // everything the transaction wrote precedes the flag
-        m.write_u64(self.seq_addr(), seq + 1, TrafficClass::Meta); // commit
+        m.barrier()?; // everything the transaction wrote precedes the flag
+        m.write_u64(self.seq_addr(), seq + 1, TrafficClass::Meta)?; // commit
         let mut node = m.read_u64(self.head_addr());
-        m.write_u64(self.head_addr(), 0, TrafficClass::Meta);
+        m.write_u64(self.head_addr(), 0, TrafficClass::Meta)?;
         // The flag and head-clear go out before the frees can recycle the
         // records they describe.
-        m.barrier();
+        m.barrier()?;
         if m.durability() == crate::Durability::TwoSafe {
-            m.wait_delivered();
+            m.wait_delivered()?;
         }
         // Unlink and free the whole undo list.
         while node != 0 {
@@ -281,8 +284,8 @@ impl<T: Tracer> Engine<T> for VistaEngine {
             let data = Addr::new(m.read_u64(rec + REC_DATA));
             m.charge(m.costs().heap_free * 2);
             let mut mem = m.meta_mem();
-            self.heap.free(&mut mem, data);
-            self.heap.free(&mut mem, rec);
+            self.heap.free(&mut mem, data)?;
+            self.heap.free(&mut mem, rec)?;
             node = next;
         }
         self.ranges.end();
@@ -298,7 +301,7 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         // Walk the list, restoring newest-first so that the oldest copy of
         // overlapping ranges wins, then free everything.
         let mut node = m.read_u64(self.head_addr());
-        m.write_u64(self.head_addr(), 0, TrafficClass::Meta);
+        m.write_u64(self.head_addr(), 0, TrafficClass::Meta)?;
         while node != 0 {
             let rec = Addr::new(node);
             let next = m.read_u64(rec + REC_NEXT);
@@ -309,11 +312,11 @@ impl<T: Tracer> Engine<T> for VistaEngine {
             m.charge(VirtualDuration::from_picos(
                 m.costs().copy_per_byte.as_picos() * len,
             ));
-            m.write(base, &bytes, TrafficClass::Modified);
+            m.write(base, &bytes, TrafficClass::Modified)?;
             m.charge(m.costs().heap_free * 2);
             let mut mem = m.meta_mem();
-            self.heap.free(&mut mem, data);
-            self.heap.free(&mut mem, rec);
+            self.heap.free(&mut mem, data)?;
+            self.heap.free(&mut mem, rec)?;
             node = next;
         }
         self.ranges.end();
@@ -322,7 +325,7 @@ impl<T: Tracer> Engine<T> for VistaEngine {
         Ok(())
     }
 
-    fn recover(&mut self, m: &mut Machine<T>) -> RecoveryReport {
+    fn recover(&mut self, m: &mut Machine<T>) -> Result<RecoveryReport, Halted> {
         // Recovery is the failure path: it runs against the raw arena,
         // unaccounted.
         let t0 = m.now();
@@ -333,24 +336,24 @@ impl<T: Tracer> Engine<T> for VistaEngine {
             self.seq_addr(),
             self.db,
             self.heap_region,
-        );
-        arena.write_u64(self.head_addr(), 0);
+        )?;
+        arena.try_write_u64(self.head_addr(), 0)?;
         // The heap may hold unreachable (leaked or torn) blocks; after the
         // undo list is gone nothing in it is live, so reformat it.
         {
             let mut raw = RawMem::new(&mut arena);
-            self.heap = FreeListHeap::format(&mut raw, self.heap_region);
+            self.heap = FreeListHeap::format(&mut raw, self.heap_region)?;
         }
         let committed_seq = arena.read_u64(self.seq_addr());
         drop(arena);
         self.ranges = TxRanges::default();
         m.trace_phase(Phase::Recovery, t0);
-        RecoveryReport {
+        Ok(RecoveryReport {
             rolled_back: undone != 0,
             rolled_forward: false,
             bytes_restored: restored,
             committed_seq,
-        }
+        })
     }
 
     fn committed_seq(&self, m: &mut Machine<T>) -> u64 {

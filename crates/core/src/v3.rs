@@ -29,7 +29,7 @@
 
 use dsnrep_obs::{Phase, Tracer};
 use dsnrep_rio::{Layout, LayoutBuilder, LayoutError, RegionId, RootSlot};
-use dsnrep_simcore::{Addr, Region, TrafficClass, VirtualDuration};
+use dsnrep_simcore::{Addr, Halted, Region, TrafficClass, VirtualDuration};
 
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RecoveryReport, VersionTag};
@@ -280,7 +280,7 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
             let word = self.header_word(chunk_base, chunk, seq, self.rec_offsets.len());
             self.batch
                 .push(rec, &word.to_le_bytes(), TrafficClass::Meta);
-            m.write_batch(&mut self.batch);
+            m.write_batch(&mut self.batch)?;
             self.rec_offsets.push(self.tail);
             self.tail += rec_size(chunk);
             chunk_base = chunk_base + chunk;
@@ -294,7 +294,7 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
         self.ranges.check_covered(base, bytes.len() as u64)?;
         let t0 = m.now();
         m.charge(m.costs().write_call);
-        m.write(base, bytes, TrafficClass::Modified);
+        m.write(base, bytes, TrafficClass::Modified)?;
         m.trace_phase(Phase::DbWrite, t0);
         Ok(())
     }
@@ -308,14 +308,14 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
         let t0 = m.now();
         m.charge(m.costs().txn_commit);
         let seq = unpack_seq(m.read_u64(self.state_addr()));
-        m.barrier(); // transaction writes precede the commit word
-                     // One atomic word: bump the sequence (and so invalidate the log).
-        m.write_u64(self.state_addr(), pack_seq(seq + 1), TrafficClass::Meta);
+        m.barrier()?; // transaction writes precede the commit word
+                      // One atomic word: bump the sequence (and so invalidate the log).
+        m.write_u64(self.state_addr(), pack_seq(seq + 1), TrafficClass::Meta)?;
         // Push the flag out before the next transaction's data can be
         // flushed ahead of it (write buffers are not FIFO across blocks).
-        m.barrier();
+        m.barrier()?;
         if m.durability() == crate::Durability::TwoSafe {
-            m.wait_delivered();
+            m.wait_delivered()?;
         }
         self.tail = 0;
         self.rec_offsets.clear();
@@ -354,12 +354,12 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
                 self.db.start() + base_off,
                 &self.scratch[..len as usize],
                 TrafficClass::Modified,
-            );
+            )?;
         }
         // Invalidate the aborted records so the sequence (unchanged by an
         // abort) can never rechain them during a later recovery scan.
         for &(off, _, _) in &recs {
-            m.write_u64(self.log.start() + off, 0, TrafficClass::Meta);
+            m.write_u64(self.log.start() + off, 0, TrafficClass::Meta)?;
         }
         self.tail = 0;
         self.rec_offsets.clear();
@@ -369,7 +369,7 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
         Ok(())
     }
 
-    fn recover(&mut self, m: &mut Machine<T>) -> RecoveryReport {
+    fn recover(&mut self, m: &mut Machine<T>) -> Result<RecoveryReport, Halted> {
         let t0 = m.now();
         let committed = unpack_seq(m.arena().borrow().read_u64(self.state_addr()));
         let records = self.scan_records(m, committed);
@@ -378,12 +378,12 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
             let mut arena = m.arena().borrow_mut();
             for &(base, len, data) in records.iter().rev() {
                 let bytes = arena.read_vec(data, len as usize);
-                arena.write(base, &bytes);
+                arena.try_write(base, &bytes)?;
                 report.bytes_restored += len;
             }
             // Invalidate the chain so recovery is idempotent.
             if !records.is_empty() {
-                arena.write_u64(self.log.start(), 0);
+                arena.try_write_u64(self.log.start(), 0)?;
             }
         }
         report.rolled_back = !records.is_empty();
@@ -392,7 +392,7 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
         self.rec_offsets.clear();
         self.ranges = TxRanges::default();
         m.trace_phase(Phase::Recovery, t0);
-        report
+        Ok(report)
     }
 
     fn committed_seq(&self, m: &mut Machine<T>) -> u64 {

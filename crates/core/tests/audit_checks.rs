@@ -65,7 +65,7 @@ fn clean_after_crash_and_recovery() {
             "{version}: expected in-flight structures before recovery"
         );
         let mut e = attach_engine(version, &mut m);
-        e.recover(&mut m);
+        e.recover(&mut m).unwrap();
         let post = audit(version, &m.arena().borrow()).unwrap_or_else(|e| panic!("{version}: {e}"));
         assert!(
             !post.in_flight,

@@ -135,7 +135,7 @@ proptest! {
                 drop(engine);
                 m.crash();
                 engine = attach_engine(version, &mut m);
-                engine.recover(&mut m);
+                engine.recover(&mut m).unwrap();
             }
             prop_assert!(
                 shadow.matches(&arena.borrow()),
@@ -190,7 +190,7 @@ fn crash_immediately_after_commit_keeps_the_transaction() {
         drop(engine);
         m.crash();
         let mut engine = attach_engine(version, &mut m);
-        let report = engine.recover(&mut m);
+        let report = engine.recover(&mut m).unwrap();
         assert_eq!(report.committed_seq, 1, "{version}");
         assert_eq!(
             arena.borrow().read_vec(Addr::new(base.as_u64()), 8),

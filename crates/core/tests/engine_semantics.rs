@@ -150,7 +150,7 @@ fn crash_mid_transaction_rolls_back() {
         m.crash();
 
         let mut e = attach_engine(v, &mut m);
-        let report = e.recover(&mut m);
+        let report = e.recover(&mut m).unwrap();
         assert!(report.rolled_back, "{v}");
         assert_eq!(report.committed_seq, 1, "{v}");
         assert_eq!(arena.borrow().read_vec(db, 64), vec![0x11; 64], "{v}");
@@ -177,7 +177,7 @@ fn crash_with_no_transaction_recovers_cleanly() {
         drop(e);
         m.crash();
         let mut e = attach_engine(v, &mut m);
-        let report = e.recover(&mut m);
+        let report = e.recover(&mut m).unwrap();
         assert!(!report.rolled_back, "{v}");
         assert_eq!(report.committed_seq, 1, "{v}");
         assert_eq!(arena.borrow().read_vec(db, 8), vec![5; 8], "{v}");
@@ -195,8 +195,8 @@ fn recovery_is_idempotent() {
         drop(e);
         m.crash();
         let mut e = attach_engine(v, &mut m);
-        e.recover(&mut m);
-        let again = e.recover(&mut m);
+        e.recover(&mut m).unwrap();
+        let again = e.recover(&mut m).unwrap();
         assert!(!again.rolled_back, "{v}: second recovery must be a no-op");
         assert_eq!(arena.borrow().read_vec(db, 16), vec![0; 16], "{v}");
     });

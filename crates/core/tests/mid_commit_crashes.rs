@@ -7,25 +7,26 @@
 //! so this file keeps only the low-level contract of the injection hook
 //! itself.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use dsnrep_core::{arena_len, EngineConfig, Machine, VersionTag};
-use dsnrep_simcore::{Addr, CostModel};
+use dsnrep_simcore::{Addr, CostModel, Halted, TrafficClass};
 
 const DB_LEN: u64 = 32 * 1024;
 
 #[test]
-fn halted_machine_panics_at_the_exact_store() {
+fn halted_machine_stops_at_the_exact_store() -> Result<(), Halted> {
     let config = EngineConfig::for_db(DB_LEN);
     let arena = dsnrep_core::shared_arena(arena_len(VersionTag::ImprovedLog, &config));
     let mut m = Machine::standalone(CostModel::alpha_21164a(), Rc::clone(&arena));
     m.inject_crash_after_stores(1);
-    m.write(Addr::new(0), &[1], dsnrep_simcore::TrafficClass::Meta);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        m.write(Addr::new(8), &[2], dsnrep_simcore::TrafficClass::Meta);
-    }));
-    assert!(result.is_err(), "the second store must halt");
+    m.write(Addr::new(0), &[1], TrafficClass::Meta)?;
+    let before = m.stats();
+    assert_eq!(
+        m.write(Addr::new(8), &[2], TrafficClass::Meta),
+        Err(Halted),
+        "the second store must halt"
+    );
     assert_eq!(
         arena.borrow().read_vec(Addr::new(0), 1),
         vec![1],
@@ -36,7 +37,29 @@ fn halted_machine_panics_at_the_exact_store() {
         vec![0],
         "second store dropped"
     );
+    // The halting store charged nothing and did not count, and every later
+    // store halts too.
+    assert_eq!(m.stats(), before);
+    assert_eq!(m.stores_executed(), 1);
+    assert_eq!(
+        m.write_u64(Addr::new(16), 3, TrafficClass::Meta),
+        Err(Halted)
+    );
+    assert_eq!(m.stats(), before);
     m.clear_fault();
-    m.write(Addr::new(8), &[2], dsnrep_simcore::TrafficClass::Meta);
+    m.write(Addr::new(8), &[2], TrafficClass::Meta)?;
     assert_eq!(arena.borrow().read_vec(Addr::new(8), 1), vec![2]);
+    Ok(())
+}
+
+/// Debug builds catch any accounted access that runs after a halt.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "halted node")]
+fn an_accounted_load_on_a_halted_machine_is_caught() {
+    let arena = dsnrep_core::shared_arena(4096);
+    let mut m = Machine::standalone(CostModel::alpha_21164a(), arena);
+    m.inject_crash_after_stores(0);
+    assert_eq!(m.write(Addr::new(0), &[1], TrafficClass::Meta), Err(Halted));
+    m.read_u64(Addr::new(0));
 }

@@ -4,21 +4,21 @@
 //! scenario's driver from scratch, arms the injection hooks the plan
 //! names (store budgets on the primary machine, packet budgets on the SAN
 //! adapter, arena write budgets on the recovering node), runs the
-//! workload, catches every simulated halt, and drives recovery to
+//! workload until a budget returns [`Halted`], and drives recovery to
 //! completion — re-entering it over the surviving arena as many times as
-//! the plan crashes it. The outcome is checked against the shadow
-//! [`Reference`](crate::Reference) and the driver's contract: which
-//! copies a fault-free run must hold exactly, the sequence and loss
-//! bounds, the torn-tail allowance and the takeover timeline, all set in
-//! one place. Everything is a pure function of (scenario, plan):
-//! replaying the same pair is bit-deterministic.
+//! the plan crashes it. A halt is a value passed up the store pipeline,
+//! never a panic; a panic is a real bug, caught only to report it. The
+//! outcome is checked against the shadow [`Reference`](crate::Reference)
+//! and the driver's contract: which copies a fault-free run must hold
+//! exactly, the sequence and loss bounds, the torn-tail allowance and the
+//! takeover timeline, all set in one place. Everything is a pure function
+//! of (scenario, plan): replaying the same pair is bit-deterministic.
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::Once;
 
 use dsnrep_cluster::{
     takeover_timeline_with_faults, HeartbeatConfig, HeartbeatFaults, NodeId, TakeoverTimeline,
@@ -33,7 +33,7 @@ use dsnrep_repl::{
     modeled_pairs, ActiveCluster, ActiveTakeover, PassiveCluster, ReplicaSet, Takeover,
 };
 use dsnrep_rio::{Arena, Layout, RegionId};
-use dsnrep_simcore::{CostModel, Region, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{CostModel, Halted, Region, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{TxCtx, Workload};
 
 use crate::oracle::Reference;
@@ -131,7 +131,9 @@ pub struct Outcome {
     /// The committed sequence after recovery (equals `committed` on a
     /// graceful run).
     pub recovered: u64,
-    /// Injected faults that actually fired.
+    /// Injected faults that actually fired: every [`Halted`] a budget
+    /// returned, the primary's and each crashed recovery attempt's. A
+    /// budget armed past the end of the run never fires.
     pub faults_fired: u64,
     /// Accounted stores the primary executed during the run.
     pub stores: u64,
@@ -167,44 +169,32 @@ impl Outcome {
     }
 }
 
-const FAULT_MARKER: &str = "fault injection";
-
-static SILENCE: Once = Once::new();
-
-/// Installs a process-wide panic hook that swallows the backtrace noise
-/// of *injected* faults (they are caught by design); every other panic
-/// still reports normally. Idempotent.
-pub fn silence_fault_panics() {
-    SILENCE.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                .unwrap_or_default();
-            if !msg.contains(FAULT_MARKER) {
-                prev(info);
-            }
-        }));
-    });
+/// Why a run or recovery attempt stopped short.
+enum Stop {
+    /// An armed fault budget halted the node.
+    Halted,
+    /// A real bug: an engine error, a panic, an unreadable arena.
+    Broken(String),
 }
 
-/// Runs `f`, turning a panic into its message.
-fn run_caught<R>(f: impl FnOnce() -> R) -> Result<R, String> {
-    match panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string())),
+impl From<Halted> for Stop {
+    fn from(_: Halted) -> Self {
+        Stop::Halted
     }
 }
 
-fn is_fault(msg: &str) -> bool {
-    msg.contains(FAULT_MARKER)
+/// Runs `f`, turning a panic into [`Stop::Broken`] with its message: the
+/// safety net for real engine bugs, not the way a fault fires.
+fn run_caught<R>(f: impl FnOnce() -> Result<R, Stop>) -> Result<R, Stop> {
+    panic::catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(Stop::Broken(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        ))
+    })
 }
 
 fn check_plan(scenario: &Scenario, plan: &FaultPlan) -> Result<(), PlanError> {
@@ -299,7 +289,6 @@ pub fn execute_against(
     mutation: Option<Mutation>,
 ) -> Result<Outcome, PlanError> {
     check_plan(scenario, plan)?;
-    silence_fault_panics();
     Ok(run(scenario, plan, reference, mutation))
 }
 
@@ -528,18 +517,20 @@ impl Cluster {
         }
     }
 
-    /// Runs one transaction on the primary. A lone machine reports an
-    /// engine error; the clusters panic on one.
-    fn run_txn(&mut self, workload: &mut dyn Workload) -> Result<(), TxError> {
-        match self {
+    /// Runs one transaction on the primary.
+    fn run_txn(&mut self, workload: &mut dyn Workload) -> Result<(), Stop> {
+        let result = match self {
             Cluster::Standalone(machine, engine) => {
-                return workload.run_txn(&mut TxCtx::new(machine, engine.as_mut()));
+                workload.run_txn(&mut TxCtx::new(machine, engine.as_mut()))
             }
-            Cluster::Passive(cluster) => cluster.run_txn(workload),
-            Cluster::Active(cluster) => cluster.run_txn(workload),
-            Cluster::Set(set) => set.run_txn(workload),
-        }
-        Ok(())
+            Cluster::Passive(cluster) => cluster.try_run_txn(workload),
+            Cluster::Active(cluster) => cluster.try_run_txn(workload),
+            Cluster::Set(set) => set.try_run_txn(workload),
+        };
+        result.map_err(|e| match e {
+            TxError::Halted => Stop::Halted,
+            e => Stop::Broken(format!("engine error: {e:?}")),
+        })
     }
 
     /// Ends a fault-free run and returns the sequence the settled copies
@@ -664,24 +655,21 @@ impl Recovery {
     }
 
     /// Runs recovery to completion. Returns the recovered sequence and
-    /// the virtual time recovery took, or why the arena was unreadable.
-    fn run(self) -> Result<(u64, VirtualDuration), String> {
-        match self {
+    /// the virtual time recovery took, or why it stopped short.
+    fn run(self) -> Result<(u64, VirtualDuration), Stop> {
+        let failover = match self {
             Recovery::InPlace { version, arena, at } => {
                 let mut machine = Machine::standalone(CostModel::alpha_21164a(), arena);
                 machine.clock_mut().advance_to(at);
-                let report = attach_engine(version, &mut machine).recover(&mut machine);
-                Ok((report.committed_seq, machine.now().duration_since(at)))
+                let report = attach_engine(version, &mut machine).recover(&mut machine)?;
+                return Ok((report.committed_seq, machine.now().duration_since(at)));
             }
-            Recovery::Takeover(takeover) => {
-                let failover = takeover.recover();
-                Ok((failover.report.committed_seq, failover.recovery_time))
-            }
+            Recovery::Takeover(takeover) => takeover.try_recover()?,
             Recovery::Active(takeover) => takeover
-                .recover()
-                .map(|failover| (failover.report.committed_seq, failover.recovery_time))
-                .map_err(|e| format!("backup layout unreadable: {e}")),
-        }
+                .try_recover()?
+                .map_err(|e| Stop::Broken(format!("backup layout unreadable: {e}")))?,
+        };
+        Ok((failover.report.committed_seq, failover.recovery_time))
     }
 }
 
@@ -710,16 +698,12 @@ fn run(
     // Run until the plan's transaction boundary or an injected fault.
     while out.committed < scenario.txns && crash_txn != Some(out.committed) {
         match run_caught(|| cluster.run_txn(workload.as_mut())) {
-            Ok(Ok(())) => out.committed += 1,
-            Ok(Err(e)) => {
-                out.violation = Some(Violation::UnexpectedPanic(format!("engine error: {e:?}")));
-                break;
-            }
-            Err(msg) if is_fault(&msg) => {
+            Ok(()) => out.committed += 1,
+            Err(Stop::Halted) => {
                 out.faults_fired += 1;
                 break;
             }
-            Err(msg) => {
+            Err(Stop::Broken(msg)) => {
                 out.violation = Some(Violation::UnexpectedPanic(msg));
                 break;
             }
@@ -769,11 +753,11 @@ fn run(
         let result = run_caught(move || recovery.run());
         arena.borrow_mut().clear_halt();
         match result {
-            Ok(Ok((seq, recovery_time))) => {
+            Ok((seq, recovery_time)) => {
                 out.recovery_writes = arena.borrow().writes() - writes_before;
                 break (seq, recovery_time, arena);
             }
-            Err(msg) if budget.is_some() && is_fault(&msg) => {
+            Err(Stop::Halted) if budget.is_some() => {
                 out.faults_fired += 1;
                 match Recovery::resume(scenario.driver, scenario.version, arena, at) {
                     Ok(next) => recovery = next,
@@ -783,7 +767,11 @@ fn run(
                     }
                 }
             }
-            Ok(Err(msg)) | Err(msg) => {
+            Err(Stop::Halted) => {
+                out.violation = Some(Violation::UnexpectedPanic(Halted.to_string()));
+                return out;
+            }
+            Err(Stop::Broken(msg)) => {
                 out.violation = Some(Violation::UnexpectedPanic(msg));
                 return out;
             }

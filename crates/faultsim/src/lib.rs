@@ -62,7 +62,7 @@ mod plan;
 mod scenario;
 mod shrink;
 
-pub use exec::{execute, execute_against, silence_fault_panics, Mutation, Outcome, Violation};
+pub use exec::{execute, execute_against, Mutation, Outcome, Violation};
 pub use explore::{
     exhaustive_single_fault, partition_campaign, probe, random_campaign, Campaign, Counterexample,
     Probe,

@@ -9,8 +9,8 @@
 
 use dsnrep_core::VersionTag;
 use dsnrep_faultsim::{
-    execute, exhaustive_single_fault, random_campaign, silence_fault_panics, Campaign, Mutation,
-    Probe, Scenario, Violation,
+    execute, exhaustive_single_fault, random_campaign, Campaign, Mutation, Probe, Scenario,
+    Violation,
 };
 use dsnrep_workloads::WorkloadKind;
 
@@ -35,7 +35,6 @@ fn assert_clean(campaign: &Campaign) {
 /// `faultcov.json` nor the host benchmark runs the standalone driver, so
 /// these numbers are its only bit-exact gate.
 fn sweep_standalone(version: VersionTag, counters: [u64; 4], probe: Probe) {
-    silence_fault_panics();
     let scenario = Scenario::standalone(version, WorkloadKind::DebitCredit);
     let campaign = exhaustive_single_fault(&scenario, None).unwrap();
     assert_clean(&campaign);
@@ -53,7 +52,6 @@ fn sweep_standalone(version: VersionTag, counters: [u64; 4], probe: Probe) {
 }
 
 fn sweep_passive(version: VersionTag) {
-    silence_fault_panics();
     let scenario = Scenario::passive(version, WorkloadKind::DebitCredit);
     let campaign = exhaustive_single_fault(&scenario, None).unwrap();
     assert_clean(&campaign);
@@ -143,7 +141,6 @@ fn exhaustive_sweep_passive_v3() {
 
 #[test]
 fn exhaustive_sweep_active_one_safe() {
-    silence_fault_panics();
     let scenario = Scenario::active(WorkloadKind::DebitCredit);
     let campaign = exhaustive_single_fault(&scenario, None).unwrap();
     assert_clean(&campaign);
@@ -152,7 +149,6 @@ fn exhaustive_sweep_active_one_safe() {
 
 #[test]
 fn exhaustive_sweep_active_two_safe() {
-    silence_fault_panics();
     let scenario = Scenario::active(WorkloadKind::DebitCredit).two_safe();
     let campaign = exhaustive_single_fault(&scenario, None).unwrap();
     assert_clean(&campaign);
@@ -160,7 +156,6 @@ fn exhaustive_sweep_active_two_safe() {
 
 #[test]
 fn exhaustive_sweep_passive_order_entry() {
-    silence_fault_panics();
     // OrderEntry needs a 1 MiB database; two transactions keep the sweep
     // affordable while still crossing multi-record commit boundaries.
     let scenario =
@@ -172,7 +167,6 @@ fn exhaustive_sweep_passive_order_entry() {
 
 #[test]
 fn planted_recovery_bug_is_caught_and_shrunk_standalone() {
-    silence_fault_panics();
     let scenario =
         Scenario::standalone(VersionTag::ImprovedLog, WorkloadKind::DebitCredit).with_txns(2);
     let campaign = exhaustive_single_fault(&scenario, Some(Mutation::SkipUndoChain)).unwrap();
@@ -201,7 +195,6 @@ fn planted_recovery_bug_is_caught_and_shrunk_standalone() {
 
 #[test]
 fn planted_recovery_bug_is_caught_on_every_takeover_driver() {
-    silence_fault_panics();
     // SkipUndoChain is legitimately invisible to a 1-safe failover (its
     // torn window covers the unrolled bytes), so the takeover planted bug
     // scribbles over *committed* data instead — no window explains that.
@@ -241,7 +234,6 @@ fn planted_recovery_bug_is_caught_on_every_takeover_driver() {
 
 #[test]
 fn same_seed_same_plan_is_bit_deterministic() {
-    silence_fault_panics();
     let scenario = Scenario::passive(VersionTag::MirrorDiff, WorkloadKind::DebitCredit);
     let plan: dsnrep_faultsim::FaultPlan =
         "crash primary @ packet=5; crash backup @ recovery-write=9"
@@ -255,7 +247,6 @@ fn same_seed_same_plan_is_bit_deterministic() {
 
 #[test]
 fn random_campaigns_replay_identically_from_a_seed() {
-    silence_fault_panics();
     let scenario = Scenario::passive(VersionTag::ImprovedLog, WorkloadKind::DebitCredit);
     let a = random_campaign(&scenario, 0xC0FFEE, 12, None).unwrap();
     let b = random_campaign(&scenario, 0xC0FFEE, 12, None).unwrap();
@@ -274,7 +265,6 @@ fn random_campaigns_replay_identically_from_a_seed() {
 
 #[test]
 fn random_multi_fault_campaign_active_is_clean() {
-    silence_fault_panics();
     let scenario = Scenario::active(WorkloadKind::DebitCredit).with_txns(8);
     let campaign = random_campaign(&scenario, 0xD15EA5E, 24, None).unwrap();
     assert_clean(&campaign);

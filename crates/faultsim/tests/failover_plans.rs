@@ -9,13 +9,10 @@
 //! shared executor instead of being duplicated per test file.
 
 use dsnrep_core::VersionTag;
-use dsnrep_faultsim::{
-    execute, random_campaign, silence_fault_panics, FaultPlan, Outcome, Scenario,
-};
+use dsnrep_faultsim::{execute, random_campaign, FaultPlan, Outcome, Scenario};
 use dsnrep_workloads::WorkloadKind;
 
 fn run(scenario: &Scenario, plan: &str) -> Outcome {
-    silence_fault_panics();
     let plan: FaultPlan = plan.parse().unwrap();
     let outcome = execute(scenario, &plan).unwrap();
     assert!(
@@ -160,7 +157,6 @@ fn triple_fault_sequence_parses_and_recovers() {
 
 #[test]
 fn longer_random_passive_campaign_stays_clean() {
-    silence_fault_panics();
     // The old proptest harness sampled run lengths up to 250 txns; a
     // 24-txn random campaign keeps that long-run coverage affordable.
     let scenario = Scenario::passive(VersionTag::ImprovedLog, WorkloadKind::DebitCredit)

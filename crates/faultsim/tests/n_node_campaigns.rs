@@ -5,8 +5,8 @@
 
 use dsnrep_core::VersionTag;
 use dsnrep_faultsim::{
-    execute, exhaustive_single_fault, partition_campaign, random_campaign, silence_fault_panics,
-    Campaign, FaultPlan, Mutation, Scenario,
+    execute, exhaustive_single_fault, partition_campaign, random_campaign, Campaign, FaultPlan,
+    Mutation, Scenario,
 };
 use dsnrep_workloads::WorkloadKind;
 
@@ -36,7 +36,6 @@ fn quorum_rf3(version: VersionTag) -> Scenario {
 
 #[test]
 fn exhaustive_sweep_chain_rf3_v3() {
-    silence_fault_panics();
     let campaign = exhaustive_single_fault(&chain_rf3(VersionTag::ImprovedLog), None).unwrap();
     assert_clean(&campaign);
     assert!(campaign.store_sites > 0);
@@ -48,14 +47,12 @@ fn exhaustive_sweep_chain_rf3_v3() {
 
 #[test]
 fn exhaustive_sweep_chain_rf3_v1() {
-    silence_fault_panics();
     let campaign = exhaustive_single_fault(&chain_rf3(VersionTag::MirrorCopy), None).unwrap();
     assert_clean(&campaign);
 }
 
 #[test]
 fn exhaustive_sweep_quorum_rf3_v3() {
-    silence_fault_panics();
     let campaign = exhaustive_single_fault(&quorum_rf3(VersionTag::ImprovedLog), None).unwrap();
     assert_clean(&campaign);
     assert!(campaign.store_sites > 0);
@@ -64,7 +61,6 @@ fn exhaustive_sweep_quorum_rf3_v3() {
 
 #[test]
 fn partition_campaign_chain_rf3_is_clean_and_degrades() {
-    silence_fault_panics();
     let scenario = chain_rf3(VersionTag::ImprovedLog).with_txns(6);
     let campaign = partition_campaign(&scenario, 0xFACADE, 24, None).unwrap();
     assert_clean(&campaign);
@@ -77,7 +73,6 @@ fn partition_campaign_chain_rf3_is_clean_and_degrades() {
 
 #[test]
 fn partition_campaign_quorum_rf3_is_clean() {
-    silence_fault_panics();
     let scenario = quorum_rf3(VersionTag::ImprovedLog).with_txns(6);
     let campaign = partition_campaign(&scenario, 0x5EED, 24, None).unwrap();
     assert_clean(&campaign);
@@ -86,7 +81,6 @@ fn partition_campaign_quorum_rf3_is_clean() {
 
 #[test]
 fn partition_campaigns_replay_identically_from_a_seed() {
-    silence_fault_panics();
     let scenario = quorum_rf3(VersionTag::ImprovedLog);
     let a = partition_campaign(&scenario, 0xAB, 10, None).unwrap();
     let b = partition_campaign(&scenario, 0xAB, 10, None).unwrap();
@@ -95,7 +89,6 @@ fn partition_campaigns_replay_identically_from_a_seed() {
 
 #[test]
 fn random_multi_fault_campaigns_cover_partitions() {
-    silence_fault_panics();
     let campaign = random_campaign(&chain_rf3(VersionTag::ImprovedLog), 0xC4A1, 32, None).unwrap();
     assert_clean(&campaign);
     assert!(
@@ -106,7 +99,6 @@ fn random_multi_fault_campaigns_cover_partitions() {
 
 #[test]
 fn planted_recovery_bug_is_caught_on_the_chain_driver() {
-    silence_fault_panics();
     let scenario = chain_rf3(VersionTag::ImprovedLog).with_txns(2);
     let campaign = exhaustive_single_fault(&scenario, Some(Mutation::ScribbleCommitted)).unwrap();
     assert!(
@@ -117,7 +109,6 @@ fn planted_recovery_bug_is_caught_on_the_chain_driver() {
 
 #[test]
 fn partition_plans_on_unmodeled_pairs_are_rejected() {
-    silence_fault_panics();
     // The chain at RF=3 moves packets over 1->2 and 2->0; 0->2 is a
     // quorum-only leg.
     let plan: FaultPlan = "partition 0->2 drop after=1".parse().unwrap();
@@ -137,7 +128,6 @@ fn partition_plans_on_unmodeled_pairs_are_rejected() {
 
 #[test]
 fn graceful_partitioned_run_keeps_node1_exact() {
-    silence_fault_panics();
     // No crash at all: W=3 needs both replica acks, so the starved head
     // times out every transaction — yet node 1's image stays
     // oracle-exact and nothing is lost.

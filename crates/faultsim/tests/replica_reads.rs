@@ -9,7 +9,7 @@
 
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
-use dsnrep_faultsim::{execute, silence_fault_panics, FaultPlan, FaultSite, Scenario};
+use dsnrep_faultsim::{execute, FaultPlan, FaultSite, Scenario};
 use dsnrep_repl::ReplicaSet;
 use dsnrep_simcore::{CostModel, VirtualDuration, VirtualInstant, MIB};
 use dsnrep_workloads::{Workload, WorkloadKind};
@@ -188,7 +188,6 @@ fn client_reads_stay_monotonic_across_a_takeover() {
     // Replay the same embedded plan through the executor so the full
     // invariant suite (loss bound, torn-tail containment) runs on the
     // exact schedule the read checks used.
-    silence_fault_panics();
     for scenario in [
         Scenario::chain(VersionTag::ImprovedLog, WorkloadKind::DebitCredit, 3),
         Scenario::quorum(VersionTag::ImprovedLog, WorkloadKind::DebitCredit, 3, 2, 2),

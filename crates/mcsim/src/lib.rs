@@ -41,10 +41,11 @@
 //! let mut port = TxPort::new(&costs, Rc::clone(&link), Rc::clone(&backup));
 //! let mut clock = Clock::new();
 //!
-//! port.store(&mut clock, Addr::new(0), &[42; 64], TrafficClass::Undo);
-//! port.quiesce(&mut clock);
+//! port.store(&mut clock, Addr::new(0), &[42; 64], TrafficClass::Undo)?;
+//! port.quiesce(&mut clock)?;
 //! assert_eq!(backup.borrow().read_vec(Addr::new(0), 64), vec![42; 64]);
 //! assert_eq!(link.borrow().traffic().total_bytes(), 64);
+//! # Ok::<(), dsnrep_simcore::Halted>(())
 //! ```
 
 #![forbid(unsafe_code)]

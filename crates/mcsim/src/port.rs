@@ -19,7 +19,7 @@ use std::rc::Rc;
 use dsnrep_obs::{Metric, NullTracer, Tracer, NO_TXN, TRACK_BACKUP};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{
-    Addr, BusyCause, Clock, CostModel, StallCause, StoreSink, TrafficClass, VirtualInstant,
+    Addr, BusyCause, Clock, CostModel, Halted, StallCause, StoreSink, TrafficClass, VirtualInstant,
 };
 
 use crate::link::{Link, PacketTiming};
@@ -99,7 +99,8 @@ struct Emitter<T: Tracer> {
     /// the link, not packets swallowed by a fault).
     emitted: u64,
     /// Armed fault: remaining packets before a simulated halt. At zero the
-    /// next emission panics *before* the packet reaches the link.
+    /// next emission returns [`Halted`] *before* the packet reaches the
+    /// link.
     packet_budget: Option<u64>,
     /// The transaction tag stamped onto packets issued right now
     /// ([`NO_TXN`] outside any transaction).
@@ -113,10 +114,12 @@ struct Emitter<T: Tracer> {
 }
 
 impl<T: Tracer> Emitter<T> {
-    fn emit(&mut self, clock: &mut Clock, flushed: FlushedBuffer) {
+    /// Sends one flushed buffer as a packet, or halts before it leaves
+    /// the adapter.
+    fn emit(&mut self, clock: &mut Clock, flushed: FlushedBuffer) -> Result<(), Halted> {
         let payload = flushed.payload();
         if payload == 0 {
-            return;
+            return Ok(());
         }
         match &mut self.packet_budget {
             None => {}
@@ -127,7 +130,7 @@ impl<T: Tracer> Emitter<T> {
                     clock.now(),
                     self.emitted,
                 );
-                panic!("dsnrep fault injection: simulated halt at SAN packet boundary");
+                return Err(Halted);
             }
             Some(budget) => *budget -= 1,
         }
@@ -212,6 +215,7 @@ impl<T: Tracer> Emitter<T> {
             );
         }
         self.last_delivered = timing.delivered;
+        Ok(())
     }
 }
 
@@ -232,9 +236,10 @@ impl<T: Tracer> Emitter<T> {
 /// let mut port = TxPort::new(&costs, link, Rc::clone(&backup));
 /// let mut clock = Clock::new();
 ///
-/// port.store(&mut clock, Addr::new(64), b"replicate", TrafficClass::Modified);
-/// port.quiesce(&mut clock);
+/// port.store(&mut clock, Addr::new(64), b"replicate", TrafficClass::Modified)?;
+/// port.quiesce(&mut clock)?;
 /// assert_eq!(backup.borrow().read_vec(Addr::new(64), 9), b"replicate");
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 pub struct TxPort<T: Tracer = NullTracer> {
     peers: Vec<Rc<RefCell<Arena>>>,
@@ -363,15 +368,20 @@ impl<T: Tracer> TxPort<T> {
     /// 8-byte word becomes its own PCI transaction and SAN packet. This is
     /// the paper's observation that mirroring "does not benefit at all from
     /// data aggregation" (§8).
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node; see
+    /// [`TxPort::inject_crash_after_packets`].
     pub fn store_unmerged(
         &mut self,
         clock: &mut Clock,
         addr: Addr,
         bytes: &[u8],
         class: TrafficClass,
-    ) {
+    ) -> Result<(), Halted> {
         if bytes.is_empty() {
-            return;
+            return Ok(());
         }
         clock.advance_for(
             BusyCause::san(class),
@@ -396,7 +406,7 @@ impl<T: Tracer> TxPort<T> {
             let in_block = a.offset_in(BLOCK) as usize;
             let block = block_base.as_u64() / BLOCK;
             if block != entered_block {
-                bufs.flush_block(block, &mut |flushed| tx.emit(clock, flushed));
+                bufs.flush_block(block, &mut |flushed| tx.emit(clock, flushed))?;
                 entered_block = block;
             }
             // A word never spans a 32-byte block (8-byte words, 32-byte
@@ -414,7 +424,7 @@ impl<T: Tracer> TxPort<T> {
                     data,
                     class_bytes,
                 },
-            );
+            )?;
             off += n;
         }
         if tx.tracer.is_enabled() {
@@ -426,6 +436,7 @@ impl<T: Tracer> TxPort<T> {
             );
         }
         self.deliver_up_to(clock.now());
+        Ok(())
     }
 
     /// Applies every packet whose delivery instant is at or before `t`.
@@ -491,9 +502,15 @@ impl<T: Tracer> TxPort<T> {
 
     /// Flushes all write buffers and applies every packet: the graceful
     /// end-of-run (or controlled-switchover) path.
-    pub fn quiesce(&mut self, clock: &mut Clock) {
-        self.barrier(clock);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node mid-flush; nothing
+    /// is delivered then.
+    pub fn quiesce(&mut self, clock: &mut Clock) -> Result<(), Halted> {
+        self.barrier(clock)?;
         self.deliver_up_to(VirtualInstant::from_picos(u64::MAX));
+        Ok(())
     }
 
     /// Simulates a crash of the sending node at instant `at`: packets
@@ -544,16 +561,14 @@ impl<T: Tracer> TxPort<T> {
         self.tx.peer_track = track;
     }
 
-    /// Arms a fault: the node halts (panics) when it tries to emit the
+    /// Arms a fault: the node halts when it tries to emit the
     /// `(budget + 1)`-th packet from now; `0` halts on the very next
-    /// emission, before the packet reaches the link.
+    /// emission. The store, barrier or quiesce that would emit it returns
+    /// [`Halted`]: the packet neither reaches the link nor counts as
+    /// emitted (it is lost, as in a crash), and every later emission halts
+    /// too until [`TxPort::clear_packet_fault`].
     pub fn inject_crash_after_packets(&mut self, budget: u64) {
         self.tx.packet_budget = Some(budget);
-    }
-
-    /// Whether an armed packet budget has been exhausted.
-    pub fn has_packet_halted(&self) -> bool {
-        self.tx.packet_budget == Some(0)
     }
 
     /// Disarms any pending (or tripped) packet-budget fault.
@@ -578,15 +593,19 @@ impl<T: Tracer> TxPort<T> {
     /// because applying a delivered packet only mutates peer arenas (never
     /// a clock), and every observation point (barrier, 2-safe wait, crash
     /// cut, quiesce) drains deliveries due at its own instant first.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node.
     pub fn store_no_deliver(
         &mut self,
         clock: &mut Clock,
         addr: Addr,
         bytes: &[u8],
         class: TrafficClass,
-    ) {
+    ) -> Result<(), Halted> {
         if bytes.is_empty() {
-            return;
+            return Ok(());
         }
         clock.advance_for(
             BusyCause::san(class),
@@ -594,7 +613,7 @@ impl<T: Tracer> TxPort<T> {
         );
         let TxPort { bufs, tx, .. } = self;
         tx.stall_cause = StallCause::PostedWindow;
-        bufs.store(addr, bytes, class, &mut |flushed| tx.emit(clock, flushed));
+        bufs.store(addr, bytes, class, &mut |flushed| tx.emit(clock, flushed))?;
         if tx.tracer.is_enabled() {
             tx.tracer.gauge_set(
                 tx.track,
@@ -603,24 +622,33 @@ impl<T: Tracer> TxPort<T> {
                 bufs.dirty_buffers() as u64,
             );
         }
+        Ok(())
     }
 }
 
 impl<T: Tracer> StoreSink for TxPort<T> {
-    fn store(&mut self, clock: &mut Clock, addr: Addr, bytes: &[u8], class: TrafficClass) {
-        self.store_no_deliver(clock, addr, bytes, class);
+    fn store(
+        &mut self,
+        clock: &mut Clock,
+        addr: Addr,
+        bytes: &[u8],
+        class: TrafficClass,
+    ) -> Result<(), Halted> {
+        self.store_no_deliver(clock, addr, bytes, class)?;
         self.deliver_up_to(clock.now());
+        Ok(())
     }
 
-    fn barrier(&mut self, clock: &mut Clock) {
+    fn barrier(&mut self, clock: &mut Clock) -> Result<(), Halted> {
         let TxPort { bufs, tx, .. } = self;
         tx.stall_cause = StallCause::WbufFlush;
-        bufs.flush_all(&mut |flushed| tx.emit(clock, flushed));
+        bufs.flush_all(&mut |flushed| tx.emit(clock, flushed))?;
         if tx.tracer.is_enabled() {
             tx.tracer
                 .gauge_set(tx.track, Metric::WbufDirtyLines, clock.now(), 0);
         }
         self.deliver_up_to(clock.now());
+        Ok(())
     }
 }
 
@@ -644,35 +672,37 @@ mod tests {
     }
 
     #[test]
-    fn bytes_arrive_at_peer_after_quiesce() {
+    fn bytes_arrive_at_peer_after_quiesce() -> Result<(), Halted> {
         let (_, _, peer, mut port, mut clock) = setup();
         port.store(
             &mut clock,
             Addr::new(100),
             &[1, 2, 3, 4],
             TrafficClass::Modified,
-        );
+        )?;
         // Not yet flushed: buffer still dirty, peer still zero.
         assert_eq!(peer.borrow().read_vec(Addr::new(100), 4), vec![0; 4]);
-        port.quiesce(&mut clock);
+        port.quiesce(&mut clock)?;
         assert_eq!(peer.borrow().read_vec(Addr::new(100), 4), vec![1, 2, 3, 4]);
+        Ok(())
     }
 
     #[test]
-    fn store_charges_issue_cost() {
+    fn store_charges_issue_cost() -> Result<(), Halted> {
         let (costs, _, _, mut port, mut clock) = setup();
-        port.store(&mut clock, Addr::new(0), &[0; 16], TrafficClass::Undo);
+        port.store(&mut clock, Addr::new(0), &[0; 16], TrafficClass::Undo)?;
         assert_eq!(clock.now().as_picos(), costs.io_issue_time(16).as_picos());
+        Ok(())
     }
 
     #[test]
-    fn window_stalls_a_flood_of_small_packets() {
+    fn window_stalls_a_flood_of_small_packets() -> Result<(), Halted> {
         let (costs, _, _, mut port, mut clock) = setup();
         // Scatter single-byte stores to distinct blocks: every store
         // eventually evicts a one-byte packet. The link (~270 ns/packet)
         // is far slower than issue cost (15 ns), so the window must stall.
         for i in 0..10_000u64 {
-            port.store(&mut clock, Addr::new(i * 64), &[1], TrafficClass::Meta);
+            port.store(&mut clock, Addr::new(i * 64), &[1], TrafficClass::Meta)?;
         }
         assert!(
             clock.stalled() > VirtualDuration::ZERO,
@@ -685,48 +715,51 @@ mod tests {
             (actual as f64) > 0.9 * expect as f64 && (actual as f64) < 1.1 * expect as f64,
             "expected ~{expect} ps, got {actual} ps"
         );
+        Ok(())
     }
 
     #[test]
-    fn sequential_stream_is_link_limited_at_full_packets() {
+    fn sequential_stream_is_link_limited_at_full_packets() -> Result<(), Halted> {
         let (_costs, link, _, mut port, mut clock) = setup();
         let total: u64 = 1 << 20;
         let mut addr = 0u64;
         while addr < total {
-            port.store(&mut clock, Addr::new(addr), &[7; 32], TrafficClass::Undo);
+            port.store(&mut clock, Addr::new(addr), &[7; 32], TrafficClass::Undo)?;
             addr += 32;
         }
-        port.quiesce(&mut clock);
+        port.quiesce(&mut clock)?;
         let t = link.borrow();
         assert_eq!(t.traffic().total_bytes(), total);
         assert!(t.traffic().full_packet_fraction() > 0.99);
+        Ok(())
     }
 
     #[test]
-    fn crash_cut_drops_undelivered_tail() {
+    fn crash_cut_drops_undelivered_tail() -> Result<(), Halted> {
         let (_, _, peer, mut port, mut clock) = setup();
         port.store(
             &mut clock,
             Addr::new(0),
             &[0xAA; 32],
             TrafficClass::Modified,
-        );
+        )?;
         // The packet flushed (buffer full) but delivery is ~3.3 us away.
         let crash_at = clock.now(); // long before delivery
         port.crash_cut(crash_at);
         assert_eq!(peer.borrow().read_vec(Addr::new(0), 32), vec![0; 32]);
         assert_eq!(port.inflight_packets(), 0);
+        Ok(())
     }
 
     #[test]
-    fn crash_cut_keeps_delivered_prefix() {
+    fn crash_cut_keeps_delivered_prefix() -> Result<(), Halted> {
         let (costs, _, peer, mut port, mut clock) = setup();
         port.store(
             &mut clock,
             Addr::new(0),
             &[0xAA; 32],
             TrafficClass::Modified,
-        );
+        )?;
         let delivered_by = port.last_delivered();
         // Much later, write more that will NOT be delivered.
         clock.advance(costs.link_latency * 10);
@@ -735,25 +768,27 @@ mod tests {
             Addr::new(64),
             &[0xBB; 32],
             TrafficClass::Modified,
-        );
+        )?;
         port.crash_cut(delivered_by + VirtualDuration::from_nanos(1));
         assert_eq!(peer.borrow().read_vec(Addr::new(0), 32), vec![0xAA; 32]);
         assert_eq!(peer.borrow().read_vec(Addr::new(64), 32), vec![0; 32]);
+        Ok(())
     }
 
     #[test]
-    fn barrier_flushes_partial_buffers() {
+    fn barrier_flushes_partial_buffers() -> Result<(), Halted> {
         let (_, link, peer, mut port, mut clock) = setup();
-        port.store(&mut clock, Addr::new(0), &[5; 4], TrafficClass::Meta);
+        port.store(&mut clock, Addr::new(0), &[5; 4], TrafficClass::Meta)?;
         assert_eq!(link.borrow().traffic().total_packets(), 0);
-        port.barrier(&mut clock);
+        port.barrier(&mut clock)?;
         assert_eq!(link.borrow().traffic().total_packets(), 1);
         port.deliver_up_to(VirtualInstant::from_picos(u64::MAX));
         assert_eq!(peer.borrow().read_vec(Addr::new(0), 4), vec![5; 4]);
+        Ok(())
     }
 
     #[test]
-    fn two_ports_share_one_link_fifo() {
+    fn two_ports_share_one_link_fifo() -> Result<(), Halted> {
         let costs = CostModel::alpha_21164a();
         let link = Rc::new(RefCell::new(Link::new(&costs)));
         let peer_a = Rc::new(RefCell::new(Arena::new(4096)));
@@ -762,16 +797,17 @@ mod tests {
         let mut b = TxPort::new(&costs, Rc::clone(&link), peer_b);
         let mut ca = Clock::new();
         let mut cb = Clock::new();
-        a.store(&mut ca, Addr::new(0), &[1; 32], TrafficClass::Modified);
-        b.store(&mut cb, Addr::new(0), &[2; 32], TrafficClass::Modified);
+        a.store(&mut ca, Addr::new(0), &[1; 32], TrafficClass::Modified)?;
+        b.store(&mut cb, Addr::new(0), &[2; 32], TrafficClass::Modified)?;
         // Both packets went through the same link; it was busy twice.
         assert_eq!(link.borrow().traffic().total_packets(), 2);
         let busy = link.borrow().busy_until();
         assert!(busy.as_picos() >= 2 * costs.packet_time(32).as_picos());
+        Ok(())
     }
 
     #[test]
-    fn traced_port_mirrors_link_counters_and_attributes_stalls() {
+    fn traced_port_mirrors_link_counters_and_attributes_stalls() -> Result<(), Halted> {
         let costs = CostModel::alpha_21164a();
         let link = Rc::new(RefCell::new(Link::new(&costs)));
         let peer = Rc::new(RefCell::new(Arena::new(1 << 20)));
@@ -780,11 +816,11 @@ mod tests {
         let mut clock = Clock::new();
         // Scattered small stores saturate the posted-write window.
         for i in 0..10_000u64 {
-            port.store(&mut clock, Addr::new(i * 64), &[1], TrafficClass::Meta);
+            port.store(&mut clock, Addr::new(i * 64), &[1], TrafficClass::Meta)?;
         }
         // Leave one buffer partial so the barrier has something to drain.
-        port.store(&mut clock, Addr::new(640_064), &[2; 4], TrafficClass::Undo);
-        port.barrier(&mut clock);
+        port.store(&mut clock, Addr::new(640_064), &[2; 4], TrafficClass::Undo)?;
+        port.barrier(&mut clock)?;
         let t = link.borrow();
         let row = &rec.summary().tracks[0];
         assert_eq!(row.packets, t.traffic().total_packets());
@@ -797,10 +833,11 @@ mod tests {
         let attributed =
             clock.stalled_by(StallCause::PostedWindow) + clock.stalled_by(StallCause::WbufFlush);
         assert_eq!(attributed, clock.stalled());
+        Ok(())
     }
 
     #[test]
-    fn traced_port_records_packet_lives_and_mirrors_queue_wait() {
+    fn traced_port_records_packet_lives_and_mirrors_queue_wait() -> Result<(), Halted> {
         let costs = CostModel::alpha_21164a();
         let link = Rc::new(RefCell::new(Link::new(&costs)));
         let peer = Rc::new(RefCell::new(Arena::new(1 << 20)));
@@ -814,12 +851,12 @@ mod tests {
                 Addr::new(i * 64),
                 &[3; 32],
                 TrafficClass::Modified,
-            );
+            )?;
         }
         port.set_current_txn(NO_TXN);
-        port.store(&mut clock, Addr::new(64 * 64), &[4; 4], TrafficClass::Meta);
-        port.barrier(&mut clock);
-        port.quiesce(&mut clock);
+        port.store(&mut clock, Addr::new(64 * 64), &[4; 4], TrafficClass::Meta)?;
+        port.barrier(&mut clock)?;
+        port.quiesce(&mut clock)?;
 
         let lives = rec.packet_lives();
         assert_eq!(lives.len() as u64, link.borrow().traffic().total_packets());
@@ -846,6 +883,7 @@ mod tests {
             assert_eq!(apply.txn, life.txn);
             assert_eq!(apply.at, life.delivered);
         }
+        Ok(())
     }
 
     #[test]
@@ -861,34 +899,40 @@ mod tests {
     }
 
     #[test]
-    fn packet_budget_halts_before_the_packet_reaches_the_link() {
+    fn packet_budget_halts_before_the_packet_reaches_the_link() -> Result<(), Halted> {
         let (_, link, peer, mut port, mut clock) = setup();
-        port.store(&mut clock, Addr::new(0), &[1; 32], TrafficClass::Modified);
+        port.store(&mut clock, Addr::new(0), &[1; 32], TrafficClass::Modified)?;
         assert_eq!(port.packets_emitted(), 1);
         port.inject_crash_after_packets(1);
-        port.store(&mut clock, Addr::new(64), &[2; 32], TrafficClass::Modified);
+        // Spending the last unit is not a halt.
+        port.store(&mut clock, Addr::new(64), &[2; 32], TrafficClass::Modified)?;
         assert_eq!(port.packets_emitted(), 2);
-        assert!(port.has_packet_halted());
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            port.store(&mut clock, Addr::new(128), &[3; 32], TrafficClass::Modified);
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("fault injection"), "unexpected panic: {msg}");
-        // The third packet never reached the link.
+        let halted = port.store(&mut clock, Addr::new(128), &[3; 32], TrafficClass::Modified);
+        assert_eq!(halted, Err(Halted));
+        // The third packet never reached the link, and every later
+        // emission halts too.
+        assert_eq!(link.borrow().traffic().total_packets(), 2);
+        assert_eq!(port.packets_emitted(), 2);
+        let halted = port.store(&mut clock, Addr::new(192), &[4; 32], TrafficClass::Modified);
+        assert_eq!(halted, Err(Halted));
         assert_eq!(link.borrow().traffic().total_packets(), 2);
         port.clear_packet_fault();
-        port.quiesce(&mut clock);
+        port.quiesce(&mut clock)?;
         assert_eq!(peer.borrow().read_vec(Addr::new(64), 32), vec![2; 32]);
+        // The halted packets are lost, as in a crash.
+        assert_eq!(peer.borrow().read_vec(Addr::new(128), 32), vec![0; 32]);
+        assert_eq!(peer.borrow().read_vec(Addr::new(192), 32), vec![0; 32]);
+        Ok(())
     }
 
     #[test]
-    fn ordering_of_overlapping_stores_is_preserved() {
+    fn ordering_of_overlapping_stores_is_preserved() -> Result<(), Halted> {
         let (_, _, peer, mut port, mut clock) = setup();
-        port.store(&mut clock, Addr::new(0), &[1; 32], TrafficClass::Modified);
-        port.store(&mut clock, Addr::new(0), &[2; 32], TrafficClass::Modified);
-        port.quiesce(&mut clock);
+        port.store(&mut clock, Addr::new(0), &[1; 32], TrafficClass::Modified)?;
+        port.store(&mut clock, Addr::new(0), &[2; 32], TrafficClass::Modified)?;
+        port.quiesce(&mut clock)?;
         assert_eq!(peer.borrow().read_vec(Addr::new(0), 32), vec![2; 32]);
+        Ok(())
     }
 
     mod apply_equivalence {

@@ -59,11 +59,14 @@ pub fn measure_stride_bandwidth(
     let word = [0xA5u8; 4];
     let stride_bytes = stride_words * 4;
     let mut addr = 0u64;
+    // The port is fresh, so no fault budget is armed: it never halts.
     while addr < total_bytes {
-        port.store(&mut clock, Addr::new(addr), &word, TrafficClass::Modified);
+        port.store(&mut clock, Addr::new(addr), &word, TrafficClass::Modified)
+            .expect("an unarmed port never halts");
         addr += stride_bytes;
     }
-    port.barrier(&mut clock);
+    port.barrier(&mut clock)
+        .expect("an unarmed port never halts");
 
     let link = link.borrow();
     let dirty = link.traffic().total_bytes();
@@ -94,8 +97,9 @@ pub fn measure_write_latency(costs: &CostModel) -> dsnrep_simcore::VirtualDurati
     let mut port = TxPort::sink_only(costs, Rc::clone(&link));
     let mut clock = Clock::new();
     let issued = clock.now();
-    port.store(&mut clock, Addr::new(0), &[1u8; 4], TrafficClass::Meta);
-    port.barrier(&mut clock);
+    port.store(&mut clock, Addr::new(0), &[1u8; 4], TrafficClass::Meta)
+        .and_then(|()| port.barrier(&mut clock))
+        .expect("an unarmed port never halts");
     port.last_delivered().duration_since(issued)
 }
 

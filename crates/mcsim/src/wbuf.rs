@@ -11,7 +11,7 @@
 //! scattered in-place database writes evict buffers holding only 4–8 dirty
 //! bytes (small packets, ~14 MB/s effective bandwidth).
 
-use dsnrep_simcore::{copy_small, Addr, TrafficClass};
+use dsnrep_simcore::{copy_small, Addr, Halted, TrafficClass};
 
 /// The payload block size of one write buffer (and one packet).
 pub const BLOCK: u64 = 32;
@@ -102,6 +102,11 @@ pub(crate) fn span_mask(in_block: usize, n: usize) -> u32 {
 /// dirtied it, so a store costs two mask operations and a packet's class
 /// bytes are counted once, when it flushes.
 ///
+/// Flushing can fail: the `flush` callback returns [`Halted`] when the
+/// node halts before the packet leaves, and the operation stops there
+/// and passes it on. The halted packet's buffer is already clean: like
+/// the crash the halt stands for, it loses the packet.
+///
 /// # Examples
 ///
 /// Sequential stores coalesce into one full packet:
@@ -114,10 +119,11 @@ pub(crate) fn span_mask(in_block: usize, n: usize) -> u32 {
 /// let mut packets = Vec::new();
 /// for i in 0..4 {
 ///     bufs.store(Addr::new(i * 8), &[0u8; 8], TrafficClass::Undo,
-///                &mut |f| packets.push(f));
+///                &mut |f| Ok(packets.push(f)))?;
 /// }
 /// assert_eq!(packets.len(), 1, "full buffer flushed eagerly");
 /// assert_eq!(packets[0].payload(), BLOCK);
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct WriteBufferSet {
@@ -172,22 +178,27 @@ impl WriteBufferSet {
     /// matches. Buffers displaced by LRU eviction, class changes, or
     /// becoming full are handed to `flush` (each flushed buffer is one
     /// packet).
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] from `flush`; the rest of the store is not applied.
     pub fn store(
         &mut self,
         addr: Addr,
         bytes: &[u8],
         class: TrafficClass,
-        flush: &mut impl FnMut(FlushedBuffer),
-    ) {
+        flush: &mut impl FnMut(FlushedBuffer) -> Result<(), Halted>,
+    ) -> Result<(), Halted> {
         let mut off = 0usize;
         while off < bytes.len() {
             let a = addr + off as u64;
             let block = a.as_u64() / BLOCK;
             let in_block = a.offset_in(BLOCK) as usize;
             let n = (BLOCK as usize - in_block).min(bytes.len() - off);
-            self.store_in_block(block, in_block, &bytes[off..off + n], class, flush);
+            self.store_in_block(block, in_block, &bytes[off..off + n], class, flush)?;
             off += n;
         }
+        Ok(())
     }
 
     fn store_in_block(
@@ -196,8 +207,8 @@ impl WriteBufferSet {
         in_block: usize,
         bytes: &[u8],
         class: TrafficClass,
-        flush: &mut impl FnMut(FlushedBuffer),
-    ) {
+        flush: &mut impl FnMut(FlushedBuffer) -> Result<(), Halted>,
+    ) -> Result<(), Halted> {
         self.next_stamp += 1;
         // Find a matching buffer. MRU fast path first: sequential log
         // appends hit the same block as the previous store, so most
@@ -210,7 +221,7 @@ impl WriteBufferSet {
         let idx = match matched {
             Some(idx) => idx,
             None => {
-                let idx = self.claim(flush);
+                let idx = self.claim(flush)?;
                 self.blocks[idx] = block;
                 self.bufs[idx] = Buffer::default();
                 idx
@@ -223,16 +234,20 @@ impl WriteBufferSet {
         buf.mask |= add;
         copy_small(&mut buf.data[in_block..in_block + bytes.len()], bytes);
         if buf.mask == u32::MAX {
-            flush(self.take(idx));
+            flush(self.take(idx))?;
         }
         self.mru = idx;
+        Ok(())
     }
 
     /// A clean buffer for a new block: the first clean one, else the
     /// least recently used one, flushed.
-    fn claim(&mut self, flush: &mut impl FnMut(FlushedBuffer)) -> usize {
+    fn claim(
+        &mut self,
+        flush: &mut impl FnMut(FlushedBuffer) -> Result<(), Halted>,
+    ) -> Result<usize, Halted> {
         if let Some(idx) = self.blocks.iter().position(|&b| b == EMPTY) {
-            return idx;
+            return Ok(idx);
         }
         let (idx, _) = self
             .bufs
@@ -240,8 +255,8 @@ impl WriteBufferSet {
             .enumerate()
             .min_by_key(|&(_, buf)| buf.stamp)
             .expect("the set is non-empty");
-        flush(self.take(idx));
-        idx
+        flush(self.take(idx))?;
+        Ok(idx)
     }
 
     /// Cleans buffer `idx` and returns its packet.
@@ -259,9 +274,18 @@ impl WriteBufferSet {
     /// Flushes the buffer holding `block` (an index, i.e. `addr / 32`), if
     /// any. Used by the unmerged-store path to preserve same-block store
     /// ordering.
-    pub fn flush_block(&mut self, block: u64, flush: &mut impl FnMut(FlushedBuffer)) {
-        if let Some(idx) = self.blocks.iter().position(|&b| b == block) {
-            flush(self.take(idx));
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] from `flush`.
+    pub fn flush_block(
+        &mut self,
+        block: u64,
+        flush: &mut impl FnMut(FlushedBuffer) -> Result<(), Halted>,
+    ) -> Result<(), Halted> {
+        match self.blocks.iter().position(|&b| b == block) {
+            Some(idx) => flush(self.take(idx)),
+            None => Ok(()),
         }
     }
 
@@ -271,14 +295,23 @@ impl WriteBufferSet {
     /// Quadratic in the buffer count, but the set holds at most a handful
     /// of buffers (six on the Alpha 21164A) and barriers run on every
     /// commit.
-    pub fn flush_all(&mut self, flush: &mut impl FnMut(FlushedBuffer)) {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] from `flush`: the buffers older than the halted one are
+    /// out, and the younger ones stay dirty.
+    pub fn flush_all(
+        &mut self,
+        flush: &mut impl FnMut(FlushedBuffer) -> Result<(), Halted>,
+    ) -> Result<(), Halted> {
         while let Some((_, idx)) = (self.blocks.iter().zip(&self.bufs).enumerate())
             .filter(|&(_, (&block, _))| block != EMPTY)
             .map(|(i, (_, buf))| (buf.stamp, i))
             .min()
         {
-            flush(self.take(idx));
+            flush(self.take(idx))?;
         }
+        Ok(())
     }
 
     /// Discards every dirty buffer without flushing (a crash: buffered
@@ -292,12 +325,17 @@ impl WriteBufferSet {
 mod tests {
     use super::*;
 
-    fn collect(events: &mut Vec<FlushedBuffer>) -> impl FnMut(FlushedBuffer) + '_ {
-        |f| events.push(f)
+    fn collect(
+        events: &mut Vec<FlushedBuffer>,
+    ) -> impl FnMut(FlushedBuffer) -> Result<(), Halted> + '_ {
+        |f| {
+            events.push(f);
+            Ok(())
+        }
     }
 
     #[test]
-    fn sequential_words_fill_one_buffer() {
+    fn sequential_words_fill_one_buffer() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         for i in 0..4u64 {
@@ -306,16 +344,17 @@ mod tests {
                 &[i as u8; 8],
                 TrafficClass::Undo,
                 &mut collect(&mut out),
-            );
+            )?;
         }
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload(), 32);
         assert_eq!(out[0].base, Addr::new(0));
         assert_eq!(bufs.dirty_buffers(), 0);
+        Ok(())
     }
 
     #[test]
-    fn strided_words_produce_partial_packets() {
+    fn strided_words_produce_partial_packets() -> Result<(), Halted> {
         // Stride-2 in 4-byte words: 16 dirty bytes per 32-byte block.
         let mut bufs = WriteBufferSet::new(1);
         let mut out = Vec::new();
@@ -326,16 +365,17 @@ mod tests {
                     &[1u8; 4],
                     TrafficClass::Modified,
                     &mut collect(&mut out),
-                );
+                )?;
             }
         }
-        bufs.flush_all(&mut collect(&mut out));
+        bufs.flush_all(&mut collect(&mut out))?;
         assert_eq!(out.len(), 8);
         assert!(out.iter().all(|f| f.payload() == 16));
+        Ok(())
     }
 
     #[test]
-    fn lru_eviction_picks_oldest() {
+    fn lru_eviction_picks_oldest() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(2);
         let mut out = Vec::new();
         bufs.store(
@@ -343,32 +383,33 @@ mod tests {
             &[1],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.store(
             Addr::new(32),
             &[2],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
+        )?;
         // Touch block 0 again so block 1 becomes LRU.
         bufs.store(
             Addr::new(1),
             &[3],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.store(
             Addr::new(64),
             &[4],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
+        )?;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].base, Addr::new(32));
+        Ok(())
     }
 
     #[test]
-    fn mixed_classes_share_one_packet() {
+    fn mixed_classes_share_one_packet() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         bufs.store(
@@ -376,22 +417,23 @@ mod tests {
             &[1; 4],
             TrafficClass::Modified,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.store(
             Addr::new(4),
             &[2; 4],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
-        bufs.flush_all(&mut collect(&mut out));
+        )?;
+        bufs.flush_all(&mut collect(&mut out))?;
         assert_eq!(out.len(), 1, "classes merge into one packet");
         assert_eq!(out[0].payload(), 8);
         assert_eq!(out[0].class_bytes[TrafficClass::Modified.index()], 4);
         assert_eq!(out[0].class_bytes[TrafficClass::Meta.index()], 4);
+        Ok(())
     }
 
     #[test]
-    fn cross_block_store_splits() {
+    fn cross_block_store_splits() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         bufs.store(
@@ -399,15 +441,16 @@ mod tests {
             &[9; 8],
             TrafficClass::Undo,
             &mut collect(&mut out),
-        );
-        bufs.flush_all(&mut collect(&mut out));
+        )?;
+        bufs.flush_all(&mut collect(&mut out))?;
         assert_eq!(out.len(), 2);
         let payloads: Vec<u64> = out.iter().map(FlushedBuffer::payload).collect();
         assert_eq!(payloads, vec![4, 4]);
+        Ok(())
     }
 
     #[test]
-    fn overwrite_same_bytes_does_not_grow_payload() {
+    fn overwrite_same_bytes_does_not_grow_payload() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         bufs.store(
@@ -415,18 +458,19 @@ mod tests {
             &[1; 8],
             TrafficClass::Undo,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.store(
             Addr::new(0),
             &[2; 8],
             TrafficClass::Undo,
             &mut collect(&mut out),
-        );
-        bufs.flush_all(&mut collect(&mut out));
+        )?;
+        bufs.flush_all(&mut collect(&mut out))?;
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload(), 8);
         assert_eq!(out[0].class_bytes[TrafficClass::Undo.index()], 8);
         assert_eq!(&out[0].data[..8], &[2; 8]);
+        Ok(())
     }
 
     #[test]
@@ -497,7 +541,7 @@ mod tests {
     }
 
     #[test]
-    fn discard_drops_everything() {
+    fn discard_drops_everything() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         bufs.store(
@@ -505,10 +549,11 @@ mod tests {
             &[1; 4],
             TrafficClass::Undo,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.discard_all();
-        bufs.flush_all(&mut collect(&mut out));
+        bufs.flush_all(&mut collect(&mut out))?;
         assert!(out.is_empty());
+        Ok(())
     }
 
     /// The pre-optimization write-buffer model: per-byte mask/copy loops,
@@ -720,15 +765,16 @@ mod tests {
                         Op::Store { addr, len, class } => {
                             let data: Vec<u8> =
                                 (0..len).map(|i| (addr as u8).wrapping_add(i as u8)).collect();
-                            fast.store(Addr::new(addr), &data, class_of(class), &mut |f| got.push(f));
+                            fast.store(Addr::new(addr), &data, class_of(class), &mut collect(&mut got))
+                                .unwrap();
                             oracle.store(Addr::new(addr), &data, class_of(class), &mut |f| want.push(f));
                         }
                         Op::FlushBlock { block } => {
-                            fast.flush_block(block, &mut |f| got.push(f));
+                            fast.flush_block(block, &mut collect(&mut got)).unwrap();
                             oracle.flush_block(block, &mut |f| want.push(f));
                         }
                         Op::FlushAll => {
-                            fast.flush_all(&mut |f| got.push(f));
+                            fast.flush_all(&mut collect(&mut got)).unwrap();
                             oracle.flush_all(&mut |f| want.push(f));
                         }
                         Op::DiscardAll => {
@@ -738,7 +784,7 @@ mod tests {
                     }
                     prop_assert_eq!(&got, &want, "divergence after {:?}", op);
                 }
-                fast.flush_all(&mut |f| got.push(f));
+                fast.flush_all(&mut collect(&mut got)).unwrap();
                 oracle.flush_all(&mut |f| want.push(f));
                 prop_assert_eq!(&got, &want, "final barrier state diverged");
             }
@@ -746,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_is_oldest_first() {
+    fn flush_all_is_oldest_first() -> Result<(), Halted> {
         let mut bufs = WriteBufferSet::new(6);
         let mut out = Vec::new();
         bufs.store(
@@ -754,15 +800,16 @@ mod tests {
             &[1],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
+        )?;
         bufs.store(
             Addr::new(0),
             &[1],
             TrafficClass::Meta,
             &mut collect(&mut out),
-        );
-        bufs.flush_all(&mut collect(&mut out));
+        )?;
+        bufs.flush_all(&mut collect(&mut out))?;
         assert_eq!(out[0].base, Addr::new(96));
         assert_eq!(out[1].base, Addr::new(0));
+        Ok(())
     }
 }

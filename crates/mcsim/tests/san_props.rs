@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use dsnrep_mcsim::{Link, TxPort};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::{Addr, Clock, CostModel, StoreSink, TrafficClass, VirtualInstant};
+use dsnrep_simcore::{Addr, Clock, CostModel, Halted, StoreSink, TrafficClass, VirtualInstant};
 use proptest::prelude::*;
 
 const SPACE: u64 = 1 << 16;
@@ -61,9 +61,9 @@ proptest! {
         for s in &stores {
             let class = class_of(s.class_pick);
             if s.scattered {
-                port.store_unmerged(&mut clock, Addr::new(s.addr), &s.data, class);
+                port.store_unmerged(&mut clock, Addr::new(s.addr), &s.data, class).unwrap();
             } else {
-                port.store(&mut clock, Addr::new(s.addr), &s.data, class);
+                port.store(&mut clock, Addr::new(s.addr), &s.data, class).unwrap();
             }
             reference[s.addr as usize..s.addr as usize + s.data.len()]
                 .copy_from_slice(&s.data);
@@ -71,7 +71,7 @@ proptest! {
                 *b = true;
             }
         }
-        port.quiesce(&mut clock);
+        port.quiesce(&mut clock).unwrap();
         let actual = peer.borrow().read_vec(Addr::new(0), SPACE as usize);
         prop_assert_eq!(&actual, &reference, "peer image diverged");
 
@@ -92,7 +92,7 @@ proptest! {
     ) {
         let (_, peer, mut port, mut clock) = setup();
         for s in &stores {
-            port.store(&mut clock, Addr::new(s.addr), &s.data, class_of(s.class_pick));
+            port.store(&mut clock, Addr::new(s.addr), &s.data, class_of(s.class_pick)).unwrap();
         }
         let cut = VirtualInstant::from_picos(
             (clock.now().as_picos() as f64 * cut_fraction) as u64,
@@ -125,23 +125,23 @@ proptest! {
         noise in prop::collection::vec((0u64..SPACE - 8, any::<u64>()), 0..20),
     ) {
         let (_, peer, mut port, mut clock) = setup();
-        port.store(&mut clock, Addr::new(addr), &first.to_le_bytes(), TrafficClass::Modified);
+        port.store(&mut clock, Addr::new(addr), &first.to_le_bytes(), TrafficClass::Modified).unwrap();
         if barrier_between {
-            port.barrier(&mut clock);
+            port.barrier(&mut clock).unwrap();
         }
         for (a, v) in &noise {
             if (*a).abs_diff(addr) >= 8 {
-                port.store(&mut clock, Addr::new(*a), &v.to_le_bytes(), TrafficClass::Meta);
+                port.store(&mut clock, Addr::new(*a), &v.to_le_bytes(), TrafficClass::Meta).unwrap();
             }
         }
-        port.store(&mut clock, Addr::new(addr), &second.to_le_bytes(), TrafficClass::Modified);
-        port.quiesce(&mut clock);
+        port.store(&mut clock, Addr::new(addr), &second.to_le_bytes(), TrafficClass::Modified).unwrap();
+        port.quiesce(&mut clock).unwrap();
         prop_assert_eq!(peer.borrow().read_u64(Addr::new(addr)), second);
     }
 }
 
 #[test]
-fn barrier_orders_flag_after_data_on_the_wire() {
+fn barrier_orders_flag_after_data_on_the_wire() -> Result<(), Halted> {
     // The commit-flag discipline every engine relies on: data, barrier,
     // flag, barrier. If the flag is visible on the peer, the data must be.
     let (_, peer, mut port, mut clock) = setup();
@@ -153,15 +153,15 @@ fn barrier_orders_flag_after_data_on_the_wire() {
             data_at,
             &round.to_le_bytes(),
             TrafficClass::Modified,
-        );
-        port.barrier(&mut clock);
+        )?;
+        port.barrier(&mut clock)?;
         port.store(
             &mut clock,
             flag_at,
             &round.to_le_bytes(),
             TrafficClass::Meta,
-        );
-        port.barrier(&mut clock);
+        )?;
+        port.barrier(&mut clock)?;
 
         // Cut at an arbitrary instant (now): check the invariant.
         let flag = peer.borrow().read_u64(flag_at);
@@ -171,4 +171,5 @@ fn barrier_orders_flag_after_data_on_the_wire() {
             "round {round}: flag {flag} visible before data {data}"
         );
     }
+    Ok(())
 }

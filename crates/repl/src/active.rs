@@ -30,10 +30,10 @@ use dsnrep_core::{
 use dsnrep_mcsim::{Link, Traffic, TxPort};
 use dsnrep_obs::{NullTracer, Phase, TraceEventKind, Tracer, TRACK_BACKUP, TRACK_PRIMARY};
 use dsnrep_rio::{Arena, Layout, LayoutError, RegionId, RootSlot};
-use dsnrep_simcore::{CostModel, Region, StallCause, VirtualInstant};
+use dsnrep_simcore::{CostModel, Halted, Region, StallCause, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
 
-use crate::passive::Failover;
+use crate::passive::{Failover, UNARMED};
 
 /// The backup node: a polling CPU applying the redo ring.
 #[derive(Debug)]
@@ -45,17 +45,21 @@ pub struct BackupNode<T: Tracer = NullTracer> {
 impl<T: Tracer> BackupNode<T> {
     /// Applies every record visible by `visible_at`, pushing the consumer
     /// cursor back through the reverse mapping. Returns what was applied.
-    pub fn catch_up(&mut self, visible_at: VirtualInstant) -> Applied {
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed fault budget halts the backup.
+    pub fn catch_up(&mut self, visible_at: VirtualInstant) -> Result<Applied, Halted> {
         // The busy-wait loop cannot observe a record before it arrives:
         // that wait is data-visibility stall time on the backup.
         self.machine
             .stall_until(StallCause::DataVisibility, visible_at);
         let start = self.machine.now();
-        let applied = self.reader.poll(&mut self.machine);
+        let applied = self.reader.poll(&mut self.machine)?;
         if applied.txns > 0 {
             self.machine.trace_phase(Phase::Apply, start);
         }
-        applied
+        Ok(applied)
     }
 
     /// The instant the most recent consumer write-back becomes visible on
@@ -152,7 +156,7 @@ impl<T: Tracer> Engine<T> for ActivePrimaryEngine<T> {
                 p.deliver_up_to(visible);
             }
             let mut backup = self.backup.borrow_mut();
-            let applied = backup.catch_up(visible);
+            let applied = backup.catch_up(visible)?;
             let consumer_at = backup.consumer_visible_at();
             backup.deliver_up_to(consumer_at);
             drop(backup);
@@ -172,7 +176,7 @@ impl<T: Tracer> Engine<T> for ActivePrimaryEngine<T> {
         let seq = self.inner.committed_seq(m);
         self.writer.publish_commit(m, seq)?;
         if m.durability() == dsnrep_core::Durability::TwoSafe {
-            m.wait_delivered();
+            m.wait_delivered()?;
         }
         // The backup CPU polls continuously; run it forward to the
         // publication it can now see.
@@ -184,7 +188,7 @@ impl<T: Tracer> Engine<T> for ActivePrimaryEngine<T> {
             p.deliver_up_to(visible);
         }
         let mut backup = self.backup.borrow_mut();
-        backup.catch_up(visible);
+        backup.catch_up(visible)?;
         let consumer_at = backup.consumer_visible_at();
         backup.deliver_up_to(consumer_at);
         Ok(())
@@ -195,7 +199,7 @@ impl<T: Tracer> Engine<T> for ActivePrimaryEngine<T> {
         self.inner.abort(m)
     }
 
-    fn recover(&mut self, m: &mut Machine<T>) -> RecoveryReport {
+    fn recover(&mut self, m: &mut Machine<T>) -> Result<RecoveryReport, Halted> {
         self.writer.discard();
         self.inner.recover(m)
     }
@@ -387,12 +391,21 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
     ///
     /// # Panics
     ///
-    /// Panics on engine errors (sizing bugs).
+    /// Panics on engine errors (sizing bugs), a halt included; the fault
+    /// executor calls [`ActiveCluster::try_run_txn`].
     pub fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
-        let mut ctx = TxCtx::new(&mut self.machine, &mut self.engine);
-        workload
-            .run_txn(&mut ctx)
+        self.try_run_txn(workload)
             .expect("workload transaction failed");
+    }
+
+    /// Runs one transaction of `workload` on the primary.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::Halted`] when an armed fault budget halts the primary;
+    /// any other error is an engine sizing bug.
+    pub fn try_run_txn(&mut self, workload: &mut dyn Workload<T>) -> Result<(), TxError> {
+        workload.run_txn(&mut TxCtx::new(&mut self.machine, &mut self.engine))
     }
 
     /// Runs `txns` transactions and reports primary throughput.
@@ -409,15 +422,19 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 
     /// Delivers everything in flight and lets the backup apply all of it
     /// (graceful end-of-run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault budget halts either node.
     pub fn settle(&mut self) {
-        self.machine.quiesce();
+        self.machine.quiesce().expect(UNARMED);
         let visible = self
             .machine
             .port_mut()
             .map(|p| p.last_delivered())
             .unwrap_or(VirtualInstant::EPOCH);
         let mut backup = self.backup.borrow_mut();
-        backup.catch_up(visible);
+        backup.catch_up(visible).expect(UNARMED);
         let consumer_at = backup.consumer_visible_at();
         backup.deliver_up_to(consumer_at);
     }
@@ -486,11 +503,12 @@ impl<T: Tracer + 'static> ActiveCluster<T> {
 ///
 /// Mirrors [`Takeover`](crate::Takeover) for the active scheme: a fault
 /// campaign arms a write budget on the backup's arena
-/// ([`ActiveTakeover::arena`]), catches the halt from
-/// [`ActiveTakeover::recover`], and re-enters over the surviving arena via
-/// [`ActiveTakeover::resume`]. The procedure is idempotent: redo records
-/// are absolute writes, so a fresh poll re-applies them byte-identically,
-/// and the sequence root is kept monotone.
+/// ([`ActiveTakeover::arena`]), takes the halt
+/// [`ActiveTakeover::try_recover`] returns, and re-enters over the
+/// surviving arena via [`ActiveTakeover::resume`]. The procedure is
+/// idempotent: redo records are absolute writes, so a fresh poll
+/// re-applies them byte-identically, and the sequence root is kept
+/// monotone.
 #[derive(Debug)]
 pub struct ActiveTakeover<T: Tracer + 'static = NullTracer> {
     machine: Machine<T>,
@@ -498,7 +516,7 @@ pub struct ActiveTakeover<T: Tracer + 'static = NullTracer> {
 }
 
 impl<T: Tracer + 'static> ActiveTakeover<T> {
-    /// Rebuilds a takeover over a surviving backup arena after a caught
+    /// Rebuilds a takeover over a surviving backup arena after a
     /// mid-recovery halt: a fresh (cold-cache, portless) machine at
     /// virtual time `at` and a fresh reader over the same ring.
     ///
@@ -524,7 +542,7 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
     }
 
     /// The promoted backup's arena handle (hold a clone across
-    /// [`ActiveTakeover::recover`] to survive an injected halt).
+    /// [`ActiveTakeover::try_recover`] to survive an injected halt).
     pub fn arena(&self) -> Rc<RefCell<Arena>> {
         Rc::clone(self.machine.arena())
     }
@@ -544,12 +562,24 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
     ///
     /// # Panics
     ///
-    /// Panics mid-recovery when an injected fault fires (by design — the
-    /// caller catches the unwind and may [`ActiveTakeover::resume`]).
-    pub fn recover(mut self) -> Result<Failover<T>, LayoutError> {
+    /// Panics if an armed write budget halts recovery; the fault executor
+    /// calls [`ActiveTakeover::try_recover`].
+    pub fn recover(self) -> Result<Failover<T>, LayoutError> {
+        self.try_recover().expect(UNARMED)
+    }
+
+    /// Drains the redo ring, stamps the sequence roots, and brings the
+    /// backup up as a standalone Version 3 engine. The inner result is
+    /// [`ActiveTakeover::recover`]'s.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed write budget on the backup's arena halts
+    /// recovery; the caller may [`ActiveTakeover::resume`] over the arena.
+    pub fn try_recover(mut self) -> Result<Result<Failover<T>, LayoutError>, Halted> {
         // Apply everything that was delivered before the crash.
         let drain_start = self.machine.now();
-        self.reader.poll(&mut self.machine);
+        self.reader.poll(&mut self.machine)?;
         self.machine.trace_phase(Phase::Apply, drain_start);
         let applied = self.reader.applied_seq();
         // Stamp the recovered sequence into the arena roots so the engine
@@ -561,9 +591,9 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
             let mut arena = self.machine.arena().borrow_mut();
             let stamped = arena.read_u64(Layout::root_addr(RootSlot::LogPtr)) >> 32;
             let applied = applied.max(stamped);
-            arena.write_u64(Layout::root_addr(RootSlot::LogPtr), applied << 32);
-            arena.write_u64(Layout::root_addr(RootSlot::RingProducer), 0);
-            arena.write_u64(Layout::root_addr(RootSlot::RingConsumer), 0);
+            arena.try_write_u64(Layout::root_addr(RootSlot::LogPtr), applied << 32)?;
+            arena.try_write_u64(Layout::root_addr(RootSlot::RingProducer), 0)?;
+            arena.try_write_u64(Layout::root_addr(RootSlot::RingConsumer), 0)?;
             applied
         };
         let mut machine = self.machine;
@@ -571,15 +601,18 @@ impl<T: Tracer + 'static> ActiveTakeover<T> {
         machine.clear_replication();
         let start = machine.now();
         machine.trace_event(TraceEventKind::RecoveryStart, applied);
-        let mut engine = ImprovedLogEngine::attach(&mut machine)?;
-        let report = engine.recover(&mut machine);
+        let mut engine = match ImprovedLogEngine::attach(&mut machine) {
+            Ok(engine) => engine,
+            Err(e) => return Ok(Err(e)),
+        };
+        let report = engine.recover(&mut machine)?;
         let recovery_time = machine.now().duration_since(start);
         machine.trace_event(TraceEventKind::FailoverComplete, report.committed_seq);
-        Ok(Failover {
+        Ok(Ok(Failover {
             machine,
             engine: Box::new(engine),
             report,
             recovery_time,
-        })
+        }))
     }
 }

@@ -16,13 +16,14 @@ use std::rc::Rc;
 
 use dsnrep_core::{
     arena_len, attach_engine, build_engine, Durability, Engine, EngineConfig, Machine,
-    MirrorEngine, RecoveryReport, VersionTag,
+    MirrorEngine, RecoveryReport, TxError, VersionTag,
 };
 use dsnrep_mcsim::{Link, Traffic, TxPort};
 use dsnrep_obs::{NullTracer, TraceEventKind, Tracer, TRACK_BACKUP, TRACK_PRIMARY};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::CostModel;
-use dsnrep_simcore::{StallCause, TrafficClass, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{
+    CostModel, Halted, StallCause, TrafficClass, VirtualDuration, VirtualInstant,
+};
 use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
 
 /// The outcome of a backup takeover.
@@ -227,6 +228,10 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
     ///
     /// Contrast with [`PassiveCluster::resync_backup`], which models an
     /// out-of-band initial copy at zero cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault budget halts the primary.
     pub fn accounted_resync(&mut self) -> (VirtualDuration, u64) {
         let start = self.machine.now();
         let regions = self.engine.replicated_regions();
@@ -238,12 +243,13 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
                 let n = (region.len() - off).min(chunk.len() as u64) as usize;
                 self.machine.read(region.start() + off, &mut chunk[..n]);
                 self.machine
-                    .write(region.start() + off, &chunk[..n], TrafficClass::Undo);
+                    .write(region.start() + off, &chunk[..n], TrafficClass::Undo)
+                    .expect(UNARMED);
                 shipped += n as u64;
                 off += n as u64;
             }
         }
-        self.machine.quiesce();
+        self.machine.quiesce().expect(UNARMED);
         (self.machine.now().duration_since(start), shipped)
     }
 
@@ -261,12 +267,21 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
     ///
     /// # Panics
     ///
-    /// Panics on engine errors (sizing bugs).
+    /// Panics on engine errors (sizing bugs), a halt included; the fault
+    /// executor calls [`PassiveCluster::try_run_txn`].
     pub fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
-        let mut ctx = TxCtx::new(&mut self.machine, self.engine.as_mut());
-        workload
-            .run_txn(&mut ctx)
+        self.try_run_txn(workload)
             .expect("workload transaction failed");
+    }
+
+    /// Runs one transaction of `workload` on the primary.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::Halted`] when an armed fault budget halts the primary;
+    /// any other error is an engine sizing bug.
+    pub fn try_run_txn(&mut self, workload: &mut dyn Workload<T>) -> Result<(), TxError> {
+        workload.run_txn(&mut TxCtx::new(&mut self.machine, self.engine.as_mut()))
     }
 
     /// Runs `txns` transactions and reports primary throughput.
@@ -346,20 +361,28 @@ impl<T: Tracer + 'static> PassiveCluster<T> {
 
     /// Gracefully quiesces the SAN (end of a failure-free run): flushes
     /// write buffers and delivers everything in flight to the backup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed packet budget halts the primary mid-flush.
     pub fn quiesce(&mut self) {
-        self.machine.quiesce();
+        self.machine.quiesce().expect(UNARMED);
     }
 }
+
+/// The panic message of a driver call that cannot return a halt, when an
+/// armed fault budget halts it anyway.
+pub(crate) const UNARMED: &str = "an infallible driver call ran into an armed fault budget";
 
 /// A promoted backup that has not yet run recovery: the state between
 /// "the primary is gone" and "the backup is serving".
 ///
 /// The split exists for fault injection: a campaign can arm a write
-/// budget on the backup's arena ([`Takeover::arena`]), catch the
-/// simulated halt from [`Takeover::recover`], and re-enter recovery over
-/// the surviving arena with [`Takeover::resume`] — the paper's recovery
-/// procedures are idempotent, so a crashed recovery is just another crash
-/// to recover from.
+/// budget on the backup's arena ([`Takeover::arena`]), take the
+/// [`Halted`] that [`Takeover::try_recover`] returns, and re-enter
+/// recovery over the surviving arena with [`Takeover::resume`] — the
+/// paper's recovery procedures are idempotent, so a crashed recovery is
+/// just another crash to recover from.
 #[derive(Debug)]
 pub struct Takeover<T: Tracer + 'static = NullTracer> {
     version: VersionTag,
@@ -369,8 +392,8 @@ pub struct Takeover<T: Tracer + 'static = NullTracer> {
 
 impl<T: Tracer + 'static> Takeover<T> {
     /// Rebuilds a takeover over a surviving backup arena, e.g. after a
-    /// mid-recovery halt was caught: a fresh (cold-cache) machine at
-    /// virtual time `at` over the same recoverable memory.
+    /// mid-recovery halt: a fresh (cold-cache) machine at virtual time
+    /// `at` over the same recoverable memory.
     pub fn resume(
         version: VersionTag,
         costs: CostModel,
@@ -388,7 +411,7 @@ impl<T: Tracer + 'static> Takeover<T> {
     }
 
     /// The promoted backup's arena handle (hold a clone across
-    /// [`Takeover::recover`] to survive an injected mid-recovery halt).
+    /// [`Takeover::try_recover`] to survive an injected mid-recovery halt).
     pub fn arena(&self) -> Rc<RefCell<Arena>> {
         Rc::clone(self.machine.arena())
     }
@@ -402,9 +425,19 @@ impl<T: Tracer + 'static> Takeover<T> {
     ///
     /// # Panics
     ///
-    /// Panics mid-recovery when an injected fault fires (by design — the
-    /// caller catches the unwind and may [`Takeover::resume`]).
-    pub fn recover(mut self) -> Failover<T> {
+    /// Panics if an armed write budget halts recovery; the fault executor
+    /// calls [`Takeover::try_recover`].
+    pub fn recover(self) -> Failover<T> {
+        self.try_recover().expect(UNARMED)
+    }
+
+    /// Runs the version's recovery procedure and completes the failover.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed write budget on the backup's arena halts
+    /// recovery; the caller may [`Takeover::resume`] over the arena.
+    pub fn try_recover(mut self) -> Result<Failover<T>, Halted> {
         let start = self.machine.now();
         self.machine.trace_event(TraceEventKind::RecoveryStart, 0);
         if matches!(
@@ -414,7 +447,7 @@ impl<T: Tracer + 'static> Takeover<T> {
             // Paper §5.1: the backup copies the entire database from the
             // mirror (the set-range array was never replicated). Charge the
             // copy: a cache-model read and write per chunk.
-            let bytes = MirrorEngine::backup_restore(&mut self.machine.arena().borrow_mut())
+            let bytes = MirrorEngine::backup_restore(&mut self.machine.arena().borrow_mut())?
                 .expect("backup arena carries the replicated layout");
             let chunk_lines = bytes.div_ceil(self.costs.cache_line);
             // Both source and destination stream through the cache: model
@@ -426,7 +459,7 @@ impl<T: Tracer + 'static> Takeover<T> {
             ));
         }
         let mut engine = attach_engine(self.version, &mut self.machine);
-        let report = engine.recover(&mut self.machine);
+        let report = engine.recover(&mut self.machine)?;
         // Recovery restores are unaccounted inside the engine (failure
         // path); charge them here at copy speed.
         self.machine.charge(VirtualDuration::from_picos(
@@ -435,11 +468,11 @@ impl<T: Tracer + 'static> Takeover<T> {
         let recovery_time = self.machine.now().duration_since(start);
         self.machine
             .trace_event(TraceEventKind::FailoverComplete, report.committed_seq);
-        Failover {
+        Ok(Failover {
             machine: self.machine,
             engine,
             report,
             recovery_time,
-        }
+        })
     }
 }

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use dsnrep_cluster::{NodeId, ReplicationStrategy, Topology};
-use dsnrep_core::{Durability, Engine, EngineConfig, Machine, VersionTag};
+use dsnrep_core::{Durability, Engine, EngineConfig, Machine, TxError, VersionTag};
 use dsnrep_mcsim::{Fabric, PacketTap, TappedPacket, Traffic};
 use dsnrep_obs::{Metric, NullTracer, Phase, Tracer, NO_TXN};
 use dsnrep_rio::Arena;
@@ -439,13 +439,26 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     ///
     /// # Panics
     ///
-    /// Panics on engine errors, or when an armed fault budget fires (the
-    /// caller catches the unwind, as with [`PassiveCluster`]).
+    /// Panics on engine errors (sizing bugs), a halt included; the fault
+    /// executor calls [`ReplicaSet::try_run_txn`].
     pub fn run_txn(&mut self, workload: &mut dyn Workload<T>) {
-        self.head.run_txn(workload);
+        self.try_run_txn(workload)
+            .expect("workload transaction failed");
+    }
+
+    /// As [`ReplicaSet::run_txn`], passing engine errors up.
+    ///
+    /// # Errors
+    ///
+    /// [`TxError::Halted`] when an armed fault budget halts the head; its
+    /// replication is not settled then. Any other error is an engine
+    /// sizing bug.
+    pub fn try_run_txn(&mut self, workload: &mut dyn Workload<T>) -> Result<(), TxError> {
+        self.head.try_run_txn(workload)?;
         let visible = self.settle_txn();
         self.commit_instants.push(self.head.machine().now());
         self.visibility.push(TxnVisibility { visible });
+        Ok(())
     }
 
     /// Runs `txns` transactions and reports head throughput (inclusive of

@@ -17,7 +17,7 @@
 use core::fmt;
 use std::error::Error;
 
-use dsnrep_simcore::{Addr, Region};
+use dsnrep_simcore::{Addr, Halted, Region};
 
 /// Memory accessed by the allocator. Implementations charge cache costs and
 /// (in primary-backup mode) double the writes to the backup as metadata
@@ -26,7 +26,12 @@ pub trait AllocMem {
     /// Reads a little-endian `u64`.
     fn read_u64(&mut self, addr: Addr) -> u64;
     /// Writes a little-endian `u64`.
-    fn write_u64(&mut self, addr: Addr, value: u64);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed fault budget stops the node at this write;
+    /// the heap operation stops there too.
+    fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), Halted>;
 }
 
 /// The allocation failure error.
@@ -83,7 +88,8 @@ const MIN_BLOCK: u64 = 32;
 ///
 /// The struct itself is a cheap handle: all allocator state (free-list head,
 /// statistics) lives in the region, so it survives crashes and is visible to
-/// the backup.
+/// the backup. Every operation that writes returns [`Halted`] as soon as a
+/// write of its memory halts, leaving the heap as that crash point left it.
 ///
 /// # Examples
 ///
@@ -93,14 +99,15 @@ const MIN_BLOCK: u64 = 32;
 ///
 /// let mut arena = Arena::new(1 << 16);
 /// let mut mem = RawMem::new(&mut arena);
-/// let heap = FreeListHeap::format(&mut mem, Region::new(Addr::new(0), 1 << 16));
-/// let a = heap.alloc(&mut mem, 100)?;
-/// let b = heap.alloc(&mut mem, 200)?;
+/// let heap = FreeListHeap::format(&mut mem, Region::new(Addr::new(0), 1 << 16))?;
+/// // The outer result is a halt, the inner one the allocation itself.
+/// let a = heap.alloc(&mut mem, 100)?.expect("fits");
+/// let b = heap.alloc(&mut mem, 200)?.expect("fits");
 /// assert_ne!(a, b);
-/// heap.free(&mut mem, a);
-/// heap.free(&mut mem, b);
+/// heap.free(&mut mem, a)?;
+/// heap.free(&mut mem, b)?;
 /// assert_eq!(heap.stats(&mut mem).live_allocs, 0);
-/// # Ok::<(), dsnrep_rio::OutOfMemory>(())
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FreeListHeap {
@@ -110,11 +117,15 @@ pub struct FreeListHeap {
 impl FreeListHeap {
     /// Formats `region` as an empty heap and returns a handle.
     ///
+    /// # Errors
+    ///
+    /// [`Halted`] when a write of `mem` halts mid-format.
+    ///
     /// # Panics
     ///
     /// Panics if the region is too small to hold the roots and one minimum
     /// block.
-    pub fn format<M: AllocMem>(mem: &mut M, region: Region) -> Self {
+    pub fn format<M: AllocMem>(mem: &mut M, region: Region) -> Result<Self, Halted> {
         assert!(
             region.len() >= ROOT_WORDS * 8 + MIN_BLOCK,
             "heap region too small: {} bytes",
@@ -124,18 +135,18 @@ impl FreeListHeap {
         let first = heap.first_block();
         let cap = (heap.end().as_u64() - first.as_u64()) & SIZE_MASK;
         // Roots: [magic][free_head][live_allocs][frees][bytes_in_use][cap]
-        mem.write_u64(region.start(), 0x4845_4150); // "HEAP"
-        mem.write_u64(heap.head_addr(), first.as_u64());
-        mem.write_u64(heap.live_addr(), 0);
-        mem.write_u64(heap.frees_addr(), 0);
-        mem.write_u64(heap.in_use_addr(), 0);
-        mem.write_u64(region.start() + 40, cap);
+        mem.write_u64(region.start(), 0x4845_4150)?; // "HEAP"
+        mem.write_u64(heap.head_addr(), first.as_u64())?;
+        mem.write_u64(heap.live_addr(), 0)?;
+        mem.write_u64(heap.frees_addr(), 0)?;
+        mem.write_u64(heap.in_use_addr(), 0)?;
+        mem.write_u64(region.start() + 40, cap)?;
         // One big free block.
-        mem.write_u64(first, cap);
-        mem.write_u64(first + 8, 0); // prev_size: none
-        mem.write_u64(first + 16, 0); // next
-        mem.write_u64(first + 24, 0); // prev
-        heap
+        mem.write_u64(first, cap)?;
+        mem.write_u64(first + 8, 0)?; // prev_size: none
+        mem.write_u64(first + 16, 0)?; // next
+        mem.write_u64(first + 24, 0)?; // prev
+        Ok(heap)
     }
 
     /// Re-attaches to a previously formatted heap (e.g. after a crash).
@@ -167,41 +178,48 @@ impl FreeListHeap {
         self.region.end()
     }
 
-    fn unlink<M: AllocMem>(&self, mem: &mut M, block: Addr) {
+    fn unlink<M: AllocMem>(&self, mem: &mut M, block: Addr) -> Result<(), Halted> {
         let next = mem.read_u64(block + 16);
         let prev = mem.read_u64(block + 24);
         if prev == 0 {
-            mem.write_u64(self.head_addr(), next);
+            mem.write_u64(self.head_addr(), next)?;
         } else {
-            mem.write_u64(Addr::new(prev) + 16, next);
+            mem.write_u64(Addr::new(prev) + 16, next)?;
         }
         if next != 0 {
-            mem.write_u64(Addr::new(next) + 24, prev);
+            mem.write_u64(Addr::new(next) + 24, prev)?;
         }
+        Ok(())
     }
 
-    fn push<M: AllocMem>(&self, mem: &mut M, block: Addr) {
+    fn push<M: AllocMem>(&self, mem: &mut M, block: Addr) -> Result<(), Halted> {
         let old = mem.read_u64(self.head_addr());
-        mem.write_u64(block + 16, old);
-        mem.write_u64(block + 24, 0);
+        mem.write_u64(block + 16, old)?;
+        mem.write_u64(block + 24, 0)?;
         if old != 0 {
-            mem.write_u64(Addr::new(old) + 24, block.as_u64());
+            mem.write_u64(Addr::new(old) + 24, block.as_u64())?;
         }
-        mem.write_u64(self.head_addr(), block.as_u64());
+        mem.write_u64(self.head_addr(), block.as_u64())
     }
 
-    /// Allocates `size` payload bytes, returning the payload address.
+    /// Allocates `size` payload bytes. The inner result is the
+    /// allocation: the payload address, or [`OutOfMemory`] if no free
+    /// block can satisfy the request.
     ///
     /// # Errors
     ///
-    /// Returns [`OutOfMemory`] if no free block can satisfy the request.
-    pub fn alloc<M: AllocMem>(&self, mem: &mut M, size: u64) -> Result<Addr, OutOfMemory> {
+    /// [`Halted`] when a write of `mem` halts mid-allocation.
+    pub fn alloc<M: AllocMem>(
+        &self,
+        mem: &mut M,
+        size: u64,
+    ) -> Result<Result<Addr, OutOfMemory>, Halted> {
         let need = (HDR + size.max(16) + 7) & SIZE_MASK;
         // First fit.
         let mut cursor = mem.read_u64(self.head_addr());
         let block = loop {
             if cursor == 0 {
-                return Err(OutOfMemory { requested: size });
+                return Ok(Err(OutOfMemory { requested: size }));
             }
             let b = Addr::new(cursor);
             let bsize = mem.read_u64(b) & SIZE_MASK;
@@ -211,38 +229,42 @@ impl FreeListHeap {
             cursor = mem.read_u64(b + 16);
         };
         let bsize = mem.read_u64(block) & SIZE_MASK;
-        self.unlink(mem, block);
+        self.unlink(mem, block)?;
         let mut taken = bsize;
         if bsize - need >= MIN_BLOCK {
             // Split: the tail becomes a new free block.
             taken = need;
             let rem = block + need;
             let rem_size = bsize - need;
-            mem.write_u64(rem, rem_size);
-            mem.write_u64(rem + 8, need);
-            self.push(mem, rem);
+            mem.write_u64(rem, rem_size)?;
+            mem.write_u64(rem + 8, need)?;
+            self.push(mem, rem)?;
             let after = rem + rem_size;
             if after < self.end() {
-                mem.write_u64(after + 8, rem_size);
+                mem.write_u64(after + 8, rem_size)?;
             }
         }
-        mem.write_u64(block, taken | IN_USE);
+        mem.write_u64(block, taken | IN_USE)?;
         // Heap statistics (Vista keeps equivalents; they are metadata writes).
         let live = mem.read_u64(self.live_addr());
-        mem.write_u64(self.live_addr(), live + 1);
+        mem.write_u64(self.live_addr(), live + 1)?;
         let used = mem.read_u64(self.in_use_addr());
-        mem.write_u64(self.in_use_addr(), used + taken);
-        Ok(block + HDR)
+        mem.write_u64(self.in_use_addr(), used + taken)?;
+        Ok(Ok(block + HDR))
     }
 
     /// Frees the allocation whose payload starts at `payload`, coalescing
     /// with free neighbours.
     ///
+    /// # Errors
+    ///
+    /// [`Halted`] when a write of `mem` halts mid-free.
+    ///
     /// # Panics
     ///
     /// Panics if `payload` does not point at a live allocation from this
     /// heap.
-    pub fn free<M: AllocMem>(&self, mem: &mut M, payload: Addr) {
+    pub fn free<M: AllocMem>(&self, mem: &mut M, payload: Addr) -> Result<(), Halted> {
         let mut block = payload - HDR;
         assert!(
             block >= self.first_block() && block < self.end(),
@@ -259,7 +281,7 @@ impl FreeListHeap {
         if next < self.end() {
             let nsf = mem.read_u64(next);
             if nsf & IN_USE == 0 {
-                self.unlink(mem, next);
+                self.unlink(mem, next)?;
                 size += nsf & SIZE_MASK;
             }
         }
@@ -269,23 +291,23 @@ impl FreeListHeap {
             let prev = block - prev_size;
             let psf = mem.read_u64(prev);
             if psf & IN_USE == 0 {
-                self.unlink(mem, prev);
+                self.unlink(mem, prev)?;
                 block = prev;
                 size += psf & SIZE_MASK;
             }
         }
-        mem.write_u64(block, size);
+        mem.write_u64(block, size)?;
         let after = block + size;
         if after < self.end() {
-            mem.write_u64(after + 8, size);
+            mem.write_u64(after + 8, size)?;
         }
-        self.push(mem, block);
+        self.push(mem, block)?;
         let live = mem.read_u64(self.live_addr());
-        mem.write_u64(self.live_addr(), live - 1);
+        mem.write_u64(self.live_addr(), live - 1)?;
         let frees = mem.read_u64(self.frees_addr());
-        mem.write_u64(self.frees_addr(), frees + 1);
+        mem.write_u64(self.frees_addr(), frees + 1)?;
         let used = mem.read_u64(self.in_use_addr());
-        mem.write_u64(self.in_use_addr(), used - taken);
+        mem.write_u64(self.in_use_addr(), used - taken)
     }
 
     /// Reads back the persistent statistics plus a block-walk census.
@@ -390,79 +412,86 @@ mod tests {
         let region = Region::new(Addr::new(0), cap);
         let h = {
             let mut mem = RawMem::new(&mut arena);
-            FreeListHeap::format(&mut mem, region)
+            FreeListHeap::format(&mut mem, region).expect("unarmed")
         };
         (arena, h)
     }
 
     #[test]
-    fn alloc_free_round_trip() {
+    fn alloc_free_round_trip() -> Result<(), Halted> {
         let (mut arena, h) = heap(1 << 14);
         let mut mem = RawMem::new(&mut arena);
-        let a = h.alloc(&mut mem, 64).unwrap();
-        let b = h.alloc(&mut mem, 64).unwrap();
+        let a = h.alloc(&mut mem, 64)?.unwrap();
+        let b = h.alloc(&mut mem, 64)?.unwrap();
         assert!(b.as_u64() >= a.as_u64() + 64);
-        h.free(&mut mem, a);
-        h.free(&mut mem, b);
+        h.free(&mut mem, a)?;
+        h.free(&mut mem, b)?;
         let stats = h.check_consistency(&mut mem).unwrap();
         assert_eq!(stats.live_allocs, 0);
         assert_eq!(stats.free_blocks, 1, "full coalescing back to one block");
+        Ok(())
     }
 
     #[test]
-    fn coalescing_in_both_directions() {
+    fn coalescing_in_both_directions() -> Result<(), Halted> {
         let (mut arena, h) = heap(1 << 14);
         let mut mem = RawMem::new(&mut arena);
-        let blocks: Vec<Addr> = (0..4).map(|_| h.alloc(&mut mem, 48).unwrap()).collect();
+        let blocks: Vec<Addr> = (0..4)
+            .map(|_| h.alloc(&mut mem, 48).map(Result::unwrap))
+            .collect::<Result<_, _>>()?;
         // Free middle two in both orders: prev and next coalescing paths.
-        h.free(&mut mem, blocks[1]);
-        h.free(&mut mem, blocks[2]);
-        h.free(&mut mem, blocks[0]);
-        h.free(&mut mem, blocks[3]);
+        h.free(&mut mem, blocks[1])?;
+        h.free(&mut mem, blocks[2])?;
+        h.free(&mut mem, blocks[0])?;
+        h.free(&mut mem, blocks[3])?;
         let stats = h.check_consistency(&mut mem).unwrap();
         assert_eq!(stats.free_blocks, 1);
+        Ok(())
     }
 
     #[test]
-    fn out_of_memory_is_reported() {
+    fn out_of_memory_is_reported() -> Result<(), Halted> {
         let (mut arena, h) = heap(256);
         let mut mem = RawMem::new(&mut arena);
-        let err = h.alloc(&mut mem, 10_000).unwrap_err();
+        let err = h.alloc(&mut mem, 10_000)?.unwrap_err();
         assert_eq!(err.requested, 10_000);
         assert!(err.to_string().contains("10000-byte"));
+        Ok(())
     }
 
     #[test]
-    fn exhaustion_then_reuse() {
+    fn exhaustion_then_reuse() -> Result<(), Halted> {
         let (mut arena, h) = heap(4096);
         let mut mem = RawMem::new(&mut arena);
         let mut held = Vec::new();
-        while let Ok(p) = h.alloc(&mut mem, 100) {
+        while let Ok(p) = h.alloc(&mut mem, 100)? {
             held.push(p);
         }
         assert!(held.len() >= 20);
         for p in held.drain(..) {
-            h.free(&mut mem, p);
+            h.free(&mut mem, p)?;
         }
         // Everything is reusable again.
-        assert!(h.alloc(&mut mem, 2000).is_ok());
+        assert!(h.alloc(&mut mem, 2000)?.is_ok());
         h.check_consistency(&mut mem).unwrap();
+        Ok(())
     }
 
     #[test]
-    fn payloads_do_not_overlap() {
+    fn payloads_do_not_overlap() -> Result<(), Halted> {
         let (mut arena, h) = heap(1 << 14);
         let mut mem = RawMem::new(&mut arena);
         let sizes = [8u64, 100, 17, 250, 32, 64];
         let mut spans: Vec<Region> = Vec::new();
         for &s in &sizes {
-            let p = h.alloc(&mut mem, s).unwrap();
+            let p = h.alloc(&mut mem, s)?.unwrap();
             let r = Region::new(p, s);
             for other in &spans {
                 assert!(!r.overlaps(*other));
             }
             spans.push(r);
         }
+        Ok(())
     }
 
     #[test]
@@ -470,37 +499,39 @@ mod tests {
     fn double_free_panics() {
         let (mut arena, h) = heap(1 << 12);
         let mut mem = RawMem::new(&mut arena);
-        let p = h.alloc(&mut mem, 32).unwrap();
-        h.free(&mut mem, p);
-        h.free(&mut mem, p);
+        let p = h.alloc(&mut mem, 32).unwrap().unwrap();
+        h.free(&mut mem, p).unwrap();
+        h.free(&mut mem, p).unwrap();
     }
 
     #[test]
-    fn stats_track_bytes() {
+    fn stats_track_bytes() -> Result<(), Halted> {
         let (mut arena, h) = heap(1 << 13);
         let mut mem = RawMem::new(&mut arena);
-        let p = h.alloc(&mut mem, 100).unwrap();
+        let p = h.alloc(&mut mem, 100)?.unwrap();
         let s = h.stats(&mut mem);
         assert_eq!(s.live_allocs, 1);
         assert!(s.bytes_in_use >= 100);
-        h.free(&mut mem, p);
+        h.free(&mut mem, p)?;
         let s = h.stats(&mut mem);
         assert_eq!(s.live_allocs, 0);
         assert_eq!(s.bytes_in_use, 0);
+        Ok(())
     }
 
     #[test]
-    fn attach_sees_existing_heap() {
+    fn attach_sees_existing_heap() -> Result<(), Halted> {
         let (mut arena, h) = heap(1 << 13);
         let p = {
             let mut mem = RawMem::new(&mut arena);
-            h.alloc(&mut mem, 64).unwrap()
+            h.alloc(&mut mem, 64)?.unwrap()
         };
         // Simulate reboot: a new handle over the same region.
         let h2 = FreeListHeap::attach(Region::new(Addr::new(0), 1 << 13));
         let mut mem = RawMem::new(&mut arena);
         assert_eq!(h2.stats(&mut mem).live_allocs, 1);
-        h2.free(&mut mem, p);
+        h2.free(&mut mem, p)?;
         h2.check_consistency(&mut mem).unwrap();
+        Ok(())
     }
 }

@@ -13,7 +13,7 @@
 
 use core::fmt;
 
-use dsnrep_simcore::{copy_small, Addr, Region};
+use dsnrep_simcore::{copy_small, Addr, Halted, Region};
 
 /// Shortest page of any arena.
 const MIN_PAGE_LEN: u64 = 4 * 1024;
@@ -100,20 +100,15 @@ pub struct Arena {
     /// (called from `Debug` formatting inside hot loops when tracing) is
     /// O(1) instead of a scan of the page vector.
     touched: usize,
-    /// Monotone count of [`Arena::write`] and [`Arena::copy`] calls, the
-    /// only mutations. Each call consumes one unit of an armed write
-    /// budget before it mutates anything, so this counter enumerates the
-    /// halt points the fault-injection layer can crash at — including
-    /// recovery-procedure writes that bypass the machine's store
-    /// accounting.
+    /// Monotone count of [`Arena::try_write`] and [`Arena::try_copy`]
+    /// calls that went through, the only mutations. Each call consumes one
+    /// unit of an armed write budget before it mutates anything, so this
+    /// counter enumerates the halt points the fault-injection layer can
+    /// crash at — including recovery-procedure writes that bypass the
+    /// machine's store accounting.
     writes: u64,
     /// Armed fault: remaining writes before a simulated halt.
     write_budget: Option<u64>,
-    /// Whether an armed budget actually tripped (a write was attempted
-    /// with the budget at zero). Distinct from the budget *reaching*
-    /// zero: spending the last unit on a successful write has not halted
-    /// anything yet.
-    halted: bool,
 }
 
 impl fmt::Debug for Arena {
@@ -146,49 +141,43 @@ impl Arena {
             touched: 0,
             writes: 0,
             write_budget: None,
-            halted: false,
         }
     }
 
-    /// Monotone count of [`Arena::write`] and [`Arena::copy`] calls since
-    /// construction (clones inherit the count). Recovery procedures mutate the arena directly,
+    /// Monotone count of writes and copies since construction (clones
+    /// inherit the count). Recovery procedures mutate the arena directly,
     /// so deltas of this counter enumerate mid-recovery crash points.
     #[inline]
     pub fn writes(&self) -> u64 {
         self.writes
     }
 
-    /// Arms a fault: the arena halts (panics) when `budget` more writes
-    /// (a copy counts as one) have been attempted; `0` halts on the very
-    /// next write. The halting write does **not** mutate the arena.
+    /// Arms a fault: after `budget` more writes (a copy counts as one),
+    /// the arena halts. The write that finds the budget at zero returns
+    /// [`Halted`] and mutates nothing — no byte, no write count — and so
+    /// does every later write until [`Arena::clear_halt`]. `0` halts the
+    /// very next write. Fault campaigns arm it on a recovering node's
+    /// arena to crash recovery mid-flight.
     pub fn inject_halt_after_writes(&mut self, budget: u64) {
         self.write_budget = Some(budget);
-    }
-
-    /// Whether an armed write budget tripped: a write was attempted with
-    /// no budget left (and panicked without mutating the arena).
-    #[inline]
-    pub fn has_halted(&self) -> bool {
-        self.halted
     }
 
     /// Disarms any pending (or tripped) write-budget fault, e.g. before
     /// resuming recovery over a surviving arena.
     pub fn clear_halt(&mut self) {
         self.write_budget = None;
-        self.halted = false;
     }
 
     /// Consumes one unit of the armed write budget, halting at zero.
     #[inline]
-    fn consume_write_budget(&mut self) {
+    fn consume_write_budget(&mut self) -> Result<(), Halted> {
         match &mut self.write_budget {
-            None => {}
-            Some(0) => {
-                self.halted = true;
-                panic!("dsnrep fault injection: simulated halt mid-write");
+            None => Ok(()),
+            Some(0) => Err(Halted),
+            Some(budget) => {
+                *budget -= 1;
+                Ok(())
             }
-            Some(budget) => *budget -= 1,
         }
     }
 
@@ -241,6 +230,20 @@ impl Arena {
         );
     }
 
+    /// Writes `bytes` at `addr`, for callers that never run under an armed
+    /// write budget (set-up, oracles, SAN delivery to a live peer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range falls outside the arena, or if an armed write
+    /// budget halts the write: code that may run under one calls
+    /// [`Arena::try_write`].
+    #[inline(always)]
+    pub fn write(&mut self, addr: Addr, bytes: &[u8]) {
+        self.try_write(addr, bytes)
+            .expect("an infallible arena write ran under an armed write budget");
+    }
+
     /// Writes `bytes` at `addr`. All-zero bytes leave an unmaterialized
     /// page unmaterialized: it already reads as zeros.
     ///
@@ -248,12 +251,17 @@ impl Arena {
     /// length a compile-time constant and `copy_small`'s length dispatch
     /// folds away.
     ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed write budget is spent; nothing is written
+    /// (see [`Arena::inject_halt_after_writes`]).
+    ///
     /// # Panics
     ///
     /// Panics if the range falls outside the arena.
     #[inline(always)]
-    pub fn write(&mut self, addr: Addr, bytes: &[u8]) {
-        self.consume_write_budget();
+    pub fn try_write(&mut self, addr: Addr, bytes: &[u8]) -> Result<(), Halted> {
+        self.consume_write_budget()?;
         self.writes += 1;
         self.check(addr, bytes.len());
         let off = addr.as_usize();
@@ -264,10 +272,11 @@ impl Arena {
         if bytes.len() <= self.page_len() - page_off {
             if let Some(page) = &mut self.pages[page_idx] {
                 copy_small(&mut page[page_off..page_off + bytes.len()], bytes);
-                return;
+                return Ok(());
             }
         }
         self.store_pieces(off, bytes);
+        Ok(())
     }
 
     /// The general write, page piece by page piece: materializes pages
@@ -384,8 +393,21 @@ impl Arena {
     }
 
     /// Writes a little-endian `u64` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Arena::write`].
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
         self.write(addr, &value.to_le_bytes());
+    }
+
+    /// Writes a little-endian `u64` at `addr`, under any write budget.
+    ///
+    /// # Errors
+    ///
+    /// As [`Arena::try_write`].
+    pub fn try_write_u64(&mut self, addr: Addr, value: u64) -> Result<(), Halted> {
+        self.try_write(addr, &value.to_le_bytes())
     }
 
     /// Reads a little-endian `u32` at `addr`.
@@ -411,21 +433,25 @@ impl Arena {
     }
 
     /// Copies `len` bytes from `src` to `dst` within the arena, as one
-    /// [`write`](Arena::write) of what `src` reads as. Ranges may not
-    /// overlap. Works page piece by page piece without a buffer; a piece
-    /// whose source and destination pages are both unmaterialized is
+    /// [`try_write`](Arena::try_write) of what `src` reads as. Ranges may
+    /// not overlap. Works page piece by page piece without a buffer; a
+    /// piece whose source and destination pages are both unmaterialized is
     /// skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed write budget is spent; nothing is copied.
     ///
     /// # Panics
     ///
     /// Panics if either range is out of bounds or if they overlap.
-    pub fn copy(&mut self, src: Addr, dst: Addr, len: usize) {
+    pub fn try_copy(&mut self, src: Addr, dst: Addr, len: usize) -> Result<(), Halted> {
         assert!(
             !Region::new(src, len as u64).overlaps(Region::new(dst, len as u64)),
             "arena copy ranges overlap"
         );
         self.check(src, len);
-        self.consume_write_budget();
+        self.consume_write_budget()?;
         self.writes += 1;
         self.check(dst, len);
         let page_len = self.page_len();
@@ -457,6 +483,7 @@ impl Arena {
             s += n;
             d += n;
         }
+        Ok(())
     }
 
     /// Returns the whole region's bytes; intended for test oracles on small
@@ -660,18 +687,19 @@ mod tests {
     }
 
     #[test]
-    fn copy_non_overlapping() {
+    fn copy_non_overlapping() -> Result<(), Halted> {
         let mut a = Arena::new(1 << 12);
         a.write(Addr::new(0), b"xyz");
-        a.copy(Addr::new(0), Addr::new(100), 3);
+        a.try_copy(Addr::new(0), Addr::new(100), 3)?;
         assert_eq!(a.read_vec(Addr::new(100), 3), b"xyz");
+        Ok(())
     }
 
     #[test]
     #[should_panic]
     fn copy_overlapping_panics() {
         let mut a = Arena::new(1 << 12);
-        a.copy(Addr::new(0), Addr::new(4), 8);
+        a.try_copy(Addr::new(0), Addr::new(4), 8).unwrap();
     }
 
     #[test]
@@ -710,36 +738,44 @@ mod tests {
     }
 
     #[test]
-    fn write_counter_is_monotone_and_cloned() {
+    fn write_counter_is_monotone_and_cloned() -> Result<(), Halted> {
         let mut a = Arena::new(1 << 12);
         assert_eq!(a.writes(), 0);
         a.write(Addr::new(0), &[1]);
         a.write_u64(Addr::new(8), 7);
-        a.copy(Addr::new(0), Addr::new(64), 1); // one write
+        a.try_copy(Addr::new(0), Addr::new(64), 1)?; // one write
         assert_eq!(a.writes(), 3);
         assert_eq!(a.clone().writes(), 3);
+        Ok(())
     }
 
     #[test]
     fn write_budget_halts_at_the_exact_write() {
         let mut a = Arena::new(1 << 12);
         a.inject_halt_after_writes(2);
-        a.write(Addr::new(0), &[1]);
-        a.write(Addr::new(1), &[2]);
-        assert!(!a.has_halted());
-        let err = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
-            a.write(Addr::new(2), &[3]);
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("fault injection"), "unexpected panic: {msg}");
-        assert!(a.has_halted());
-        // The halting write mutated nothing and did not count.
+        // Spending the last unit is not a halt.
+        assert_eq!(a.try_write(Addr::new(0), &[1]), Ok(()));
+        assert_eq!(a.try_write(Addr::new(1), &[2]), Ok(()));
+        assert_eq!(a.try_write(Addr::new(2), &[3]), Err(Halted));
+        // The halting write mutated nothing and did not count, and every
+        // later write halts too.
         assert_eq!(a.read_vec(Addr::new(2), 1), vec![0]);
+        assert_eq!(a.writes(), 2);
+        assert_eq!(a.try_copy(Addr::new(0), Addr::new(8), 2), Err(Halted));
+        assert_eq!(a.try_write_u64(Addr::new(8), 9), Err(Halted));
+        assert_eq!(a.read_vec(Addr::new(8), 8), vec![0; 8]);
         assert_eq!(a.writes(), 2);
         a.clear_halt();
         a.write(Addr::new(2), &[3]);
         assert_eq!(a.read_vec(Addr::new(0), 3), vec![1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "armed write budget")]
+    fn an_infallible_write_under_a_spent_budget_panics() {
+        let mut a = Arena::new(1 << 12);
+        a.inject_halt_after_writes(0);
+        a.write(Addr::new(0), &[1]);
     }
 
     #[test]
@@ -774,25 +810,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_writes_and_copies_leave_pages_unmaterialized() {
+    fn zero_writes_and_copies_leave_pages_unmaterialized() -> Result<(), Halted> {
         let mut a = Arena::new(40 << 20);
         let page = a.page_len() as u64;
         a.write(Addr::new(page - 8), &[0; 16]);
-        a.copy(Addr::new(2 * page), Addr::new(10), page as usize);
+        a.try_copy(Addr::new(2 * page), Addr::new(10), page as usize)?;
         assert_eq!(a.pages_touched(), 0);
         assert_eq!(a.writes(), 2, "skipped writes still count");
         // A materialized source page of zeros does not materialize the
         // destination; a nonzero byte does.
         a.write(Addr::new(2 * page), &[0, 5]);
         assert_eq!(a.pages_touched(), 1);
-        a.copy(Addr::new(2 * page), Addr::new(3 * page), 1);
+        a.try_copy(Addr::new(2 * page), Addr::new(3 * page), 1)?;
         assert_eq!(a.pages_touched(), 1);
-        a.copy(Addr::new(2 * page), Addr::new(3 * page), 2);
+        a.try_copy(Addr::new(2 * page), Addr::new(3 * page), 2)?;
         assert_eq!(a.pages_touched(), 2);
         assert_eq!(a.read_vec(Addr::new(3 * page), 2), [0, 5]);
         // Zeros still overwrite a materialized page.
-        a.copy(Addr::new(0), Addr::new(3 * page), 2);
+        a.try_copy(Addr::new(0), Addr::new(3 * page), 2)?;
         assert_eq!(a.read_vec(Addr::new(3 * page), 2), [0, 0]);
+        Ok(())
     }
 
     #[test]
@@ -827,25 +864,6 @@ mod tests {
         Copy { src: u64, dst: u64, len: usize },
         /// Arm a write budget.
         Arm(u64),
-    }
-
-    /// Hides the panic message of a simulated halt; other panics print.
-    fn quiet_halts() {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = info.payload().downcast_ref::<&str>().copied();
-                if !msg.unwrap_or_default().contains("fault injection") {
-                    default(info);
-                }
-            }));
-        });
-    }
-
-    /// Runs `f`, reporting whether it halted on the armed write budget.
-    fn halts(f: impl FnOnce()) -> bool {
-        std::panic::catch_unwind(core::panic::AssertUnwindSafe(f)).is_err()
     }
 
     mod sparse_equivalence {
@@ -885,7 +903,7 @@ mod tests {
             )
         }
 
-        /// `copy` behaves as `read_vec` + `write` on an arena of
+        /// `try_copy` behaves as `read_vec` + `try_write` on an arena of
         /// `arena_len` bytes and `page`-byte pages: the same contents
         /// and write count, the same halts under a budget with nothing
         /// mutated by the halting call, and never more pages touched.
@@ -897,7 +915,6 @@ mod tests {
             page: usize,
             ops: Vec<Op>,
         ) -> Result<(), TestCaseError> {
-            quiet_halts();
             let window = window(page);
             let mut fast = Arena::new(arena_len);
             let mut slow = Arena::new(arena_len);
@@ -906,11 +923,11 @@ mod tests {
             let mut model = vec![0u8; window as usize];
             for op in ops {
                 let before = state(&fast, window);
-                let (halted, slow_halted) = match op {
+                let (result, slow_result) = match op {
                     Op::Arm(budget) => {
                         fast.inject_halt_after_writes(budget);
                         slow.inject_halt_after_writes(budget);
-                        (false, false)
+                        (Ok(()), Ok(()))
                     }
                     Op::Write { addr, len, zero } => {
                         let len = len.min((window - addr) as usize);
@@ -918,18 +935,16 @@ mod tests {
                             .map(|i| if zero { 0 } else { (i % 251) as u8 + 1 })
                             .collect();
                         let (a, n) = (Addr::new(addr), bytes.len());
-                        let slow_halted = halts(|| {
-                            slow.write(a, &bytes);
-                            if n > 0 {
-                                let last = (addr as usize + n - 1) / page;
-                                pages.extend(addr as usize / page..=last);
-                            }
-                        });
-                        let halted = halts(|| fast.write(a, &bytes));
-                        if !halted {
+                        let slow_result = slow.try_write(a, &bytes);
+                        if slow_result.is_ok() && n > 0 {
+                            let last = (addr as usize + n - 1) / page;
+                            pages.extend(addr as usize / page..=last);
+                        }
+                        let result = fast.try_write(a, &bytes);
+                        if result.is_ok() {
                             model[addr as usize..addr as usize + n].copy_from_slice(&bytes);
                         }
-                        (halted, slow_halted)
+                        (result, slow_result)
                     }
                     Op::Copy { src, dst, len } => {
                         let len = len.min((window - src.max(dst)) as usize);
@@ -937,25 +952,22 @@ mod tests {
                         if Region::new(s, len as u64).overlaps(Region::new(d, len as u64)) {
                             continue;
                         }
-                        let slow_halted = halts(|| {
-                            let data = slow.read_vec(s, len);
-                            slow.write(d, &data);
-                            if len > 0 {
-                                let last = (dst as usize + len - 1) / page;
-                                pages.extend(dst as usize / page..=last);
-                            }
-                        });
-                        let halted = halts(|| fast.copy(s, d, len));
-                        if !halted {
+                        let data = slow.read_vec(s, len);
+                        let slow_result = slow.try_write(d, &data);
+                        if slow_result.is_ok() && len > 0 {
+                            let last = (dst as usize + len - 1) / page;
+                            pages.extend(dst as usize / page..=last);
+                        }
+                        let result = fast.try_copy(s, d, len);
+                        if result.is_ok() {
                             let src = src as usize;
                             model.copy_within(src..src + len, dst as usize);
                         }
-                        (halted, slow_halted)
+                        (result, slow_result)
                     }
                 };
-                prop_assert_eq!(halted, slow_halted);
-                prop_assert_eq!(fast.has_halted(), slow.has_halted());
-                if halted {
+                prop_assert_eq!(result, slow_result);
+                if result.is_err() {
                     prop_assert!(
                         state(&fast, window) == before,
                         "a halting call mutated the arena"

@@ -49,12 +49,14 @@ pub use alloc::{AllocMem, FreeListHeap, HeapCorruption, HeapStats, OutOfMemory};
 pub use arena::{first_difference, Arena, Image, Piece};
 pub use layout::{Layout, LayoutBuilder, LayoutError, RegionId, RootSlot, HEADER_LEN};
 
-use dsnrep_simcore::Addr;
+use dsnrep_simcore::{Addr, Halted};
 
 /// An [`AllocMem`] over a bare arena that charges no costs.
 ///
 /// Used by recovery code (which runs on the failure path, not the measured
-/// path), by test oracles, and by this crate's own tests.
+/// path), by test oracles, and by this crate's own tests. Its writes
+/// consume the arena's write budget, so a recovery that rebuilds a heap
+/// halts where the budget says.
 ///
 /// # Examples
 ///
@@ -64,8 +66,9 @@ use dsnrep_simcore::Addr;
 ///
 /// let mut arena = Arena::new(4096);
 /// let mut mem = RawMem::new(&mut arena);
-/// mem.write_u64(Addr::new(16), 99);
+/// mem.write_u64(Addr::new(16), 99)?;
 /// assert_eq!(mem.read_u64(Addr::new(16)), 99);
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 #[derive(Debug)]
 pub struct RawMem<'a> {
@@ -89,7 +92,7 @@ impl AllocMem for RawMem<'_> {
         self.arena.read_u64(addr)
     }
 
-    fn write_u64(&mut self, addr: Addr, value: u64) {
-        self.arena.write_u64(addr, value)
+    fn write_u64(&mut self, addr: Addr, value: u64) -> Result<(), Halted> {
+        self.arena.try_write_u64(addr, value)
     }
 }

@@ -32,7 +32,7 @@ proptest! {
         let region = Region::new(Addr::new(0), cap);
         let heap = {
             let mut mem = RawMem::new(&mut arena);
-            FreeListHeap::format(&mut mem, region)
+            FreeListHeap::format(&mut mem, region).unwrap()
         };
 
         // (payload, size, fill byte)
@@ -44,7 +44,7 @@ proptest! {
             match action {
                 Action::Alloc(size) => {
                     let size = u64::from(*size);
-                    if let Ok(p) = heap.alloc(&mut mem, size) {
+                    if let Ok(p) = heap.alloc(&mut mem, size).unwrap() {
                         // No overlap with any live allocation.
                         let r = Region::new(p, size);
                         for (q, qs, _) in &live {
@@ -64,7 +64,7 @@ proptest! {
                         let data = mem.arena().read_vec(p, size as usize);
                         prop_assert!(data.iter().all(|&b| b == expected),
                             "payload at {p} was disturbed");
-                        heap.free(&mut mem, p);
+                        heap.free(&mut mem, p).unwrap();
                     }
                 }
             }
@@ -77,7 +77,7 @@ proptest! {
 
         // Free everything; the heap must coalesce back to a single block.
         for (p, _, _) in live {
-            heap.free(&mut mem, p);
+            heap.free(&mut mem, p).unwrap();
         }
         let stats = heap.check_consistency(&mut mem)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -95,12 +95,12 @@ proptest! {
         let region = Region::new(Addr::new(0), cap);
         let heap = {
             let mut mem = RawMem::new(&mut arena);
-            FreeListHeap::format(&mut mem, region)
+            FreeListHeap::format(&mut mem, region).unwrap()
         };
         let mut live = Vec::new();
         for i in 0..count {
             let mut mem = RawMem::new(&mut arena);
-            if let Ok(p) = heap.alloc(&mut mem, (i as u64 % 96) + 8) {
+            if let Ok(p) = heap.alloc(&mut mem, (i as u64 % 96) + 8).unwrap() {
                 live.push(p);
             }
         }
@@ -111,7 +111,7 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(stats.live_allocs, live.len() as u64);
         for p in live {
-            heap.free(&mut mem, p);
+            heap.free(&mut mem, p).unwrap();
         }
         prop_assert_eq!(heap.stats(&mut mem).live_allocs, 0);
     }

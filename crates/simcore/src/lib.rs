@@ -10,6 +10,7 @@
 //!   locality results.
 //! * [`CostModel`] — every calibrated constant, with its derivation.
 //! * [`StoreSink`] — the write-doubling hook that `dsnrep-mcsim` implements.
+//! * [`Halted`] — what every fault budget returns when it stops a node.
 //! * [`Scheduler`] — per-node event queues with a deterministic, seedable
 //!   dispatch order and the virtual-time barrier ([`Scheduler::horizon`])
 //!   that cell drivers interleave on.
@@ -40,6 +41,7 @@ mod bytes;
 mod cache;
 mod clock;
 mod costs;
+mod halt;
 mod rng;
 mod sched;
 mod sink;
@@ -50,6 +52,7 @@ pub use bytes::copy_small;
 pub use cache::{CacheOutcome, DirectMappedCache};
 pub use clock::{BusyCause, Clock, StallCause};
 pub use costs::CostModel;
+pub use halt::Halted;
 pub use rng::SplitMix64;
 pub use sched::{Event, NodeId, Periodic, Scheduler};
 pub use sink::{NullSink, StoreSink};

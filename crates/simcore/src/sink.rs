@@ -8,6 +8,7 @@
 
 use crate::addr::{Addr, TrafficClass};
 use crate::clock::Clock;
+use crate::halt::Halted;
 
 /// A consumer of doubled (write-through) stores.
 ///
@@ -20,12 +21,27 @@ pub trait StoreSink {
     ///
     /// `class` is the accounting category of the traffic (Tables 2/5/7 of
     /// the paper).
-    fn store(&mut self, clock: &mut Clock, addr: Addr, bytes: &[u8], class: TrafficClass);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed fault budget stops the node before the
+    /// store has gone out.
+    fn store(
+        &mut self,
+        clock: &mut Clock,
+        addr: Addr,
+        bytes: &[u8],
+        class: TrafficClass,
+    ) -> Result<(), Halted>;
 
     /// A write-memory-barrier: flushes any partially filled write buffers to
     /// the link. Used before commit flags and ring-pointer updates so their
     /// ordering guarantees hold.
-    fn barrier(&mut self, clock: &mut Clock);
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when an armed fault budget stops the node mid-flush.
+    fn barrier(&mut self, clock: &mut Clock) -> Result<(), Halted>;
 }
 
 /// A sink that drops every store. Useful for tests that want the cost-free
@@ -38,9 +54,10 @@ pub trait StoreSink {
 ///
 /// let mut sink = NullSink::new();
 /// let mut clock = Clock::new();
-/// sink.store(&mut clock, Addr::new(0), &[1, 2, 3], TrafficClass::Modified);
+/// sink.store(&mut clock, Addr::new(0), &[1, 2, 3], TrafficClass::Modified)?;
 /// assert_eq!(sink.stores(), 1);
 /// assert!(clock.now().as_picos() == 0); // free
+/// # Ok::<(), dsnrep_simcore::Halted>(())
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullSink {
@@ -73,13 +90,21 @@ impl NullSink {
 }
 
 impl StoreSink for NullSink {
-    fn store(&mut self, _clock: &mut Clock, _addr: Addr, bytes: &[u8], _class: TrafficClass) {
+    fn store(
+        &mut self,
+        _clock: &mut Clock,
+        _addr: Addr,
+        bytes: &[u8],
+        _class: TrafficClass,
+    ) -> Result<(), Halted> {
         self.stores += 1;
         self.bytes += bytes.len() as u64;
+        Ok(())
     }
 
-    fn barrier(&mut self, _clock: &mut Clock) {
+    fn barrier(&mut self, _clock: &mut Clock) -> Result<(), Halted> {
         self.barriers += 1;
+        Ok(())
     }
 }
 
@@ -88,15 +113,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_sink_counts() {
+    fn null_sink_counts() -> Result<(), Halted> {
         let mut s = NullSink::new();
         let mut c = Clock::new();
-        s.store(&mut c, Addr::new(8), &[0; 16], TrafficClass::Meta);
-        s.store(&mut c, Addr::new(32), &[0; 4], TrafficClass::Undo);
-        s.barrier(&mut c);
+        s.store(&mut c, Addr::new(8), &[0; 16], TrafficClass::Meta)?;
+        s.store(&mut c, Addr::new(32), &[0; 4], TrafficClass::Undo)?;
+        s.barrier(&mut c)?;
         assert_eq!(s.stores(), 2);
         assert_eq!(s.bytes(), 20);
         assert_eq!(s.barriers(), 1);
         assert!(c.stalled().is_zero());
+        Ok(())
     }
 }

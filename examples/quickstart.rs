@@ -39,7 +39,7 @@ fn main() {
     machine.crash(); // volatile state gone; recoverable memory survives
 
     let mut engine = ImprovedLogEngine::attach(&mut machine).expect("formatted arena");
-    let report = engine.recover(&mut machine);
+    let report = engine.recover(&mut machine).expect("no fault armed");
     let mut balance = [0u8; 8];
     engine.read(&mut machine, account, &mut balance);
     println!(

@@ -4,7 +4,10 @@ use dsnrep_bench::{paper, Comparison};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let measured = smp_figure(WorkloadKind::DebitCredit, RunScale::from_env());
+    let measured = smp_figure(
+        WorkloadKind::DebitCredit,
+        RunScale::from_env().unwrap_or_else(|e| panic!("{e}")),
+    );
     let mut t = Comparison::new(
         "Figure 2: SMP aggregate throughput, Debit-Credit (TPS; paper values read from the plot)",
         &["configuration", "paper~", "measured"],

@@ -4,7 +4,10 @@ use dsnrep_bench::{paper, Comparison};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let measured = smp_figure(WorkloadKind::OrderEntry, RunScale::from_env());
+    let measured = smp_figure(
+        WorkloadKind::OrderEntry,
+        RunScale::from_env().unwrap_or_else(|e| panic!("{e}")),
+    );
     let mut t = Comparison::new(
         "Figure 3: SMP aggregate throughput, Order-Entry (TPS; paper values read from the plot)",
         &["configuration", "paper~", "measured"],

@@ -4,7 +4,7 @@ use dsnrep_bench::{paper, Comparison};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let result = table1(RunScale::from_env());
+    let result = table1(RunScale::from_env().unwrap_or_else(|e| panic!("{e}")));
     let mut t = Comparison::new(
         "Table 1: straightforward implementation (TPS)",
         &["configuration", "paper", "measured"],

@@ -4,7 +4,7 @@ use dsnrep_bench::{paper, Comparison};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let result = table3(RunScale::from_env());
+    let result = table3(RunScale::from_env().unwrap_or_else(|e| panic!("{e}")));
     let mut t = Comparison::new(
         "Table 3: standalone throughput (TPS)",
         &["configuration", "paper", "measured"],

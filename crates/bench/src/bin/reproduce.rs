@@ -14,7 +14,10 @@ use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let scale = RunScale::from_env();
+    let scale = RunScale::from_env().unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}");
+        std::process::exit(2)
+    });
     println!("# DSN 2000 reproduction — full evaluation\n");
     println!(
         "Run scale: {} Debit-Credit / {} Order-Entry transactions per \

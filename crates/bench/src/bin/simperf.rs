@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use dsnrep_bench::experiments::txns_from_env;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::Traffic;
@@ -101,13 +102,6 @@ struct Scenario {
     txns_per_wall_sec: f64,
     wall_secs: f64,
     virt: VirtMetrics,
-}
-
-fn txns_per_scenario() -> u64 {
-    std::env::var("DSNREP_SIMPERF_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50_000)
 }
 
 /// Development-only scenario filter: `DSNREP_SIMPERF_ONLY=a,b` runs just the
@@ -218,7 +212,7 @@ fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Sc
 
 /// The 64-node cell: 32 passive improved-log streams (32 primaries + 32
 /// backup arenas) over one shared link, interleaved in minimum-virtual-time
-/// order — the scenario the batched store pipeline is sized against.
+/// order — the many-node stress case.
 /// `txns` is a total across streams; each stream runs `txns / 32` (rounded
 /// down, min 1), and the reported `txns` is the actual total simulated.
 fn bigcell_scenario(name: &'static str, txns: u64) -> Scenario {
@@ -249,7 +243,10 @@ fn bigcell_scenario(name: &'static str, txns: u64) -> Scenario {
 }
 
 fn main() {
-    let txns = txns_per_scenario();
+    let txns = txns_from_env("DSNREP_SIMPERF_TXNS", 50_000).unwrap_or_else(|e| {
+        eprintln!("simperf: {e}");
+        std::process::exit(2)
+    });
     let filter = scenario_filter();
     let wall = Instant::now();
 

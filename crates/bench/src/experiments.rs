@@ -32,16 +32,18 @@ pub struct RunScale {
 
 impl RunScale {
     /// The default scale, honoring `DSNREP_TXNS` when set.
-    pub fn from_env() -> Self {
-        let base: u64 = std::env::var("DSNREP_TXNS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000);
-        RunScale {
+    ///
+    /// # Errors
+    ///
+    /// As [`txns_from_env`]: `DSNREP_TXNS` is set to anything but a
+    /// positive integer.
+    pub fn from_env() -> Result<Self, String> {
+        let base = txns_from_env("DSNREP_TXNS", 30_000)?;
+        Ok(RunScale {
             debit_credit: base,
             order_entry: (base / 2).max(1),
             smp_per_stream: (base / 6).max(1),
-        }
+        })
     }
 
     /// A tiny scale for smoke tests.
@@ -58,6 +60,36 @@ impl RunScale {
             WorkloadKind::DebitCredit => self.debit_credit,
             WorkloadKind::OrderEntry => self.order_entry,
         }
+    }
+}
+
+/// Reads a transaction count from the environment variable `name`: unset
+/// means `default`, and a set value must be a positive integer.
+///
+/// # Errors
+///
+/// A message naming `name` and its value when the value is anything else
+/// (zero, a non-number, an empty string): a count the run cannot honor
+/// never silently becomes the default.
+pub fn txns_from_env(name: &str, default: u64) -> Result<u64, String> {
+    let raw = std::env::var_os(name);
+    parse_txns(
+        name,
+        raw.as_ref().map(|v| v.to_string_lossy()).as_deref(),
+        default,
+    )
+}
+
+/// [`txns_from_env`] on the variable's value (`None` when unset).
+fn parse_txns(name: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    let Some(value) = raw else {
+        return Ok(default);
+    };
+    match value.parse::<u64>() {
+        Ok(txns) if txns > 0 => Ok(txns),
+        _ => Err(format!(
+            "{name}={value:?} is not a positive transaction count"
+        )),
     }
 }
 
@@ -398,6 +430,18 @@ mod tests {
     fn smoke_figure1_monotone() {
         let f = figure1();
         assert!(f.windows(2).all(|w| w[0].mib_per_sec < w[1].mib_per_sec));
+    }
+
+    #[test]
+    fn txn_counts_must_be_positive_integers() {
+        assert_eq!(parse_txns("DSNREP_TXNS", None, 30_000), Ok(30_000));
+        assert_eq!(parse_txns("DSNREP_TXNS", Some("3000"), 30_000), Ok(3_000));
+        for bad in ["0", "abc", "", "-5", "1.5"] {
+            let err = parse_txns("DSNREP_TXNS", Some(bad), 30_000)
+                .expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.contains("DSNREP_TXNS"), "{err}");
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

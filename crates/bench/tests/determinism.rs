@@ -10,7 +10,7 @@
 //! check.
 
 use dsnrep_bench::experiments::{self, RunScale};
-use dsnrep_core::{EngineConfig, VersionTag};
+use dsnrep_core::{EngineConfig, MachineStats, VersionTag};
 use dsnrep_mcsim::Traffic;
 use dsnrep_obs::FlightRecorder;
 use dsnrep_repl::{ActiveCluster, PassiveCluster, Scheme, SmpExperiment};
@@ -156,46 +156,12 @@ fn stall_breakdown_sums_to_total_stall() {
     }
 }
 
-/// The batched store pipeline is a host-speed optimization only: forcing
-/// every store back through the legacy per-op path (the
-/// `Machine::set_per_op_stores` switch) must reproduce the batched run's TPS
-/// (bit-identical), packet counts, and per-class byte counts — at more
-/// than one scale, since batch boundaries shift with transaction count.
-#[test]
-fn per_op_and_batched_store_paths_agree() {
-    for txns in [100u64, 400] {
-        let run = |per_op: bool| {
-            let config = EngineConfig::for_db(10 * MIB);
-            let mut cluster =
-                PassiveCluster::new(CostModel::alpha_21164a(), VersionTag::ImprovedLog, &config);
-            cluster.machine_mut().set_per_op_stores(per_op);
-            let db = cluster.engine().db_region();
-            let mut workload = WorkloadKind::DebitCredit.build(db, 42);
-            let report = cluster.run(workload.as_mut(), txns);
-            cluster.quiesce();
-            let stats = cluster.machine().stats();
-            let backup = cluster.backup_arena().borrow().read_vec(db.start(), 4096);
-            (report.tps(), cluster.traffic(), stats, backup)
-        };
-        let batched = run(false);
-        let legacy = run(true);
-        assert_eq!(
-            batched.0.to_bits(),
-            legacy.0.to_bits(),
-            "TPS diverged between store paths at {txns} txns"
-        );
-        assert_eq!(
-            batched, legacy,
-            "batched and per-op store paths diverged at {txns} txns"
-        );
-    }
-}
-
 /// Virtual results off the default cost model, pinned to constants: one
-/// write buffer, twelve, and a 1 MiB cache, each under passive Vista and
-/// mirror-by-copy on Debit-Credit. The ablation benches run these
-/// configurations; this pins them where CI runs. Each row is elapsed
-/// picoseconds, packets, modified/undo/meta bytes, cache hits and misses.
+/// write buffer, twelve, and a 1 MiB cache, each under passive Vista,
+/// mirror-by-copy and ImprovedLog and the active scheme on Debit-Credit.
+/// The ablation benches run these configurations; this pins them where CI
+/// runs. Each row is elapsed picoseconds, packets, modified/undo/meta
+/// bytes, cache hits and misses.
 #[test]
 fn non_default_cost_models_keep_their_virtual_results() {
     let costs = |tweak: fn(&mut CostModel)| {
@@ -208,44 +174,68 @@ fn non_default_cost_models_keep_their_virtual_results() {
         ("12 write buffers", costs(|c| c.write_buffers = 12)),
         ("1 MiB cache", costs(|c| c.cache_capacity = MIB)),
     ];
+    let row = |stats: MachineStats, traffic: Traffic| {
+        [
+            stats.elapsed.as_picos(),
+            traffic.total_packets(),
+            traffic.bytes(TrafficClass::Modified),
+            traffic.bytes(TrafficClass::Undo),
+            traffic.bytes(TrafficClass::Meta),
+            stats.cache_hits,
+            stats.cache_misses,
+        ]
+    };
+    let config = EngineConfig::for_db(10 * MIB);
     let mut got = Vec::new();
     for (name, costs) in configs {
-        for version in [VersionTag::Vista, VersionTag::MirrorCopy] {
-            let config = EngineConfig::for_db(10 * MIB);
+        for version in [
+            VersionTag::Vista,
+            VersionTag::MirrorCopy,
+            VersionTag::ImprovedLog,
+        ] {
             let mut cluster = PassiveCluster::new(costs.clone(), version, &config);
             let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 42);
             cluster.run(workload.as_mut(), 300);
             cluster.quiesce();
-            let stats = cluster.machine().stats();
-            let traffic = cluster.traffic();
+            let scheme = format!("passive {version}");
             got.push((
                 name,
-                version,
-                [
-                    stats.elapsed.as_picos(),
-                    traffic.total_packets(),
-                    traffic.bytes(TrafficClass::Modified),
-                    traffic.bytes(TrafficClass::Undo),
-                    traffic.bytes(TrafficClass::Meta),
-                    stats.cache_hits,
-                    stats.cache_misses,
-                ],
+                scheme,
+                row(cluster.machine().stats(), cluster.traffic()),
             ));
         }
+        let mut cluster = ActiveCluster::new(costs, &config);
+        let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), 42);
+        cluster.run(workload.as_mut(), 300);
+        cluster.settle();
+        let scheme = "active".to_string();
+        got.push((
+            name,
+            scheme,
+            row(cluster.machine().stats(), cluster.traffic()),
+        ));
     }
-    // Captured before the word-sized store path went in.
+    // Vista and mirror-by-copy captured before the word-sized store path
+    // went in; ImprovedLog and active captured before their stores left
+    // the batched path.
     #[rustfmt::skip]
-    let want: [[u64; 7]; 6] = [
+    let want: [[u64; 7]; 12] = [
         [11_330_538_000, 35_400, 8_400, 19_200, 388_800, 101_145, 555],
         [1_590_279_800, 3_900, 8_400, 19_200, 2_400, 9_088, 1_112],
+        [1_322_040_106, 3_600, 8_400, 19_200, 12_000, 7_250, 550],
+        [1_045_551_400, 1_200, 8_400, 0, 14_400, 10_249, 926],
         [4_112_237_126, 9_010, 8_400, 7_232, 168_152, 101_145, 555],
         [1_852_319_600, 3_900, 8_400, 19_200, 2_400, 9_088, 1_112],
+        [1_192_228_400, 2_400, 8_400, 19_200, 12_000, 7_250, 550],
+        [1_045_766_982, 1_200, 8_400, 0, 14_400, 10_249, 926],
         [4_713_776_946, 12_904, 8_400, 16_800, 206_480, 100_658, 1_042],
         [1_947_657_600, 3_900, 8_400, 19_200, 2_400, 7_783, 2_417],
+        [1_192_374_400, 2_400, 8_400, 19_200, 12_000, 7_249, 551],
+        [1_046_496_982, 1_200, 8_400, 0, 14_400, 10_244, 931],
     ];
     assert_eq!(got.len(), want.len());
-    for ((name, version, got), want) in got.iter().zip(want) {
-        assert_eq!(*got, want, "{name}, passive {version}");
+    for ((name, scheme, got), want) in got.iter().zip(want) {
+        assert_eq!(*got, want, "{name}, {scheme}");
     }
 }
 

@@ -77,7 +77,7 @@ pub use audit::{audit, AuditReport, AuditViolation};
 pub use config::EngineConfig;
 pub use engine::{run_transaction, Engine, RecoveryReport, VersionTag};
 pub use error::TxError;
-pub use machine::{Durability, Machine, MachineStats, MetaMem, StoreBatch};
+pub use machine::{Durability, Machine, MachineStats, MetaMem};
 pub use mirror::{MirrorEngine, MirrorStrategy};
 pub use redo::{Applied, RedoReader, RedoWriter};
 pub use shadow::ShadowDb;

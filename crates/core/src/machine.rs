@@ -25,8 +25,8 @@ use dsnrep_mcsim::TxPort;
 use dsnrep_obs::{Metric, NullTracer, Phase, TraceEventKind, Tracer, NO_TXN};
 use dsnrep_rio::{AllocMem, Arena};
 use dsnrep_simcore::{
-    Addr, BusyCause, Clock, CostModel, DirectMappedCache, Halted, Region, StallCause, StoreSink,
-    TrafficClass, VirtualDuration, VirtualInstant,
+    Addr, BusyCause, Clock, CostModel, DirectMappedCache, Halted, Region, StallCause, TrafficClass,
+    VirtualDuration, VirtualInstant,
 };
 
 /// When a commit may return (Gray & Reuter's taxonomy, paper §2.1).
@@ -78,79 +78,6 @@ impl MachineStats {
     }
 }
 
-/// A staged run of accounted stores, applied in one [`Machine::write_batch`]
-/// call.
-///
-/// Engines that issue several stores back-to-back inside one logical
-/// operation (a log append's header + payload, a redo record, a chunked
-/// undo record) stage them here instead of calling [`Machine::write`] per
-/// span. The batch owns a single flat byte buffer, so staging costs one
-/// `Vec` append per span and no per-span allocation.
-///
-/// Stores may only be staged while **no accounted read overlaps the staged
-/// range** before the flush: the arena does not see a staged store until
-/// [`Machine::write_batch`] runs. Engines uphold this by batching only
-/// within one engine operation and flushing before returning.
-#[derive(Debug, Default)]
-pub struct StoreBatch {
-    ops: Vec<BatchOp>,
-    data: Vec<u8>,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct BatchOp {
-    addr: Addr,
-    off: u32,
-    len: u32,
-    class: TrafficClass,
-}
-
-impl StoreBatch {
-    /// An empty batch. Reuse one per engine (via [`StoreBatch::clear`] or
-    /// the clearing done by `write_batch`) to amortize its allocations.
-    pub fn new() -> Self {
-        StoreBatch::default()
-    }
-
-    /// Number of staged stores.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Drops every staged store (capacity is retained).
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.data.clear();
-    }
-
-    /// Stages one accounted store. Spans keep their identity: each staged
-    /// store is later accounted exactly like one [`Machine::write`] call
-    /// (budget tick, cache charge, arena write, port issue) — merging
-    /// adjacent spans here would change cache hit/miss counts whenever two
-    /// spans share a cache line, so the batch never merges.
-    pub fn push(&mut self, addr: Addr, bytes: &[u8], class: TrafficClass) {
-        let off = u32::try_from(self.data.len()).expect("store batch exceeds 4 GiB");
-        let len = u32::try_from(bytes.len()).expect("store span exceeds 4 GiB");
-        self.data.extend_from_slice(bytes);
-        self.ops.push(BatchOp {
-            addr,
-            off,
-            len,
-            class,
-        });
-    }
-
-    /// Stages an accounted `u64` store.
-    pub fn push_u64(&mut self, addr: Addr, value: u64, class: TrafficClass) {
-        self.push(addr, &value.to_le_bytes(), class);
-    }
-}
-
 /// A simulated processor + recoverable memory + (optionally) a SAN port.
 ///
 /// # Examples
@@ -192,10 +119,6 @@ pub struct Machine<T: Tracer = NullTracer> {
     /// Monotone count of accounted stores, so fault campaigns can
     /// enumerate every store boundary of a probe run.
     stores_executed: u64,
-    /// Test-only: forces [`Machine::write_batch`] to replay its stores
-    /// through the per-op [`Machine::write`] path, so equivalence tests can
-    /// drive the same scenario down both paths.
-    per_op_stores: bool,
     tracer: T,
     track: u32,
     /// The transaction currently being traced (set by
@@ -278,7 +201,6 @@ impl<T: Tracer> Machine<T> {
             store_budget: None,
             halted: false,
             stores_executed: 0,
-            per_op_stores: false,
             tracer,
             track,
             tx_open: None,
@@ -555,8 +477,8 @@ impl<T: Tracer> Machine<T> {
         self.store(addr, bytes, class, false)
     }
 
-    /// The body of every per-op accounted store: budget tick, cache
-    /// charge, arena write, port issue (merged or not). It and
+    /// The body of every accounted store: budget tick, cache charge,
+    /// arena write, port issue (merged or not). It and
     /// `Arena::try_write` are inlined, so a word's length stays a
     /// compile-time constant down to the arena page.
     #[inline(always)]
@@ -592,88 +514,6 @@ impl<T: Tracer> Machine<T> {
         self.arena.borrow().read_into(addr, buf);
     }
 
-    /// Test-only: when `true`, [`Machine::write_batch`] replays its staged
-    /// stores through the per-op [`Machine::write`] path instead of the
-    /// batched one. The two paths are virtual-time identical (the
-    /// determinism suite drives full scenarios down both); this switch
-    /// exists so those tests, the batching benchmark and bisection of any
-    /// future divergence can select a path explicitly.
-    pub fn set_per_op_stores(&mut self, per_op: bool) {
-        self.per_op_stores = per_op;
-    }
-
-    /// Applies a staged batch of accounted stores as if each had been
-    /// issued through [`Machine::write`], then clears the batch.
-    ///
-    /// The batched path hoists the per-store overheads of the hot loop:
-    /// the arena's `RefCell` is borrowed **once per batch** (not once per
-    /// store), and doubled packets whose latency has elapsed are applied
-    /// to the backup once at the end of the batch (not after every store).
-    /// Every *accounted* step still replays per staged store, in staging
-    /// order — budget tick, cache charge (hit/miss counts depend on span
-    /// boundaries, so spans never merge), arena write (the write counter
-    /// enumerates fault halt points), port issue — so clocks, statistics,
-    /// packet sequences, and arena contents are bit-identical to issuing
-    /// the same stores one by one.
-    ///
-    /// When a store-budget fault is armed (or the per-op switch is set)
-    /// the batch falls back to the per-op path, so an injected halt lands
-    /// between the same two stores with the same delivered prefix as the
-    /// legacy path.
-    ///
-    /// # Errors
-    ///
-    /// [`Halted`] from the store that halted the node: the stores staged
-    /// before it landed, and the batch keeps its contents (a halted node
-    /// runs nothing more).
-    pub fn write_batch(&mut self, batch: &mut StoreBatch) -> Result<(), Halted> {
-        if self.per_op_stores || self.store_budget.is_some() {
-            for op in &batch.ops {
-                let bytes = &batch.data[op.off as usize..(op.off + op.len) as usize];
-                self.write(op.addr, bytes, op.class)?;
-            }
-            batch.clear();
-            return Ok(());
-        }
-        {
-            let mut arena = self.arena.borrow_mut();
-            let mut port = self.port.as_mut();
-            for op in &batch.ops {
-                let bytes = &batch.data[op.off as usize..(op.off + op.len) as usize];
-                // consume_store_budget() with no budget armed:
-                self.stores_executed += 1;
-                // charge_cache(), inlined to keep the borrows field-disjoint:
-                debug_assert!(!self.halted, "an accounted access ran on a halted node");
-                let out = self.cache.touch(op.addr, u64::from(op.len));
-                self.clock.advance_for(
-                    BusyCause::Cache,
-                    self.costs.cache_hit * out.hits + self.costs.cache_miss * out.misses,
-                );
-                if self.tracer.is_enabled() {
-                    self.tracer.gauge_set(
-                        self.track,
-                        Metric::CacheOccupancyLines,
-                        self.clock.now(),
-                        self.cache.occupied_lines(),
-                    );
-                }
-                noting_halt(&mut self.halted, arena.try_write(op.addr, bytes))?;
-                if self.replicated.iter().any(|r| r.contains(op.addr)) {
-                    if let Some(port) = port.as_deref_mut() {
-                        let doubled =
-                            port.store_no_deliver(&mut self.clock, op.addr, bytes, op.class);
-                        noting_halt(&mut self.halted, doubled)?;
-                    }
-                }
-            }
-        }
-        if let Some(port) = self.port.as_mut() {
-            port.deliver_up_to(self.clock.now());
-        }
-        batch.clear();
-        Ok(())
-    }
-
     /// An accounted load.
     pub fn read(&mut self, addr: Addr, buf: &mut [u8]) {
         self.load(addr, buf);
@@ -700,15 +540,6 @@ impl<T: Tracer> Machine<T> {
         let mut b = [0u8; 8];
         self.load(addr, &mut b);
         u64::from_le_bytes(b)
-    }
-
-    /// Accounted `u32` store.
-    ///
-    /// # Errors
-    ///
-    /// As [`Machine::write`].
-    pub fn write_u32(&mut self, addr: Addr, value: u32, class: TrafficClass) -> Result<(), Halted> {
-        self.store(addr, &value.to_le_bytes(), class, true)
     }
 
     /// Accounted `u32` load.
@@ -808,12 +639,6 @@ impl<T: Tracer> Machine<T> {
         }
     }
 
-    /// An unaccounted, undoubled store. Only for initial database load and
-    /// test setup — never on a measured path.
-    pub fn poke(&mut self, addr: Addr, bytes: &[u8]) {
-        self.arena.borrow_mut().write(addr, bytes);
-    }
-
     /// An unaccounted load (oracles, assertions).
     pub fn peek_vec(&self, addr: Addr, len: usize) -> Vec<u8> {
         self.arena.borrow().read_vec(addr, len)
@@ -901,9 +726,9 @@ mod tests {
     }
 
     #[test]
-    fn poke_and_peek_are_free() {
-        let mut m = standalone();
-        m.poke(Addr::new(0), &[9; 100]);
+    fn peek_is_free() {
+        let m = standalone();
+        m.arena().borrow_mut().write(Addr::new(0), &[9; 100]);
         assert_eq!(m.peek_vec(Addr::new(0), 100), vec![9; 100]);
         assert_eq!(m.now(), VirtualInstant::EPOCH);
     }
@@ -984,130 +809,5 @@ mod tests {
         m.barrier()?;
         assert_eq!(m.now(), VirtualInstant::EPOCH);
         Ok(())
-    }
-
-    #[test]
-    fn write_batch_applies_and_clears() -> Result<(), Halted> {
-        let (mut m, backup) = with_backup();
-        m.replicate(Region::new(Addr::new(0), 4096));
-        let mut batch = StoreBatch::new();
-        batch.push(Addr::new(8), &[1; 16], TrafficClass::Undo);
-        batch.push_u64(Addr::new(24), 0xDEAD_BEEF, TrafficClass::Meta);
-        assert_eq!(batch.len(), 2);
-        m.write_batch(&mut batch)?;
-        assert!(batch.is_empty());
-        assert_eq!(m.peek_vec(Addr::new(8), 16), vec![1; 16]);
-        m.quiesce()?;
-        assert_eq!(backup.borrow().read_u64(Addr::new(24)), 0xDEAD_BEEF);
-        assert_eq!(m.stores_executed(), 2);
-        Ok(())
-    }
-
-    mod batch_equivalence {
-        use super::*;
-        use proptest::prelude::*;
-
-        #[derive(Clone, Debug)]
-        enum Op {
-            /// A batch of (addr, len, class) stores flushed in one call.
-            Batch(Vec<(u64, usize, u8)>),
-            /// A single store through the legacy entry point.
-            Single(u64, usize, u8),
-            Barrier,
-        }
-
-        fn class_of(tag: u8) -> TrafficClass {
-            match tag {
-                0 => TrafficClass::Modified,
-                1 => TrafficClass::Undo,
-                _ => TrafficClass::Meta,
-            }
-        }
-
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            let store = (0u64..2048, 1usize..=64, 0u8..3);
-            prop_oneof![
-                4 => prop::collection::vec(store.clone(), 1..10).prop_map(Op::Batch),
-                2 => store.prop_map(|(a, l, c)| Op::Single(a, l, c)),
-                1 => Just(Op::Barrier),
-            ]
-        }
-
-        fn machine_pair() -> (Machine, Rc<RefCell<Arena>>, Machine, Rc<RefCell<Arena>>) {
-            let costs = CostModel::alpha_21164a();
-            let mk = || {
-                let arena = Rc::new(RefCell::new(Arena::new(1 << 20)));
-                let backup = Rc::new(RefCell::new(Arena::new(1 << 20)));
-                let link = Rc::new(RefCell::new(Link::new(&costs)));
-                let port = TxPort::new(&costs, link, Rc::clone(&backup));
-                let mut m = Machine::with_port(costs.clone(), arena, port);
-                m.replicate(Region::new(Addr::new(0), 4096));
-                (m, backup)
-            };
-            let (batched, batched_backup) = mk();
-            let (per_op, per_op_backup) = mk();
-            (batched, batched_backup, per_op, per_op_backup)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
-
-            /// `write_batch` is bit-identical to issuing the same stores
-            /// one by one: clocks, cache statistics, store counters, both
-            /// arenas. The per-op twin drives the identical schedule
-            /// through `Machine::write`.
-            #[test]
-            fn write_batch_matches_per_op_stores(
-                ops in prop::collection::vec(op_strategy(), 1..40),
-            ) {
-                let (mut fast, fast_backup, mut oracle, oracle_backup) = machine_pair();
-                for op in &ops {
-                    match op {
-                        Op::Batch(stores) => {
-                            let mut batch = StoreBatch::new();
-                            for &(addr, len, class) in stores {
-                                let data: Vec<u8> = (0..len)
-                                    .map(|i| (addr as u8).wrapping_add(i as u8))
-                                    .collect();
-                                batch.push(Addr::new(addr), &data, class_of(class));
-                            }
-                            fast.write_batch(&mut batch).unwrap();
-                            for &(addr, len, class) in stores {
-                                let data: Vec<u8> = (0..len)
-                                    .map(|i| (addr as u8).wrapping_add(i as u8))
-                                    .collect();
-                                oracle.write(Addr::new(addr), &data, class_of(class)).unwrap();
-                            }
-                        }
-                        Op::Single(addr, len, class) => {
-                            let data: Vec<u8> = (0..*len)
-                                .map(|i| (*addr as u8).wrapping_add(i as u8))
-                                .collect();
-                            fast.write(Addr::new(*addr), &data, class_of(*class)).unwrap();
-                            oracle.write(Addr::new(*addr), &data, class_of(*class)).unwrap();
-                        }
-                        Op::Barrier => {
-                            fast.barrier().unwrap();
-                            oracle.barrier().unwrap();
-                        }
-                    }
-                    prop_assert_eq!(fast.now(), oracle.now());
-                }
-                fast.quiesce().unwrap();
-                oracle.quiesce().unwrap();
-                prop_assert_eq!(fast.now(), oracle.now());
-                prop_assert_eq!(fast.stats(), oracle.stats());
-                prop_assert_eq!(fast.stores_executed(), oracle.stores_executed());
-                prop_assert_eq!(fast.packets_emitted(), oracle.packets_emitted());
-                prop_assert_eq!(
-                    fast.peek_vec(Addr::new(0), 4096),
-                    oracle.peek_vec(Addr::new(0), 4096)
-                );
-                prop_assert_eq!(
-                    fast_backup.borrow().read_vec(Addr::new(0), 4096),
-                    oracle_backup.borrow().read_vec(Addr::new(0), 4096)
-                );
-            }
-        }
     }
 }

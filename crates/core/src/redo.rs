@@ -26,7 +26,7 @@ use dsnrep_rio::{Layout, RootSlot};
 use dsnrep_simcore::{Addr, Halted, Region, TrafficClass};
 
 use crate::error::TxError;
-use crate::machine::{Machine, StoreBatch};
+use crate::machine::Machine;
 
 const HDR: u64 = 8;
 const PAD: u32 = 0xFFFF_FFFF;
@@ -46,11 +46,6 @@ pub struct RedoWriter {
     cap: u64,
     prod: u64,
     staged: Vec<(u64, Vec<u8>)>,
-    /// Reused store batch: `publish_commit` stages the whole record stream
-    /// (pads, headers, payloads, commit marker — a pure write run with no
-    /// interleaved accounted reads) and flushes it as one
-    /// [`Machine::write_batch`] call before the publication barrier.
-    batch: StoreBatch,
 }
 
 impl RedoWriter {
@@ -70,7 +65,6 @@ impl RedoWriter {
             cap: ring.len(),
             prod: 0,
             staged: Vec::new(),
-            batch: StoreBatch::new(),
         }
     }
 
@@ -177,7 +171,7 @@ impl RedoWriter {
             let size = rec_size(data.len() as u64);
             let contig = self.cap - (self.prod & (self.cap - 1));
             if size > contig {
-                self.stage_pad(contig);
+                self.write_pad(m, contig)?;
             }
             let at = self.ring.start() + (self.prod & (self.cap - 1));
             let mut hdr = [0u8; 8];
@@ -187,20 +181,19 @@ impl RedoWriter {
                     .to_le_bytes(),
             );
             hdr[4..].copy_from_slice(&u32::try_from(*off).expect("db < 4 GB").to_le_bytes());
-            self.batch.push(at, &hdr, TrafficClass::Meta);
-            self.batch.push(at + HDR, data, TrafficClass::Modified);
+            m.write(at, &hdr, TrafficClass::Meta)?;
+            m.write(at + HDR, data, TrafficClass::Modified)?;
             self.prod += size;
         }
         let contig = self.cap - (self.prod & (self.cap - 1));
         if HDR > contig {
-            self.stage_pad(contig);
+            self.write_pad(m, contig)?;
         }
         let at = self.ring.start() + (self.prod & (self.cap - 1));
         let mut marker = [0u8; 8];
         marker[4..].copy_from_slice(&(seq as u32).to_le_bytes());
-        self.batch.push(at, &marker, TrafficClass::Meta);
+        m.write(at, &marker, TrafficClass::Meta)?;
         self.prod += HDR;
-        m.write_batch(&mut self.batch)?;
         // Publish: every record precedes the cursor on the wire.
         m.barrier()?;
         m.write_u64(
@@ -211,12 +204,13 @@ impl RedoWriter {
         Ok(())
     }
 
-    fn stage_pad(&mut self, contig: u64) {
+    fn write_pad<T: Tracer>(&mut self, m: &mut Machine<T>, contig: u64) -> Result<(), Halted> {
         let at = self.ring.start() + (self.prod & (self.cap - 1));
         let mut hdr = [0u8; 8];
         hdr[..4].copy_from_slice(&PAD.to_le_bytes());
-        self.batch.push(at, &hdr, TrafficClass::Meta);
+        m.write(at, &hdr, TrafficClass::Meta)?;
         self.prod += contig;
+        Ok(())
     }
 }
 

@@ -34,7 +34,7 @@ use dsnrep_simcore::{Addr, Halted, Region, TrafficClass, VirtualDuration};
 use crate::config::EngineConfig;
 use crate::engine::{Engine, RecoveryReport, VersionTag};
 use crate::error::TxError;
-use crate::machine::{Machine, StoreBatch};
+use crate::machine::Machine;
 use crate::ranges::TxRanges;
 
 /// Record header: {base_off: u32, len: u16, seq_low: u8, index: u8}
@@ -94,9 +94,6 @@ pub struct ImprovedLogEngine {
     /// bytes through it on every declared range — allocating here would put
     /// a malloc/free pair on the per-transaction hot path).
     scratch: Vec<u8>,
-    /// Reused store batch: each `set_range` chunk stages its data + header
-    /// writes and flushes them as one [`Machine::write_batch`] call.
-    batch: StoreBatch,
 }
 
 impl ImprovedLogEngine {
@@ -145,7 +142,6 @@ impl ImprovedLogEngine {
             ranges: TxRanges::default(),
             rec_offsets: Vec::new(),
             scratch: Vec::new(),
-            batch: StoreBatch::new(),
         }
     }
 
@@ -269,18 +265,13 @@ impl<T: Tracer> Engine<T> for ImprovedLogEngine {
             m.charge(VirtualDuration::from_picos(
                 m.costs().copy_per_byte.as_picos() * chunk,
             ));
-            // Data + header ship as one batch, flushed before the next
-            // chunk's read so the cache model sees the same access order as
-            // per-op stores would produce.
-            self.batch.push(
+            m.write(
                 rec + HDR,
                 &self.scratch[..chunk as usize],
                 TrafficClass::Undo,
-            );
+            )?;
             let word = self.header_word(chunk_base, chunk, seq, self.rec_offsets.len());
-            self.batch
-                .push(rec, &word.to_le_bytes(), TrafficClass::Meta);
-            m.write_batch(&mut self.batch)?;
+            m.write(rec, &word.to_le_bytes(), TrafficClass::Meta)?;
             self.rec_offsets.push(self.tail);
             self.tail += rec_size(chunk);
             chunk_base = chunk_base + chunk;

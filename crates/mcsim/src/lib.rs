@@ -33,7 +33,7 @@
 //! use std::rc::Rc;
 //! use dsnrep_mcsim::{Link, TxPort};
 //! use dsnrep_rio::Arena;
-//! use dsnrep_simcore::{Addr, Clock, CostModel, StoreSink, TrafficClass};
+//! use dsnrep_simcore::{Addr, Clock, CostModel, TrafficClass};
 //!
 //! let costs = CostModel::alpha_21164a();
 //! let link = Rc::new(RefCell::new(Link::new(&costs)));

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use dsnrep_obs::{Metric, NullTracer, Tracer, NO_TXN, TRACK_BACKUP};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{
-    Addr, BusyCause, Clock, CostModel, Halted, StallCause, StoreSink, TrafficClass, VirtualInstant,
+    Addr, BusyCause, Clock, CostModel, Halted, StallCause, TrafficClass, VirtualInstant,
 };
 
 use crate::link::{Link, PacketTiming};
@@ -228,7 +228,7 @@ impl<T: Tracer> Emitter<T> {
 /// use std::rc::Rc;
 /// use dsnrep_mcsim::{Link, TxPort};
 /// use dsnrep_rio::Arena;
-/// use dsnrep_simcore::{Addr, Clock, CostModel, StoreSink, TrafficClass};
+/// use dsnrep_simcore::{Addr, Clock, CostModel, TrafficClass};
 ///
 /// let costs = CostModel::alpha_21164a();
 /// let link = Rc::new(RefCell::new(Link::new(&costs)));
@@ -585,61 +585,54 @@ impl<T: Tracer> TxPort<T> {
         self.tx.tap = Some(tap);
     }
 
-    /// [`StoreSink::store`] minus the trailing delivery drain: issue-time
-    /// charge, buffer merge, and any packet emissions happen exactly as in
-    /// `store`, but packets whose latency has already elapsed are *not*
-    /// applied to the peers yet. A batched caller issues a run of these and
-    /// drains once with [`TxPort::deliver_up_to`] at the end — legal
-    /// because applying a delivered packet only mutates peer arenas (never
-    /// a clock), and every observation point (barrier, 2-safe wait, crash
-    /// cut, quiesce) drains deliveries due at its own instant first.
+    /// Accepts a store of `bytes` at `addr` that was already applied to
+    /// the local memory and must be written through: charges its issue
+    /// time to `clock`, merges it into the write buffers, emits whatever
+    /// packets that flushes (stalling `clock` when the posted-write window
+    /// is full), and applies every packet due by the new instant to the
+    /// peers. `class` is the accounting category of the traffic (Tables
+    /// 2/5/7 of the paper).
     ///
     /// # Errors
     ///
-    /// [`Halted`] when the packet budget halts the node.
-    pub fn store_no_deliver(
+    /// [`Halted`] when the packet budget halts the node; see
+    /// [`TxPort::inject_crash_after_packets`].
+    pub fn store(
         &mut self,
         clock: &mut Clock,
         addr: Addr,
         bytes: &[u8],
         class: TrafficClass,
     ) -> Result<(), Halted> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        clock.advance_for(
-            BusyCause::san(class),
-            self.costs.io_issue_time(bytes.len() as u64),
-        );
-        let TxPort { bufs, tx, .. } = self;
-        tx.stall_cause = StallCause::PostedWindow;
-        bufs.store(addr, bytes, class, &mut |flushed| tx.emit(clock, flushed))?;
-        if tx.tracer.is_enabled() {
-            tx.tracer.gauge_set(
-                tx.track,
-                Metric::WbufDirtyLines,
-                clock.now(),
-                bufs.dirty_buffers() as u64,
+        if !bytes.is_empty() {
+            clock.advance_for(
+                BusyCause::san(class),
+                self.costs.io_issue_time(bytes.len() as u64),
             );
+            let TxPort { bufs, tx, .. } = self;
+            tx.stall_cause = StallCause::PostedWindow;
+            bufs.store(addr, bytes, class, &mut |flushed| tx.emit(clock, flushed))?;
+            if tx.tracer.is_enabled() {
+                tx.tracer.gauge_set(
+                    tx.track,
+                    Metric::WbufDirtyLines,
+                    clock.now(),
+                    bufs.dirty_buffers() as u64,
+                );
+            }
         }
-        Ok(())
-    }
-}
-
-impl<T: Tracer> StoreSink for TxPort<T> {
-    fn store(
-        &mut self,
-        clock: &mut Clock,
-        addr: Addr,
-        bytes: &[u8],
-        class: TrafficClass,
-    ) -> Result<(), Halted> {
-        self.store_no_deliver(clock, addr, bytes, class)?;
         self.deliver_up_to(clock.now());
         Ok(())
     }
 
-    fn barrier(&mut self, clock: &mut Clock) -> Result<(), Halted> {
+    /// A write memory barrier: flushes any partially filled write buffers
+    /// to the link. Used before commit flags and ring-pointer updates so
+    /// their ordering guarantees hold.
+    ///
+    /// # Errors
+    ///
+    /// [`Halted`] when the packet budget halts the node mid-flush.
+    pub fn barrier(&mut self, clock: &mut Clock) -> Result<(), Halted> {
         let TxPort { bufs, tx, .. } = self;
         tx.stall_cause = StallCause::WbufFlush;
         bufs.flush_all(&mut |flushed| tx.emit(clock, flushed))?;

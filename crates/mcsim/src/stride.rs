@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dsnrep_simcore::{Addr, Clock, CostModel, StoreSink, TrafficClass, VirtualInstant, MIB};
+use dsnrep_simcore::{Addr, Clock, CostModel, TrafficClass, VirtualInstant, MIB};
 
 use crate::link::Link;
 use crate::port::TxPort;

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use dsnrep_mcsim::{Link, TxPort};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::{Addr, Clock, CostModel, Halted, StoreSink, TrafficClass, VirtualInstant};
+use dsnrep_simcore::{Addr, Clock, CostModel, Halted, TrafficClass, VirtualInstant};
 use proptest::prelude::*;
 
 const SPACE: u64 = 1 << 16;

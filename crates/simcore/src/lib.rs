@@ -9,7 +9,6 @@
 //! * [`DirectMappedCache`] — the 8 MB board-cache model behind the paper's
 //!   locality results.
 //! * [`CostModel`] — every calibrated constant, with its derivation.
-//! * [`StoreSink`] — the write-doubling hook that `dsnrep-mcsim` implements.
 //! * [`Halted`] — what every fault budget returns when it stops a node.
 //! * [`Scheduler`] — per-node event queues with a deterministic, seedable
 //!   dispatch order and the virtual-time barrier ([`Scheduler::horizon`])
@@ -44,7 +43,6 @@ mod costs;
 mod halt;
 mod rng;
 mod sched;
-mod sink;
 mod time;
 
 pub use addr::{Addr, Region, TrafficClass};
@@ -55,7 +53,6 @@ pub use costs::CostModel;
 pub use halt::Halted;
 pub use rng::SplitMix64;
 pub use sched::{Event, NodeId, Periodic, Scheduler};
-pub use sink::{NullSink, StoreSink};
 pub use time::{VirtualDuration, VirtualInstant};
 
 /// One mebibyte, the unit the paper reports traffic in.

@@ -7,9 +7,10 @@
 //! ```
 
 use dsnrep_bench::experiments::{self, RunScale, FIGURE_SCHEMES};
-use dsnrep_bench::trace::{traced_run, traced_run_with, TracedScheme};
-use dsnrep_bench::{ascii_chart, paper, Comparison};
+use dsnrep_bench::trace::{traced_run, traced_run_with};
+use dsnrep_bench::{ascii_chart, out, outln, paper, Comparison};
 use dsnrep_core::VersionTag;
+use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
@@ -18,11 +19,13 @@ fn main() {
         eprintln!("reproduce: {e}");
         std::process::exit(2)
     });
-    println!("# DSN 2000 reproduction — full evaluation\n");
-    println!(
+    outln!("# DSN 2000 reproduction — full evaluation\n");
+    outln!(
         "Run scale: {} Debit-Credit / {} Order-Entry transactions per \
          configuration, {} per SMP stream (set DSNREP_TXNS to change).\n",
-        scale.debit_credit, scale.order_entry, scale.smp_per_stream
+        scale.debit_credit,
+        scale.order_entry,
+        scale.smp_per_stream
     );
 
     // Compute every report section concurrently (each section fans its
@@ -109,17 +112,17 @@ fn main() {
     t.print();
 
     // ---- Instrumentation: the locality story behind Table 3 ----
-    println!("### Instrumentation: standalone cache behaviour (Debit-Credit)\n");
-    println!("| version | TPS | cache hit rate | misses/txn |");
-    println!("|---------|-----|----------------|------------|");
+    outln!("### Instrumentation: standalone cache behaviour (Debit-Credit)\n");
+    outln!("| version | TPS | cache hit rate | misses/txn |");
+    outln!("|---------|-----|----------------|------------|");
     for (version, tps, stats) in &instr {
-        println!(
+        outln!(
             "| {version} | {tps:.0} | {:.1}% | {:.1} |",
             stats.hit_rate() * 100.0,
             stats.cache_misses as f64 / scale.debit_credit as f64
         );
     }
-    println!(
+    outln!(
         "\nThe mirroring versions drag a database-sized mirror through the 8 MB\n\
          board cache; the improved log touches only a compact, reused region —\n\
          this hit-rate gap *is* the paper's standalone result.\n"
@@ -284,8 +287,8 @@ fn main() {
             .zip(measured.iter())
             .map(|(name, ys)| (name.as_str(), ys.to_vec()))
             .collect();
-        println!("```");
-        print!(
+        outln!("```");
+        out!(
             "{}",
             ascii_chart(
                 &format!("{name} (measured aggregate TPS)"),
@@ -294,7 +297,7 @@ fn main() {
                 48,
             )
         );
-        println!(
+        outln!(
             "```
 "
         );
@@ -303,26 +306,26 @@ fn main() {
     // ---- Flight-recorder summary (opt-in) ----
     if std::env::var("DSNREP_TRACE").as_deref() == Ok("1") {
         let txns = scale.debit_credit.min(2_000);
-        println!("## Trace summary (DSNREP_TRACE=1)\n");
-        println!(
+        outln!("## Trace summary (DSNREP_TRACE=1)\n");
+        outln!(
             "Commit-latency histogram (virtual time), stall attribution and\n\
              traffic-class matrix from a {txns}-transaction Debit-Credit run\n\
              per scheme. Use the `simtrace` binary for the full Perfetto\n\
              trace (see OBSERVABILITY.md).\n"
         );
         for (label, scheme) in [
-            ("passive-v3", TracedScheme::Passive(VersionTag::ImprovedLog)),
-            ("active", TracedScheme::Active),
+            ("passive-v3", Scheme::Passive(VersionTag::ImprovedLog)),
+            ("active", Scheme::Active),
         ] {
             let run = traced_run(scheme, WorkloadKind::DebitCredit, txns, 10 * MIB, false);
             assert!(run.passed(), "trace run failed its audit");
-            println!("### {label}\n\n```json\n{}\n```\n", run.summary.to_json());
-            println!(
+            outln!("### {label}\n\n```json\n{}\n```\n", run.summary.to_json());
+            outln!(
                 "Where the virtual time went (leaves sum to each node's\n\
                  elapsed time — checked):\n\n```\n{}```\n",
                 run.attribution.render_text()
             );
-            println!(
+            outln!(
                 "Per-transaction critical path (segments provably sum to\n\
                  each commit latency; in-txn + outside totals equal each\n\
                  node's elapsed time — checked):\n\n```json\n{}```\n",
@@ -333,9 +336,9 @@ fn main() {
         // A failover scenario, for the availability view: the goodput
         // curve dips through the takeover and recovers when the promoted
         // backup commits again.
-        println!("### Availability under failover (active scheme)\n");
+        outln!("### Availability under failover (active scheme)\n");
         let run = traced_run_with(
-            TracedScheme::Active,
+            Scheme::Active,
             WorkloadKind::DebitCredit,
             txns,
             10 * MIB,
@@ -343,7 +346,7 @@ fn main() {
             (txns / 10).max(1),
         );
         assert!(run.passed(), "failover trace run failed its audit");
-        println!(
+        outln!(
             "Goodput per {} virtual-µs window, SLO-violation windows and\n\
              time-to-first-commit after recovery start:\n\n```json\n{}```\n",
             run.availability.window_picos / 1_000_000,

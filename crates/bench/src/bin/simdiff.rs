@@ -20,6 +20,7 @@ use std::process::ExitCode;
 
 use dsnrep_bench::diff::{diff, DiffOutcome};
 use dsnrep_bench::json::parse;
+use dsnrep_bench::out;
 
 struct Args {
     baseline: String,
@@ -89,7 +90,7 @@ fn main() -> ExitCode {
     };
 
     let markdown = report.render_markdown(&args.baseline, &args.current);
-    print!("{markdown}");
+    out!("{markdown}");
     if let Some(path) = &args.report {
         if let Err(e) = std::fs::write(path, &markdown) {
             eprintln!("simdiff: cannot write report {path}: {e}");

@@ -33,6 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dsnrep_bench::faultcov::{render, ScenarioCoverage};
+use dsnrep_bench::out;
 use dsnrep_core::VersionTag;
 use dsnrep_faultsim::{exhaustive_single_fault, partition_campaign, random_campaign, Scenario};
 use dsnrep_workloads::WorkloadKind;
@@ -209,7 +210,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    print!("{doc}");
+    out!("{doc}");
 
     let mut failed = 0usize;
     for cov in &coverage {

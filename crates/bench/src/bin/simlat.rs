@@ -25,6 +25,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use dsnrep_bench::openlat::{open_system_run, OpenLatConfig, OpenLatRun};
+use dsnrep_bench::out;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::VersionTag;
 use dsnrep_obs::env::{from_env_with, parse_arrival_seed, parse_slo_us};
@@ -236,7 +237,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        None => print!("{json}"),
+        None => out!("{json}"),
     }
     ExitCode::SUCCESS
 }

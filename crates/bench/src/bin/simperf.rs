@@ -23,10 +23,11 @@
 use std::time::Instant;
 
 use dsnrep_bench::experiments::txns_from_env;
+use dsnrep_bench::outln;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::Traffic;
-use dsnrep_repl::{ActiveCluster, PassiveCluster, ReplicaSet, Scheme, SmpExperiment};
+use dsnrep_repl::{ReplicaSet, Scheme, SmpExperiment};
 use dsnrep_simcore::{CostModel, TrafficClass, MIB};
 use dsnrep_workloads::{run_standalone, WorkloadKind};
 
@@ -136,63 +137,11 @@ fn standalone_scenario(name: &'static str, version: VersionTag, txns: u64) -> Sc
     }
 }
 
-fn passive_scenario(name: &'static str, version: VersionTag, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut cluster = PassiveCluster::new(CostModel::alpha_21164a(), version, &config);
-    let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), SEED);
-    let t0 = Instant::now();
-    let report = cluster.run(workload.as_mut(), txns);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    // Drain in-flight writes (untimed: deterministic virtual work only)
-    // so the traffic counters cover the whole run.
-    cluster.quiesce();
-    Scenario {
-        name,
-        txns,
-        txns_per_wall_sec: txns as f64 / wall_secs,
-        wall_secs,
-        virt: VirtMetrics::from_traffic(
-            cluster.machine().stats().elapsed.as_picos(),
-            report.tps(),
-            &cluster.traffic(),
-        ),
-    }
-}
-
-fn active_scenario(name: &'static str, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut cluster = ActiveCluster::new(CostModel::alpha_21164a(), &config);
-    let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), SEED);
-    let t0 = Instant::now();
-    let report = cluster.run(workload.as_mut(), txns);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    cluster.settle();
-    Scenario {
-        name,
-        txns,
-        txns_per_wall_sec: txns as f64 / wall_secs,
-        wall_secs,
-        virt: VirtMetrics::from_traffic(
-            cluster.machine().stats().elapsed.as_picos(),
-            report.tps(),
-            &cluster.traffic(),
-        ),
-    }
-}
-
-/// An RF = 3 improved-log replica set: the head's native pair link plus
-/// the multi-link fabric (chain hops or quorum fan-out/ack legs). These
-/// pin the cost of the N-node paths next to `passive_improved_log`, so a
-/// fabric-side regression cannot hide inside the pair numbers.
-fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Scenario {
-    let config = EngineConfig::for_db(DB);
-    let mut set = ReplicaSet::new(
-        CostModel::alpha_21164a(),
-        VersionTag::ImprovedLog,
-        &config,
-        topology,
-    );
-    let mut workload = WorkloadKind::DebitCredit.build(set.engine().db_region(), SEED);
+/// Times `txns` Debit-Credit transactions on `set`, then drains its
+/// in-flight writes (untimed: deterministic virtual work only) so the
+/// traffic counters cover the whole run.
+fn set_scenario(name: &'static str, mut set: ReplicaSet, txns: u64) -> Scenario {
+    let mut workload = WorkloadKind::DebitCredit.build(set.db_region(), SEED);
     let t0 = Instant::now();
     let report = set.run(workload.as_mut(), txns);
     let wall_secs = t0.elapsed().as_secs_f64();
@@ -208,6 +157,26 @@ fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Sc
             &set.traffic(),
         ),
     }
+}
+
+/// The paper's pair under `scheme`, on a `DB`-byte database.
+fn pair_scenario(name: &'static str, scheme: Scheme, txns: u64) -> Scenario {
+    let set = ReplicaSet::pair(CostModel::alpha_21164a(), scheme, &EngineConfig::for_db(DB));
+    set_scenario(name, set, txns)
+}
+
+/// An RF = 3 improved-log replica set: the head's native pair link plus
+/// the multi-link fabric (chain hops or quorum fan-out/ack legs). These
+/// pin the cost of the N-node paths next to `passive_improved_log`, so a
+/// fabric-side regression cannot hide inside the pair numbers.
+fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Scenario {
+    let set = ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        VersionTag::ImprovedLog,
+        &EngineConfig::for_db(DB),
+        topology,
+    );
+    set_scenario(name, set, txns)
 }
 
 /// The 64-node cell: 32 passive improved-log streams (32 primaries + 32
@@ -256,15 +225,17 @@ fn main() {
             standalone_scenario(n, VersionTag::ImprovedLog, t)
         }),
         ("passive_vista", |n, t| {
-            passive_scenario(n, VersionTag::Vista, t)
+            pair_scenario(n, Scheme::Passive(VersionTag::Vista), t)
         }),
         ("passive_mirror_copy", |n, t| {
-            passive_scenario(n, VersionTag::MirrorCopy, t)
+            pair_scenario(n, Scheme::Passive(VersionTag::MirrorCopy), t)
         }),
         ("passive_improved_log", |n, t| {
-            passive_scenario(n, VersionTag::ImprovedLog, t)
+            pair_scenario(n, Scheme::Passive(VersionTag::ImprovedLog), t)
         }),
-        ("active_redo_ring", |n, t| active_scenario(n, t)),
+        ("active_redo_ring", |n, t| {
+            pair_scenario(n, Scheme::Active, t)
+        }),
         ("chain_rf3", |n, t| {
             let topology = Topology::new(3, ReplicationStrategy::Chain).expect("rf 3 chain");
             replica_set_scenario(n, topology, t)
@@ -287,24 +258,26 @@ fn main() {
     let total_secs = wall.elapsed().as_secs_f64();
     let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
 
-    println!("{{");
-    println!("  \"schema_version\": {SCHEMA_VERSION},");
-    println!("  \"txns_per_scenario\": {txns},");
-    println!("  \"wall_host_cores\": {host_cores},");
-    println!(
+    outln!("{{");
+    outln!("  \"schema_version\": {SCHEMA_VERSION},");
+    outln!("  \"txns_per_scenario\": {txns},");
+    outln!("  \"wall_host_cores\": {host_cores},");
+    outln!(
         "  \"sim_txns_per_wallclock_sec\": {:.0},",
         total_txns as f64 / total_secs
     );
-    println!("  \"wallclock_secs\": {total_secs:.3},");
-    println!("  \"scenarios\": {{");
+    outln!("  \"wallclock_secs\": {total_secs:.3},");
+    outln!("  \"scenarios\": {{");
     for (i, s) in scenarios.iter().enumerate() {
         let comma = if i + 1 < scenarios.len() { "," } else { "" };
-        println!("    \"{}\": {{", s.name);
-        println!(
+        outln!("    \"{}\": {{", s.name);
+        outln!(
             "      \"txns\": {}, \"sim_txns_per_wall_sec\": {:.0}, \"wall_secs\": {:.3},",
-            s.txns, s.txns_per_wall_sec, s.wall_secs
+            s.txns,
+            s.txns_per_wall_sec,
+            s.wall_secs
         );
-        println!(
+        outln!(
             "      \"virtual\": {{\"elapsed_ps\": {}, \"tps\": {:.3}, \"packets\": {}, \
              \"modified_bytes\": {}, \"undo_bytes\": {}, \"meta_bytes\": {}}}",
             s.virt.elapsed_ps,
@@ -314,8 +287,8 @@ fn main() {
             s.virt.undo_bytes,
             s.virt.meta_bytes
         );
-        println!("    }}{comma}");
+        outln!("    }}{comma}");
     }
-    println!("  }}");
-    println!("}}");
+    outln!("  }}");
+    outln!("}}");
 }

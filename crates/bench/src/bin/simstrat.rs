@@ -24,6 +24,7 @@
 
 use std::process::ExitCode;
 
+use dsnrep_bench::outln;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_faultsim::{
@@ -183,19 +184,21 @@ fn main() -> ExitCode {
     };
 
     let strategies = strategies();
-    println!("# Replication strategy comparison\n");
-    println!(
+    outln!("# Replication strategy comparison\n");
+    outln!(
         "Improved-log engine, Debit-Credit, {} calm transactions, seed {}; \
          fault campaigns run {} random plans per mode.\n",
-        opts.txns, opts.seed, opts.plans
+        opts.txns,
+        opts.seed,
+        opts.plans
     );
 
-    println!("## Calm run: SAN traffic\n");
-    println!("| strategy | elapsed (ms) | TPS | SAN bytes/txn | SAN packets |");
-    println!("|---|---|---|---|---|");
+    outln!("## Calm run: SAN traffic\n");
+    outln!("| strategy | elapsed (ms) | TPS | SAN bytes/txn | SAN packets |");
+    outln!("|---|---|---|---|---|");
     for s in &strategies {
         let calm = calm_run(s.topology, opts.txns);
-        println!(
+        outln!(
             "| {} | {:.3} | {:.0} | {:.1} | {} |",
             s.name,
             calm.elapsed_ps as f64 / 1e9,
@@ -205,19 +208,19 @@ fn main() -> ExitCode {
         );
     }
 
-    println!("\n## Fault campaigns: recovery and availability\n");
-    println!(
+    outln!("\n## Fault campaigns: recovery and availability\n");
+    outln!(
         "Worst outage is the longest crash-to-serving gap any campaign \
          plan produced; availability assumes one such crash per simulated \
          minute. Degraded commits proceeded on the head's 2-safe copy \
          after a partition starved the acknowledgement set.\n"
     );
-    println!("| strategy | plans | counterexamples | worst outage (us) | availability | degraded commits |");
-    println!("|---|---|---|---|---|---|");
+    outln!("| strategy | plans | counterexamples | worst outage (us) | availability | degraded commits |");
+    outln!("|---|---|---|---|---|---|");
     let mut failed = 0usize;
     for s in &strategies {
         let Some(scenario) = &s.scenario else {
-            println!("| {} | - | - | - | - | - |", s.name);
+            outln!("| {} | - | - | - | - | - |", s.name);
             continue;
         };
         let digest = match fault_digest(scenario, &opts) {
@@ -226,7 +229,7 @@ fn main() -> ExitCode {
         };
         failed += digest.counterexamples;
         let availability = 1.0 - digest.max_outage_ps as f64 / MISSION_PS as f64;
-        println!(
+        outln!(
             "| {} | {} | {} | {:.1} | {:.6} | {} |",
             s.name,
             digest.plans,

@@ -43,13 +43,15 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dsnrep_bench::trace::{traced_run_with, TracedScheme};
+use dsnrep_bench::outln;
+use dsnrep_bench::trace::traced_run_with;
 use dsnrep_core::VersionTag;
+use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
 struct Options {
-    scheme: TracedScheme,
+    scheme: Scheme,
     kind: WorkloadKind,
     txns: u64,
     db_mib: u64,
@@ -69,7 +71,7 @@ fn usage() -> ! {
 
 fn parse_args() -> Options {
     let mut opts = Options {
-        scheme: TracedScheme::Passive(VersionTag::ImprovedLog),
+        scheme: Scheme::Passive(VersionTag::ImprovedLog),
         kind: WorkloadKind::DebitCredit,
         txns: 2_000,
         db_mib: 10,
@@ -113,9 +115,9 @@ fn parse_args() -> Options {
         }
     }
     opts.scheme = if active {
-        TracedScheme::Active
+        Scheme::Active
     } else {
-        TracedScheme::Passive(version)
+        Scheme::Passive(version)
     };
     opts
 }
@@ -173,7 +175,7 @@ fn main() -> ExitCode {
             dir.display()
         );
     }
-    println!("{}", run.summary.to_json());
+    outln!("{}", run.summary.to_json());
     eprint!("{}", run.attribution.render_text());
     if opts.crash {
         eprint!("{}", run.availability.to_json());

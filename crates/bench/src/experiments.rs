@@ -9,7 +9,7 @@
 
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_mcsim::{figure1_sweep, BandwidthPoint, Traffic};
-use dsnrep_repl::{ActiveCluster, PassiveCluster, Scheme, SmpExperiment};
+use dsnrep_repl::{ReplicaSet, Scheme, SmpExperiment};
 use dsnrep_simcore::{CostModel, TrafficClass, MIB};
 use dsnrep_workloads::{run_standalone, WorkloadKind};
 
@@ -249,30 +249,22 @@ pub fn standalone_tps_and_stats(
     (tps, m.stats())
 }
 
-/// Passive primary-backup throughput and traffic of one version
-/// (Tables 1, 2, 4, 5).
-pub fn passive_tps_and_traffic(
+/// Throughput and traffic of the paper's pair under `scheme`: passive
+/// (Tables 1, 2, 4, 5) or active (Tables 6, 7, 8).
+pub fn pair_tps_and_traffic(
     kind: WorkloadKind,
-    version: VersionTag,
+    scheme: Scheme,
     txns: u64,
     db_len: u64,
 ) -> (f64, TrafficMib) {
     let config = EngineConfig::for_db(db_len);
-    let mut cluster = PassiveCluster::new(costs(), version, &config);
-    let mut workload = kind.build(cluster.engine().db_region(), SEED);
-    let report = cluster.run(workload.as_mut(), txns);
-    let traffic = cluster.traffic();
-    (report.tps(), TrafficMib::from_traffic(kind, txns, &traffic))
-}
-
-/// Active-backup throughput and traffic (Tables 6, 7, 8).
-pub fn active_tps_and_traffic(kind: WorkloadKind, txns: u64, db_len: u64) -> (f64, TrafficMib) {
-    let config = EngineConfig::for_db(db_len);
-    let mut cluster = ActiveCluster::new(costs(), &config);
-    let mut workload = kind.build(cluster.db_region(), SEED);
-    let report = cluster.run(workload.as_mut(), txns);
-    let traffic = cluster.traffic();
-    (report.tps(), TrafficMib::from_traffic(kind, txns, &traffic))
+    let mut set = ReplicaSet::pair(costs(), scheme, &config);
+    let mut workload = kind.build(set.db_region(), SEED);
+    let report = set.run(workload.as_mut(), txns);
+    (
+        report.tps(),
+        TrafficMib::from_traffic(kind, txns, &set.traffic()),
+    )
 }
 
 /// Figure 1: the strided-store bandwidth sweep.
@@ -288,7 +280,7 @@ pub fn table1(scale: RunScale) -> [[f64; 2]; 2] {
         if i % 2 == 0 {
             standalone_tps(kind, VersionTag::Vista, txns)
         } else {
-            passive_tps_and_traffic(kind, VersionTag::Vista, txns, PAPER_DB).0
+            pair_tps_and_traffic(kind, Scheme::Passive(VersionTag::Vista), txns, PAPER_DB).0
         }
     });
     let mut out = [[0.0; 2]; 2];
@@ -302,7 +294,13 @@ pub fn table1(scale: RunScale) -> [[f64; 2]; 2] {
 pub fn table2(scale: RunScale) -> [TrafficMib; 2] {
     let res = par_cells(WorkloadKind::ALL.len(), |i| {
         let kind = WorkloadKind::ALL[i];
-        passive_tps_and_traffic(kind, VersionTag::Vista, scale.txns(kind), PAPER_DB).1
+        pair_tps_and_traffic(
+            kind,
+            Scheme::Passive(VersionTag::Vista),
+            scale.txns(kind),
+            PAPER_DB,
+        )
+        .1
     });
     let mut out = [TrafficMib::default(); 2];
     for (i, &traffic) in res.iter().enumerate() {
@@ -346,7 +344,12 @@ pub fn table4_and_5(scale: RunScale) -> [[(f64, TrafficMib); 4]; 2] {
     let nv = VersionTag::ALL.len();
     let res = par_cells(2 * nv, |i| {
         let kind = WorkloadKind::ALL[i / nv];
-        passive_tps_and_traffic(kind, VersionTag::ALL[i % nv], scale.txns(kind), PAPER_DB)
+        pair_tps_and_traffic(
+            kind,
+            Scheme::Passive(VersionTag::ALL[i % nv]),
+            scale.txns(kind),
+            PAPER_DB,
+        )
     });
     let mut out = [[(0.0, TrafficMib::default()); 4]; 2];
     for (i, &cell) in res.iter().enumerate() {
@@ -361,9 +364,14 @@ pub fn table6_and_7(scale: RunScale) -> [[(f64, TrafficMib); 2]; 2] {
         let kind = WorkloadKind::ALL[i / 2];
         let txns = scale.txns(kind);
         if i % 2 == 0 {
-            passive_tps_and_traffic(kind, VersionTag::ImprovedLog, txns, PAPER_DB)
+            pair_tps_and_traffic(
+                kind,
+                Scheme::Passive(VersionTag::ImprovedLog),
+                txns,
+                PAPER_DB,
+            )
         } else {
-            active_tps_and_traffic(kind, txns, PAPER_DB)
+            pair_tps_and_traffic(kind, Scheme::Active, txns, PAPER_DB)
         }
     });
     let mut out = [[(0.0, TrafficMib::default()); 2]; 2];
@@ -378,7 +386,13 @@ pub fn table8(scale: RunScale) -> [[f64; 3]; 2] {
     let sizes = [10 * MIB, 100 * MIB, 1024 * MIB];
     let res = par_cells(2 * sizes.len(), |i| {
         let kind = WorkloadKind::ALL[i / sizes.len()];
-        active_tps_and_traffic(kind, scale.txns(kind), sizes[i % sizes.len()]).0
+        pair_tps_and_traffic(
+            kind,
+            Scheme::Active,
+            scale.txns(kind),
+            sizes[i % sizes.len()],
+        )
+        .0
     });
     let mut out = [[0.0; 3]; 2];
     for (i, &tps) in res.iter().enumerate() {

@@ -80,7 +80,7 @@ impl Comparison {
 
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
-        println!("{}", self.render());
+        crate::outln!("{}", self.render());
     }
 
     /// Iterates `(label, paper, measured)` rows.

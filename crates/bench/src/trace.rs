@@ -12,47 +12,28 @@ use dsnrep_obs::{
     AttributionTree, ClockAttribution, CriticalPathReport, FlightRecorder, Metric, Phase,
     TimeSeries, TraceEventKind, TraceSummary, Tracer, TRACK_BACKUP, TRACK_PRIMARY,
 };
-use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_repl::{ReplicaSet, Scheme};
 use dsnrep_simcore::{NodeId, Periodic, Scheduler, StallCause, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{ThroughputReport, WorkloadKind};
 
 use crate::experiments::{costs, SEED};
 use crate::openlat::OpenSystemStats;
 
-/// Which replication scheme a traced run drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracedScheme {
-    /// Passive backup (write doubling) with the given engine version.
-    Passive(VersionTag),
-    /// Active backup (redo ring; Version 3 locally).
-    Active,
+/// Stable label for the replication driver ("passive" / "active").
+fn driver_name(scheme: Scheme) -> &'static str {
+    match scheme {
+        Scheme::Passive(_) => "passive",
+        Scheme::Active => "active",
+    }
 }
 
-impl TracedScheme {
-    /// The engine version whose layout ends up in the audited arena.
-    pub fn version(self) -> VersionTag {
-        match self {
-            TracedScheme::Passive(v) => v,
-            TracedScheme::Active => VersionTag::ImprovedLog,
-        }
-    }
-
-    /// Stable label for the replication driver ("passive" / "active").
-    pub fn driver_name(self) -> &'static str {
-        match self {
-            TracedScheme::Passive(_) => "passive",
-            TracedScheme::Active => "active",
-        }
-    }
-
-    /// Stable label for the engine version ("v0".."v3").
-    pub fn version_name(self) -> &'static str {
-        match self.version() {
-            VersionTag::Vista => "v0",
-            VersionTag::MirrorCopy => "v1",
-            VersionTag::MirrorDiff => "v2",
-            VersionTag::ImprovedLog => "v3",
-        }
+/// Stable label for the engine version ("v0".."v3").
+fn version_name(scheme: Scheme) -> &'static str {
+    match scheme.version() {
+        VersionTag::Vista => "v0",
+        VersionTag::MirrorCopy => "v1",
+        VersionTag::MirrorDiff => "v2",
+        VersionTag::ImprovedLog => "v3",
     }
 }
 
@@ -111,12 +92,12 @@ fn clock_attribution(stats: &MachineStats) -> ClockAttribution {
 /// cause accounting — a bug worth panicking over in a diagnostic tool.
 pub fn build_attribution(
     experiment: &str,
-    scheme: TracedScheme,
+    scheme: Scheme,
     recorder: &FlightRecorder,
     primary: &MachineStats,
     backup: Option<&MachineStats>,
 ) -> AttributionTree {
-    let mut tree = AttributionTree::new(experiment, scheme.version_name());
+    let mut tree = AttributionTree::new(experiment, version_name(scheme));
     tree.add_node("primary", TRACK_PRIMARY, clock_attribution(primary));
     if let Some(b) = backup {
         tree.add_node("backup", TRACK_BACKUP, clock_attribution(b));
@@ -374,7 +355,7 @@ impl AvailabilityReport {
 
 /// [`traced_run_with`] without post-recovery transactions.
 pub fn traced_run(
-    scheme: TracedScheme,
+    scheme: Scheme,
     kind: WorkloadKind,
     txns: u64,
     db_len: u64,
@@ -392,7 +373,7 @@ pub fn traced_run(
 /// audit then runs against the failed-over arena (otherwise against the
 /// quiesced primary's, and `post_txns` is ignored).
 pub fn traced_run_with(
-    scheme: TracedScheme,
+    scheme: Scheme,
     kind: WorkloadKind,
     txns: u64,
     db_len: u64,
@@ -405,91 +386,38 @@ pub fn traced_run_with(
     let config = EngineConfig::for_db(db_len);
     let version = scheme.version();
 
-    let (tps, primary_stats, backup_stats, recovery_picos, audit_result) = match scheme {
-        TracedScheme::Passive(version) => {
-            let mut cluster =
-                PassiveCluster::new_traced(costs(), version, &config, recorder.clone());
-            let mut workload = kind.build_traced(cluster.engine().db_region(), SEED);
-            let run_start = cluster.machine().now();
-            drive_sampled(&recorder, txns, run_start, || {
-                cluster.run_txn(workload.as_mut());
-                cluster.machine().now()
-            });
-            let report = ThroughputReport {
-                txns,
-                elapsed: cluster.machine().now().duration_since(run_start),
-            };
-            let primary_stats = cluster.machine().stats();
-            if crash {
-                let mut failover = cluster.crash_primary();
-                let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
-                let post_start = failover.machine.now();
-                drive_sampled(&recorder, post_txns, post_start, || {
-                    failover.run_txn(post_workload.as_mut());
-                    failover.machine.now()
-                });
-                let backup_stats = failover.machine.stats();
-                let result = audit(version, &failover.machine.arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    Some(failover.recovery_time.as_picos()),
-                    result,
-                )
-            } else {
-                cluster.quiesce();
-                let primary_stats = cluster.machine().stats();
-                let result = audit(version, &cluster.machine().arena().borrow());
-                (report.tps(), primary_stats, None, None, result)
-            }
-        }
-        TracedScheme::Active => {
-            let mut cluster = ActiveCluster::new_traced(costs(), &config, recorder.clone());
-            let mut workload = kind.build_traced(cluster.db_region(), SEED);
-            let run_start = cluster.machine().now();
-            drive_sampled(&recorder, txns, run_start, || {
-                cluster.run_txn(workload.as_mut());
-                cluster.machine().now()
-            });
-            let report = ThroughputReport {
-                txns,
-                elapsed: cluster.machine().now().duration_since(run_start),
-            };
-            if crash {
-                let primary_stats = cluster.machine().stats();
-                let mut failover = cluster
-                    .crash_primary()
-                    .expect("backup arena carries the replicated layout");
-                let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
-                let post_start = failover.machine.now();
-                drive_sampled(&recorder, post_txns, post_start, || {
-                    failover.run_txn(post_workload.as_mut());
-                    failover.machine.now()
-                });
-                let backup_stats = failover.machine.stats();
-                let result = audit(version, &failover.machine.arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    Some(failover.recovery_time.as_picos()),
-                    result,
-                )
-            } else {
-                cluster.settle();
-                let primary_stats = cluster.machine().stats();
-                let backup_stats = cluster.backup_stats();
-                let result = audit(version, &cluster.machine().arena().borrow());
-                (
-                    report.tps(),
-                    primary_stats,
-                    Some(backup_stats),
-                    None,
-                    result,
-                )
-            }
-        }
+    let mut set = ReplicaSet::pair_traced(costs(), scheme, &config, recorder.clone());
+    let mut workload = kind.build_traced(set.db_region(), SEED);
+    let run_start = set.machine().now();
+    drive_sampled(&recorder, txns, run_start, || {
+        set.run_txn(workload.as_mut());
+        set.machine().now()
+    });
+    let tps = ThroughputReport {
+        txns,
+        elapsed: set.machine().now().duration_since(run_start),
+    }
+    .tps();
+    let (primary_stats, backup_stats, recovery_picos, audit_result) = if crash {
+        let primary_stats = set.machine().stats();
+        let mut failover = set.begin_takeover().takeover.recover();
+        let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
+        let post_start = failover.machine.now();
+        drive_sampled(&recorder, post_txns, post_start, || {
+            failover.run_txn(post_workload.as_mut());
+            failover.machine.now()
+        });
+        let result = audit(version, &failover.machine.arena().borrow());
+        (
+            primary_stats,
+            Some(failover.machine.stats()),
+            Some(failover.recovery_time.as_picos()),
+            result,
+        )
+    } else {
+        set.quiesce();
+        let result = audit(version, &set.machine().arena().borrow());
+        (set.machine().stats(), set.backup_stats(), None, result)
     };
 
     let violation = match audit_result {
@@ -509,8 +437,8 @@ pub fn traced_run_with(
     attach_stalls(&mut summary, &primary_stats, backup_stats.as_ref());
     let experiment = format!(
         "{}-{}{}",
-        scheme.driver_name(),
-        scheme.version_name(),
+        driver_name(scheme),
+        version_name(scheme),
         if crash { "-crash" } else { "" }
     );
     let attribution = build_attribution(

@@ -8,10 +8,10 @@
 //! the books, across every engine version, both replication drivers,
 //! both workloads, and randomized run lengths and seeds.
 
-use dsnrep_bench::trace::{build_attribution, TracedScheme};
+use dsnrep_bench::trace::build_attribution;
 use dsnrep_core::{EngineConfig, MachineStats, VersionTag};
 use dsnrep_obs::{FlightRecorder, TRACK_BACKUP, TRACK_PRIMARY};
-use dsnrep_repl::{ActiveCluster, PassiveCluster};
+use dsnrep_repl::{ActiveCluster, PassiveCluster, Scheme};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -37,7 +37,7 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadKind> {
 /// Conservation must already hold at the clock level for each node; the
 /// tree-level check then pins the aggregation itself.
 fn assert_conserved(
-    scheme: TracedScheme,
+    scheme: Scheme,
     recorder: &FlightRecorder,
     primary: &MachineStats,
     backup: Option<&MachineStats>,
@@ -87,7 +87,7 @@ proptest! {
             PassiveCluster::new_traced(CostModel::alpha_21164a(), version, &config, recorder.clone());
         let mut workload = kind.build_traced(cluster.engine().db_region(), seed);
         cluster.run(workload.as_mut(), txns);
-        let scheme = TracedScheme::Passive(version);
+        let scheme = Scheme::Passive(version);
         if crash {
             let primary = cluster.machine().stats();
             let failover = cluster.crash_primary();
@@ -121,12 +121,12 @@ proptest! {
             let primary = cluster.machine().stats();
             let failover = cluster.crash_primary().expect("replicated layout");
             let backup = failover.machine.stats();
-            assert_conserved(TracedScheme::Active, &recorder, &primary, Some(&backup));
+            assert_conserved(Scheme::Active, &recorder, &primary, Some(&backup));
         } else {
-            cluster.settle();
+            cluster.quiesce();
             let primary = cluster.machine().stats();
-            let backup = cluster.backup_stats();
-            assert_conserved(TracedScheme::Active, &recorder, &primary, Some(&backup));
+            let backup = cluster.backup_stats().expect("an active pair has a backup CPU");
+            assert_conserved(Scheme::Active, &recorder, &primary, Some(&backup));
         }
     }
 }

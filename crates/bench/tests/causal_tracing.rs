@@ -26,11 +26,11 @@ use std::collections::BTreeSet;
 
 use dsnrep_bench::experiments::{costs, SEED};
 use dsnrep_bench::json::{parse, JsonValue};
-use dsnrep_bench::trace::{traced_run_with, TracedScheme};
+use dsnrep_bench::trace::traced_run_with;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_obs::{FlightRecorder, Phase, Segment, TRACK_BACKUP};
-use dsnrep_repl::ReplicaSet;
+use dsnrep_repl::{ReplicaSet, Scheme};
 use dsnrep_simcore::{TrafficClass, MIB};
 use dsnrep_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -151,9 +151,9 @@ proptest! {
         ],
     ) {
         let scheme = if active {
-            TracedScheme::Active
+            Scheme::Active
         } else {
-            TracedScheme::Passive(version)
+            Scheme::Passive(version)
         };
         let run = traced_run_with(scheme, kind, txns, MIB, crash, if crash { 5 } else { 0 });
         prop_assert!(run.passed(), "scenario failed its audit");
@@ -165,10 +165,7 @@ proptest! {
 /// whole-run roll-up agrees with the attribution tree's leaves.
 #[test]
 fn critical_path_conserves_against_the_attribution_tree() {
-    for scheme in [
-        TracedScheme::Passive(VersionTag::ImprovedLog),
-        TracedScheme::Active,
-    ] {
+    for scheme in [Scheme::Passive(VersionTag::ImprovedLog), Scheme::Active] {
         let txns = 200;
         let run = traced_run_with(scheme, WorkloadKind::DebitCredit, txns, 10 * MIB, false, 0);
         assert!(run.passed());
@@ -217,7 +214,7 @@ fn critical_path_conserves_against_the_attribution_tree() {
 fn failover_critical_path_attributes_the_takeover_spike() {
     let post_txns = 40;
     let run = traced_run_with(
-        TracedScheme::Active,
+        Scheme::Active,
         WorkloadKind::DebitCredit,
         300,
         10 * MIB,

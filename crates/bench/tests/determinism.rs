@@ -207,7 +207,7 @@ fn non_default_cost_models_keep_their_virtual_results() {
         let mut cluster = ActiveCluster::new(costs, &config);
         let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), 42);
         cluster.run(workload.as_mut(), 300);
-        cluster.settle();
+        cluster.quiesce();
         let scheme = "active".to_string();
         got.push((
             name,

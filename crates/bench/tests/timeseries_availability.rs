@@ -13,10 +13,10 @@
 //!   time-to-first-committed-txn after `recovery_start`.
 
 use dsnrep_bench::experiments::{costs, SEED};
-use dsnrep_bench::trace::{traced_run, traced_run_with, AvailabilityReport, TracedScheme};
+use dsnrep_bench::trace::{traced_run, traced_run_with, AvailabilityReport};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_obs::{FlightRecorder, TRACK_BACKUP, TRACK_PRIMARY};
-use dsnrep_repl::PassiveCluster;
+use dsnrep_repl::{PassiveCluster, Scheme};
 use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
@@ -42,7 +42,7 @@ fn unsampled_passive_run() -> (f64, FlightRecorder) {
 #[test]
 fn sampler_on_and_off_runs_are_bit_identical() {
     let sampled = traced_run(
-        TracedScheme::Passive(VersionTag::ImprovedLog),
+        Scheme::Passive(VersionTag::ImprovedLog),
         WorkloadKind::DebitCredit,
         TXNS,
         DB,
@@ -74,22 +74,8 @@ fn sampler_on_and_off_runs_are_bit_identical() {
 
 #[test]
 fn traced_run_is_deterministic_across_repeats() {
-    let a = traced_run_with(
-        TracedScheme::Active,
-        WorkloadKind::DebitCredit,
-        200,
-        DB,
-        true,
-        40,
-    );
-    let b = traced_run_with(
-        TracedScheme::Active,
-        WorkloadKind::DebitCredit,
-        200,
-        DB,
-        true,
-        40,
-    );
+    let a = traced_run_with(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
+    let b = traced_run_with(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
     assert_eq!(a.tps.to_bits(), b.tps.to_bits());
     assert_eq!(a.timeseries.to_json(), b.timeseries.to_json());
     assert_eq!(a.availability.to_json(), b.availability.to_json());
@@ -103,7 +89,7 @@ fn traced_run_is_deterministic_across_repeats() {
 #[test]
 fn failover_availability_shows_goodput_dip_and_recovery() {
     let run = traced_run_with(
-        TracedScheme::Passive(VersionTag::MirrorDiff),
+        Scheme::Passive(VersionTag::MirrorDiff),
         WorkloadKind::DebitCredit,
         TXNS,
         DB,
@@ -159,7 +145,7 @@ fn failover_availability_shows_goodput_dip_and_recovery() {
 #[test]
 fn availability_report_for_a_calm_run_has_no_recovery_leg() {
     let run = traced_run(
-        TracedScheme::Passive(VersionTag::ImprovedLog),
+        Scheme::Passive(VersionTag::ImprovedLog),
         WorkloadKind::DebitCredit,
         120,
         DB,

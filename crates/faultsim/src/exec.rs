@@ -22,16 +22,14 @@ use std::rc::Rc;
 
 use dsnrep_cluster::{
     takeover_timeline_with_faults, HeartbeatConfig, HeartbeatFaults, NodeId, TakeoverTimeline,
-    ViewManager,
+    Topology, ViewManager,
 };
 use dsnrep_core::{
     arena_len, attach_engine, build_engine, Durability, Engine, EngineConfig, Machine, TxError,
     VersionTag,
 };
 use dsnrep_obs::NullTracer;
-use dsnrep_repl::{
-    modeled_pairs, ActiveCluster, ActiveTakeover, PassiveCluster, ReplicaSet, Takeover,
-};
+use dsnrep_repl::{modeled_pairs, ReplicaSet, Scheme, Takeover};
 use dsnrep_rio::{Arena, Layout, RegionId};
 use dsnrep_simcore::{CostModel, Halted, Region, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{TxCtx, Workload};
@@ -434,13 +432,20 @@ impl Contract {
     }
 }
 
+/// What a replicated scenario's head ships to node 1.
+fn scheme(scenario: &Scenario) -> Scheme {
+    match scenario.driver {
+        Driver::Active => Scheme::Active,
+        _ => Scheme::Passive(scenario.version),
+    }
+}
+
 /// The system a scenario runs on, up to its primary's crash.
 enum Cluster {
     /// One machine and its engine, recovering in place.
-    Standalone(Machine, Box<dyn Engine>),
-    Passive(PassiveCluster),
-    Active(ActiveCluster),
-    /// Boxed: a replica set is several times the size of a pair.
+    Standalone(Box<Machine>, Box<dyn Engine>),
+    /// Every replicated driver: a passive or active pair, a chain or a
+    /// quorum.
     Set(Box<ReplicaSet>),
 }
 
@@ -450,22 +455,16 @@ impl Cluster {
     fn build(scenario: &Scenario, plan: &FaultPlan) -> Self {
         let costs = CostModel::alpha_21164a();
         let config = EngineConfig::for_db(scenario.db_len);
-        let mut cluster = match scenario.driver {
-            Driver::Standalone => {
+        let mut cluster = match (scenario.driver, scenario.topology()) {
+            (Driver::Standalone, _) => {
                 let arena = dsnrep_core::shared_arena(arena_len(scenario.version, &config));
-                let mut machine = Machine::standalone(costs, arena);
+                let mut machine = Box::new(Machine::standalone(costs, arena));
                 let engine = build_engine(scenario.version, &mut machine, &config);
                 Cluster::Standalone(machine, engine)
             }
-            Driver::Passive => {
-                Cluster::Passive(PassiveCluster::new(costs, scenario.version, &config))
-            }
-            Driver::Active => Cluster::Active(ActiveCluster::new(costs, &config)),
-            Driver::Chain | Driver::Quorum => {
-                let topology = scenario
-                    .topology()
-                    .expect("chain/quorum drivers have a topology")
-                    .expect("check_plan validated the topology");
+            (_, None) => Cluster::Set(Box::new(ReplicaSet::pair(costs, scheme(scenario), &config))),
+            (_, Some(topology)) => {
+                let topology = topology.expect("check_plan validated the topology");
                 let mut set = ReplicaSet::new(costs, scenario.version, &config, topology);
                 for (from, to, ps) in plan.partition_delays() {
                     set.partition_delay(from, to, VirtualDuration::from_picos(ps));
@@ -493,8 +492,6 @@ impl Cluster {
     fn machine(&self) -> &Machine {
         match self {
             Cluster::Standalone(machine, _) => machine,
-            Cluster::Passive(cluster) => cluster.machine(),
-            Cluster::Active(cluster) => cluster.machine(),
             Cluster::Set(set) => set.machine(),
         }
     }
@@ -502,8 +499,6 @@ impl Cluster {
     fn machine_mut(&mut self) -> &mut Machine {
         match self {
             Cluster::Standalone(machine, _) => machine,
-            Cluster::Passive(cluster) => cluster.machine_mut(),
-            Cluster::Active(cluster) => cluster.machine_mut(),
             Cluster::Set(set) => set.machine_mut(),
         }
     }
@@ -511,9 +506,7 @@ impl Cluster {
     fn db_region(&self) -> Region {
         match self {
             Cluster::Standalone(_, engine) => engine.db_region(),
-            Cluster::Passive(cluster) => cluster.engine().db_region(),
-            Cluster::Active(cluster) => cluster.db_region(),
-            Cluster::Set(set) => set.engine().db_region(),
+            Cluster::Set(set) => set.db_region(),
         }
     }
 
@@ -523,8 +516,6 @@ impl Cluster {
             Cluster::Standalone(machine, engine) => {
                 workload.run_txn(&mut TxCtx::new(machine, engine.as_mut()))
             }
-            Cluster::Passive(cluster) => cluster.try_run_txn(workload),
-            Cluster::Active(cluster) => cluster.try_run_txn(workload),
             Cluster::Set(set) => set.try_run_txn(workload),
         };
         result.map_err(|e| match e {
@@ -534,29 +525,21 @@ impl Cluster {
     }
 
     /// Ends a fault-free run and returns the sequence the settled copies
-    /// hold.
+    /// hold: what an active backup applied, every commit otherwise.
     fn settle(&mut self, committed: u64) -> u64 {
         match self {
             Cluster::Standalone(machine, engine) => engine.committed_seq(machine),
-            Cluster::Passive(cluster) => {
-                cluster.quiesce();
-                committed
-            }
-            Cluster::Active(cluster) => {
-                cluster.settle();
-                cluster.backup_applied_seq()
-            }
             Cluster::Set(set) => {
                 set.quiesce();
-                committed
+                set.ring_applied_seq().unwrap_or(committed)
             }
         }
     }
 
     fn degraded_commits(&self) -> u64 {
         match self {
+            Cluster::Standalone(..) => 0,
             Cluster::Set(set) => set.degraded_commits(),
-            _ => 0,
         }
     }
 
@@ -564,8 +547,6 @@ impl Cluster {
     fn arena(&self, node: u8) -> &Rc<RefCell<Arena>> {
         match (self, node) {
             (Cluster::Standalone(machine, _), 0) => machine.arena(),
-            (Cluster::Passive(cluster), 1) => cluster.backup_arena(),
-            (Cluster::Active(cluster), 1) => cluster.backup_arena(),
             (Cluster::Set(set), _) => set.replica_arena(node),
             _ => unreachable!("the driver has no node {node}"),
         }
@@ -582,21 +563,20 @@ impl Cluster {
                 machine.crash();
                 let at = machine.now();
                 let arena = Rc::clone(machine.arena());
-                (Recovery::InPlace { version, arena, at }, at)
-            }
-            Cluster::Passive(cluster) => {
-                let takeover = cluster.begin_takeover(0);
-                let at = takeover.now();
-                (Recovery::Takeover(takeover), at)
-            }
-            Cluster::Active(cluster) => {
-                let takeover = cluster.begin_takeover();
-                let at = takeover.now();
-                (Recovery::Active(takeover), at)
+                (Recovery::in_place(version, arena, at), at)
             }
             Cluster::Set(set) => {
+                let pair = set.topology() == Topology::pair();
                 let replica = set.begin_takeover();
-                (Recovery::Takeover(replica.takeover), replica.crashed_at)
+                // A pair's timeline starts once its promoted backup is up,
+                // which an active backup's ring work can carry past the
+                // crash; a chain's or quorum's starts at the crash.
+                let at = if pair {
+                    replica.takeover.now()
+                } else {
+                    replica.crashed_at
+                };
+                (Recovery::Takeover(replica.takeover), at)
             }
         }
     }
@@ -604,72 +584,63 @@ impl Cluster {
 
 /// A crashed run's recovery, ready for its next attempt.
 enum Recovery {
-    /// A fresh machine over the crashed node's own arena.
-    InPlace {
-        version: VersionTag,
-        arena: Rc<RefCell<Arena>>,
-        at: VirtualInstant,
-    },
-    /// A promoted passive backup, chain successor or quorum replica.
+    /// A fresh machine over the crashed node's own arena, recovering its
+    /// version in place.
+    InPlace(Machine, VersionTag),
+    /// A promoted replica of any replicated driver.
     Takeover(Takeover),
-    /// A promoted active backup.
-    Active(ActiveTakeover),
 }
 
 impl Recovery {
+    fn in_place(version: VersionTag, arena: Rc<RefCell<Arena>>, at: VirtualInstant) -> Self {
+        let mut machine = Machine::standalone(CostModel::alpha_21164a(), arena);
+        machine.clock_mut().advance_to(at);
+        Recovery::InPlace(machine, version)
+    }
+
     /// Re-enters recovery over the arena a halted attempt left behind,
-    /// the way `driver` recovers.
-    fn resume(
-        driver: Driver,
-        version: VersionTag,
-        arena: Rc<RefCell<Arena>>,
-        at: VirtualInstant,
-    ) -> Result<Self, String> {
-        let costs = CostModel::alpha_21164a();
-        Ok(match driver {
-            Driver::Standalone => Recovery::InPlace { version, arena, at },
-            Driver::Active => Recovery::Active(
-                ActiveTakeover::resume(costs, arena, NullTracer, at)
-                    .map_err(|e| format!("mid-recovery halt corrupted the layout: {e}"))?,
-            ),
-            Driver::Passive | Driver::Chain | Driver::Quorum => {
-                Recovery::Takeover(Takeover::resume(version, costs, arena, NullTracer, at))
-            }
-        })
+    /// the way `scenario`'s driver recovers.
+    fn resume(scenario: &Scenario, arena: Rc<RefCell<Arena>>, at: VirtualInstant) -> Self {
+        match scenario.driver {
+            Driver::Standalone => Recovery::in_place(scenario.version, arena, at),
+            _ => Recovery::Takeover(Takeover::resume(
+                scheme(scenario),
+                CostModel::alpha_21164a(),
+                arena,
+                NullTracer,
+                at,
+            )),
+        }
     }
 
     fn arena(&self) -> Rc<RefCell<Arena>> {
         match self {
-            Recovery::InPlace { arena, .. } => Rc::clone(arena),
+            Recovery::InPlace(machine, _) => Rc::clone(machine.arena()),
             Recovery::Takeover(takeover) => takeover.arena(),
-            Recovery::Active(takeover) => takeover.arena(),
         }
     }
 
     fn now(&self) -> VirtualInstant {
         match self {
-            Recovery::InPlace { at, .. } => *at,
+            Recovery::InPlace(machine, _) => machine.now(),
             Recovery::Takeover(takeover) => takeover.now(),
-            Recovery::Active(takeover) => takeover.now(),
         }
     }
 
     /// Runs recovery to completion. Returns the recovered sequence and
     /// the virtual time recovery took, or why it stopped short.
     fn run(self) -> Result<(u64, VirtualDuration), Stop> {
-        let failover = match self {
-            Recovery::InPlace { version, arena, at } => {
-                let mut machine = Machine::standalone(CostModel::alpha_21164a(), arena);
-                machine.clock_mut().advance_to(at);
+        match self {
+            Recovery::InPlace(mut machine, version) => {
+                let at = machine.now();
                 let report = attach_engine(version, &mut machine).recover(&mut machine)?;
-                return Ok((report.committed_seq, machine.now().duration_since(at)));
+                Ok((report.committed_seq, machine.now().duration_since(at)))
             }
-            Recovery::Takeover(takeover) => takeover.try_recover()?,
-            Recovery::Active(takeover) => takeover
-                .try_recover()?
-                .map_err(|e| Stop::Broken(format!("backup layout unreadable: {e}")))?,
-        };
-        Ok((failover.report.committed_seq, failover.recovery_time))
+            Recovery::Takeover(takeover) => {
+                let failover = takeover.try_recover()?;
+                Ok((failover.report.committed_seq, failover.recovery_time))
+            }
+        }
     }
 }
 
@@ -759,13 +730,7 @@ fn run(
             }
             Err(Stop::Halted) if budget.is_some() => {
                 out.faults_fired += 1;
-                match Recovery::resume(scenario.driver, scenario.version, arena, at) {
-                    Ok(next) => recovery = next,
-                    Err(msg) => {
-                        out.violation = Some(Violation::UnexpectedPanic(msg));
-                        return out;
-                    }
-                }
+                recovery = Recovery::resume(scenario, arena, at);
             }
             Err(Stop::Halted) => {
                 out.violation = Some(Violation::UnexpectedPanic(Halted.to_string()));

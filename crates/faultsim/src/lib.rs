@@ -17,8 +17,8 @@
 //! * [`exhaustive_single_fault`] / [`random_campaign`] — sweep every
 //!   single-fault point of a small run, or explore seeded random
 //!   multi-fault schedules of a large one.
-//! * [`shrink`] — reduce any failing schedule to a minimal plan, printed
-//!   as a copy-pasteable regression test.
+//!   Every counterexample a campaign finds is shrunk to a minimal plan
+//!   and printed as a copy-pasteable regression test.
 //!
 //! # Examples
 //!
@@ -67,7 +67,6 @@ pub use explore::{
     exhaustive_single_fault, partition_campaign, probe, random_campaign, Campaign, Counterexample,
     Probe,
 };
-pub use oracle::{Reference, TAIL_WINDOW};
+pub use oracle::Reference;
 pub use plan::{FaultEvent, FaultPlan, FaultSite, PlanError};
 pub use scenario::{Driver, Scenario};
-pub use shrink::{regression_snippet, shrink, ShrinkResult};

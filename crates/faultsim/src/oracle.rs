@@ -18,7 +18,7 @@ use crate::scenario::Scenario;
 /// How many transactions past a crash boundary can be torn (1-safe
 /// passive replication loses at most the in-flight SAN tail; 8 covers it
 /// with margin at these run lengths).
-pub const TAIL_WINDOW: u64 = 8;
+pub(crate) const TAIL_WINDOW: u64 = 8;
 
 /// The precomputed fault-free truth for one scenario shape.
 #[derive(Clone, Debug)]
@@ -198,7 +198,7 @@ impl Reference {
 
     /// As [`Reference::first_unexplained_mismatch`], reading the recovered
     /// database region `db` in place from `arena` instead of from a copy.
-    pub fn first_unexplained_mismatch_in(
+    pub(crate) fn first_unexplained_mismatch_in(
         &self,
         seq: u64,
         arena: &Arena,

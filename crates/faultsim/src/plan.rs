@@ -276,7 +276,7 @@ impl FaultPlan {
     }
 
     /// Total heartbeat delay, in picoseconds.
-    pub fn heartbeat_delay_ps(&self) -> u64 {
+    pub(crate) fn heartbeat_delay_ps(&self) -> u64 {
         self.events
             .iter()
             .map(|e| match e {
@@ -287,7 +287,7 @@ impl FaultPlan {
     }
 
     /// The drop-after threshold, if any (smallest wins if repeated).
-    pub fn heartbeat_drop_after(&self) -> Option<u64> {
+    pub(crate) fn heartbeat_drop_after(&self) -> Option<u64> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -299,7 +299,7 @@ impl FaultPlan {
 
     /// The partition delays, in schedule order, as `(from, to, ps)`.
     /// Repeats on one pair accumulate.
-    pub fn partition_delays(&self) -> Vec<(u8, u8, u64)> {
+    pub(crate) fn partition_delays(&self) -> Vec<(u8, u8, u64)> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -311,7 +311,7 @@ impl FaultPlan {
 
     /// The partition drop thresholds, in schedule order, as
     /// `(from, to, n)`. The smallest threshold on a pair wins.
-    pub fn partition_drops(&self) -> Vec<(u8, u8, u64)> {
+    pub(crate) fn partition_drops(&self) -> Vec<(u8, u8, u64)> {
         self.events
             .iter()
             .filter_map(|e| match e {

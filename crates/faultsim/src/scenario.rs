@@ -11,10 +11,12 @@ use dsnrep_workloads::WorkloadKind;
 pub enum Driver {
     /// A single node, no replication: crash and recover in place.
     Standalone,
-    /// [`PassiveCluster`](dsnrep_repl::PassiveCluster): write doubling,
-    /// idle backup CPU.
+    /// The paper's pair with a passive backup
+    /// ([`Scheme::Passive`](dsnrep_repl::Scheme::Passive)): write
+    /// doubling, idle backup CPU.
     Passive,
-    /// [`ActiveCluster`](dsnrep_repl::ActiveCluster): redo shipping,
+    /// The pair with an active backup
+    /// ([`Scheme::Active`](dsnrep_repl::Scheme::Active)): redo shipping,
     /// polling backup CPU (always Version 3 on the primary).
     Active,
     /// [`ReplicaSet`](dsnrep_repl::ReplicaSet) running chain replication
@@ -182,7 +184,7 @@ impl Scenario {
     }
 
     /// The version index (0-3) used in labels.
-    pub fn version_index(&self) -> usize {
+    fn version_index(&self) -> usize {
         VersionTag::ALL
             .iter()
             .position(|v| *v == self.version)

@@ -14,13 +14,13 @@ use crate::scenario::Scenario;
 
 /// What the shrinker converged to.
 #[derive(Clone, Debug)]
-pub struct ShrinkResult {
+pub(crate) struct ShrinkResult {
     /// The minimal failing plan.
-    pub plan: FaultPlan,
+    pub(crate) plan: FaultPlan,
     /// The violation the minimal plan produces.
-    pub violation: Violation,
+    pub(crate) violation: Violation,
     /// Plan executions spent shrinking.
-    pub executions: u64,
+    pub(crate) executions: u64,
 }
 
 /// Hard cap on shrink executions: convergence is usually < 50 runs, the
@@ -67,7 +67,7 @@ fn with_counter(event: FaultEvent, n: u64) -> FaultEvent {
 /// shrinker only adopts candidates that still produce *some* violation
 /// (not necessarily the same one — a simpler schedule often surfaces the
 /// same bug through a different invariant).
-pub fn shrink(
+pub(crate) fn shrink(
     scenario: &Scenario,
     reference: &Reference,
     mutation: Option<Mutation>,
@@ -133,7 +133,11 @@ pub fn shrink(
 
 /// Renders a shrunk plan as a self-contained `#[test]` a developer can
 /// paste into `crates/faultsim/tests/` to pin the failure.
-pub fn regression_snippet(scenario: &Scenario, plan: &FaultPlan, violation: &Violation) -> String {
+pub(crate) fn regression_snippet(
+    scenario: &Scenario,
+    plan: &FaultPlan,
+    violation: &Violation,
+) -> String {
     format!(
         r#"#[test]
 fn shrunk_fault_plan_regression() {{

@@ -1,24 +1,20 @@
-//! Primary-backup replication drivers.
+//! Primary-backup replication: one driver, and the paper's pairs as facades.
 //!
 //! This crate wires the engine versions of `dsnrep-core` to the Memory
-//! Channel model of `dsnrep-mcsim` into the three cluster configurations
-//! the paper evaluates, plus their N-node generalization:
+//! Channel model of `dsnrep-mcsim` through one driver, [`ReplicaSet`]: a
+//! head node shipping to RF − 1 replicas. Its [`Scheme`] picks what the
+//! head ships to node 1 — write-through doubling with an idle backup CPU
+//! (the passive backup, paper §3 and §5) or a redo ring that the backup
+//! CPU applies (the active backup, §6) — and its `Topology` picks the
+//! strategy that carries the rest: primary-backup fan-out, chain, or R/W
+//! quorum (see `dsnrep-cluster`). Every driver crashes into the one
+//! [`Takeover`], whose step is the version's recovery procedure or the
+//! ring drain.
 //!
-//! * [`PassiveCluster`] — the backup CPU is idle; data travels purely by
-//!   write doubling on the primary (paper §3 for Version 0, §5 for the
-//!   restructured versions).
-//! * [`ActiveCluster`] — the backup CPU applies a redo ring that carries
-//!   only the modified data (paper §6), with producer/consumer flow
-//!   control.
-//! * [`SmpExperiment`] — N independent primary streams on one SMP sharing
-//!   one SAN link (paper §8, Figures 2 and 3).
-//! * [`ReplicaSet`] — the N-node generalization: an RF ≥ 2 cluster over a
-//!   multi-link fabric running primary-backup fan-out, chain, or R/W
-//!   quorum replication (see `dsnrep-cluster`'s `Topology`).
-//!
-//! The passive, active and N-node clusters expose the crash and failover
-//! entry points that the failure injection tests and the fault campaigns
-//! use.
+//! * [`PassiveCluster`] and [`ActiveCluster`] — the paper's two-node
+//!   pairs, as facades over a pair set that keeps no read history.
+//! * [`SmpExperiment`] — N independent pair sets on one SMP sharing one
+//!   SAN link (paper §8, Figures 2 and 3).
 //!
 //! # Examples
 //!
@@ -48,11 +44,12 @@
 #![warn(missing_debug_implementations)]
 
 mod active;
-mod passive;
+mod pair;
 mod replica_set;
 mod smp;
+mod takeover;
 
-pub use active::{ActiveCluster, ActivePrimaryEngine, ActiveTakeover, BackupNode};
-pub use passive::{Failover, PassiveCluster, Takeover};
-pub use replica_set::{modeled_pairs, ReadSample, ReplicaSet, ReplicaTakeover};
-pub use smp::{Scheme, SmpExperiment, SmpReport};
+pub use pair::{ActiveCluster, PassiveCluster};
+pub use replica_set::{modeled_pairs, ReadSample, ReplicaSet, ReplicaTakeover, Scheme};
+pub use smp::{SmpExperiment, SmpReport};
+pub use takeover::{ActiveTakeover, Failover, Takeover};

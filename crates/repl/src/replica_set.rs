@@ -1,18 +1,30 @@
-//! N-node replica sets: primary-backup fan-out, chain, and quorum.
+//! The replication driver: a head node and RF − 1 replicas.
 //!
-//! The paper's cluster is a two-node pair; a [`ReplicaSet`] generalizes
-//! it to RF nodes under a [`Topology`] with one of three strategies:
+//! Every cluster this crate models is one [`ReplicaSet`]: a single-leader
+//! replication log whose head ships to node 1 over the paper's accounted
+//! SAN path. Sets differ in two things. The [`Scheme`] fixes what the head
+//! ships to node 1:
+//!
+//! * [`Scheme::Passive`] — write-through doubling of the engine's
+//!   replicated regions; the backup CPU idles (paper §3 for Version 0,
+//!   §5 for Versions 1–3).
+//! * [`Scheme::Active`] — a redo ring that node 1's CPU applies, with
+//!   producer/consumer flow control (paper §6; see [`crate::active`]).
+//!   Active shipping runs on the two-node pair only.
+//!
+//! The [`Topology`]'s strategy fixes how the rest of the set follows and
+//! when a commit waits:
 //!
 //! * **Primary-backup fan-out** ([`ReplicationStrategy::PrimaryBackup`])
 //!   — the Memory Channel hub multicasts natively, so one write-doubled
-//!   packet reaches every backup at no extra link cost. RF=2 takes
-//!   *exactly* the two-node [`PassiveCluster`] code path and is
-//!   bit-identical to it.
+//!   packet reaches every backup at no extra link cost. At RF=2 this is
+//!   the paper's pair, which [`PassiveCluster`](crate::PassiveCluster)
+//!   and [`ActiveCluster`](crate::ActiveCluster) wrap.
 //! * **Chain** ([`ReplicationStrategy::Chain`]) — the head write-doubles
-//!   to node 1 over the paper's accounted SAN path; each node then
-//!   store-and-forwards the same packets down per-pair [`Fabric`] links
-//!   (`1→2`, …, `rf−2→rf−1`). The tail acknowledges over a direct return
-//!   link, and the head stalls each commit on that acknowledgement.
+//!   to node 1; each node then store-and-forwards the same packets down
+//!   per-pair [`Fabric`] links (`1→2`, …, `rf−2→rf−1`). The tail
+//!   acknowledges over a direct return link, and the head stalls each
+//!   commit on that acknowledgement.
 //! * **Quorum** ([`ReplicationStrategy::Quorum`]) — the head fans each
 //!   packet out to nodes `2..rf` over `0→j` fabric links the moment its
 //!   own adapter finishes serializing it; each replica acknowledges a
@@ -38,17 +50,55 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::rc::Rc;
 
 use dsnrep_cluster::{NodeId, ReplicationStrategy, Topology};
-use dsnrep_core::{Durability, Engine, EngineConfig, Machine, TxError, VersionTag};
-use dsnrep_mcsim::{Fabric, PacketTap, TappedPacket, Traffic};
-use dsnrep_obs::{Metric, NullTracer, Phase, Tracer, NO_TXN};
+use dsnrep_core::{
+    arena_len, build_engine, Durability, Engine, EngineConfig, ImprovedLogEngine, Machine,
+    MachineStats, TxError, VersionTag,
+};
+use dsnrep_mcsim::{Fabric, Link, PacketTap, TappedPacket, Traffic, TxPort};
+use dsnrep_obs::{Metric, NullTracer, Phase, TraceEventKind, Tracer, NO_TXN, TRACK_PRIMARY};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::{Addr, CostModel, StallCause, TrafficClass, VirtualDuration, VirtualInstant};
-use dsnrep_workloads::{ThroughputReport, Workload};
+use dsnrep_simcore::{
+    Addr, CostModel, Region, StallCause, TrafficClass, VirtualDuration, VirtualInstant,
+};
+use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
 
-use crate::passive::{PassiveCluster, Takeover};
+use crate::active::{ActivePrimaryEngine, BackupNode};
+use crate::takeover::{Takeover, UNARMED};
+
+/// What a set's head ships to node 1: the paper's passive or active
+/// backup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Scheme {
+    /// Passive backup with the given engine version: the head doubles
+    /// every store to the engine's replicated regions.
+    Passive(VersionTag),
+    /// Active backup: the head runs Version 3 and ships a redo ring that
+    /// node 1's CPU applies.
+    Active,
+}
+
+impl Scheme {
+    /// The engine version the head runs.
+    pub fn version(self) -> VersionTag {
+        match self {
+            Scheme::Passive(version) => version,
+            Scheme::Active => VersionTag::ImprovedLog,
+        }
+    }
+}
+
+impl fmt::Display for Scheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Scheme::Passive(v) => write!(f, "Passive {v}"),
+            Scheme::Active => f.write_str("Active"),
+        }
+    }
+}
 
 /// An acknowledgement packet: 8 bytes of meta-data (a sequence number).
 const ACK_BYTES: u64 = 8;
@@ -98,11 +148,10 @@ fn apply_masked(arena: &mut Arena, base: Addr, mask: u32, data: &[u8; 32]) {
     }
 }
 
-/// One downstream node's receive state (nodes `2..rf`; node 1 is fed by
-/// the head's accounted `TxPort`).
-#[derive(Debug)]
+/// One downstream node's receive state (nodes `2..rf` of a chain or
+/// quorum; node 1 is fed by the head's accounted `TxPort`).
+#[derive(Debug, Default)]
 struct DownstreamNode {
-    arena: Rc<RefCell<Arena>>,
     pending: VecDeque<PendingApply>,
     /// Packets delivered to this node so far (applied or pending).
     received: u64,
@@ -114,16 +163,6 @@ struct DownstreamNode {
 }
 
 impl DownstreamNode {
-    fn new(arena: Rc<RefCell<Arena>>) -> Self {
-        DownstreamNode {
-            arena,
-            pending: VecDeque::new(),
-            received: 0,
-            last_delivery: VirtualInstant::EPOCH,
-            data_lost: false,
-        }
-    }
-
     fn receive(&mut self, at: VirtualInstant, p: &TappedPacket) {
         self.pending.push_back(PendingApply {
             at,
@@ -135,12 +174,13 @@ impl DownstreamNode {
         self.last_delivery = self.last_delivery.max(at);
     }
 
-    /// Applies every pending packet delivered at or before `t`.
-    fn apply_up_to(&mut self, t: VirtualInstant) {
+    /// Applies every pending packet delivered at or before `t` to the
+    /// node's `arena`.
+    fn apply_up_to(&mut self, arena: &RefCell<Arena>, t: VirtualInstant) {
         if self.pending.front().is_none_or(|p| p.at > t) {
             return;
         }
-        let mut arena = self.arena.borrow_mut();
+        let mut arena = arena.borrow_mut();
         while let Some(front) = self.pending.front() {
             if front.at > t {
                 break;
@@ -148,10 +188,6 @@ impl DownstreamNode {
             let p = self.pending.pop_front().expect("front() checked");
             apply_masked(&mut arena, p.base, p.mask, &p.data);
         }
-    }
-
-    fn apply_all(&mut self) {
-        self.apply_up_to(VirtualInstant::from_picos(u64::MAX));
     }
 }
 
@@ -161,6 +197,16 @@ impl DownstreamNode {
 #[derive(Clone, Debug)]
 struct TxnVisibility {
     visible: Vec<Option<VirtualInstant>>,
+}
+
+/// What the read path consults: one entry per transaction run.
+#[derive(Debug, Default)]
+struct ReadHistory {
+    /// Commit instant of every transaction run so far, in order (the
+    /// coordinator's committed-prefix clock for staleness accounting).
+    commit_instants: Vec<VirtualInstant>,
+    /// Per-transaction replica visibility, aligned with `commit_instants`.
+    visibility: Vec<TxnVisibility>,
 }
 
 /// One served replica read: who answered, what committed prefix it
@@ -187,7 +233,7 @@ pub struct ReadSample {
 }
 
 /// The completed takeover of a [`ReplicaSet`]: which node was promoted,
-/// and the [`Takeover`] ready to run the version's recovery procedure.
+/// and the [`Takeover`] ready to run its recovery.
 #[derive(Debug)]
 pub struct ReplicaTakeover<T: Tracer + 'static = NullTracer> {
     /// The node promoted to primary (the most senior live backup for
@@ -200,7 +246,8 @@ pub struct ReplicaTakeover<T: Tracer + 'static = NullTracer> {
     pub takeover: Takeover<T>,
 }
 
-/// An N-node cluster running one of the three replication strategies.
+/// An N-node cluster: a head shipping per its [`Scheme`] under one of
+/// the three replication strategies.
 ///
 /// # Examples
 ///
@@ -225,9 +272,18 @@ pub struct ReplicaTakeover<T: Tracer + 'static = NullTracer> {
 #[derive(Debug)]
 pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     topology: Topology,
-    costs: CostModel,
+    scheme: Scheme,
     tracer: T,
-    head: PassiveCluster<T>,
+    /// The head (node 0).
+    machine: Machine<T>,
+    engine: Box<dyn Engine<T>>,
+    /// The head's accounted SAN link to node 1 (and to every further
+    /// primary-backup multicast target).
+    link: Rc<RefCell<Link>>,
+    /// Replica arenas, nodes `1..rf` in order.
+    replicas: Vec<Rc<RefCell<Arena>>>,
+    /// Node 1's CPU, when it applies a redo ring ([`Scheme::Active`]).
+    backup: Option<Rc<RefCell<BackupNode<T>>>>,
     fabric: Fabric,
     /// Tap on the head's `TxPort` (chain/quorum only): every emitted
     /// packet, with its first-hop timing.
@@ -236,7 +292,7 @@ pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     /// (mirrors the port's in-flight queue; relevant to chain, where the
     /// head runs ahead of delivery inside a transaction).
     head_inflight: VecDeque<TappedPacket>,
-    /// Nodes `2..rf`, indexed by `node_id - 2`.
+    /// Nodes `2..rf` of a chain or quorum, indexed by `node_id - 2`.
     downstream: Vec<DownstreamNode>,
     /// Packets confirmed delivered to node 1.
     node1_received: u64,
@@ -244,18 +300,18 @@ pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     /// unreachable, or fewer than W−1 replica acks) and proceeded after a
     /// coordinator timeout.
     degraded_commits: u64,
-    /// Commit instant of every transaction run so far, in order (the
-    /// coordinator's committed-prefix clock for staleness accounting).
-    commit_instants: Vec<VirtualInstant>,
-    /// Per-transaction replica visibility, aligned with `commit_instants`.
-    visibility: Vec<TxnVisibility>,
+    /// The read path's per-transaction history; `None` for the pair
+    /// facades, which serve no reads and may run millions of
+    /// transactions.
+    history: Option<ReadHistory>,
     /// Quorum read-set rotation cursor.
     read_rotation: u64,
 }
 
 impl ReplicaSet {
-    /// Builds an RF-node cluster per `topology`. All replicas start as
-    /// identical copies of the freshly formatted primary arena.
+    /// Builds an RF-node cluster of passive `version` engines per
+    /// `topology`. All replicas start as identical copies of the freshly
+    /// formatted primary arena.
     pub fn new(
         costs: CostModel,
         version: VersionTag,
@@ -264,9 +320,23 @@ impl ReplicaSet {
     ) -> Self {
         Self::new_traced(costs, version, config, topology, NullTracer)
     }
+
+    /// The paper's two-node pair shipping per `scheme`, keeping no read
+    /// history: the set [`PassiveCluster`](crate::PassiveCluster) and
+    /// [`ActiveCluster`](crate::ActiveCluster) wrap.
+    pub fn pair(costs: CostModel, scheme: Scheme, config: &EngineConfig) -> Self {
+        Self::pair_traced(costs, scheme, config, NullTracer)
+    }
 }
 
 impl<T: Tracer + 'static> ReplicaSet<T> {
+    /// As [`ReplicaSet::pair`], reporting to `tracer` (primary =
+    /// `TRACK_PRIMARY`, backup = `TRACK_BACKUP`).
+    pub fn pair_traced(costs: CostModel, scheme: Scheme, config: &EngineConfig, tracer: T) -> Self {
+        let link = Rc::new(RefCell::new(Link::new(&costs)));
+        Self::build(costs, scheme, config, Topology::pair(), link, None, tracer).without_history()
+    }
+
     /// As [`ReplicaSet::new`], reporting per-node spans and every SAN
     /// packet to `tracer` (node *i* reports as track *i*): the head port's
     /// packets, and each fabric hop and acknowledgement as a lifecycle of
@@ -278,57 +348,135 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         topology: Topology,
         tracer: T,
     ) -> Self {
+        let link = Rc::new(RefCell::new(Link::new(&costs)));
+        Self::build(
+            costs,
+            Scheme::Passive(version),
+            config,
+            topology,
+            link,
+            None,
+            tracer,
+        )
+    }
+
+    /// Builds a set whose head ships per `scheme` over `link`. An active
+    /// set's backup CPU writes its consumer cursor back over
+    /// `reverse_link` (a private link when `None`: the Memory Channel is
+    /// full duplex, so cursor traffic does not consume forward bandwidth).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scheme` is active and `topology` is not the two-node
+    /// pair.
+    pub(crate) fn build(
+        costs: CostModel,
+        scheme: Scheme,
+        config: &EngineConfig,
+        topology: Topology,
+        link: Rc<RefCell<Link>>,
+        reverse_link: Option<Rc<RefCell<Link>>>,
+        tracer: T,
+    ) -> Self {
+        assert!(
+            scheme != Scheme::Active || topology == Topology::pair(),
+            "active shipping runs on the two-node pair, not {topology}"
+        );
         let rf = topology.rf();
         let fanout = matches!(topology.strategy(), ReplicationStrategy::PrimaryBackup);
-        // Primary-backup rides the hub's native multicast: ONE TxPort with
-        // rf−1 peer arenas, the exact two-node code path when rf == 2.
-        let link = Rc::new(RefCell::new(dsnrep_mcsim::Link::new(&costs)));
-        let mut head = PassiveCluster::with_link_and_backups_traced(
+        let version = scheme.version();
+        let arena = Rc::new(RefCell::new(Arena::new(arena_len(version, config))));
+        let mut machine = Machine::standalone_traced(
             costs.clone(),
-            version,
-            config,
-            link,
-            if fanout { usize::from(rf) - 1 } else { 1 },
+            Rc::clone(&arena),
             tracer.clone(),
+            TRACK_PRIMARY,
         );
-        let mut tap = None;
-        let mut downstream = Vec::new();
-        match topology.strategy() {
-            ReplicationStrategy::PrimaryBackup => {}
-            ReplicationStrategy::Chain | ReplicationStrategy::Quorum { .. } => {
-                // Nodes 2..rf start as identical copies, like node 1.
-                let initial = head.backup_arena().borrow().clone();
-                for _ in 2..rf {
-                    downstream.push(DownstreamNode::new(Rc::new(RefCell::new(initial.clone()))));
-                }
-                let recorder: PacketTap = Rc::new(RefCell::new(Vec::new()));
-                let machine = head.machine_mut();
-                machine
-                    .port_mut()
-                    .expect("a passive cluster always has a port")
-                    .set_tap(Rc::clone(&recorder));
-                // The acknowledgement waits ride the 2-safe path: every
-                // commit is on node 1 before the chain/quorum ack wait
-                // even starts.
-                machine.set_durability(Durability::TwoSafe);
-                tap = Some(recorder);
+        // Initial synchronization: every replica starts as an identical
+        // copy of the formatted head.
+        let copies = |arena: &Rc<RefCell<Arena>>| -> Vec<Rc<RefCell<Arena>>> {
+            (1..rf)
+                .map(|_| Rc::new(RefCell::new(arena.borrow().clone())))
+                .collect()
+        };
+        let (engine, replicas, backup): (Box<dyn Engine<T>>, _, _) = match scheme {
+            Scheme::Passive(version) => {
+                let engine = build_engine(version, &mut machine, config);
+                (engine, copies(&arena), None)
+            }
+            Scheme::Active => {
+                let inner = ImprovedLogEngine::format(&mut machine, config);
+                let replicas = copies(&arena);
+                let reverse_link =
+                    reverse_link.unwrap_or_else(|| Rc::new(RefCell::new(Link::new(&costs))));
+                let (engine, backup) = ActivePrimaryEngine::wire(
+                    inner,
+                    &costs,
+                    &arena,
+                    &replicas[0],
+                    reverse_link,
+                    tracer.clone(),
+                );
+                (Box::new(engine), replicas, Some(backup))
+            }
+        };
+        // Primary-backup rides the hub's native multicast: ONE TxPort with
+        // every replica as a peer. Chain and quorum feed node 1 alone and
+        // move packets on over the fabric.
+        let mut port = TxPort::new_traced(
+            &costs,
+            Rc::clone(&link),
+            Rc::clone(&replicas[0]),
+            tracer.clone(),
+            TRACK_PRIMARY,
+        );
+        if fanout {
+            for replica in &replicas[1..] {
+                port.add_peer(Rc::clone(replica));
             }
         }
+        let tap = (!fanout).then(|| {
+            let recorder: PacketTap = Rc::new(RefCell::new(Vec::new()));
+            port.set_tap(Rc::clone(&recorder));
+            // The acknowledgement waits ride the 2-safe path: every commit
+            // is on node 1 before the chain/quorum ack wait even starts.
+            machine.set_durability(Durability::TwoSafe);
+            recorder
+        });
+        machine.attach_port(port);
+        for region in engine.replicated_regions() {
+            machine.replicate(region);
+        }
+        let downstream = if fanout {
+            Vec::new()
+        } else {
+            (2..rf).map(|_| DownstreamNode::default()).collect()
+        };
         ReplicaSet {
             topology,
-            costs: costs.clone(),
-            tracer,
-            head,
+            scheme,
             fabric: Fabric::new(&costs),
+            tracer,
+            machine,
+            engine,
+            link,
+            replicas,
+            backup,
             tap,
             head_inflight: VecDeque::new(),
             downstream,
             node1_received: 0,
             degraded_commits: 0,
-            commit_instants: Vec::new(),
-            visibility: Vec::new(),
+            history: Some(ReadHistory::default()),
             read_rotation: 0,
         }
+    }
+
+    /// Drops the read path's per-transaction history: a set that serves
+    /// no reads then keeps no per-transaction state.
+    pub(crate) fn without_history(mut self) -> Self {
+        self.history = None;
+        self
     }
 
     /// The cluster shape.
@@ -336,25 +484,32 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         self.topology
     }
 
-    /// The engine version this set runs.
-    pub fn version(&self) -> VersionTag {
-        self.head.version()
-    }
-
     /// The head (primary) engine.
     pub fn engine(&self) -> &dyn Engine<T> {
-        self.head.engine()
+        self.engine.as_ref()
+    }
+
+    /// The database region transactions operate on.
+    pub fn db_region(&self) -> Region {
+        self.engine.db_region()
     }
 
     /// The head machine.
     pub fn machine(&self) -> &Machine<T> {
-        self.head.machine()
+        &self.machine
     }
 
     /// Mutable access to the head machine (initial load pokes, fault
     /// budgets).
     pub fn machine_mut(&mut self) -> &mut Machine<T> {
-        self.head.machine_mut()
+        &mut self.machine
+    }
+
+    /// Selects 1-safe or 2-safe commits toward node 1. Pairs start
+    /// 1-safe, like the paper's measurements; chain and quorum heads start
+    /// 2-safe, which their acknowledgement waits build on.
+    pub fn set_durability(&mut self, durability: Durability) {
+        self.machine.set_durability(durability);
     }
 
     /// The arena of replica `node` (1-based; node 0 is the head).
@@ -364,12 +519,73 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// Panics if `node` is 0 or ≥ RF.
     pub fn replica_arena(&self, node: u8) -> &Rc<RefCell<Arena>> {
         assert!(node >= 1 && node < self.topology.rf(), "replica {node}");
-        match self.topology.strategy() {
-            // Primary-backup keeps every multicast target in the head.
-            ReplicationStrategy::PrimaryBackup => &self.head.backup_arenas()[usize::from(node) - 1],
-            _ if node == 1 => self.head.backup_arena(),
-            _ => &self.downstream[usize::from(node) - 2].arena,
+        &self.replicas[usize::from(node) - 1]
+    }
+
+    /// Node 1's arena: the pair's backup (for oracles and assertions).
+    pub fn backup_arena(&self) -> &Rc<RefCell<Arena>> {
+        &self.replicas[0]
+    }
+
+    /// Every replica's arena, nodes `1..rf` in order.
+    pub fn backup_arenas(&self) -> &[Rc<RefCell<Arena>>] {
+        &self.replicas
+    }
+
+    /// After the initial load (pokes to the primary arena), re-synchronizes
+    /// every replica arena. Call before the measured run.
+    pub fn resync_backup(&mut self) {
+        for replica in &self.replicas {
+            *replica.borrow_mut() = self.machine.arena().borrow().clone();
         }
+    }
+
+    /// Re-synchronizes the backup **through the SAN**, charging full cost:
+    /// every replicated region is streamed in sequential chunks (full-size
+    /// packets). This is what bringing a rebooted node back up to date
+    /// costs; returns the virtual time it took and the bytes shipped.
+    ///
+    /// Contrast with [`ReplicaSet::resync_backup`], which models an
+    /// out-of-band initial copy at zero cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault budget halts the primary.
+    pub fn accounted_resync(&mut self) -> (VirtualDuration, u64) {
+        let start = self.machine.now();
+        let mut shipped = 0u64;
+        let mut chunk = vec![0u8; 4096];
+        for region in self.engine.replicated_regions() {
+            let mut off = 0u64;
+            while off < region.len() {
+                let n = (region.len() - off).min(chunk.len() as u64) as usize;
+                self.machine.read(region.start() + off, &mut chunk[..n]);
+                self.machine
+                    .write(region.start() + off, &chunk[..n], TrafficClass::Undo)
+                    .expect(UNARMED);
+                shipped += n as u64;
+                off += n as u64;
+            }
+        }
+        self.machine.quiesce().expect(UNARMED);
+        (self.machine.now().duration_since(start), shipped)
+    }
+
+    /// Committed transactions node 1's CPU has applied from the redo
+    /// ring; `None` for passive shipping, whose backup CPU idles.
+    pub fn ring_applied_seq(&self) -> Option<u64> {
+        self.backup
+            .as_ref()
+            .map(|backup| backup.borrow().reader.applied_seq())
+    }
+
+    /// Execution counters of node 1's CPU (clock, stall attribution,
+    /// cache) — the backup-side half of the stall breakdown; `None` for
+    /// passive shipping, whose backup CPU idles.
+    pub fn backup_stats(&self) -> Option<MachineStats> {
+        self.backup
+            .as_ref()
+            .map(|backup| backup.borrow().machine.stats())
     }
 
     /// Packets delivered to replica `node` so far. For primary-backup
@@ -382,7 +598,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     pub fn received_by(&self, node: u8) -> u64 {
         assert!(node >= 1 && node < self.topology.rf(), "replica {node}");
         match self.topology.strategy() {
-            ReplicationStrategy::PrimaryBackup => self.head.machine().packets_emitted(),
+            ReplicationStrategy::PrimaryBackup => self.machine.packets_emitted(),
             _ if node == 1 => self.node1_received,
             _ => self.downstream[usize::from(node) - 2].received,
         }
@@ -407,10 +623,10 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         self.fabric.partition_drop_after(from, to, n);
     }
 
-    /// Aggregate SAN traffic: the head's write-doubling link plus every
+    /// Aggregate SAN traffic: the head's shipping link plus every
     /// materialized fabric link (forward hops, fan-out, acks).
     pub fn traffic(&self) -> Traffic {
-        let mut total = self.head.traffic();
+        let mut total = self.head_traffic();
         for (_, link) in self.fabric.pairs() {
             total.merge(link.borrow().traffic());
         }
@@ -418,7 +634,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     /// Per-pair traffic on the fabric links, in deterministic pair order.
-    /// The head's `0→1` write-doubling leg is reported by
+    /// The head's `0→1` shipping leg is reported by
     /// [`ReplicaSet::head_traffic`], not here.
     pub fn fabric_traffic(&self) -> Vec<((u8, u8), Traffic)> {
         self.fabric
@@ -427,9 +643,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             .collect()
     }
 
-    /// Traffic on the head's accounted write-doubling link alone.
+    /// Traffic on the head's accounted shipping link alone.
     pub fn head_traffic(&self) -> Traffic {
-        self.head.traffic()
+        self.link.borrow().traffic().clone()
     }
 
     /// Runs one transaction on the head, then settles the strategy's
@@ -454,23 +670,25 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// replication is not settled then. Any other error is an engine
     /// sizing bug.
     pub fn try_run_txn(&mut self, workload: &mut dyn Workload<T>) -> Result<(), TxError> {
-        self.head.try_run_txn(workload)?;
+        workload.run_txn(&mut TxCtx::new(&mut self.machine, self.engine.as_mut()))?;
         let visible = self.settle_txn();
-        self.commit_instants.push(self.head.machine().now());
-        self.visibility.push(TxnVisibility { visible });
+        if let Some(history) = &mut self.history {
+            history.commit_instants.push(self.machine.now());
+            history.visibility.push(TxnVisibility { visible });
+        }
         Ok(())
     }
 
     /// Runs `txns` transactions and reports head throughput (inclusive of
     /// acknowledgement stalls).
     pub fn run(&mut self, workload: &mut dyn Workload<T>, txns: u64) -> ThroughputReport {
-        let start = self.head.machine().now();
+        let start = self.machine.now();
         for _ in 0..txns {
             self.run_txn(workload);
         }
         ThroughputReport {
             txns,
-            elapsed: self.head.machine().now().duration_since(start),
+            elapsed: self.machine.now().duration_since(start),
         }
     }
 
@@ -484,6 +702,13 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             ReplicationStrategy::PrimaryBackup => Vec::new(),
             ReplicationStrategy::Chain => self.settle_chain_txn(),
             ReplicationStrategy::Quorum { write, .. } => self.settle_quorum_txn(write),
+        }
+    }
+
+    /// Applies every downstream packet delivered by `t`.
+    fn apply_downstream(&mut self, t: VirtualInstant) {
+        for (node, arena) in self.downstream.iter_mut().zip(&self.replicas[1..]) {
+            node.apply_up_to(arena, t);
         }
     }
 
@@ -584,13 +809,11 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     fn settle_chain_txn(&mut self) -> Vec<Option<VirtualInstant>> {
-        let now = self.head.machine().now();
+        let now = self.machine.now();
         // 2-safe commits mean every packet of the transaction has been
         // delivered to node 1 by now; forward the lot down the chain.
         let summary = self.forward_up_to(now);
-        for node in &mut self.downstream {
-            node.apply_up_to(now);
-        }
+        self.apply_downstream(now);
         let visible = self.settled_visibility(Some(now));
         if summary.packets == 0 {
             return visible;
@@ -614,9 +837,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             Some(t) => {
                 self.fabric
                     .trace_packet(&self.tracer, u32::from(tail), t, NO_TXN, ack_payload());
-                self.head
-                    .machine_mut()
-                    .stall_until(StallCause::TwoSafe, t.delivered);
+                self.machine.stall_until(StallCause::TwoSafe, t.delivered);
             }
             None => self.degraded_commits += 1,
         }
@@ -624,11 +845,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     fn settle_quorum_txn(&mut self, write: u8) -> Vec<Option<VirtualInstant>> {
-        let now = self.head.machine().now();
+        let now = self.machine.now();
         let summary = self.forward_up_to(now);
-        for node in &mut self.downstream {
-            node.apply_up_to(now);
-        }
+        self.apply_downstream(now);
         // In settlement (as opposed to a crash cut) the 2-safe wait means
         // every packet's node-1 DMA has landed; a transaction with no
         // packets is trivially everywhere.
@@ -685,16 +904,25 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 None => return visible,
             }
         };
-        self.head
-            .machine_mut()
-            .stall_until(StallCause::TwoSafe, wait_to);
+        self.machine.stall_until(StallCause::TwoSafe, wait_to);
         visible
+    }
+
+    fn history(&self) -> &ReadHistory {
+        self.history.as_ref().expect(
+            "a pair set keeps no read history; build one with ReplicaSet::new to serve reads",
+        )
     }
 
     /// Transactions committed at or before `at` — the coordinator's view,
     /// the yardstick read staleness is measured against.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a set that keeps no read history: [`ReplicaSet::pair`]
+    /// and the pair facades.
     pub fn committed_at(&self, at: VirtualInstant) -> u64 {
-        self.commit_instants.partition_point(|&t| t <= at) as u64
+        self.history().commit_instants.partition_point(|&t| t <= at) as u64
     }
 
     /// The committed prefix replica `node` (1-based) held at `at`: the
@@ -703,7 +931,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     fn visible_prefix(&self, node: u8, at: VirtualInstant) -> u64 {
         let idx = usize::from(node) - 1;
         let mut prefix = 0u64;
-        for txn in &self.visibility {
+        for txn in &self.history().visibility {
             match txn.visible.get(idx) {
                 Some(Some(v)) if *v <= at => prefix += 1,
                 _ => break,
@@ -729,9 +957,14 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// The sample's `staleness` compares the observed prefix against the
     /// coordinator's committed count at `at`. The serving node's
     /// [`Phase::Read`] span and staleness counters go to the tracer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a set that keeps no read history: [`ReplicaSet::pair`]
+    /// and the pair facades.
     pub fn serve_read(&mut self, at: VirtualInstant) -> ReadSample {
         let rf = self.topology.rf();
-        let service = self.costs.cache_miss;
+        let service = self.machine.costs().cache_miss;
         let sample = match self.topology.strategy() {
             ReplicationStrategy::PrimaryBackup => {
                 let seq = self.committed_at(at);
@@ -821,14 +1054,20 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     /// Gracefully quiesces the whole set: flushes and delivers the head's
-    /// SAN traffic, then drains every chain hop and fan-out link so all
-    /// RF−1 replicas converge on the committed image.
+    /// SAN traffic, lets an active backup apply all of it, then drains
+    /// every chain hop and fan-out link so all RF−1 replicas converge on
+    /// the committed image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault budget halts the head or the backup.
     pub fn quiesce(&mut self) {
-        self.head.quiesce();
-        self.forward_up_to(VirtualInstant::from_picos(u64::MAX));
-        for node in &mut self.downstream {
-            node.apply_all();
+        self.machine.quiesce().expect(UNARMED);
+        if let Some(backup) = &self.backup {
+            backup.borrow_mut().sync(&mut self.machine).expect(UNARMED);
         }
+        self.forward_up_to(VirtualInstant::from_picos(u64::MAX));
+        self.apply_downstream(VirtualInstant::from_picos(u64::MAX));
     }
 
     /// Crashes the head *now* and promotes a successor per the strategy:
@@ -838,72 +1077,90 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// Packets the head's adapter had fully serialized before the crash
     /// are still delivered (the switch owns them); node 1 additionally
     /// loses in-flight DMAs, exactly like the two-node pair.
-    pub fn begin_takeover(mut self) -> ReplicaTakeover<T> {
-        let crashed_at = self.head.machine().now();
-        // Settle the fabric at the crash instant.
+    pub fn begin_takeover(self) -> ReplicaTakeover<T> {
+        self.take_over(None)
+    }
+
+    /// As [`ReplicaSet::begin_takeover`], promoting replica `successor`
+    /// (1-based) whatever the strategy would pick: under primary-backup
+    /// every backup received the same multicast, so any can take over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `successor` is 0 or ≥ RF.
+    pub fn begin_takeover_to(self, successor: u8) -> ReplicaTakeover<T> {
+        assert!(
+            successor >= 1 && successor < self.topology.rf(),
+            "replica {successor}"
+        );
+        self.take_over(Some(successor))
+    }
+
+    fn take_over(mut self, successor: Option<u8>) -> ReplicaTakeover<T> {
+        let crashed_at = self.machine.now();
+        // Settle the fabric at the crash instant. Survivor hops keep
+        // draining after the head is gone: whatever node 1 held
+        // propagates on.
         self.forward_up_to(crashed_at);
         self.head_inflight.clear();
-        let successor = match self.topology.strategy() {
-            ReplicationStrategy::PrimaryBackup | ReplicationStrategy::Chain => {
-                // Survivor hops keep draining after the head is gone:
-                // whatever node 1 held propagates on.
-                for node in &mut self.downstream {
-                    node.apply_all();
-                }
-                NodeId::new(1)
+        self.apply_downstream(VirtualInstant::from_picos(u64::MAX));
+        let successor = successor.unwrap_or_else(|| self.default_successor());
+        let index = usize::from(successor) - 1;
+        // A primary-backup crash names the multicast target promoted; the
+        // head of a chain or quorum feeds node 1 alone.
+        let fanout = matches!(self.topology.strategy(), ReplicationStrategy::PrimaryBackup);
+        self.machine.trace_event(
+            TraceEventKind::PrimaryCrash,
+            if fanout { index as u64 } else { 0 },
+        );
+        self.machine.crash();
+        let takeover = match self.backup {
+            Some(backup) => {
+                // The redo engine holds the only other handle to node 1's
+                // CPU; drop it first.
+                drop(self.engine);
+                let BackupNode { machine, reader } = Rc::try_unwrap(backup)
+                    .expect("the engine held the only other handle and was just dropped")
+                    .into_inner();
+                Takeover::drain(machine, crashed_at, reader)
             }
-            ReplicationStrategy::Quorum { .. } => {
-                for node in &mut self.downstream {
-                    node.apply_all();
-                }
-                // Promote the replica holding the most packets; node 1
-                // wins ties (seniority order).
-                let mut best = NodeId::new(1);
-                let mut best_count = self.node1_received;
-                for j in 2..self.topology.rf() {
-                    let count = self.downstream[usize::from(j) - 2].received;
-                    if count > best_count {
-                        best = NodeId::new(j);
-                        best_count = count;
-                    }
-                }
-                best
-            }
-        };
-        if successor == NodeId::new(1) {
-            ReplicaTakeover {
-                successor,
-                crashed_at,
-                takeover: self.head.begin_takeover(0),
-            }
-        } else {
-            let node = &self.downstream[usize::from(successor.as_u8()) - 2];
-            let at = crashed_at.max(node.last_delivery);
-            let version = self.head.version();
-            // The head still crashes (its packets past the cut are lost);
-            // consuming it here drops the machine after the cut.
-            let arena = Rc::clone(&node.arena);
-            drop(self.head.begin_takeover(0));
-            ReplicaTakeover {
-                successor,
-                crashed_at,
-                takeover: Takeover::resume(
-                    version,
-                    self.costs.clone(),
-                    arena,
+            None => {
+                // A downstream successor first receives what the switch
+                // still had in flight to it.
+                let at = index
+                    .checked_sub(1)
+                    .and_then(|d| self.downstream.get(d))
+                    .map_or(crashed_at, |node| crashed_at.max(node.last_delivery));
+                Takeover::resume(
+                    self.scheme,
+                    self.machine.costs().clone(),
+                    Rc::clone(&self.replicas[index]),
                     self.tracer.clone(),
                     at,
-                ),
+                )
             }
+        };
+        ReplicaTakeover {
+            successor: NodeId::new(successor),
+            crashed_at,
+            takeover,
         }
     }
 
-    /// Crashes the head and runs the successor's recovery to completion —
-    /// the one-shot composition of [`ReplicaSet::begin_takeover`] and
-    /// [`Takeover::recover`].
-    pub fn crash_head(self) -> (NodeId, crate::passive::Failover<T>) {
-        let t = self.begin_takeover();
-        (t.successor, t.takeover.recover())
+    /// The strategy's successor: node 1, or for quorum the replica holding
+    /// the most packets (node 1 wins ties, in seniority order).
+    fn default_successor(&self) -> u8 {
+        let mut best = 1;
+        if let ReplicationStrategy::Quorum { .. } = self.topology.strategy() {
+            let mut best_count = self.node1_received;
+            for (j, node) in (2..).zip(&self.downstream) {
+                if node.received > best_count {
+                    best = j;
+                    best_count = node.received;
+                }
+            }
+        }
+        best
     }
 }
 

@@ -19,55 +19,17 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dsnrep_core::{EngineConfig, VersionTag};
+use dsnrep_cluster::Topology;
+use dsnrep_core::EngineConfig;
 use dsnrep_mcsim::{Link, Traffic};
+use dsnrep_obs::NullTracer;
 use dsnrep_simcore::{CostModel, NodeId, Scheduler, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{Workload, WorkloadKind};
 
-use crate::active::ActiveCluster;
-use crate::passive::PassiveCluster;
-
-/// Which replication scheme each stream runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Scheme {
-    /// Passive backup with the given engine version.
-    Passive(VersionTag),
-    /// Active backup (redo ring, Version 3 locally).
-    Active,
-}
-
-impl core::fmt::Display for Scheme {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Scheme::Passive(v) => write!(f, "Passive {v}"),
-            Scheme::Active => f.write_str("Active"),
-        }
-    }
-}
-
-enum StreamCluster {
-    Passive(PassiveCluster),
-    Active(ActiveCluster),
-}
-
-impl StreamCluster {
-    fn now(&self) -> VirtualInstant {
-        match self {
-            StreamCluster::Passive(c) => c.machine().now(),
-            StreamCluster::Active(c) => c.machine().now(),
-        }
-    }
-
-    fn run_txn(&mut self, workload: &mut dyn Workload) {
-        match self {
-            StreamCluster::Passive(c) => c.run_txn(workload),
-            StreamCluster::Active(c) => c.run_txn(workload),
-        }
-    }
-}
+use crate::replica_set::{ReplicaSet, Scheme};
 
 struct Stream {
-    cluster: StreamCluster,
+    set: ReplicaSet,
     workload: Box<dyn Workload>,
     done: u64,
 }
@@ -128,8 +90,10 @@ impl core::fmt::Debug for SmpExperiment {
 
 impl SmpExperiment {
     /// Builds `count` independent streams of `scheme` x `kind`, all sharing
-    /// one link. Each stream has its own database (`config.db_len` bytes;
-    /// the paper uses 10 MB per stream).
+    /// one link. Each stream is a pair [`ReplicaSet`] with its own database
+    /// (`config.db_len` bytes; the paper uses 10 MB per stream); active
+    /// streams share one reverse link too, as they share one backup
+    /// adapter.
     ///
     /// # Panics
     ///
@@ -146,36 +110,21 @@ impl SmpExperiment {
         let reverse_link = Rc::new(RefCell::new(Link::new(&costs)));
         let streams = (0..count)
             .map(|i| {
-                let seed = 0xD5E1_0000 + i as u64;
-                match scheme {
-                    Scheme::Passive(version) => {
-                        let cluster = PassiveCluster::with_link(
-                            costs.clone(),
-                            version,
-                            config,
-                            Rc::clone(&link),
-                        );
-                        let workload = kind.build(cluster.engine().db_region(), seed);
-                        Stream {
-                            cluster: StreamCluster::Passive(cluster),
-                            workload,
-                            done: 0,
-                        }
-                    }
-                    Scheme::Active => {
-                        let cluster = ActiveCluster::with_links(
-                            costs.clone(),
-                            config,
-                            Rc::clone(&link),
-                            Rc::clone(&reverse_link),
-                        );
-                        let workload = kind.build(cluster.db_region(), seed);
-                        Stream {
-                            cluster: StreamCluster::Active(cluster),
-                            workload,
-                            done: 0,
-                        }
-                    }
+                let set = ReplicaSet::build(
+                    costs.clone(),
+                    scheme,
+                    config,
+                    Topology::pair(),
+                    Rc::clone(&link),
+                    Some(Rc::clone(&reverse_link)),
+                    NullTracer,
+                )
+                .without_history();
+                let workload = kind.build(set.db_region(), 0xD5E1_0000 + i as u64);
+                Stream {
+                    set,
+                    workload,
+                    done: 0,
                 }
             })
             .collect();
@@ -185,7 +134,8 @@ impl SmpExperiment {
     /// Runs every stream to `txns_per_stream` transactions, interleaving in
     /// minimum-virtual-time order.
     pub fn run(&mut self, txns_per_stream: u64) -> SmpReport {
-        let start: Vec<VirtualInstant> = self.streams.iter().map(|s| s.cluster.now()).collect();
+        let start: Vec<VirtualInstant> =
+            self.streams.iter().map(|s| s.set.machine().now()).collect();
         // One scheduler node per stream, one pending event per unfinished
         // stream ("run the next transaction", rescheduled at the stream's
         // new clock after each dispatch). The default identity tie-break
@@ -201,22 +151,22 @@ impl SmpExperiment {
         let mut sched = Scheduler::new(self.streams.len());
         if txns_per_stream > 0 {
             for (i, s) in self.streams.iter().enumerate() {
-                sched.schedule(NodeId::new(i as u32), s.cluster.now(), 0);
+                sched.schedule(NodeId::new(i as u32), s.set.machine().now(), 0);
             }
         }
         while let Some(ev) = sched.dispatch() {
             let s = &mut self.streams[ev.node.index()];
-            s.cluster.run_txn(s.workload.as_mut());
+            s.set.run_txn(s.workload.as_mut());
             s.done += 1;
             if s.done < txns_per_stream {
-                sched.schedule(ev.node, s.cluster.now(), 0);
+                sched.schedule(ev.node, s.set.machine().now(), 0);
             }
         }
         let makespan = self
             .streams
             .iter()
             .zip(&start)
-            .map(|(s, &t0)| s.cluster.now().duration_since(t0))
+            .map(|(s, &t0)| s.set.machine().now().duration_since(t0))
             .max()
             .unwrap_or(VirtualDuration::ZERO);
         SmpReport {

@@ -181,7 +181,7 @@ fn active_failover_after_settle_loses_nothing() {
         let mut workload = kind.build(cluster.db_region(), 31);
         let ran = 250u64;
         cluster.run(workload.as_mut(), ran);
-        cluster.settle();
+        cluster.quiesce();
         assert_eq!(cluster.backup_applied_seq(), ran, "{kind}");
         let failover = cluster.crash_primary().expect("backup arena is formatted");
         assert_eq!(failover.report.committed_seq, ran, "{kind}");
@@ -220,6 +220,6 @@ fn ring_flow_control_blocks_until_backup_catches_up() {
     let mut workload = WorkloadKind::DebitCredit.build(cluster.db_region(), 5);
     let report = cluster.run(workload.as_mut(), 500);
     assert_eq!(report.txns, 500);
-    cluster.settle();
+    cluster.quiesce();
     assert_eq!(cluster.backup_applied_seq(), 500);
 }

@@ -1,18 +1,25 @@
 //! Multi-backup passive replication over Memory Channel multicast.
 
+use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
-use dsnrep_mcsim::Link;
-use dsnrep_repl::PassiveCluster;
+use dsnrep_repl::{PassiveCluster, ReplicaSet};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::{TxCtx, WorkloadKind};
-use std::cell::RefCell;
-use std::rc::Rc;
 
-fn three_replica_cluster(version: VersionTag) -> PassiveCluster {
-    let costs = CostModel::alpha_21164a();
-    let link = Rc::new(RefCell::new(Link::new(&costs)));
-    let config = EngineConfig::for_db(MIB);
-    PassiveCluster::with_link_and_backups(costs, version, &config, link, 3)
+/// A primary-backup set with `backups` passive backups.
+fn backups_cluster(version: VersionTag, backups: u8) -> ReplicaSet {
+    let topology = Topology::new(backups + 1, ReplicationStrategy::PrimaryBackup)
+        .expect("a valid primary-backup shape");
+    ReplicaSet::new(
+        CostModel::alpha_21164a(),
+        version,
+        &EngineConfig::for_db(MIB),
+        topology,
+    )
+}
+
+fn three_replica_cluster(version: VersionTag) -> ReplicaSet {
+    backups_cluster(version, 3)
 }
 
 #[test]
@@ -41,20 +48,11 @@ fn all_backups_receive_identical_state() {
 fn multicast_costs_the_same_as_unicast() {
     // One packet reaches every receiver: link traffic and throughput must
     // not depend on the backup count.
-    let tps_and_bytes = |backups: usize| {
-        let costs = CostModel::alpha_21164a();
-        let link = Rc::new(RefCell::new(Link::new(&costs)));
-        let config = EngineConfig::for_db(MIB);
-        let mut cluster = PassiveCluster::with_link_and_backups(
-            costs,
-            VersionTag::ImprovedLog,
-            &config,
-            Rc::clone(&link),
-            backups,
-        );
+    let tps_and_bytes = |backups: u8| {
+        let mut cluster = backups_cluster(VersionTag::ImprovedLog, backups);
         let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 3);
         let report = cluster.run(workload.as_mut(), 500);
-        let bytes = link.borrow().traffic().total_bytes();
+        let bytes = cluster.head_traffic().total_bytes();
         (report.elapsed, bytes)
     };
     assert_eq!(tps_and_bytes(1), tps_and_bytes(3));
@@ -62,11 +60,11 @@ fn multicast_costs_the_same_as_unicast() {
 
 #[test]
 fn any_backup_can_take_over() {
-    for index in 0..3usize {
+    for index in 0..3u8 {
         let mut cluster = three_replica_cluster(VersionTag::ImprovedLog);
         let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 9);
         cluster.run(workload.as_mut(), 200);
-        let mut failover = cluster.crash_primary_to(index);
+        let mut failover = cluster.begin_takeover_to(index + 1).takeover.recover();
         assert!(failover.report.committed_seq <= 200);
         assert!(
             failover.report.committed_seq >= 150,
@@ -88,7 +86,7 @@ fn cascading_failover_survives_two_crashes() {
     let mut cluster = three_replica_cluster(VersionTag::ImprovedLog);
     let mut workload = WorkloadKind::DebitCredit.build(cluster.engine().db_region(), 15);
     cluster.run(workload.as_mut(), 200);
-    let failover = cluster.crash_primary_to(0);
+    let failover = cluster.begin_takeover_to(1).takeover.recover();
     let seq_after_first = failover.report.committed_seq;
 
     // The promoted node re-replicates to the surviving replica by running

@@ -141,7 +141,8 @@ fn chain_crash_promotes_node1_with_every_commit() {
     );
     let mut w = DebitCredit::new(set.engine().db_region(), 13);
     set.run(&mut w, 80);
-    let (successor, failover) = set.crash_head();
+    let takeover = set.begin_takeover();
+    let (successor, failover) = (takeover.successor, takeover.takeover.recover());
     assert_eq!(successor, NodeId::new(1));
     // Chain commits are 2-safe to node 1: nothing committed is lost.
     assert!(
@@ -164,7 +165,8 @@ fn quorum_rf3_commits_wait_for_w_and_recover_everything() {
     let mut w = DebitCredit::new(set.engine().db_region(), 17);
     set.run(&mut w, 80);
     assert_eq!(set.degraded_commits(), 0);
-    let (successor, failover) = set.crash_head();
+    let takeover = set.begin_takeover();
+    let (successor, failover) = (takeover.successor, takeover.takeover.recover());
     assert_eq!(successor, NodeId::new(1));
     assert!(
         failover.report.committed_seq >= 80,
@@ -190,7 +192,8 @@ fn quorum_partition_drop_degrades_commits_but_loses_nothing() {
     set.run(&mut w, 40);
     assert_eq!(set.degraded_commits(), 40);
     assert_eq!(set.received_by(2), 0);
-    let (successor, failover) = set.crash_head();
+    let takeover = set.begin_takeover();
+    let (successor, failover) = (takeover.successor, takeover.takeover.recover());
     // Node 2 is a hole-ridden copy; node 1 holds everything and wins.
     assert_eq!(successor, NodeId::new(1));
     assert!(failover.report.committed_seq >= 40);
@@ -240,7 +243,8 @@ fn chain_hop_drop_leaves_tail_behind_but_node1_whole() {
     set.run(&mut w, 60);
     assert!(set.degraded_commits() > 0);
     assert!(set.received_by(2) < set.received_by(1));
-    let (successor, failover) = set.crash_head();
+    let takeover = set.begin_takeover();
+    let (successor, failover) = (takeover.successor, takeover.takeover.recover());
     assert_eq!(successor, NodeId::new(1));
     assert!(failover.report.committed_seq >= 60);
 }

@@ -54,8 +54,8 @@ impl CacheOutcome {
 pub struct DirectMappedCache {
     /// Tag per line, in chunks of [`CHUNK_LINES`] lines created on first
     /// touch: a missing chunk holds only invalid lines, so building the
-    /// 8 MB board cache allocates no tags and a flush resets only the
-    /// chunks that exist. A cache of fewer lines is one chunk whose tail
+    /// 8 MB board cache allocates no tags and a flush frees the chunks
+    /// instead of resetting them. A cache of fewer lines is one chunk whose tail
     /// is never indexed. A tag is the full line number; `u32::MAX` marks
     /// an invalid line. 32-bit tags halve the host footprint of the tag
     /// arrays — which a many-node cell multiplies by machine count — and
@@ -234,9 +234,7 @@ impl DirectMappedCache {
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
     pub fn flush(&mut self) {
-        for tags in self.chunks.iter_mut().flatten() {
-            tags.fill(INVALID);
-        }
+        self.chunks.fill(None);
         self.total = CacheOutcome::default();
         self.occupied = 0;
     }
@@ -414,7 +412,10 @@ mod tests {
         c.touch(Addr::new(3 << 20), 8);
         assert_eq!(c.chunks.iter().flatten().count(), 2);
         c.flush();
-        assert_eq!(c.chunks.iter().flatten().count(), 2);
+        assert!(
+            c.chunks.iter().all(Option::is_none),
+            "a flush frees every chunk"
+        );
         assert_eq!(c.occupied_lines(), 0);
         assert!(c.flat_tags().iter().all(|&t| t == INVALID));
     }

@@ -519,13 +519,6 @@ impl<T: Tracer> Machine<T> {
         self.load(addr, buf);
     }
 
-    /// An accounted load into a fresh vector.
-    pub fn read_vec(&mut self, addr: Addr, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.read(addr, &mut v);
-        v
-    }
-
     /// Accounted `u64` store.
     ///
     /// # Errors
@@ -709,18 +702,21 @@ mod tests {
     fn write_then_read_round_trips() -> Result<(), Halted> {
         let mut m = standalone();
         m.write(Addr::new(128), b"abc", TrafficClass::Modified)?;
-        assert_eq!(m.read_vec(Addr::new(128), 3), b"abc");
+        let mut buf = [0u8; 3];
+        m.read(Addr::new(128), &mut buf);
+        assert_eq!(&buf, b"abc");
         Ok(())
     }
 
     #[test]
     fn cache_makes_second_access_cheaper() {
         let mut m = standalone();
+        let mut buf = [0u8; 64];
         let t0 = m.now();
-        m.read_vec(Addr::new(0), 64);
+        m.read(Addr::new(0), &mut buf);
         let cold = m.now().duration_since(t0);
         let t1 = m.now();
-        m.read_vec(Addr::new(0), 64);
+        m.read(Addr::new(0), &mut buf);
         let warm = m.now().duration_since(t1);
         assert!(cold > warm, "cold {cold} vs warm {warm}");
     }

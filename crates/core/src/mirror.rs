@@ -377,9 +377,8 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
             seq << 2 | PHASE_PROPAGATE,
             TrafficClass::Meta,
         )?;
-        let ranges: Vec<Region> = self.ranges.iter().collect();
-        for r in ranges {
-            self.propagate_range(m, r)?;
+        for i in 0..self.ranges.len() {
+            self.propagate_range(m, self.ranges.get(i))?;
         }
         // All mirror writes precede the sequence flag on the wire, and the
         // flag precedes the next transaction's data.
@@ -406,10 +405,9 @@ impl<T: Tracer> Engine<T> for MirrorEngine {
         let t0 = m.now();
         m.charge(m.costs().txn_abort);
         let seq = m.read_u64(self.seq_addr());
-        let ranges: Vec<Region> = self.ranges.iter().collect();
         // Newest-first so the oldest (pre-transaction) data wins on overlap.
-        for r in ranges.into_iter().rev() {
-            self.restore_range(m, r)?;
+        for i in (0..self.ranges.len()).rev() {
+            self.restore_range(m, self.ranges.get(i))?;
         }
         m.write_u64(self.phase_addr(), seq << 2 | PHASE_IDLE, TrafficClass::Meta)?;
         m.write_u64(self.count_addr(), 0, TrafficClass::Meta)?;

@@ -63,8 +63,9 @@ impl TxRanges {
         self.ranges.pop();
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = Region> + '_ {
-        self.ranges.iter().copied()
+    /// The `i`-th range declared, in declaration order.
+    pub(crate) fn get(&self, i: usize) -> Region {
+        self.ranges[i]
     }
 
     pub(crate) fn len(&self) -> usize {

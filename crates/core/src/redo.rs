@@ -45,7 +45,11 @@ pub struct RedoWriter {
     db: Region,
     cap: u64,
     prod: u64,
-    staged: Vec<(u64, Vec<u8>)>,
+    /// The staged records' payloads, back to back in staging order.
+    staged_bytes: Vec<u8>,
+    /// The staged records: `(database offset, start in staged_bytes,
+    /// length)`.
+    staged: Vec<(u64, usize, usize)>,
 }
 
 impl RedoWriter {
@@ -64,6 +68,7 @@ impl RedoWriter {
             db,
             cap: ring.len(),
             prod: 0,
+            staged_bytes: Vec::new(),
             staged: Vec::new(),
         }
     }
@@ -94,17 +99,20 @@ impl RedoWriter {
     /// it with the previous one when exactly adjacent.
     pub fn record_write(&mut self, base: Addr, bytes: &[u8]) {
         let off = base - self.db.start();
-        if let Some((last_off, last)) = self.staged.last_mut() {
-            if *last_off + last.len() as u64 == off {
-                last.extend_from_slice(bytes);
+        let start = self.staged_bytes.len();
+        self.staged_bytes.extend_from_slice(bytes);
+        if let Some((last_off, _, last_len)) = self.staged.last_mut() {
+            if *last_off + *last_len as u64 == off {
+                *last_len += bytes.len();
                 return;
             }
         }
-        self.staged.push((off, bytes.to_vec()));
+        self.staged.push((off, start, bytes.len()));
     }
 
     /// Discards the staged writes (abort).
     pub fn discard(&mut self) {
+        self.staged_bytes.clear();
         self.staged.clear();
     }
 
@@ -117,8 +125,8 @@ impl RedoWriter {
     /// marker + any wrap padding), given the current producer position.
     pub fn bytes_needed(&self) -> u64 {
         let mut pos = self.prod;
-        for (_, data) in &self.staged {
-            let size = rec_size(data.len() as u64);
+        for &(_, _, len) in &self.staged {
+            let size = rec_size(len as u64);
             let contig = self.cap - (pos & (self.cap - 1));
             if size > contig {
                 pos += contig; // pad
@@ -157,8 +165,8 @@ impl RedoWriter {
         m: &mut Machine<T>,
         seq: u64,
     ) -> Result<(), TxError> {
-        for (_, data) in &self.staged {
-            let size = rec_size(data.len() as u64);
+        for &(_, _, len) in &self.staged {
+            let size = rec_size(len as u64);
             if size + HDR > self.cap {
                 return Err(TxError::RedoRecordTooLarge {
                     needed: size,
@@ -166,9 +174,9 @@ impl RedoWriter {
                 });
             }
         }
-        let staged = std::mem::take(&mut self.staged);
-        for (off, data) in &staged {
-            let size = rec_size(data.len() as u64);
+        for i in 0..self.staged.len() {
+            let (off, start, len) = self.staged[i];
+            let size = rec_size(len as u64);
             let contig = self.cap - (self.prod & (self.cap - 1));
             if size > contig {
                 self.write_pad(m, contig)?;
@@ -176,15 +184,20 @@ impl RedoWriter {
             let at = self.ring.start() + (self.prod & (self.cap - 1));
             let mut hdr = [0u8; 8];
             hdr[..4].copy_from_slice(
-                &u32::try_from(data.len() as u64)
+                &u32::try_from(len as u64)
                     .expect("record < 4 GB")
                     .to_le_bytes(),
             );
-            hdr[4..].copy_from_slice(&u32::try_from(*off).expect("db < 4 GB").to_le_bytes());
+            hdr[4..].copy_from_slice(&u32::try_from(off).expect("db < 4 GB").to_le_bytes());
             m.write(at, &hdr, TrafficClass::Meta)?;
-            m.write(at + HDR, data, TrafficClass::Modified)?;
+            m.write(
+                at + HDR,
+                &self.staged_bytes[start..start + len],
+                TrafficClass::Modified,
+            )?;
             self.prod += size;
         }
+        self.discard();
         let contig = self.cap - (self.prod & (self.cap - 1));
         if HDR > contig {
             self.write_pad(m, contig)?;

@@ -69,6 +69,8 @@ pub struct VistaEngine {
     heap_region: Region,
     heap: FreeListHeap,
     ranges: TxRanges,
+    /// Reused buffer for the undo bcopy of `set_range` and `abort`.
+    scratch: Vec<u8>,
 }
 
 impl VistaEngine {
@@ -106,6 +108,7 @@ impl VistaEngine {
             heap_region,
             heap,
             ranges: TxRanges::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -126,6 +129,7 @@ impl VistaEngine {
             heap_region,
             heap: FreeListHeap::attach(heap_region),
             ranges: TxRanges::default(),
+            scratch: Vec::new(),
         })
     }
 
@@ -231,11 +235,12 @@ impl<T: Tracer> Engine<T> for VistaEngine {
             }
         };
         // bcopy the current contents into the data area.
-        let data = m.read_vec(base, len as usize);
+        self.scratch.resize(len as usize, 0);
+        m.read(base, &mut self.scratch);
         m.charge(VirtualDuration::from_picos(
             m.costs().copy_per_byte.as_picos() * len,
         ));
-        m.write(area, &data, TrafficClass::Undo)?;
+        m.write(area, &self.scratch, TrafficClass::Undo)?;
         // Fill in the record, then publish it with a single head store.
         let seq = m.read_u64(self.seq_addr());
         let old_head = m.read_u64(self.head_addr());
@@ -308,11 +313,12 @@ impl<T: Tracer> Engine<T> for VistaEngine {
             let base = Addr::new(m.read_u64(rec + REC_BASE));
             let len = m.read_u64(rec + REC_LEN);
             let data = Addr::new(m.read_u64(rec + REC_DATA));
-            let bytes = m.read_vec(data, len as usize);
+            self.scratch.resize(len as usize, 0);
+            m.read(data, &mut self.scratch);
             m.charge(VirtualDuration::from_picos(
                 m.costs().copy_per_byte.as_picos() * len,
             ));
-            m.write(base, &bytes, TrafficClass::Modified)?;
+            m.write(base, &self.scratch, TrafficClass::Modified)?;
             m.charge(m.costs().heap_free * 2);
             let mut mem = m.meta_mem();
             self.heap.free(&mut mem, data)?;

@@ -191,22 +191,19 @@ impl DownstreamNode {
     }
 }
 
-/// One committed transaction's replica visibility: when each replica held
-/// the whole transaction (`visible[i]` is node `i + 1`; `None` means a
-/// partition hole left that copy permanently incomplete).
-#[derive(Clone, Debug)]
-struct TxnVisibility {
-    visible: Vec<Option<VirtualInstant>>,
-}
-
-/// What the read path consults: one entry per transaction run.
-#[derive(Debug, Default)]
+/// What the read path consults: one entry per transaction run in every
+/// vector.
+#[derive(Debug)]
 struct ReadHistory {
     /// Commit instant of every transaction run so far, in order (the
     /// coordinator's committed-prefix clock for staleness accounting).
     commit_instants: Vec<VirtualInstant>,
-    /// Per-transaction replica visibility, aligned with `commit_instants`.
-    visibility: Vec<TxnVisibility>,
+    /// Replica visibility, one column per replica: column `i` holds when
+    /// node `i + 1` held each transaction whole (`None`: a partition hole
+    /// left that copy permanently incomplete). Every column stays aligned
+    /// with `commit_instants`. Primary-backup keeps no column: its primary
+    /// serves every read.
+    visibility: Vec<Vec<Option<VirtualInstant>>>,
 }
 
 /// One served replica read: who answered, what committed prefix it
@@ -304,6 +301,9 @@ pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     /// facades, which serve no reads and may run millions of
     /// transactions.
     history: Option<ReadHistory>,
+    /// Quorum acknowledgement arrivals of the transaction being settled,
+    /// reused across transactions.
+    acks: Vec<VirtualInstant>,
     /// Quorum read-set rotation cursor.
     read_rotation: u64,
 }
@@ -467,7 +467,11 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             downstream,
             node1_received: 0,
             degraded_commits: 0,
-            history: Some(ReadHistory::default()),
+            history: Some(ReadHistory {
+                commit_instants: Vec::new(),
+                visibility: vec![Vec::new(); if fanout { 0 } else { usize::from(rf) - 1 }],
+            }),
+            acks: Vec::new(),
             read_rotation: 0,
         }
     }
@@ -671,10 +675,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// sizing bug.
     pub fn try_run_txn(&mut self, workload: &mut dyn Workload<T>) -> Result<(), TxError> {
         workload.run_txn(&mut TxCtx::new(&mut self.machine, self.engine.as_mut()))?;
-        let visible = self.settle_txn();
+        self.settle_txn();
         if let Some(history) = &mut self.history {
             history.commit_instants.push(self.machine.now());
-            history.visibility.push(TxnVisibility { visible });
         }
         Ok(())
     }
@@ -693,13 +696,13 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     }
 
     /// Post-transaction replication settlement (no-op for primary-backup:
-    /// the multicast already delivered inside the accounted path). Returns
+    /// the multicast already delivered inside the accounted path). Records
     /// when each replica held the whole transaction, for the read path's
-    /// staleness accounting (empty for primary-backup, whose reads are
+    /// staleness accounting (nothing for primary-backup, whose reads are
     /// always served by the primary).
-    fn settle_txn(&mut self) -> Vec<Option<VirtualInstant>> {
+    fn settle_txn(&mut self) {
         match self.topology.strategy() {
-            ReplicationStrategy::PrimaryBackup => Vec::new(),
+            ReplicationStrategy::PrimaryBackup => {}
             ReplicationStrategy::Chain => self.settle_chain_txn(),
             ReplicationStrategy::Quorum { write, .. } => self.settle_quorum_txn(write),
         }
@@ -791,45 +794,46 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         summary
     }
 
-    /// Replica visibility of the transaction settled at `now`: node 1
-    /// holds every 2-safe commit by its commit instant; a downstream node
+    /// Appends the settled transaction's replica visibility to the read
+    /// history's columns: node 1 holds it at `node1`; a downstream node
     /// holds it at its newest delivery, unless a drop left its copy
     /// permanently holed.
-    fn settled_visibility(&self, node1: Option<VirtualInstant>) -> Vec<Option<VirtualInstant>> {
-        let mut visible = Vec::with_capacity(usize::from(self.topology.rf()) - 1);
-        visible.push(node1);
-        for node in &self.downstream {
-            visible.push(if node.data_lost {
-                None
-            } else {
-                Some(node.last_delivery)
-            });
+    fn record_visibility(&mut self, node1: Option<VirtualInstant>) {
+        let Some(history) = &mut self.history else {
+            return;
+        };
+        let (first, rest) = history
+            .visibility
+            .split_first_mut()
+            .expect("a chain or quorum history keeps a column per replica");
+        first.push(node1);
+        for (column, node) in rest.iter_mut().zip(&self.downstream) {
+            column.push((!node.data_lost).then_some(node.last_delivery));
         }
-        visible
     }
 
-    fn settle_chain_txn(&mut self) -> Vec<Option<VirtualInstant>> {
+    fn settle_chain_txn(&mut self) {
         let now = self.machine.now();
         // 2-safe commits mean every packet of the transaction has been
         // delivered to node 1 by now; forward the lot down the chain.
         let summary = self.forward_up_to(now);
         self.apply_downstream(now);
-        let visible = self.settled_visibility(Some(now));
+        self.record_visibility(Some(now));
         if summary.packets == 0 {
-            return visible;
+            return;
         }
         let rf = self.topology.rf();
         if rf == 2 {
             // A two-node chain is the pair: node 1 *is* the tail and the
             // 2-safe wait already covered its acknowledgement.
-            return visible;
+            return;
         }
         if summary.tail_reached < summary.packets {
             // A hop dropped part of the transaction: the tail will never
             // hold all of it, so its acknowledgement never comes. The
             // head times out and proceeds on node 1's 2-safe copy.
             self.degraded_commits += 1;
-            return visible;
+            return;
         }
         let tail = rf - 1;
         let tail_has_all = self.downstream[usize::from(tail) - 2].last_delivery;
@@ -841,10 +845,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             }
             None => self.degraded_commits += 1,
         }
-        visible
     }
 
-    fn settle_quorum_txn(&mut self, write: u8) -> Vec<Option<VirtualInstant>> {
+    fn settle_quorum_txn(&mut self, write: u8) {
         let now = self.machine.now();
         let summary = self.forward_up_to(now);
         self.apply_downstream(now);
@@ -860,19 +863,19 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         } else {
             None
         };
-        let visible = self.settled_visibility(node1);
+        self.record_visibility(node1);
         if summary.packets == 0 {
-            return visible;
+            return;
         }
         let rf = self.topology.rf();
         // Collect the acknowledgement arrivals: each replica holding the
         // whole transaction acks from its last delivery instant.
-        let mut acks: Vec<VirtualInstant> = Vec::with_capacity(usize::from(rf) - 1);
+        self.acks.clear();
         if summary.node1_missed == 0 {
             if let Some(t) = self.fabric.send(1, 0, summary.node1_last, ack_payload()) {
                 self.fabric
                     .trace_packet(&self.tracer, 1, t, NO_TXN, ack_payload());
-                acks.push(t.delivered);
+                self.acks.push(t.delivered);
             }
         }
         for j in 2..rf {
@@ -884,28 +887,27 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             if let Some(t) = self.fabric.send(j, 0, ready, ack_payload()) {
                 self.fabric
                     .trace_packet(&self.tracer, u32::from(j), t, NO_TXN, ack_payload());
-                acks.push(t.delivered);
+                self.acks.push(t.delivered);
             }
         }
-        acks.sort_unstable();
+        self.acks.sort_unstable();
         // The head's own copy is the W-th member of the write quorum.
         let needed = usize::from(write) - 1;
-        let wait_to = if acks.len() >= needed {
+        let wait_to = if self.acks.len() >= needed {
             if needed == 0 {
-                return visible;
+                return;
             }
-            acks[needed - 1]
+            self.acks[needed - 1]
         } else {
             // Quorum unreachable: a coordinator timeout, modeled as
             // exhausting every acknowledgement that did arrive.
             self.degraded_commits += 1;
-            match acks.last() {
+            match self.acks.last() {
                 Some(&last) => last,
-                None => return visible,
+                None => return,
             }
         };
         self.machine.stall_until(StallCause::TwoSafe, wait_to);
-        visible
     }
 
     fn history(&self) -> &ReadHistory {
@@ -927,17 +929,13 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
 
     /// The committed prefix replica `node` (1-based) held at `at`: the
     /// largest `p` such that every transaction `1..=p` was fully delivered
-    /// to that copy by `at`.
+    /// to that copy by `at`. One scan of the node's column; it answers any
+    /// `at`, in any order.
     fn visible_prefix(&self, node: u8, at: VirtualInstant) -> u64 {
-        let idx = usize::from(node) - 1;
-        let mut prefix = 0u64;
-        for txn in &self.history().visibility {
-            match txn.visible.get(idx) {
-                Some(Some(v)) if *v <= at => prefix += 1,
-                _ => break,
-            }
-        }
-        prefix
+        self.history().visibility[usize::from(node) - 1]
+            .iter()
+            .take_while(|visible| visible.is_some_and(|v| v <= at))
+            .count() as u64
     }
 
     /// Serves one read issued at `at` through the strategy's read path:
@@ -991,13 +989,12 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 // Rotate the read set over all RF nodes so replica copies
                 // actually serve (a head-always set would never observe
                 // staleness and never offload the coordinator).
-                let members: Vec<u8> = (0..u64::from(read))
-                    .map(|k| ((self.read_rotation + k) % u64::from(rf)) as u8)
-                    .collect();
-                self.read_rotation = (self.read_rotation + 1) % u64::from(rf);
+                let rotation = self.read_rotation;
+                self.read_rotation = (rotation + 1) % u64::from(rf);
                 let mut best: Option<(u64, u8)> = None;
                 let mut completed = at;
-                for &m in &members {
+                for k in 0..u64::from(read) {
+                    let m = ((rotation + k) % u64::from(rf)) as u8;
                     let (response_at, prefix) = if m == 0 {
                         (at + service, self.committed_at(at))
                     } else {

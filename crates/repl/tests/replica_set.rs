@@ -6,7 +6,7 @@ use dsnrep_cluster::{NodeId, ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_repl::{modeled_pairs, PassiveCluster, ReplicaSet};
 use dsnrep_rio::Arena;
-use dsnrep_simcore::{CostModel, VirtualDuration};
+use dsnrep_simcore::{CostModel, SplitMix64, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::DebitCredit;
 
 const DB: u64 = 1 << 20;
@@ -423,6 +423,92 @@ fn replica_reads_are_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+/// A read's prefix depends on its instant alone. Reads issued at a
+/// shuffled list of instants (before the first commit, at and between
+/// commits, past a partition hole, far in the future) observe exactly what
+/// the same instants observe in ascending order, so no read path may
+/// assume that reads arrive in order.
+#[test]
+fn replica_reads_answer_any_instant_in_any_order() {
+    let config = config();
+    // A quorum with R = RF consults every member: its prefix is the
+    // freshest copy's, whichever member the rotation asks first.
+    for strategy in [
+        ReplicationStrategy::Chain,
+        ReplicationStrategy::Quorum { read: 3, write: 2 },
+    ] {
+        let mut set = ReplicaSet::new(
+            CostModel::alpha_21164a(),
+            VersionTag::ImprovedLog,
+            &config,
+            Topology::new(3, strategy).unwrap(),
+        );
+        // Node 2's feed swallows everything after its 150th packet, which
+        // holes its copy partway through the run.
+        let feed = if strategy == ReplicationStrategy::Chain {
+            1
+        } else {
+            0
+        };
+        set.partition_drop_after(feed, 2, 150);
+        let mut w = DebitCredit::new(set.engine().db_region(), 43);
+        let mut commits = Vec::new();
+        for _ in 0..40 {
+            set.run_txn(&mut w);
+            commits.push(set.machine().now());
+        }
+        assert!(
+            set.received_by(2) < set.received_by(1),
+            "{strategy:?}: no hole"
+        );
+
+        let ps = VirtualDuration::from_picos(1);
+        let last = commits[39];
+        let mut instants = vec![
+            VirtualInstant::EPOCH,
+            commits[0] - ps,
+            last + VirtualDuration::from_millis(10),
+            last + VirtualDuration::from_secs(1),
+        ];
+        for pair in commits.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            instants.extend([a, a + ps, a + b.duration_since(a) / 2, b - ps]);
+        }
+        instants.sort_unstable();
+        instants.dedup();
+        let ascending: Vec<_> = instants.iter().map(|&at| set.serve_read(at)).collect();
+        assert_eq!(ascending[0].seq, 0, "{strategy:?}");
+        // Some reads find a replica that holds a transaction the head has
+        // yet to commit: their prefix comes from that replica's history.
+        assert!(
+            ascending.iter().any(|r| r.seq > set.committed_at(r.at)),
+            "{strategy:?}"
+        );
+
+        let mut order: Vec<usize> = (0..instants.len()).collect();
+        let mut rng = SplitMix64::new(7);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        for i in order {
+            let (want, got) = (ascending[i], set.serve_read(instants[i]));
+            if strategy == ReplicationStrategy::Chain {
+                assert_eq!(got, want, "chain read at {}", instants[i]);
+            } else {
+                // A quorum read's fabric legs queue behind earlier reads,
+                // and its rotation breaks ties between equally fresh
+                // members; what it observed may not move.
+                assert_eq!(
+                    (got.seq, got.staleness),
+                    (want.seq, want.staleness),
+                    "quorum read at {}",
+                    instants[i]
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -96,8 +96,12 @@ impl RedoWriter {
     }
 
     /// Stages one in-place database write for shipment at commit, merging
-    /// it with the previous one when exactly adjacent.
+    /// it with the previous one when exactly adjacent. An empty write
+    /// stages nothing: a zero-length record would read as a commit marker.
     pub fn record_write(&mut self, base: Addr, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
         let off = base - self.db.start();
         let start = self.staged_bytes.len();
         self.staged_bytes.extend_from_slice(bytes);
@@ -367,6 +371,8 @@ mod tests {
         assert_eq!(writer.staged_records(), 1, "adjacent appends merge");
         writer.record_write(db.start() + 100, &[3; 8]);
         assert_eq!(writer.staged_records(), 2);
+        writer.record_write(db.start() + 200, &[]);
+        assert_eq!(writer.staged_records(), 2, "an empty write stages nothing");
     }
 
     #[test]

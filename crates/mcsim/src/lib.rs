@@ -61,7 +61,7 @@ mod wbuf;
 
 pub use fabric::{Fabric, PairKey};
 pub use link::{Link, PacketTiming};
-pub use port::{PacketTap, TappedPacket, TxPort};
+pub use port::{ForwardDue, Packet, TxPort};
 pub use stride::{figure1_sweep, measure_stride_bandwidth, measure_write_latency, BandwidthPoint};
 pub use traffic::Traffic;
 pub use wbuf::{DirtyRuns, FlushedBuffer, WriteBufferSet, BLOCK};

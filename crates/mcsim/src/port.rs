@@ -10,9 +10,14 @@
 //! simulated time passes its delivery instant, so a crash can truncate the
 //! in-flight tail — this is exactly the paper's 1-safe vulnerability window
 //! of "a few microseconds".
+//!
+//! Every emitted packet is held once, in one ring indexed by emission
+//! sequence, until each of its consumers is past it: the posted-write
+//! window (released at `done`), the peers' delivery (applied at
+//! `delivered`) and, on a chain or quorum head, forwarding (see
+//! [`TxPort::enable_forwarding`]).
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
@@ -22,20 +27,8 @@ use dsnrep_simcore::{
     Addr, BusyCause, Clock, CostModel, Halted, StallCause, TrafficClass, VirtualInstant,
 };
 
-use crate::link::{Link, PacketTiming};
+use crate::link::Link;
 use crate::wbuf::{span_mask, FlushedBuffer, WriteBufferSet, BLOCK};
-
-#[derive(Clone, Copy, Debug)]
-struct Delivery {
-    at: VirtualInstant,
-    base: Addr,
-    mask: u32,
-    data: [u8; BLOCK as usize],
-    /// Stable packet id assigned at issue time (see [`packet_id`]).
-    id: u64,
-    /// The transaction whose store issued the packet, or [`NO_TXN`].
-    txn: u64,
-}
 
 /// The id bit that marks a fabric packet: set in every
 /// [`fabric_packet_id`], clear in every [`packet_id`].
@@ -54,40 +47,184 @@ pub(crate) const fn fabric_packet_id(seq: u64) -> u64 {
     FABRIC_ID | seq
 }
 
-/// One packet recorded by a [`TxPort`] tap: the full first-hop timing plus
-/// everything a downstream replication stage (chain forwarding, quorum
-/// fan-out) needs to re-send the same payload over further links. Taps are
-/// pure observers — installing one changes no timing and no delivery.
+/// One packet a [`TxPort`] emitted, as its in-flight ring holds it: the
+/// 32-byte block it carries, its first-hop timing and the transaction
+/// that issued it. Only the port builds one.
 #[derive(Clone, Copy, Debug)]
-pub struct TappedPacket {
-    /// The packet's service timing on the port's own link.
-    pub timing: PacketTiming,
+pub struct Packet {
     /// Base address of the 32-byte block the packet carries.
     pub base: Addr,
-    /// Dirty-byte mask within the block.
-    pub mask: u32,
-    /// The block payload (only masked bytes are meaningful).
-    pub data: [u8; BLOCK as usize],
-    /// Payload bytes per traffic class.
-    pub class_bytes: [u64; 3],
+    /// When the port's adapter finished serializing the packet.
+    pub done: VirtualInstant,
+    /// When the packet's first hop delivered it to the port's peers.
+    pub delivered: VirtualInstant,
     /// The transaction whose store issued the packet, or [`NO_TXN`].
     pub txn: u64,
+    /// The block; only the bytes under `mask` are meaningful.
+    pub data: [u8; BLOCK as usize],
+    /// Dirty-byte mask within the block (bit i = byte `base + i`).
+    pub mask: u32,
+    /// Payload bytes per traffic class; each is at most [`BLOCK`].
+    class_bytes: [u8; 3],
 }
 
-/// The shared recording target of a [`TxPort`] tap.
-pub type PacketTap = Rc<RefCell<Vec<TappedPacket>>>;
+impl Packet {
+    /// A free ring slot.
+    const FREE: Packet = Packet {
+        base: Addr::new(0),
+        done: VirtualInstant::EPOCH,
+        delivered: VirtualInstant::EPOCH,
+        txn: NO_TXN,
+        data: [0; BLOCK as usize],
+        mask: 0,
+        class_bytes: [0; 3],
+    };
+
+    /// Payload bytes per traffic class (indexed by `TrafficClass::index`).
+    #[inline]
+    pub fn class_bytes(&self) -> [u64; 3] {
+        self.class_bytes.map(u64::from)
+    }
+
+    /// Payload bytes: the dirty bytes of the block.
+    #[inline]
+    fn payload(&self) -> u64 {
+        self.class_bytes.iter().map(|&b| u64::from(b)).sum()
+    }
+
+    /// Writes the packet's dirty bytes to `arena`: one `Arena::write` per
+    /// contiguous dirty run, in ascending-address order — exactly the runs
+    /// [`FlushedBuffer::dirty_runs`](crate::FlushedBuffer::dirty_runs)
+    /// yields (`apply_one_matches_dirty_runs_reference` holds the two
+    /// together), so the arena's write counter (a fault-injection
+    /// halt-point enumeration) is unchanged by the fast paths here. Every
+    /// node a packet reaches, node 1 or further down a chain or quorum,
+    /// applies it this way.
+    pub fn apply_to(&self, arena: &mut Arena) {
+        if self.mask == u32::MAX {
+            // Full packet — the overwhelmingly common case for log-heavy
+            // engines: a single 32-byte run.
+            arena.write(self.base, &self.data);
+            return;
+        }
+        let mut pos = 0u32;
+        while pos < 32 {
+            let shifted = self.mask >> pos;
+            if shifted == 0 {
+                break;
+            }
+            let start = pos + shifted.trailing_zeros();
+            let len = (self.mask >> start).trailing_ones().min(32 - start);
+            arena.write(
+                self.base + u64::from(start),
+                &self.data[start as usize..(start + len) as usize],
+            );
+            pos = start + len;
+        }
+    }
+}
+
+/// When a forwarding port hands a packet on (see
+/// [`TxPort::enable_forwarding`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ForwardDue {
+    /// Once its first hop delivered it: a chain's node 1 relays only
+    /// what it holds.
+    Delivered,
+    /// Once the adapter finished serializing it: the switch then owns it
+    /// and fans a quorum head's packets out store-and-forward.
+    Done,
+}
+
+/// Slots of a ring's first allocation: a handful of packets, so a port
+/// that emits little (one of a fault campaign's many) allocates little.
+const FIRST_SLOTS: usize = 16;
+
+/// A port's in-flight packets, each held once, in slots indexed by
+/// emission sequence modulo the (power-of-two) slot count. A packet is
+/// live from its emission until every consumer's cursor is past it.
+#[derive(Default)]
+struct Ring {
+    slots: Vec<Packet>,
+    /// Sequence of the next packet to emit: the packets emitted so far.
+    end: u64,
+    /// The oldest packet still in the posted-write window.
+    window: u64,
+    /// The oldest packet not yet applied to the peers.
+    delivery: u64,
+    /// The oldest packet not yet handed on; consulted only when
+    /// `forwarding` is on.
+    forward: u64,
+    forwarding: Option<ForwardDue>,
+}
+
+impl Ring {
+    #[inline]
+    fn slot(&self, seq: u64) -> &Packet {
+        &self.slots[seq as usize & (self.slots.len() - 1)]
+    }
+
+    /// The oldest live packet (`end` when none is).
+    #[inline]
+    fn oldest(&self) -> u64 {
+        let held = self.window.min(self.delivery);
+        match self.forwarding {
+            Some(_) => held.min(self.forward),
+            None => held,
+        }
+    }
+
+    /// Claims the slot of the next emission sequence; returns its index.
+    #[inline]
+    fn claim(&mut self) -> usize {
+        if self.end - self.oldest() == self.slots.len() as u64 {
+            self.grow();
+        }
+        let idx = self.end as usize & (self.slots.len() - 1);
+        self.end += 1;
+        idx
+    }
+
+    /// Doubles the slot count (the first call allocates [`FIRST_SLOTS`]),
+    /// moving every live packet to its new slot.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(FIRST_SLOTS);
+        let mut slots = vec![Packet::FREE; len];
+        for seq in self.oldest()..self.end {
+            slots[seq as usize & (len - 1)] = *self.slot(seq);
+        }
+        self.slots = slots;
+    }
+
+    /// The first sequence at or after `from` whose packet is not due by
+    /// `t`, given each packet's due instant.
+    fn due_end(
+        &self,
+        from: u64,
+        t: VirtualInstant,
+        due: impl Fn(&Packet) -> VirtualInstant,
+    ) -> u64 {
+        let mut seq = from;
+        while seq < self.end && due(self.slot(seq)) <= t {
+            seq += 1;
+        }
+        seq
+    }
+}
 
 /// The packet-emission half of a [`TxPort`]: link access, posted-write
-/// flow control, and the in-flight delivery queue. Split from the write
-/// buffers so flush callbacks can borrow it as one unit while
-/// [`WriteBufferSet`] is borrowed alongside.
+/// flow control, and the in-flight ring. Split from the write buffers so
+/// flush callbacks can borrow it as one unit while [`WriteBufferSet`] is
+/// borrowed alongside.
 struct Emitter<T: Tracer> {
     link: Rc<RefCell<Link>>,
     window_cap: u64,
-    window_packets: usize,
-    outstanding: VecDeque<(VirtualInstant, u64)>,
+    window_packets: u64,
+    /// Payload bytes of the packets in the posted-write window.
     outstanding_bytes: u64,
-    inflight: VecDeque<Delivery>,
+    ring: Ring,
     last_delivered: VirtualInstant,
     tracer: T,
     track: u32,
@@ -95,9 +232,6 @@ struct Emitter<T: Tracer> {
     /// attributed: [`StallCause::PostedWindow`] on the store path,
     /// [`StallCause::WbufFlush`] while a barrier drains partial buffers.
     stall_cause: StallCause,
-    /// SAN packets emitted so far (monotone; counts attempts that reached
-    /// the link, not packets swallowed by a fault).
-    emitted: u64,
     /// Armed fault: remaining packets before a simulated halt. At zero the
     /// next emission returns [`Halted`] *before* the packet reaches the
     /// link.
@@ -108,19 +242,20 @@ struct Emitter<T: Tracer> {
     /// The track whose arena receives this port's packets (apply records
     /// land there).
     peer_track: u32,
-    /// Optional pure-observer tap: every emitted packet is copied here
-    /// (payload + first-hop timing) for multi-hop replication stages.
-    tap: Option<PacketTap>,
 }
 
 impl<T: Tracer> Emitter<T> {
-    /// Sends one flushed buffer as a packet, or halts before it leaves
-    /// the adapter.
-    fn emit(&mut self, clock: &mut Clock, flushed: FlushedBuffer) -> Result<(), Halted> {
-        let payload = flushed.payload();
-        if payload == 0 {
-            return Ok(());
-        }
+    /// Sends one packet of `mask`'s bytes at `base` to the link, or halts
+    /// before it leaves the adapter. Returns the block of its ring slot,
+    /// which the caller fills: the packet is built where it is held.
+    fn emit(
+        &mut self,
+        clock: &mut Clock,
+        base: Addr,
+        mask: u32,
+        class_bytes: [u64; 3],
+    ) -> Result<&mut [u8; BLOCK as usize], Halted> {
+        let payload: u64 = class_bytes.iter().sum();
         match &mut self.packet_budget {
             None => {}
             Some(0) => {
@@ -128,32 +263,33 @@ impl<T: Tracer> Emitter<T> {
                     self.track,
                     dsnrep_obs::TraceEventKind::FaultInjected,
                     clock.now(),
-                    self.emitted,
+                    self.ring.end,
                 );
                 return Err(Halted);
             }
             Some(budget) => *budget -= 1,
         }
-        let id = packet_id(self.track, self.emitted);
-        self.emitted += 1;
+        let ring = &mut self.ring;
         // Release completed packets.
-        while let Some(&(done, bytes)) = self.outstanding.front() {
-            if done <= clock.now() {
-                self.outstanding.pop_front();
-                self.outstanding_bytes -= bytes;
-            } else {
+        while ring.window < ring.end {
+            let p = ring.slot(ring.window);
+            if p.done > clock.now() {
                 break;
             }
+            self.outstanding_bytes -= p.payload();
+            ring.window += 1;
         }
         // Posted-write flow control: stall until the window has room
-        // (bounded both in bytes and in queue entries).
+        // (bounded both in bytes and in packets).
         while self.outstanding_bytes + payload > self.window_cap
-            || self.outstanding.len() >= self.window_packets
+            || ring.end - ring.window >= self.window_packets
         {
-            let (done, bytes) = self
-                .outstanding
-                .pop_front()
-                .expect("window exceeded with no outstanding packets");
+            assert!(
+                ring.window < ring.end,
+                "window exceeded with no outstanding packets"
+            );
+            let p = ring.slot(ring.window);
+            let (done, bytes) = (p.done, p.payload());
             let now = clock.now();
             if done > now {
                 self.tracer.counter_add(
@@ -165,36 +301,22 @@ impl<T: Tracer> Emitter<T> {
             }
             clock.advance_to_for(self.stall_cause, done);
             self.outstanding_bytes -= bytes;
+            ring.window += 1;
         }
-        let timing = self
-            .link
-            .borrow_mut()
-            .send_mixed(clock.now(), flushed.class_bytes);
-        if let Some(tap) = &self.tap {
-            tap.borrow_mut().push(TappedPacket {
-                timing,
-                base: flushed.base,
-                mask: flushed.mask,
-                data: flushed.data,
-                class_bytes: flushed.class_bytes,
-                txn: self.current_txn,
-            });
-        }
-        self.outstanding.push_back((timing.done, payload));
+        let timing = self.link.borrow_mut().send_mixed(clock.now(), class_bytes);
         self.outstanding_bytes += payload;
-        self.inflight.push_back(Delivery {
-            at: timing.delivered,
-            base: flushed.base,
-            mask: flushed.mask,
-            data: flushed.data,
-            id,
-            txn: self.current_txn,
-        });
+        let id = packet_id(self.track, ring.end);
+        let idx = ring.claim();
+        let slot = &mut ring.slots[idx];
+        slot.base = base;
+        slot.mask = mask;
+        slot.class_bytes = class_bytes.map(|b| b as u8);
+        slot.done = timing.done;
+        slot.delivered = timing.delivered;
+        slot.txn = self.current_txn;
         if self.tracer.is_enabled() {
-            self.tracer.packet_life(
-                self.track,
-                timing.life(id, self.current_txn, flushed.class_bytes),
-            );
+            self.tracer
+                .packet_life(self.track, timing.life(id, self.current_txn, class_bytes));
             self.tracer.counter_add(
                 self.track,
                 Metric::LinkQueueWaitPicos,
@@ -211,10 +333,20 @@ impl<T: Tracer> Emitter<T> {
                 self.track,
                 Metric::LinkQueueDepth,
                 timing.start,
-                self.inflight.len() as u64,
+                self.ring.end - self.ring.delivery,
             );
         }
         self.last_delivered = timing.delivered;
+        Ok(&mut self.ring.slots[idx].data)
+    }
+
+    /// Sends one flushed write buffer as a packet, or halts before it
+    /// leaves the adapter.
+    fn emit_flushed(&mut self, clock: &mut Clock, flushed: FlushedBuffer) -> Result<(), Halted> {
+        if flushed.payload() == 0 {
+            return Ok(());
+        }
+        *self.emit(clock, flushed.base, flushed.mask, flushed.class_bytes)? = flushed.data;
         Ok(())
     }
 }
@@ -254,7 +386,8 @@ impl<T: Tracer> fmt::Debug for TxPort<T> {
             .field("peers", &self.peers.len())
             .field("dirty_buffers", &self.bufs.dirty_buffers())
             .field("outstanding_bytes", &self.tx.outstanding_bytes)
-            .field("inflight_packets", &self.tx.inflight.len())
+            .field("inflight_packets", &self.inflight_packets())
+            .field("forwarding", &self.tx.ring.forwarding)
             .field("last_delivered", &self.tx.last_delivered)
             .finish()
     }
@@ -310,55 +443,17 @@ impl<T: Tracer> TxPort<T> {
             tx: Emitter {
                 link,
                 window_cap: costs.posted_window,
-                window_packets: costs.posted_window_packets.max(1),
-                outstanding: VecDeque::new(),
+                window_packets: costs.posted_window_packets.max(1) as u64,
                 outstanding_bytes: 0,
-                inflight: VecDeque::new(),
+                ring: Ring::default(),
                 last_delivered: VirtualInstant::EPOCH,
                 tracer,
                 track,
                 stall_cause: StallCause::PostedWindow,
-                emitted: 0,
                 packet_budget: None,
                 current_txn: NO_TXN,
                 peer_track: TRACK_BACKUP,
-                tap: None,
             },
-        }
-    }
-
-    /// Applies one delivered packet to one peer arena: one `Arena::write`
-    /// per contiguous dirty run, in ascending-address order — exactly the
-    /// runs [`FlushedBuffer::dirty_runs`] yields (the equivalence proptest
-    /// below holds the two together), so the arena's write counter (a
-    /// fault-injection halt-point enumeration) is unchanged by the fast
-    /// paths here.
-    fn apply_one(arena: &mut Arena, d: &Delivery) {
-        if d.mask == u32::MAX {
-            // Full packet — the overwhelmingly common case for log-heavy
-            // engines: a single 32-byte run.
-            arena.write(d.base, &d.data);
-            return;
-        }
-        let mut pos = 0u32;
-        while pos < 32 {
-            let shifted = d.mask >> pos;
-            if shifted == 0 {
-                break;
-            }
-            let start = pos + shifted.trailing_zeros();
-            let len = (d.mask >> start).trailing_ones().min(32 - start);
-            arena.write(
-                d.base + u64::from(start),
-                &d.data[start as usize..(start + len) as usize],
-            );
-            pos = start + len;
-        }
-    }
-
-    fn apply(peers: &[Rc<RefCell<Arena>>], d: &Delivery) {
-        for peer in peers {
-            Self::apply_one(&mut peer.borrow_mut(), d);
         }
     }
 
@@ -406,25 +501,16 @@ impl<T: Tracer> TxPort<T> {
             let in_block = a.offset_in(BLOCK) as usize;
             let block = block_base.as_u64() / BLOCK;
             if block != entered_block {
-                bufs.flush_block(block, &mut |flushed| tx.emit(clock, flushed))?;
+                bufs.flush_block(block, &mut |flushed| tx.emit_flushed(clock, flushed))?;
                 entered_block = block;
             }
             // A word never spans a 32-byte block (8-byte words, 32-byte
-            // blocks), so this fits.
-            let mut data = [0u8; BLOCK as usize];
-            dsnrep_simcore::copy_small(&mut data[in_block..in_block + n], &bytes[off..off + n]);
-            let mask = span_mask(in_block, n);
+            // blocks), so this fits. The word goes straight into its ring
+            // slot; the slot's other bytes lie outside the mask.
             let mut class_bytes = [0u64; 3];
             class_bytes[class.index()] = n as u64;
-            tx.emit(
-                clock,
-                FlushedBuffer {
-                    base: block_base,
-                    mask,
-                    data,
-                    class_bytes,
-                },
-            )?;
+            let data = tx.emit(clock, block_base, span_mask(in_block, n), class_bytes)?;
+            dsnrep_simcore::copy_small(&mut data[in_block..in_block + n], &bytes[off..off + n]);
             off += n;
         }
         if tx.tracer.is_enabled() {
@@ -442,7 +528,8 @@ impl<T: Tracer> TxPort<T> {
     /// Applies every packet whose delivery instant is at or before `t`.
     #[inline]
     pub fn deliver_up_to(&mut self, t: VirtualInstant) {
-        if self.tx.inflight.front().is_some_and(|d| d.at <= t) {
+        let ring = &self.tx.ring;
+        if ring.delivery < ring.end && ring.slot(ring.delivery).delivered <= t {
             self.drain_up_to(t);
         }
     }
@@ -450,54 +537,40 @@ impl<T: Tracer> TxPort<T> {
     /// [`deliver_up_to`](TxPort::deliver_up_to) once something is due.
     #[inline(never)]
     fn drain_up_to(&mut self, t: VirtualInstant) {
-        let traced = self.tx.tracer.is_enabled();
-        let mut last_applied_at = None;
-        // Something is due. Borrow the peer arena once for the whole drain
-        // instead of once per packet: a peer is never the sending node's
-        // own arena, so the borrow cannot alias anything the drain touches.
-        if let [peer] = self.peers.as_slice() {
+        let ring = &self.tx.ring;
+        let from = ring.delivery;
+        let to = ring.due_end(from, t, |p| p.delivered);
+        // Borrow each peer arena once for the whole drain instead of once
+        // per packet: a peer is never the sending node's own arena, so the
+        // borrow cannot alias anything the drain touches.
+        for peer in &self.peers {
             let mut arena = peer.borrow_mut();
-            while let Some(front) = self.tx.inflight.front() {
-                if front.at <= t {
-                    let d = self.tx.inflight.pop_front().expect("front() checked");
-                    Self::apply_one(&mut arena, &d);
-                    if traced {
-                        self.tx
-                            .tracer
-                            .packet_applied(self.tx.peer_track, d.id, d.txn, d.at);
-                        last_applied_at = Some(d.at);
-                    }
-                } else {
-                    break;
-                }
-            }
-        } else {
-            while let Some(front) = self.tx.inflight.front() {
-                if front.at <= t {
-                    let d = self.tx.inflight.pop_front().expect("front() checked");
-                    Self::apply(&self.peers, &d);
-                    if traced {
-                        self.tx
-                            .tracer
-                            .packet_applied(self.tx.peer_track, d.id, d.txn, d.at);
-                        last_applied_at = Some(d.at);
-                    }
-                } else {
-                    break;
-                }
+            for seq in from..to {
+                ring.slot(seq).apply_to(&mut arena);
             }
         }
-        // The sender's in-flight queue drained down to its new depth at
-        // the last delivery instant (never at `t`, which may be a
-        // quiesce-time sentinel no metrics window should materialize to).
-        if let Some(at) = last_applied_at {
+        if self.tx.tracer.is_enabled() {
+            for seq in from..to {
+                let p = ring.slot(seq);
+                self.tx.tracer.packet_applied(
+                    self.tx.peer_track,
+                    packet_id(self.tx.track, seq),
+                    p.txn,
+                    p.delivered,
+                );
+            }
+            // The sender's in-flight queue drained down to its new depth
+            // at the last delivery instant (never at `t`, which may be a
+            // quiesce-time sentinel no metrics window should materialize
+            // to).
             self.tx.tracer.gauge_set(
                 self.tx.track,
                 Metric::LinkQueueDepth,
-                at,
-                self.tx.inflight.len() as u64,
+                ring.slot(to - 1).delivered,
+                ring.end - to,
             );
         }
+        self.tx.ring.delivery = to;
     }
 
     /// Flushes all write buffers and applies every packet: the graceful
@@ -515,18 +588,21 @@ impl<T: Tracer> TxPort<T> {
 
     /// Simulates a crash of the sending node at instant `at`: packets
     /// delivered by `at` are applied, everything else — including dirty
-    /// write buffers that never reached the PCI bus — is lost.
+    /// write buffers that never reached the PCI bus, and packets a
+    /// forwarding port has not handed on — is lost.
     pub fn crash_cut(&mut self, at: VirtualInstant) {
         self.deliver_up_to(at);
-        if self.tx.tracer.is_enabled() && !self.tx.inflight.is_empty() {
+        let ring = &mut self.tx.ring;
+        if self.tx.tracer.is_enabled() && ring.delivery < ring.end {
             // The undelivered tail vanishes with the crashed sender.
             self.tx
                 .tracer
                 .gauge_set(self.tx.track, Metric::LinkQueueDepth, at, 0);
         }
-        self.tx.inflight.clear();
+        ring.window = ring.end;
+        ring.delivery = ring.end;
+        ring.forward = ring.end;
         self.bufs.discard_all();
-        self.tx.outstanding.clear();
         self.tx.outstanding_bytes = 0;
     }
 
@@ -537,12 +613,37 @@ impl<T: Tracer> TxPort<T> {
 
     /// Packets flushed to the link but not yet applied to the peer.
     pub fn inflight_packets(&self) -> usize {
-        self.tx.inflight.len()
+        (self.tx.ring.end - self.tx.ring.delivery) as usize
     }
 
     /// SAN packets this port has emitted so far (monotone).
     pub fn packets_emitted(&self) -> u64 {
-        self.tx.emitted
+        self.tx.ring.end
+    }
+
+    /// Turns forwarding on: from now on every emitted packet also stays
+    /// in the port until [`TxPort::forward_up_to`] hands it on, once it is
+    /// due per `due`, however long ago its peers applied it. A chain or
+    /// quorum head forwards its packets to the nodes past node 1.
+    pub fn enable_forwarding(&mut self, due: ForwardDue) {
+        let ring = &mut self.tx.ring;
+        ring.forwarding = Some(due);
+        ring.forward = ring.end;
+    }
+
+    /// Hands every packet due by `cut` and not handed on yet to `hand_on`,
+    /// once each, in emission order. Does nothing unless forwarding is on.
+    pub fn forward_up_to(&mut self, cut: VirtualInstant, mut hand_on: impl FnMut(&Packet)) {
+        let ring = &mut self.tx.ring;
+        let to = match ring.forwarding {
+            None => return,
+            Some(ForwardDue::Delivered) => ring.due_end(ring.forward, cut, |p| p.delivered),
+            Some(ForwardDue::Done) => ring.due_end(ring.forward, cut, |p| p.done),
+        };
+        for seq in ring.forward..to {
+            hand_on(ring.slot(seq));
+        }
+        ring.forward = to;
     }
 
     /// Tags packets issued from now on with the originating transaction id
@@ -576,15 +677,6 @@ impl<T: Tracer> TxPort<T> {
         self.tx.packet_budget = None;
     }
 
-    /// Installs a pure-observer tap: from now on every emitted packet is
-    /// also copied (payload + first-hop timing) into `tap`. Multi-hop
-    /// replication drivers (chain forwarding, quorum fan-out) read the tap
-    /// to re-send the same payloads over further fabric links. A tap never
-    /// changes timing, accounting, or delivery on this port.
-    pub fn set_tap(&mut self, tap: PacketTap) {
-        self.tx.tap = Some(tap);
-    }
-
     /// Accepts a store of `bytes` at `addr` that was already applied to
     /// the local memory and must be written through: charges its issue
     /// time to `clock`, merges it into the write buffers, emits whatever
@@ -611,7 +703,9 @@ impl<T: Tracer> TxPort<T> {
             );
             let TxPort { bufs, tx, .. } = self;
             tx.stall_cause = StallCause::PostedWindow;
-            bufs.store(addr, bytes, class, &mut |flushed| tx.emit(clock, flushed))?;
+            bufs.store(addr, bytes, class, &mut |flushed| {
+                tx.emit_flushed(clock, flushed)
+            })?;
             if tx.tracer.is_enabled() {
                 tx.tracer.gauge_set(
                     tx.track,
@@ -635,7 +729,7 @@ impl<T: Tracer> TxPort<T> {
     pub fn barrier(&mut self, clock: &mut Clock) -> Result<(), Halted> {
         let TxPort { bufs, tx, .. } = self;
         tx.stall_cause = StallCause::WbufFlush;
-        bufs.flush_all(&mut |flushed| tx.emit(clock, flushed))?;
+        bufs.flush_all(&mut |flushed| tx.emit_flushed(clock, flushed))?;
         if tx.tracer.is_enabled() {
             tx.tracer
                 .gauge_set(tx.track, Metric::WbufDirtyLines, clock.now(), 0);
@@ -928,6 +1022,138 @@ mod tests {
         Ok(())
     }
 
+    const END_OF_TIME: VirtualInstant = VirtualInstant::from_picos(u64::MAX);
+
+    /// Stores `n` full packets, packet `i` filled with `i + 1` at block
+    /// `2 * i`.
+    fn store_packets(port: &mut TxPort, clock: &mut Clock, n: u64) -> Result<(), Halted> {
+        for i in 0..n {
+            port.store(
+                clock,
+                Addr::new(i * 64),
+                &[i as u8 + 1; 32],
+                TrafficClass::Modified,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Packets the port's ring still holds.
+    fn held(port: &TxPort) -> u64 {
+        port.tx.ring.end - port.tx.ring.oldest()
+    }
+
+    #[test]
+    fn forwarding_hands_each_packet_on_once_in_emission_order() -> Result<(), Halted> {
+        let (_, _, _, mut port, mut clock) = setup();
+        port.enable_forwarding(ForwardDue::Delivered);
+        // More packets than the ring's first allocation: it grows while
+        // holding every one of them.
+        store_packets(&mut port, &mut clock, 40)?;
+        let record = |p: &Packet| (p.base, p.data[0], p.delivered);
+        let mut handed = Vec::new();
+        port.forward_up_to(clock.now(), |p| handed.push(record(p)));
+        let first = handed.len();
+        assert!(first > 0 && first < 40, "{first} due mid-stream");
+        port.quiesce(&mut clock)?;
+        for _ in 0..2 {
+            port.forward_up_to(END_OF_TIME, |p| handed.push(record(p)));
+        }
+        assert_eq!(handed.len(), 40);
+        for (i, &(base, byte, _)) in handed.iter().enumerate() {
+            assert_eq!(base, Addr::new(i as u64 * 64));
+            assert_eq!(byte, i as u8 + 1);
+        }
+        assert!(handed.windows(2).all(|w| w[0].2 <= w[1].2));
+        Ok(())
+    }
+
+    #[test]
+    fn forwarding_is_due_at_delivery_for_a_chain_and_done_for_a_quorum() -> Result<(), Halted> {
+        for due in [ForwardDue::Delivered, ForwardDue::Done] {
+            let (costs, _, _, mut port, mut clock) = setup();
+            port.enable_forwarding(due);
+            port.store(&mut clock, Addr::new(0), &[1; 32], TrafficClass::Modified)?;
+            let delivered = port.last_delivered();
+            let done = delivered - costs.link_latency;
+            let tick = VirtualDuration::from_picos(1);
+            let mut handed = 0;
+            port.forward_up_to(done - tick, |_| handed += 1);
+            assert_eq!(handed, 0, "{due:?}: nothing is serialized yet");
+            port.forward_up_to(done, |p| {
+                assert_eq!(p.done, done);
+                handed += 1;
+            });
+            let at_done = handed;
+            port.forward_up_to(delivered - tick, |_| handed += 1);
+            assert_eq!(handed, at_done, "{due:?}: nothing more before delivery");
+            port.forward_up_to(delivered, |_| handed += 1);
+            assert_eq!(handed, 1, "{due:?}");
+            let expected = match due {
+                ForwardDue::Delivered => 0,
+                ForwardDue::Done => 1,
+            };
+            assert_eq!(at_done, expected, "{due:?}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_applied_packet_stays_until_it_is_forwarded() -> Result<(), Halted> {
+        let (_, _, peer, mut port, mut clock) = setup();
+        port.enable_forwarding(ForwardDue::Done);
+        store_packets(&mut port, &mut clock, 20)?;
+        port.quiesce(&mut clock)?;
+        assert_eq!(port.inflight_packets(), 0);
+        assert_eq!(peer.borrow().read_vec(Addr::new(19 * 64), 32), vec![20; 32]);
+        assert_eq!(held(&port), 20);
+        let mut bytes = Vec::new();
+        port.forward_up_to(END_OF_TIME, |p| bytes.push(p.data[31]));
+        assert_eq!(bytes, (1..=20).collect::<Vec<u8>>());
+        assert!(held(&port) <= port.tx.window_packets);
+        Ok(())
+    }
+
+    #[test]
+    fn crash_cut_drops_packets_not_yet_forwarded() -> Result<(), Halted> {
+        let (_, _, peer, mut port, mut clock) = setup();
+        port.enable_forwarding(ForwardDue::Delivered);
+        store_packets(&mut port, &mut clock, 20)?;
+        let mut handed = 0;
+        port.forward_up_to(clock.now(), |_| handed += 1);
+        port.crash_cut(clock.now());
+        assert_eq!(held(&port), 0);
+        port.forward_up_to(END_OF_TIME, |_| handed += 1);
+        // Only what node 1 held by the crash went on, and exactly that
+        // prefix reached node 1.
+        assert!(handed > 0 && handed < 20, "{handed} forwarded");
+        let last = (handed - 1) as u64;
+        assert_eq!(
+            peer.borrow().read_vec(Addr::new(last * 64), 32),
+            vec![handed as u8; 32]
+        );
+        assert_eq!(
+            peer.borrow().read_vec(Addr::new((last + 1) * 64), 32),
+            vec![0; 32]
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn a_port_that_does_not_forward_holds_only_its_window() -> Result<(), Halted> {
+        let (_, _, _, mut port, mut clock) = setup();
+        store_packets(&mut port, &mut clock, 200)?;
+        port.quiesce(&mut clock)?;
+        let mut handed = 0;
+        port.forward_up_to(END_OF_TIME, |_| handed += 1);
+        assert_eq!(handed, 0);
+        // Every packet is delivered; only the posted window's last few
+        // are still counted, and the ring never outgrew its first slots.
+        assert!(held(&port) <= port.tx.window_packets);
+        assert_eq!(port.tx.ring.slots.len(), FIRST_SLOTS);
+        Ok(())
+    }
+
     mod apply_equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -935,32 +1161,29 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(128))]
 
-            /// `apply_one` (full-mask fast path + bit-scan runs) mutates a
-            /// peer arena exactly like the `dirty_runs`-driven loop it
-            /// replaced — including the arena write counter, which fault
-            /// campaigns enumerate as halt points.
+            /// `Packet::apply_to` (full-mask fast path + bit-scan runs)
+            /// mutates an arena exactly like the `dirty_runs`-driven loop
+            /// it replaced — including the arena write counter, which
+            /// fault campaigns enumerate as halt points.
             #[test]
             fn apply_one_matches_dirty_runs_reference(
                 mask in prop_oneof![4 => Just(u32::MAX), 8 => any::<u32>()],
                 base_block in 0u64..4,
                 seed in any::<u8>(),
             ) {
-                let clock = Clock::new();
                 let mut data = [0u8; BLOCK as usize];
                 for (i, item) in data.iter_mut().enumerate() {
                     *item = (i as u8).wrapping_add(seed);
                 }
-                let d = Delivery {
-                    at: clock.now(),
+                let d = Packet {
                     base: Addr::new(base_block * BLOCK),
                     mask,
                     data,
-                    id: 0,
-                    txn: NO_TXN,
+                    ..Packet::FREE
                 };
 
                 let mut fast = Arena::new(256);
-                TxPort::<NullTracer>::apply_one(&mut fast, &d);
+                d.apply_to(&mut fast);
 
                 let mut oracle = Arena::new(256);
                 let buf = FlushedBuffer {

@@ -58,11 +58,11 @@ use dsnrep_core::{
     arena_len, build_engine, Durability, Engine, EngineConfig, ImprovedLogEngine, Machine,
     MachineStats, TxError, VersionTag,
 };
-use dsnrep_mcsim::{Fabric, Link, PacketTap, TappedPacket, Traffic, TxPort};
+use dsnrep_mcsim::{Fabric, ForwardDue, Link, Packet, Traffic, TxPort};
 use dsnrep_obs::{Metric, NullTracer, Phase, TraceEventKind, Tracer, NO_TXN, TRACK_PRIMARY};
 use dsnrep_rio::Arena;
 use dsnrep_simcore::{
-    Addr, CostModel, Region, StallCause, TrafficClass, VirtualDuration, VirtualInstant,
+    CostModel, Region, StallCause, TrafficClass, VirtualDuration, VirtualInstant,
 };
 use dsnrep_workloads::{ThroughputReport, TxCtx, Workload};
 
@@ -115,37 +115,12 @@ fn ack_payload() -> [u64; 3] {
     class_bytes
 }
 
-/// A delivered-but-unapplied packet parked at one downstream node.
+/// A packet delivered to one downstream node at `at`, parked there until
+/// the node applies it.
 #[derive(Clone, Copy, Debug)]
 struct PendingApply {
     at: VirtualInstant,
-    base: Addr,
-    mask: u32,
-    data: [u8; 32],
-}
-
-/// Applies one masked 32-byte block to `arena` — the same contiguous
-/// dirty-run decomposition `TxPort` uses, so downstream arenas see the
-/// identical write pattern node 1 does.
-fn apply_masked(arena: &mut Arena, base: Addr, mask: u32, data: &[u8; 32]) {
-    if mask == u32::MAX {
-        arena.write(base, data);
-        return;
-    }
-    let mut pos = 0u32;
-    while pos < 32 {
-        let shifted = mask >> pos;
-        if shifted == 0 {
-            break;
-        }
-        let start = pos + shifted.trailing_zeros();
-        let len = (mask >> start).trailing_ones().min(32 - start);
-        arena.write(
-            base + u64::from(start),
-            &data[start as usize..(start + len) as usize],
-        );
-        pos = start + len;
-    }
+    packet: Packet,
 }
 
 /// One downstream node's receive state (nodes `2..rf` of a chain or
@@ -163,12 +138,10 @@ struct DownstreamNode {
 }
 
 impl DownstreamNode {
-    fn receive(&mut self, at: VirtualInstant, p: &TappedPacket) {
+    fn receive(&mut self, at: VirtualInstant, packet: &Packet) {
         self.pending.push_back(PendingApply {
             at,
-            base: p.base,
-            mask: p.mask,
-            data: p.data,
+            packet: *packet,
         });
         self.received += 1;
         self.last_delivery = self.last_delivery.max(at);
@@ -186,7 +159,7 @@ impl DownstreamNode {
                 break;
             }
             let p = self.pending.pop_front().expect("front() checked");
-            apply_masked(&mut arena, p.base, p.mask, &p.data);
+            p.packet.apply_to(&mut arena);
         }
     }
 }
@@ -199,12 +172,17 @@ struct ReadHistory {
     /// coordinator's committed-prefix clock for staleness accounting).
     commit_instants: Vec<VirtualInstant>,
     /// Replica visibility, one column per replica: column `i` holds when
-    /// node `i + 1` held each transaction whole (`None`: a partition hole
-    /// left that copy permanently incomplete). Every column stays aligned
-    /// with `commit_instants`. Primary-backup keeps no column: its primary
-    /// serves every read.
-    visibility: Vec<Vec<Option<VirtualInstant>>>,
+    /// node `i + 1` held each transaction whole ([`NEVER`]: a partition
+    /// hole left that copy permanently incomplete). Every column stays
+    /// aligned with `commit_instants`. Primary-backup keeps no column: its
+    /// primary serves every read.
+    visibility: Vec<Vec<VirtualInstant>>,
 }
+
+/// The visibility of a transaction a partition hole keeps from a copy for
+/// good. No read sees it: a read's instant plus its service time fits in
+/// a `u64` of picoseconds, so the instant itself is below this one.
+const NEVER: VirtualInstant = VirtualInstant::from_picos(u64::MAX);
 
 /// One served replica read: who answered, what committed prefix it
 /// observed, and how stale that prefix was against the coordinator.
@@ -282,13 +260,6 @@ pub struct ReplicaSet<T: Tracer + 'static = NullTracer> {
     /// Node 1's CPU, when it applies a redo ring ([`Scheme::Active`]).
     backup: Option<Rc<RefCell<BackupNode<T>>>>,
     fabric: Fabric,
-    /// Tap on the head's `TxPort` (chain/quorum only): every emitted
-    /// packet, with its first-hop timing.
-    tap: Option<PacketTap>,
-    /// Tapped packets whose node-1 delivery has not been confirmed yet
-    /// (mirrors the port's in-flight queue; relevant to chain, where the
-    /// head runs ahead of delivery inside a transaction).
-    head_inflight: VecDeque<TappedPacket>,
     /// Nodes `2..rf` of a chain or quorum, indexed by `node_id - 2`.
     downstream: Vec<DownstreamNode>,
     /// Packets confirmed delivered to node 1.
@@ -435,14 +406,20 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 port.add_peer(Rc::clone(replica));
             }
         }
-        let tap = (!fanout).then(|| {
-            let recorder: PacketTap = Rc::new(RefCell::new(Vec::new()));
-            port.set_tap(Rc::clone(&recorder));
+        if !fanout {
+            // The head keeps each packet until it is forwarded: a chain's
+            // node 1 relays what it holds, and a quorum head's hub fans
+            // out what its adapter has serialized.
+            let chain = matches!(topology.strategy(), ReplicationStrategy::Chain);
+            port.enable_forwarding(if chain {
+                ForwardDue::Delivered
+            } else {
+                ForwardDue::Done
+            });
             // The acknowledgement waits ride the 2-safe path: every commit
             // is on node 1 before the chain/quorum ack wait even starts.
             machine.set_durability(Durability::TwoSafe);
-            recorder
-        });
+        }
         machine.attach_port(port);
         for region in engine.replicated_regions() {
             machine.replicate(region);
@@ -462,8 +439,6 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             link,
             replicas,
             backup,
-            tap,
-            head_inflight: VecDeque::new(),
             downstream,
             node1_received: 0,
             degraded_commits: 0,
@@ -715,81 +690,77 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         }
     }
 
-    /// Moves freshly tapped packets into the in-flight queue and forwards
-    /// everything node 1 has received by `cut` (2-safe commits mean the
-    /// whole transaction, mid-transaction crashes mean the delivered
-    /// prefix). Returns the per-call forwarding summary.
+    /// Forwards every packet of the head's port due by `cut`: down the
+    /// chain once node 1 holds it (2-safe commits mean the whole
+    /// transaction, mid-transaction crashes mean the delivered prefix), or
+    /// out to the quorum once the head's adapter has serialized it.
+    /// Returns the per-call forwarding summary.
     fn forward_up_to(&mut self, cut: VirtualInstant) -> ForwardSummary {
         let mut summary = ForwardSummary::default();
-        if let Some(tap) = &self.tap {
-            self.head_inflight.extend(tap.borrow_mut().drain(..));
-        }
-        let rf = self.topology.rf();
-        let chain = matches!(self.topology.strategy(), ReplicationStrategy::Chain);
-        while let Some(front) = self.head_inflight.front() {
-            let p = *front;
-            if chain {
-                // Node 1 relays: a packet is forwardable once node 1
-                // holds it (its first-hop delivery instant).
-                if p.timing.delivered > cut {
-                    break;
-                }
-                self.head_inflight.pop_front();
-                self.node1_received += 1;
+        let ReplicaSet {
+            topology,
+            tracer,
+            machine,
+            fabric,
+            downstream,
+            node1_received,
+            ..
+        } = self;
+        let Some(port) = machine.port_mut() else {
+            return summary;
+        };
+        let rf = topology.rf();
+        match topology.strategy() {
+            ReplicationStrategy::PrimaryBackup => {}
+            ReplicationStrategy::Chain => port.forward_up_to(cut, |p| {
+                // Node 1 relays: a packet is due once node 1 holds it
+                // (its first-hop delivery instant).
+                *node1_received += 1;
                 summary.packets += 1;
-                let mut ready = p.timing.delivered;
+                let class_bytes = p.class_bytes();
+                let mut ready = p.delivered;
                 let mut alive = true;
                 for j in 2..rf {
                     if !alive {
                         break;
                     }
-                    match self.fabric.send(j - 1, j, ready, p.class_bytes) {
+                    match fabric.send(j - 1, j, ready, class_bytes) {
                         Some(t) => {
-                            self.fabric.trace_packet(
-                                &self.tracer,
-                                u32::from(j - 1),
-                                t,
-                                p.txn,
-                                p.class_bytes,
-                            );
-                            self.downstream[usize::from(j) - 2].receive(t.delivered, &p);
+                            fabric.trace_packet(tracer, u32::from(j - 1), t, p.txn, class_bytes);
+                            downstream[usize::from(j) - 2].receive(t.delivered, p);
                             ready = t.delivered;
                         }
                         None => {
-                            self.downstream[usize::from(j) - 2].data_lost = true;
+                            downstream[usize::from(j) - 2].data_lost = true;
                             alive = false;
                         }
                     }
                 }
                 summary.tail_reached += u64::from(alive);
-            } else {
+            }),
+            ReplicationStrategy::Quorum { .. } => port.forward_up_to(cut, |p| {
                 // Quorum fan-out leaves the head hub as soon as the
                 // adapter finished serializing (store-and-forward): the
                 // fan-out copy of an in-flight packet can outlive the
                 // sender even when node 1's DMA does not.
-                if p.timing.done > cut {
-                    break;
-                }
-                self.head_inflight.pop_front();
                 summary.packets += 1;
-                if p.timing.delivered <= cut {
-                    self.node1_received += 1;
-                    summary.node1_last = summary.node1_last.max(p.timing.delivered);
+                if p.delivered <= cut {
+                    *node1_received += 1;
+                    summary.node1_last = summary.node1_last.max(p.delivered);
                 } else {
                     summary.node1_missed += 1;
                 }
-                for j in 2..rf {
-                    let node = &mut self.downstream[usize::from(j) - 2];
-                    match self.fabric.send(0, j, p.timing.done, p.class_bytes) {
+                let class_bytes = p.class_bytes();
+                for (j, node) in (2..rf).zip(downstream.iter_mut()) {
+                    match fabric.send(0, j, p.done, class_bytes) {
                         Some(t) => {
-                            self.fabric
-                                .trace_packet(&self.tracer, 0, t, p.txn, p.class_bytes);
-                            node.receive(t.delivered, &p);
+                            fabric.trace_packet(tracer, 0, t, p.txn, class_bytes);
+                            node.receive(t.delivered, p);
                         }
                         None => node.data_lost = true,
                     }
                 }
-            }
+            }),
         }
         summary
     }
@@ -797,8 +768,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// Appends the settled transaction's replica visibility to the read
     /// history's columns: node 1 holds it at `node1`; a downstream node
     /// holds it at its newest delivery, unless a drop left its copy
-    /// permanently holed.
-    fn record_visibility(&mut self, node1: Option<VirtualInstant>) {
+    /// permanently holed ([`NEVER`]).
+    fn record_visibility(&mut self, node1: VirtualInstant) {
         let Some(history) = &mut self.history else {
             return;
         };
@@ -808,7 +779,11 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             .expect("a chain or quorum history keeps a column per replica");
         first.push(node1);
         for (column, node) in rest.iter_mut().zip(&self.downstream) {
-            column.push((!node.data_lost).then_some(node.last_delivery));
+            column.push(if node.data_lost {
+                NEVER
+            } else {
+                node.last_delivery
+            });
         }
     }
 
@@ -818,7 +793,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         // delivered to node 1 by now; forward the lot down the chain.
         let summary = self.forward_up_to(now);
         self.apply_downstream(now);
-        self.record_visibility(Some(now));
+        self.record_visibility(now);
         if summary.packets == 0 {
             return;
         }
@@ -854,14 +829,12 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         // In settlement (as opposed to a crash cut) the 2-safe wait means
         // every packet's node-1 DMA has landed; a transaction with no
         // packets is trivially everywhere.
-        let node1 = if summary.node1_missed == 0 {
-            Some(if summary.packets == 0 {
-                now
-            } else {
-                summary.node1_last
-            })
+        let node1 = if summary.node1_missed > 0 {
+            NEVER
+        } else if summary.packets == 0 {
+            now
         } else {
-            None
+            summary.node1_last
         };
         self.record_visibility(node1);
         if summary.packets == 0 {
@@ -929,13 +902,11 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
 
     /// The committed prefix replica `node` (1-based) held at `at`: the
     /// largest `p` such that every transaction `1..=p` was fully delivered
-    /// to that copy by `at`. One scan of the node's column; it answers any
-    /// `at`, in any order.
+    /// to that copy by `at`. One scan of the node's column, one compare
+    /// per transaction ([`NEVER`] is past every read); it answers any `at`,
+    /// in any order.
     fn visible_prefix(&self, node: u8, at: VirtualInstant) -> u64 {
-        self.history().visibility[usize::from(node) - 1]
-            .iter()
-            .take_while(|visible| visible.is_some_and(|v| v <= at))
-            .count() as u64
+        leading_at_or_before(&self.history().visibility[usize::from(node) - 1], at)
     }
 
     /// Serves one read issued at `at` through the strategy's read path:
@@ -1097,9 +1068,8 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         let crashed_at = self.machine.now();
         // Settle the fabric at the crash instant. Survivor hops keep
         // draining after the head is gone: whatever node 1 held
-        // propagates on.
+        // propagates on. The crash cut below drops what is not forwarded.
         self.forward_up_to(crashed_at);
-        self.head_inflight.clear();
         self.apply_downstream(VirtualInstant::from_picos(u64::MAX));
         let successor = successor.unwrap_or_else(|| self.default_successor());
         let index = usize::from(successor) - 1;
@@ -1181,6 +1151,19 @@ pub fn modeled_pairs(topology: Topology) -> Vec<(u8, u8)> {
             pairs
         }
     }
+}
+
+/// How many leading entries of `column` are at or before `at`.
+///
+/// Kept out of line: its loop is then a 15-byte body, which the
+/// compiler's 16-byte loop alignment keeps inside one 64-byte fetch line.
+/// Inlined into [`ReplicaSet::serve_read`], the loop's far exit branch
+/// made it 23 bytes, and builds whose layout put it across a line
+/// boundary served rf3-mixed's reads ~1.3x slower at the median and ~2x
+/// at p99.
+#[inline(never)]
+fn leading_at_or_before(column: &[VirtualInstant], at: VirtualInstant) -> u64 {
+    column.iter().take_while(|&&visible| visible <= at).count() as u64
 }
 
 /// What one [`ReplicaSet::forward_up_to`] call moved.

@@ -8,10 +8,10 @@
 //! documented torn-tail window (bytes inside the lost transaction's ranges)
 //! for the mirroring versions.
 
-use dsnrep_core::{build_engine, EngineConfig, Machine, ShadowDb, VersionTag};
+use dsnrep_core::{build_engine, EngineConfig, Machine, ShadowDb, TxError, VersionTag};
 use dsnrep_repl::{ActiveCluster, PassiveCluster};
 use dsnrep_simcore::{CostModel, Region, MIB};
-use dsnrep_workloads::{TxCtx, WorkloadKind};
+use dsnrep_workloads::{TxCtx, Workload, WorkloadKind};
 
 const DB: u64 = 4 * MIB;
 
@@ -186,6 +186,44 @@ fn active_failover_after_settle_loses_nothing() {
         let failover = cluster.crash_primary().expect("backup arena is formatted");
         assert_eq!(failover.report.committed_seq, ran, "{kind}");
     }
+}
+
+/// Transactions that declare an 8-byte range and write an empty slice
+/// into it.
+struct EmptyWrites {
+    db: Region,
+}
+
+impl Workload for EmptyWrites {
+    fn name(&self) -> &'static str {
+        "empty-writes"
+    }
+
+    fn db_region(&self) -> Region {
+        self.db
+    }
+
+    fn run_txn(&mut self, ctx: &mut TxCtx<'_>) -> Result<(), TxError> {
+        ctx.begin()?;
+        ctx.set_range(self.db.start(), 8)?;
+        ctx.write(self.db.start(), &[])?;
+        ctx.commit()
+    }
+}
+
+/// An empty write ships no redo record: a zero-length ring record would
+/// read as a commit marker, and the backup would count one committed
+/// transaction per empty write.
+#[test]
+fn empty_writes_ship_no_commit_marker() {
+    let config = EngineConfig::for_db(MIB);
+    let mut cluster = ActiveCluster::new(CostModel::alpha_21164a(), &config);
+    let mut workload = EmptyWrites {
+        db: cluster.db_region(),
+    };
+    cluster.run(&mut workload, 3);
+    cluster.quiesce();
+    assert_eq!(cluster.backup_applied_seq(), 3);
 }
 
 #[test]

@@ -378,6 +378,18 @@ fn chain_tail_reads_stop_at_a_partition_hole() {
         assert_eq!(sample.seq, 20, "read {i}");
         assert_eq!(sample.staleness, 20, "read {i}");
     }
+    // However late the read, the hole stays a hole.
+    let sample = set.serve_read(latest_read());
+    assert_eq!(sample.node, NodeId::new(2));
+    assert_eq!(sample.seq, 20);
+    assert_eq!(sample.staleness, 20);
+}
+
+/// An instant far past every commit, about as late as a read can be
+/// issued: its service time and fabric round trips still fit in a `u64`
+/// of picoseconds.
+fn latest_read() -> VirtualInstant {
+    VirtualInstant::from_picos(u64::MAX) - VirtualDuration::from_millis(1)
 }
 
 #[test]
@@ -399,6 +411,12 @@ fn quorum_reads_stay_current_past_a_holed_replica() {
     let later = set.machine().now() + VirtualDuration::from_millis(10);
     for i in 0..6 {
         let sample = set.serve_read(later + VirtualDuration::from_micros(i));
+        assert_eq!(sample.seq, 40, "rotation {i}");
+        assert_eq!(sample.staleness, 0, "rotation {i}");
+    }
+    // However late the read, it skips the holed member.
+    for i in 0..3 {
+        let sample = set.serve_read(latest_read() + VirtualDuration::from_nanos(i));
         assert_eq!(sample.seq, 40, "rotation {i}");
         assert_eq!(sample.staleness, 0, "rotation {i}");
     }

@@ -54,7 +54,7 @@ struct Options {
     scheme: Scheme,
     kind: WorkloadKind,
     txns: u64,
-    db_mib: u64,
+    db_len: u64,
     crash: bool,
     post_txns: Option<u64>,
     out: Option<PathBuf>,
@@ -74,7 +74,7 @@ fn parse_args() -> Options {
         scheme: Scheme::Passive(VersionTag::ImprovedLog),
         kind: WorkloadKind::DebitCredit,
         txns: 2_000,
-        db_mib: 10,
+        db_len: 10 * MIB,
         crash: false,
         post_txns: None,
         out: None,
@@ -107,7 +107,16 @@ fn parse_args() -> Options {
                 }
             }
             "--txns" => opts.txns = value().parse().unwrap_or_else(|_| usage()),
-            "--db-mib" => opts.db_mib = value().parse().unwrap_or_else(|_| usage()),
+            // An empty database, or one whose byte count overflows, is a
+            // usage error rather than a panic inside the engine.
+            "--db-mib" => {
+                opts.db_len = value()
+                    .parse::<u64>()
+                    .ok()
+                    .and_then(|mib| mib.checked_mul(MIB))
+                    .filter(|&len| len > 0)
+                    .unwrap_or_else(|| usage())
+            }
             "--crash" => opts.crash = true,
             "--post-txns" => opts.post_txns = Some(value().parse().unwrap_or_else(|_| usage())),
             "--out" => opts.out = Some(PathBuf::from(value())),
@@ -133,7 +142,7 @@ fn main() -> ExitCode {
         opts.scheme,
         opts.kind,
         opts.txns,
-        opts.db_mib * MIB,
+        opts.db_len,
         opts.crash,
         post_txns,
     );

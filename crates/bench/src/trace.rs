@@ -13,8 +13,8 @@ use dsnrep_obs::{
     TimeSeries, TraceEventKind, TraceSummary, Tracer, TRACK_BACKUP, TRACK_PRIMARY,
 };
 use dsnrep_repl::{ReplicaSet, Scheme};
-use dsnrep_simcore::{NodeId, Periodic, Scheduler, StallCause, VirtualDuration, VirtualInstant};
-use dsnrep_workloads::{ThroughputReport, WorkloadKind};
+use dsnrep_simcore::StallCause;
+use dsnrep_workloads::WorkloadKind;
 
 use crate::experiments::{costs, SEED};
 use crate::openlat::OpenSystemStats;
@@ -107,58 +107,6 @@ pub fn build_attribution(
         panic!("virtual-time attribution leak: {e}");
     }
     tree
-}
-
-/// Drives `txns` transactions through an explicit two-node event
-/// [`Scheduler`]: node 0 runs one transaction per event and re-arms itself
-/// at the machine's new clock; node 1 is a [`Periodic`] metrics sampler on
-/// the recorder's window cadence, whose events call
-/// [`Tracer::sample_to`] so time-series windows materialize as virtual
-/// time passes instead of all at once at snapshot.
-///
-/// The sampler is **materialization-only** by the hub's contract, so a run
-/// driven this way is bit-identical — simulated outcomes and exported
-/// artifacts both — to one that never samples (the recorder-side fallback
-/// for drivers without a scheduler). A determinism test in
-/// `crates/bench/tests` holds the two together.
-fn drive_sampled(
-    recorder: &FlightRecorder,
-    txns: u64,
-    start: VirtualInstant,
-    mut run_one: impl FnMut() -> VirtualInstant,
-) {
-    const TXN: u64 = 0;
-    const SAMPLE: u64 = 1;
-    if txns == 0 {
-        return;
-    }
-    let driver = NodeId::new(0);
-    let sampler = NodeId::new(1);
-    let mut sched = Scheduler::new(2);
-    let mut cadence = Periodic::new(VirtualDuration::from_picos(recorder.window_picos()));
-    cadence.catch_up_to(start);
-    let mut remaining = txns;
-    sched.schedule(driver, start, TXN);
-    sched.schedule(sampler, cadence.next_at(), SAMPLE);
-    while let Some(ev) = sched.dispatch() {
-        match ev.token {
-            TXN => {
-                remaining -= 1;
-                let now = run_one();
-                if remaining > 0 {
-                    sched.schedule(driver, now, TXN);
-                }
-            }
-            SAMPLE => {
-                let due = cadence.fire();
-                recorder.sample_to(due);
-                if remaining > 0 {
-                    sched.schedule(sampler, cadence.next_at(), SAMPLE);
-                }
-            }
-            _ => unreachable!("drive_sampled only schedules TXN and SAMPLE tokens"),
-        }
-    }
 }
 
 /// Checks the time-series against the attribution tree: for every node,
@@ -365,13 +313,12 @@ pub fn traced_run(
 }
 
 /// Runs `txns` transactions of `kind` under `scheme` with a flight
-/// recorder attached to every machine and port, the transaction driver
-/// and a periodic metrics sampler interleaved through an explicit event
-/// scheduler. With `crash`, the primary is crashed afterwards, the
-/// backup's takeover is traced, and `post_txns` further transactions run
-/// on the promoted backup (the availability report's recovery leg); the
-/// audit then runs against the failed-over arena (otherwise against the
-/// quiesced primary's, and `post_txns` is ignored).
+/// recorder attached to every machine and port. With `crash`, the primary
+/// is crashed afterwards, the backup's takeover is traced, and `post_txns`
+/// further transactions run on the promoted backup (the availability
+/// report's recovery leg); the audit then runs against the failed-over
+/// arena (otherwise against the quiesced primary's, and `post_txns` is
+/// ignored).
 pub fn traced_run_with(
     scheme: Scheme,
     kind: WorkloadKind,
@@ -388,25 +335,14 @@ pub fn traced_run_with(
 
     let mut set = ReplicaSet::pair_traced(costs(), scheme, &config, recorder.clone());
     let mut workload = kind.build_traced(set.db_region(), SEED);
-    let run_start = set.machine().now();
-    drive_sampled(&recorder, txns, run_start, || {
-        set.run_txn(workload.as_mut());
-        set.machine().now()
-    });
-    let tps = ThroughputReport {
-        txns,
-        elapsed: set.machine().now().duration_since(run_start),
-    }
-    .tps();
+    let tps = set.run(workload.as_mut(), txns).tps();
     let (primary_stats, backup_stats, recovery_picos, audit_result) = if crash {
         let primary_stats = set.machine().stats();
         let mut failover = set.begin_takeover().takeover.recover();
         let mut post_workload = kind.build_traced(failover.engine.db_region(), SEED);
-        let post_start = failover.machine.now();
-        drive_sampled(&recorder, post_txns, post_start, || {
+        for _ in 0..post_txns {
             failover.run_txn(post_workload.as_mut());
-            failover.machine.now()
-        });
+        }
         let result = audit(version, &failover.machine.arena().borrow());
         (
             primary_stats,
@@ -478,6 +414,7 @@ pub fn traced_run_with(
 mod tests {
     use super::*;
     use dsnrep_obs::MetricsHub;
+    use dsnrep_simcore::VirtualInstant;
 
     /// A one-node tree whose clock attributes `leaf` picoseconds to
     /// `RingFull` stalls.

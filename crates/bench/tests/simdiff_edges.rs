@@ -1,7 +1,8 @@
 //! Edge-of-contract tests for the `simdiff` gate and the `faultcov`
 //! artifact: malformed numbers must be rejected at parse time (never
 //! silently compared), missing baselines must exit 2 (not pass), and a
-//! `faultcov.json` schema bump must refuse the comparison outright.
+//! `faultcov.json` schema bump must refuse the comparison outright. The
+//! report binaries reject bad usage the same way: exit 2, no panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -119,4 +120,31 @@ fn simfault_rejects_bad_usage() {
         .output()
         .expect("spawn simfault");
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn simtrace_rejects_an_empty_or_overflowing_database() {
+    let simtrace = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_simtrace"))
+            .args(args)
+            .output()
+            .expect("spawn simtrace")
+    };
+    // 2^44 MiB is 2^64 bytes, one past `u64::MAX`.
+    for mib in ["0", "17592186044416"] {
+        let out = simtrace(&["--db-mib", mib]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--db-mib {mib}: {stderr}");
+        assert!(
+            stderr.starts_with("usage: simtrace"),
+            "--db-mib {mib}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--db-mib {mib}: {stderr}");
+    }
+    // The smallest database still runs both workloads.
+    for workload in ["debit-credit", "order-entry"] {
+        let out = simtrace(&["--db-mib", "1", "--workload", workload, "--txns", "50"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{workload}: {stderr}");
+    }
 }

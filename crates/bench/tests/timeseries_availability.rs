@@ -1,9 +1,5 @@
 //! End-to-end contracts of the metrics time-series layer:
 //!
-//! * the scheduler-driven periodic sampler is **materialization-only** —
-//!   a sampled run and an unsampled run of the same workload produce
-//!   bit-identical simulated outcomes and bit-identical exported
-//!   artifacts (`timeseries.json`, the Chrome trace, the summary);
 //! * conservation — the windowed stall counters re-aggregate to the
 //!   clocks' stall leaves — is enforced inside `traced_run` itself (it
 //!   panics on a leak), and the summary's counts are the windows summed,
@@ -12,65 +8,14 @@
 //!   recovery: SLO-violation windows during the takeover and a measured
 //!   time-to-first-committed-txn after `recovery_start`.
 
-use dsnrep_bench::experiments::{costs, SEED};
 use dsnrep_bench::trace::{traced_run, traced_run_with, AvailabilityReport};
-use dsnrep_core::{EngineConfig, VersionTag};
-use dsnrep_obs::{FlightRecorder, TRACK_BACKUP, TRACK_PRIMARY};
-use dsnrep_repl::{PassiveCluster, Scheme};
+use dsnrep_core::VersionTag;
+use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
 const DB: u64 = MIB;
 const TXNS: u64 = 400;
-
-/// The same run `traced_run` performs for the passive non-crash case, but
-/// with **no sampler at all**: windows materialize lazily as metrics
-/// arrive and the rest closes at snapshot time.
-fn unsampled_passive_run() -> (f64, FlightRecorder) {
-    let recorder = FlightRecorder::from_env();
-    recorder.set_track_name(TRACK_PRIMARY, "primary");
-    recorder.set_track_name(TRACK_BACKUP, "backup");
-    let config = EngineConfig::for_db(DB);
-    let mut cluster =
-        PassiveCluster::new_traced(costs(), VersionTag::ImprovedLog, &config, recorder.clone());
-    let mut workload = WorkloadKind::DebitCredit.build_traced(cluster.engine().db_region(), SEED);
-    let report = cluster.run(workload.as_mut(), TXNS);
-    cluster.quiesce();
-    (report.tps(), recorder)
-}
-
-#[test]
-fn sampler_on_and_off_runs_are_bit_identical() {
-    let sampled = traced_run(
-        Scheme::Passive(VersionTag::ImprovedLog),
-        WorkloadKind::DebitCredit,
-        TXNS,
-        DB,
-        false,
-    );
-    let (tps, recorder) = unsampled_passive_run();
-
-    // Simulated outcomes: bit-equal throughput.
-    assert_eq!(
-        sampled.tps.to_bits(),
-        tps.to_bits(),
-        "the sampler changed a simulated outcome"
-    );
-    // Exported artifacts: byte-equal time-series and Chrome trace (the
-    // latter embeds every counter track, so this covers the Perfetto
-    // rendering too).
-    assert_eq!(
-        sampled.timeseries.to_json(),
-        recorder.timeseries().to_json(),
-        "the sampler changed timeseries.json"
-    );
-    assert_eq!(
-        sampled.recorder.chrome_trace_json(),
-        recorder.chrome_trace_json(),
-        "the sampler changed the Chrome trace"
-    );
-    assert!(sampled.passed());
-}
 
 #[test]
 fn traced_run_is_deterministic_across_repeats() {

@@ -52,22 +52,47 @@ pub struct ApplyRecord {
     pub at: VirtualInstant,
 }
 
-struct Inner {
+/// A bounded drop-oldest ring: pushing onto a full ring evicts its
+/// oldest record and counts the loss.
+struct Ring<T> {
     capacity: usize,
-    spans: VecDeque<SpanRecord>,
-    dropped_spans: u64,
-    instants: VecDeque<InstantRecord>,
-    dropped_instants: u64,
+    records: VecDeque<T>,
+    dropped: u64,
+}
+
+impl<T: Copy> Ring<T> {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            capacity,
+            records: VecDeque::new(),
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, record: T) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(record);
+    }
+
+    /// The records held, oldest first.
+    fn to_vec(&self) -> Vec<T> {
+        self.records.iter().copied().collect()
+    }
+}
+
+struct Inner {
+    spans: Ring<SpanRecord>,
+    instants: Ring<InstantRecord>,
     track_names: Vec<Option<String>>,
     /// Every count the recorder exports: the summary, the attribution
     /// tree's traffic and the time-series all sum these windows.
     hub: MetricsHub,
-    packet_lives: VecDeque<(u32, PacketLife)>,
-    dropped_packet_lives: u64,
-    applies: VecDeque<ApplyRecord>,
-    dropped_applies: u64,
-    txn_paths: VecDeque<TxnPath>,
-    dropped_txn_paths: u64,
+    packet_lives: Ring<(u32, PacketLife)>,
+    applies: Ring<ApplyRecord>,
+    txn_paths: Ring<TxnPath>,
     path_stats: Vec<TxnPathStats>,
 }
 
@@ -105,10 +130,10 @@ impl fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.borrow();
         f.debug_struct("FlightRecorder")
-            .field("capacity", &inner.capacity)
-            .field("spans", &inner.spans.len())
-            .field("dropped_spans", &inner.dropped_spans)
-            .field("instants", &inner.instants.len())
+            .field("capacity", &inner.spans.capacity)
+            .field("spans", &inner.spans.records.len())
+            .field("dropped_spans", &inner.spans.dropped)
+            .field("instants", &inner.instants.records.len())
             .finish()
     }
 }
@@ -149,7 +174,8 @@ impl FlightRecorder {
     }
 
     /// Creates a recorder whose span ring holds at most `capacity` records
-    /// (instants share the same bound; counters are unbounded).
+    /// (the instant and causal rings share the same bound; counters are
+    /// unbounded).
     ///
     /// # Panics
     ///
@@ -158,19 +184,13 @@ impl FlightRecorder {
         assert!(capacity > 0, "flight recorder capacity must be non-zero");
         FlightRecorder {
             inner: Rc::new(RefCell::new(Inner {
-                capacity,
-                spans: VecDeque::with_capacity(capacity.min(4096)),
-                dropped_spans: 0,
-                instants: VecDeque::new(),
-                dropped_instants: 0,
+                spans: Ring::new(capacity),
+                instants: Ring::new(capacity),
                 track_names: Vec::new(),
                 hub: MetricsHub::new(DEFAULT_WINDOW_PICOS),
-                packet_lives: VecDeque::new(),
-                dropped_packet_lives: 0,
-                applies: VecDeque::new(),
-                dropped_applies: 0,
-                txn_paths: VecDeque::new(),
-                dropped_txn_paths: 0,
+                packet_lives: Ring::new(capacity),
+                applies: Ring::new(capacity),
+                txn_paths: Ring::new(capacity),
                 path_stats: Vec::new(),
             })),
         }
@@ -227,32 +247,33 @@ impl FlightRecorder {
 
     /// Number of spans currently held in the ring.
     pub fn span_count(&self) -> usize {
-        self.inner.borrow().spans.len()
+        self.inner.borrow().spans.records.len()
     }
 
     /// Number of spans dropped because the ring was full.
     pub fn dropped_spans(&self) -> u64 {
-        self.inner.borrow().dropped_spans
+        self.inner.borrow().spans.dropped
     }
 
     /// Number of point events dropped because the ring was full.
     pub fn dropped_instants(&self) -> u64 {
-        self.inner.borrow().dropped_instants
+        self.inner.borrow().instants.dropped
     }
 
-    /// The ring capacity (records per ring: spans and instants each).
+    /// The ring capacity (records per ring: spans, instants and each
+    /// causal ring alike).
     pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
+        self.inner.borrow().spans.capacity
     }
 
     /// A copy of the spans currently in the ring, oldest first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.borrow().spans.iter().copied().collect()
+        self.inner.borrow().spans.to_vec()
     }
 
     /// A copy of the point events currently in the ring, oldest first.
     pub fn instants(&self) -> Vec<InstantRecord> {
-        self.inner.borrow().instants.iter().copied().collect()
+        self.inner.borrow().instants.to_vec()
     }
 
     /// Point events of one kind, oldest first.
@@ -260,6 +281,7 @@ impl FlightRecorder {
         self.inner
             .borrow()
             .instants
+            .records
             .iter()
             .filter(|i| i.kind == kind)
             .copied()
@@ -291,11 +313,11 @@ impl FlightRecorder {
             txns: ts.counter_total(Metric::CommittedTxns),
             commit_latency_log2: ts.latency_reaggregated(),
             tracks,
-            ring_capacity: inner.capacity as u64,
-            spans_recorded: inner.spans.len() as u64,
-            spans_dropped: inner.dropped_spans,
-            events: inner.instants.len() as u64,
-            events_dropped: inner.dropped_instants,
+            ring_capacity: inner.spans.capacity as u64,
+            spans_recorded: inner.spans.records.len() as u64,
+            spans_dropped: inner.spans.dropped,
+            events: inner.instants.records.len() as u64,
+            events_dropped: inner.instants.dropped,
             stall_picos: Vec::new(),
         }
     }
@@ -303,34 +325,34 @@ impl FlightRecorder {
     /// A copy of the packet lifecycles currently in the ring, oldest
     /// first, each with its sending track.
     pub fn packet_lives(&self) -> Vec<(u32, PacketLife)> {
-        self.inner.borrow().packet_lives.iter().copied().collect()
+        self.inner.borrow().packet_lives.to_vec()
     }
 
     /// Packet lifecycles dropped because the ring was full.
     pub fn dropped_packet_lives(&self) -> u64 {
-        self.inner.borrow().dropped_packet_lives
+        self.inner.borrow().packet_lives.dropped
     }
 
     /// A copy of the apply records currently in the ring, oldest first.
     pub fn applies(&self) -> Vec<ApplyRecord> {
-        self.inner.borrow().applies.iter().copied().collect()
+        self.inner.borrow().applies.to_vec()
     }
 
     /// Apply records dropped because the ring was full.
     pub fn dropped_applies(&self) -> u64 {
-        self.inner.borrow().dropped_applies
+        self.inner.borrow().applies.dropped
     }
 
     /// A copy of the transaction critical paths currently in the ring,
     /// oldest first.
     pub fn txn_paths(&self) -> Vec<TxnPath> {
-        self.inner.borrow().txn_paths.iter().copied().collect()
+        self.inner.borrow().txn_paths.to_vec()
     }
 
     /// Transaction paths dropped because the ring was full (the unbounded
     /// [`FlightRecorder::txn_path_stats`] accumulators are unaffected).
     pub fn dropped_txn_paths(&self) -> u64 {
-        self.inner.borrow().dropped_txn_paths
+        self.inner.borrow().txn_paths.dropped
     }
 
     /// The unbounded critical-path accumulators for `track` (empty stats
@@ -349,7 +371,7 @@ impl FlightRecorder {
         f: impl FnOnce(&VecDeque<SpanRecord>, &VecDeque<InstantRecord>) -> R,
     ) -> R {
         let inner = self.inner.borrow();
-        f(&inner.spans, &inner.instants)
+        f(&inner.spans.records, &inner.instants.records)
     }
 
     /// Every track a span or point event in the ring names, plus the rows
@@ -358,9 +380,10 @@ impl FlightRecorder {
         let inner = self.inner.borrow();
         let mut tracks: Vec<u32> = inner
             .spans
+            .records
             .iter()
             .map(|s| s.track)
-            .chain(inner.instants.iter().map(|i| i.track))
+            .chain(inner.instants.records.iter().map(|i| i.track))
             .chain(0..ts.traffic_rows())
             .collect();
         tracks.sort_unstable();
@@ -392,11 +415,7 @@ impl Tracer for FlightRecorder {
             }
             _ => {}
         }
-        if inner.spans.len() == inner.capacity {
-            inner.spans.pop_front();
-            inner.dropped_spans += 1;
-        }
-        inner.spans.push_back(SpanRecord {
+        inner.spans.push(SpanRecord {
             track,
             phase,
             start,
@@ -405,12 +424,7 @@ impl Tracer for FlightRecorder {
     }
 
     fn instant(&self, track: u32, kind: TraceEventKind, at: VirtualInstant, arg: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.instants.len() == inner.capacity {
-            inner.instants.pop_front();
-            inner.dropped_instants += 1;
-        }
-        inner.instants.push_back(InstantRecord {
+        self.inner.borrow_mut().instants.push(InstantRecord {
             track,
             kind,
             at,
@@ -446,20 +460,14 @@ impl Tracer for FlightRecorder {
             let bytes = life.class_bytes[class.index()];
             hub.counter_add(track, Metric::san_bytes(class), life.start, bytes);
         }
-        if inner.packet_lives.len() == inner.capacity {
-            inner.packet_lives.pop_front();
-            inner.dropped_packet_lives += 1;
-        }
-        inner.packet_lives.push_back((track, life));
+        inner.packet_lives.push((track, life));
     }
 
     fn packet_applied(&self, track: u32, id: u64, txn: u64, at: VirtualInstant) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.applies.len() == inner.capacity {
-            inner.applies.pop_front();
-            inner.dropped_applies += 1;
-        }
-        inner.applies.push_back(ApplyRecord { track, id, txn, at });
+        self.inner
+            .borrow_mut()
+            .applies
+            .push(ApplyRecord { track, id, txn, at });
     }
 
     fn txn_path(
@@ -494,15 +502,7 @@ impl Tracer for FlightRecorder {
             inner.path_stats.resize_with(idx + 1, TxnPathStats::default);
         }
         inner.path_stats[idx].fold(&path);
-        if inner.txn_paths.len() == inner.capacity {
-            inner.txn_paths.pop_front();
-            inner.dropped_txn_paths += 1;
-        }
-        inner.txn_paths.push_back(path);
-    }
-
-    fn sample_to(&self, at: VirtualInstant) {
-        self.inner.borrow_mut().hub.sample_to(at);
+        inner.txn_paths.push(path);
     }
 }
 

@@ -20,11 +20,11 @@
 //! # Determinism contract
 //!
 //! Windows are derived purely from virtual timestamps (`window = at /
-//! window_picos`), never from host time or driver pacing. A
-//! Scheduler-driven sampler calling [`Tracer::sample_to`] on a
-//! [`Periodic`](dsnrep_simcore::Periodic) cadence only *materializes*
-//! windows the timestamps already closed — the exported series is
-//! byte-identical with or without a sampler, which is what lets the
+//! window_picos`), never from host time or driver pacing. A track's open
+//! window closes when one of its metrics lands in a later window (idle
+//! windows in between materialize then), and a snapshot exports the open
+//! window as the last. Nothing else closes a window, so the exported
+//! series depends on the timestamps alone, which is what lets the
 //! time-series ride the tracer seam without perturbing a single virtual
 //! outcome.
 //!
@@ -112,7 +112,6 @@ struct ClosedWindow {
 struct TrackSeries {
     touched: bool,
     first_window: u64,
-    last_update: u64,
     closed: Vec<ClosedWindow>,
     open: Option<OpenWindow>,
 }
@@ -138,7 +137,6 @@ impl TrackSeries {
 
     fn ensure(&mut self, at: u64, window_picos: u64) -> &mut OpenWindow {
         self.touched = true;
-        self.last_update = self.last_update.max(at);
         self.advance_to(at / window_picos);
         self.open.as_mut().expect("advance_to opened a window")
     }
@@ -239,21 +237,6 @@ impl MetricsHub {
         let w = self.window_picos;
         let open = self.track_mut(track).ensure(at.as_picos(), w);
         open.read_latency[bucket.min(LOG2_BUCKETS - 1)] += 1;
-    }
-
-    /// Materializes every window that the timestamps recorded so far have
-    /// already closed, without attributing anything to `at` itself: each
-    /// track advances only to `min(at, last update on that track)`, so a
-    /// periodic sampler calling this produces a byte-identical series to a
-    /// driver that never samples. See the module docs.
-    pub fn sample_to(&mut self, at: VirtualInstant) {
-        let w = self.window_picos;
-        for track in &mut self.tracks {
-            if track.touched {
-                let horizon = at.as_picos().min(track.last_update);
-                track.advance_to(horizon / w);
-            }
-        }
     }
 
     /// Snapshots the series recorded so far (the open window becomes the
@@ -682,32 +665,6 @@ mod tests {
         assert_eq!(ts.tracks[1].first_window, 9);
         assert_eq!(ts.tracks[1].windows(), 1);
         assert_eq!(ts.counter_total(Metric::SanPackets), 5);
-    }
-
-    #[test]
-    fn sample_to_is_materialization_only() {
-        let drive = |sampled: bool| {
-            let mut hub = MetricsHub::new(100);
-            hub.counter_add(0, Metric::CommittedTxns, at(10), 1);
-            hub.observe_latency(0, at(10), 4);
-            if sampled {
-                hub.sample_to(at(100));
-                hub.sample_to(at(200));
-            }
-            hub.gauge_set(1, Metric::WbufDirtyLines, at(230), 3);
-            if sampled {
-                hub.sample_to(at(300));
-                // A sampler far past the last update must not conjure
-                // windows no timestamp closed.
-                hub.sample_to(at(5_000));
-            }
-            hub.counter_add(0, Metric::CommittedTxns, at(420), 1);
-            hub.snapshot(&names)
-        };
-        let lazy = drive(false);
-        let sampled = drive(true);
-        assert_eq!(lazy, sampled, "sampler changed the exported series");
-        assert_eq!(lazy.to_json(), sampled.to_json());
     }
 
     #[test]

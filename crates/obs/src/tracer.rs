@@ -439,17 +439,6 @@ pub trait Tracer: Clone + fmt::Debug {
     ) {
         let _ = (track, txn, start, end, busy_picos, stall_picos);
     }
-
-    /// Hints that virtual time has reached `at` on every track: a periodic
-    /// sampler (e.g. a [`Periodic`](dsnrep_simcore::Periodic) event on the
-    /// driver's [`Scheduler`](dsnrep_simcore::Scheduler)) calls this so the
-    /// recorder can materialize closed windows eagerly. Purely a
-    /// materialization hint — the exported time-series is bit-identical
-    /// whether or not it is ever called.
-    #[inline]
-    fn sample_to(&self, at: VirtualInstant) {
-        let _ = at;
-    }
 }
 
 /// The zero-cost default tracer: records nothing, compiles to nothing.
@@ -505,7 +494,6 @@ mod tests {
             [0; BusyCause::COUNT],
             [0; StallCause::COUNT],
         );
-        t.sample_to(VirtualInstant::from_picos(100));
     }
 
     #[test]

@@ -9,21 +9,21 @@
 //!
 //! Streams are simulated in minimum-virtual-time order at transaction
 //! granularity: at each step the stream whose clock is furthest behind runs
-//! one transaction against the shared link. The arbitration error is
-//! bounded by one transaction (a few microseconds), negligible at the
-//! multi-second horizons of the experiment. The interleave is driven by
-//! [`dsnrep_simcore::Scheduler`] — per-stream event queues dispatched in
-//! `(time, node)` order — so a cell's execution order is an explicit,
-//! reproducible schedule rather than an artifact of the driver loop.
+//! one transaction against the shared link, ties going to the lower stream
+//! index. The arbitration error is bounded by one transaction (a few
+//! microseconds), negligible at the multi-second horizons of the
+//! experiment.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use dsnrep_cluster::Topology;
 use dsnrep_core::EngineConfig;
 use dsnrep_mcsim::{Link, Traffic};
 use dsnrep_obs::NullTracer;
-use dsnrep_simcore::{CostModel, NodeId, Scheduler, VirtualDuration, VirtualInstant};
+use dsnrep_simcore::{CostModel, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{Workload, WorkloadKind};
 
 use crate::replica_set::{ReplicaSet, Scheme};
@@ -136,30 +136,25 @@ impl SmpExperiment {
     pub fn run(&mut self, txns_per_stream: u64) -> SmpReport {
         let start: Vec<VirtualInstant> =
             self.streams.iter().map(|s| s.set.machine().now()).collect();
-        // One scheduler node per stream, one pending event per unfinished
-        // stream ("run the next transaction", rescheduled at the stream's
-        // new clock after each dispatch). The default identity tie-break
-        // dispatches equal times in stream order — the same total order the
-        // old inline BinaryHeap<(time, index)> produced, so virtual metrics
-        // are unchanged by the scheduler rewire.
+        // One entry per unfinished stream, keyed on `(clock, index)`: the
+        // min-heap pops the stream furthest behind, ties to the lower
+        // index, and the stream re-enters at its new clock.
         //
-        // A dispatched stream may deliver its own SAN packets up to its own
-        // clock, which can run *ahead* of `Scheduler::horizon()`; that is
-        // safe here because each stream's packets target only its private
-        // backup arenas, which no other node ever reads. Endpoints shared
-        // across nodes must stick to the horizon barrier.
-        let mut sched = Scheduler::new(self.streams.len());
-        if txns_per_stream > 0 {
-            for (i, s) in self.streams.iter().enumerate() {
-                sched.schedule(NodeId::new(i as u32), s.set.machine().now(), 0);
-            }
-        }
-        while let Some(ev) = sched.dispatch() {
-            let s = &mut self.streams[ev.node.index()];
+        // A popped stream delivers its own SAN packets up to its own clock,
+        // which may run ahead of the other streams' clocks. That is safe
+        // because each stream's packets land only in its private backup
+        // arenas, which no other stream reads.
+        let mut next: BinaryHeap<Reverse<(VirtualInstant, usize)>> = if txns_per_stream > 0 {
+            start.iter().copied().zip(0..).map(Reverse).collect()
+        } else {
+            BinaryHeap::new()
+        };
+        while let Some(Reverse((_, i))) = next.pop() {
+            let s = &mut self.streams[i];
             s.set.run_txn(s.workload.as_mut());
             s.done += 1;
             if s.done < txns_per_stream {
-                sched.schedule(ev.node, s.set.machine().now(), 0);
+                next.push(Reverse((s.set.machine().now(), i)));
             }
         }
         let makespan = self

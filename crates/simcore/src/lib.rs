@@ -10,9 +10,6 @@
 //!   locality results.
 //! * [`CostModel`] — every calibrated constant, with its derivation.
 //! * [`Halted`] — what every fault budget returns when it stops a node.
-//! * [`Scheduler`] — per-node event queues with a deterministic, seedable
-//!   dispatch order and the virtual-time barrier ([`Scheduler::horizon`])
-//!   that cell drivers interleave on.
 //! * [`SplitMix64`] — a small deterministic RNG.
 //!
 //! # Examples
@@ -42,7 +39,6 @@ mod clock;
 mod costs;
 mod halt;
 mod rng;
-mod sched;
 mod time;
 
 pub use addr::{Addr, Region, TrafficClass};
@@ -52,7 +48,6 @@ pub use clock::{BusyCause, Clock, StallCause};
 pub use costs::CostModel;
 pub use halt::Halted;
 pub use rng::SplitMix64;
-pub use sched::{Event, NodeId, Periodic, Scheduler};
 pub use time::{VirtualDuration, VirtualInstant};
 
 /// One mebibyte, the unit the paper reports traffic in.

@@ -4,18 +4,20 @@
 //! versions sweep a database-sized mirror through the 8 MB board cache.
 //! Shrinking or growing the cache moves the Version 3 vs Version 1 gap
 //! accordingly.
+use dsnrep_bench::experiments::txns_from_env;
+use dsnrep_bench::outln;
 use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::{run_standalone, WorkloadKind};
 
 fn main() {
-    let txns: u64 = std::env::var("DSNREP_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    println!("### Ablation: cache capacity (standalone, Debit-Credit, TPS)\n");
-    println!("| cache | Version 1 | Version 3 | V3/V1 |");
-    println!("|-------|-----------|-----------|-------|");
+    let txns = txns_from_env("DSNREP_TXNS", 20_000).unwrap_or_else(|e| {
+        eprintln!("ablation_cache: {e}");
+        std::process::exit(2)
+    });
+    outln!("### Ablation: cache capacity (standalone, Debit-Credit, TPS)\n");
+    outln!("| cache | Version 1 | Version 3 | V3/V1 |");
+    outln!("|-------|-----------|-----------|-------|");
     for mb in [1u64, 2, 4, 8, 16, 64] {
         let mut tps = [0.0f64; 2];
         for (i, version) in [VersionTag::MirrorCopy, VersionTag::ImprovedLog]
@@ -31,7 +33,7 @@ fn main() {
             let mut workload = WorkloadKind::DebitCredit.build(engine.db_region(), 42);
             tps[i] = run_standalone(workload.as_mut(), &mut m, engine.as_mut(), txns).tps();
         }
-        println!(
+        outln!(
             "| {mb:>3}MB | {:>9.0} | {:>9.0} | {:>4.2}x |",
             tps[0],
             tps[1],

@@ -5,19 +5,21 @@
 //! commit waits one SAN latency (3.3 us) for the commit record to reach
 //! the backup, which guarantees zero lost transactions at a steep
 //! throughput price on a microsecond-scale engine.
+use dsnrep_bench::experiments::txns_from_env;
+use dsnrep_bench::outln;
 use dsnrep_core::{Durability, EngineConfig, VersionTag};
 use dsnrep_repl::{ActiveCluster, PassiveCluster};
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let txns: u64 = std::env::var("DSNREP_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    println!("### Ablation: 1-safe vs 2-safe commit (Debit-Credit, TPS)\n");
-    println!("| scheme | 1-safe | 2-safe | cost |");
-    println!("|--------|--------|--------|------|");
+    let txns = txns_from_env("DSNREP_TXNS", 20_000).unwrap_or_else(|e| {
+        eprintln!("ablation_durability: {e}");
+        std::process::exit(2)
+    });
+    outln!("### Ablation: 1-safe vs 2-safe commit (Debit-Credit, TPS)\n");
+    outln!("| scheme | 1-safe | 2-safe | cost |");
+    outln!("|--------|--------|--------|------|");
     for (label, version) in [
         ("passive Version 3", Some(VersionTag::ImprovedLog)),
         ("passive Version 1", Some(VersionTag::MirrorCopy)),
@@ -44,7 +46,7 @@ fn main() {
                 }
             };
         }
-        println!(
+        outln!(
             "| {label} | {:>7.0} | {:>7.0} | -{:.0}% |",
             tps[0],
             tps[1],

@@ -7,19 +7,21 @@
 //! (it is sequential), but the interleaved database writes evict it
 //! constantly, shrinking packets and dragging Version 3 toward the
 //! mirroring versions.
+use dsnrep_bench::experiments::txns_from_env;
+use dsnrep_bench::outln;
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_repl::PassiveCluster;
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::WorkloadKind;
 
 fn main() {
-    let txns: u64 = std::env::var("DSNREP_TXNS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    println!("### Ablation: write-buffer count (passive, Debit-Credit, TPS)\n");
-    println!("| buffers | Version 3 | mean pkt | Version 1 | mean pkt |");
-    println!("|---------|-----------|----------|-----------|----------|");
+    let txns = txns_from_env("DSNREP_TXNS", 20_000).unwrap_or_else(|e| {
+        eprintln!("ablation_write_buffers: {e}");
+        std::process::exit(2)
+    });
+    outln!("### Ablation: write-buffer count (passive, Debit-Credit, TPS)\n");
+    outln!("| buffers | Version 3 | mean pkt | Version 1 | mean pkt |");
+    outln!("|---------|-----------|----------|-----------|----------|");
     for buffers in [1usize, 2, 4, 6, 8, 12] {
         let mut row = format!("| {buffers:>7} |");
         for version in [VersionTag::ImprovedLog, VersionTag::MirrorCopy] {
@@ -32,6 +34,6 @@ fn main() {
             let mean = cluster.traffic().mean_packet_size();
             row.push_str(&format!(" {:>9.0} | {mean:>7.1}B |", report.tps()));
         }
-        println!("{row}");
+        outln!("{row}");
     }
 }

@@ -6,13 +6,40 @@
 //! DSNREP_TXNS=100000 cargo run --release -p dsnrep-bench --bin reproduce
 //! ```
 
-use dsnrep_bench::experiments::{self, RunScale, FIGURE_SCHEMES};
+use dsnrep_bench::experiments::{self, Grid, RunScale, TrafficMib, FIGURE_SCHEMES};
 use dsnrep_bench::trace::{traced_run, traced_run_with};
 use dsnrep_bench::{ascii_chart, out, outln, paper, Comparison};
 use dsnrep_core::VersionTag;
 use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
+
+// Version 0's and Version 3's index in the grid's standalone and pair rows.
+const V0: usize = 0;
+const V3: usize = 3;
+
+/// The row names of Tables 5 and 7, in the paper's column order.
+const PARTS: [&str; 4] = ["modified", "undo", "meta", "total"];
+
+/// Appends one traffic breakdown's four rows, named `{prefix}{name}` after
+/// `names`, beside the paper's modified/undo/meta/total values.
+fn traffic_rows(
+    t: &mut Comparison,
+    prefix: &str,
+    names: [&str; 4],
+    paper: [f64; 4],
+    measured: TrafficMib,
+) {
+    let measured = [
+        measured.modified,
+        measured.undo,
+        measured.meta,
+        measured.total(),
+    ];
+    for ((name, paper), measured) in names.into_iter().zip(paper).zip(measured) {
+        t.row(&format!("{prefix}{name}"), paper, measured);
+    }
+}
 
 fn main() {
     let scale = RunScale::from_env().unwrap_or_else(|e| {
@@ -28,38 +55,25 @@ fn main() {
         scale.smp_per_stream
     );
 
-    // Compute every report section concurrently (each section fans its
-    // cells out further via `par_cells`); printing below stays strictly in
-    // report order. Cells are fully independent simulations, so this
-    // changes wall-clock time only, never a simulated result.
-    let (mut fig1, mut table1, mut table2, mut instr) = (None, None, None, None);
-    let (mut table3, mut t45, mut t67, mut table8) = (None, None, None, None);
-    let (mut fig2, mut fig3) = (None, None);
-    std::thread::scope(|s| {
-        s.spawn(|| fig1 = Some(experiments::figure1()));
-        s.spawn(|| table1 = Some(experiments::table1(scale)));
-        s.spawn(|| table2 = Some(experiments::table2(scale)));
-        s.spawn(|| {
-            instr = Some(experiments::standalone_instrumentation(
-                WorkloadKind::DebitCredit,
-                scale.debit_credit,
-            ))
-        });
-        s.spawn(|| table3 = Some(experiments::table3(scale)));
-        s.spawn(|| t45 = Some(experiments::table4_and_5(scale)));
-        s.spawn(|| t67 = Some(experiments::table6_and_7(scale)));
-        s.spawn(|| table8 = Some(experiments::table8(scale)));
-        s.spawn(|| fig2 = Some(experiments::smp_figure(WorkloadKind::DebitCredit, scale)));
-        s.spawn(|| fig3 = Some(experiments::smp_figure(WorkloadKind::OrderEntry, scale)));
+    // Compute the five sections concurrently (the grid, Table 8 and the SMP
+    // figures fan their cells out further via `par_cells`); printing below
+    // stays strictly in report order. Cells are fully independent
+    // simulations, so this changes wall-clock time only, never a simulated
+    // result.
+    let (fig1, grid, table8, figures) = std::thread::scope(|s| {
+        let fig1 = s.spawn(experiments::figure1);
+        let grid = s.spawn(|| Grid::run(scale));
+        let table8 = s.spawn(|| experiments::table8(scale));
+        let figures =
+            WorkloadKind::ALL.map(|kind| s.spawn(move || experiments::smp_figure(kind, scale)));
+        let panicked = "a report section panicked";
+        (
+            fig1.join().expect(panicked),
+            grid.join().expect(panicked),
+            table8.join().expect(panicked),
+            figures.map(|f| f.join().expect(panicked)),
+        )
     });
-    let (fig1, table1, table2, instr) = (
-        fig1.unwrap(),
-        table1.unwrap(),
-        table2.unwrap(),
-        instr.unwrap(),
-    );
-    let (table3, t45, t67, table8) = (table3.unwrap(), t45.unwrap(), t67.unwrap(), table8.unwrap());
-    let figures = [fig2.unwrap(), fig3.unwrap()];
 
     // ---- Figure 1 ----
     let mut t = Comparison::new(
@@ -72,7 +86,7 @@ fn main() {
     }
     t.print();
 
-    // ---- Table 1 ----
+    // ---- Table 1: Version 0 of Tables 3 and 4 ----
     let mut t = Comparison::new(
         "Table 1: straightforward implementation (TPS)",
         &["configuration", "paper", "measured"],
@@ -82,32 +96,30 @@ fn main() {
         t.row(
             &format!("{kind}: single machine"),
             paper::TABLE1[k][0],
-            table1[k][0],
+            grid.standalone[k][V0].0,
         );
         t.row(
             &format!("{kind}: primary-backup"),
             paper::TABLE1[k][1],
-            table1[k][1],
+            grid.pair[k][V0].0,
         );
     }
     t.print();
 
-    // ---- Table 2 ----
+    // ---- Table 2: Table 5's Version 0 ----
     let mut t = Comparison::new(
         "Table 2: data communicated by the straightforward implementation (MB)",
         &["category", "paper", "measured"],
     );
     for kind in WorkloadKind::ALL {
         let k = experiments::kind_index(kind);
-        let m = table2[k];
-        t.row(
-            &format!("{kind}: modified data"),
-            paper::TABLE2[k][0],
-            m.modified,
+        traffic_rows(
+            &mut t,
+            &format!("{kind}: "),
+            ["modified data", "undo log", "meta-data", "total"],
+            paper::TABLE2[k],
+            grid.pair[k][V0].1,
         );
-        t.row(&format!("{kind}: undo log"), paper::TABLE2[k][1], m.undo);
-        t.row(&format!("{kind}: meta-data"), paper::TABLE2[k][2], m.meta);
-        t.row(&format!("{kind}: total"), paper::TABLE2[k][3], m.total());
     }
     t.print();
 
@@ -115,7 +127,8 @@ fn main() {
     outln!("### Instrumentation: standalone cache behaviour (Debit-Credit)\n");
     outln!("| version | TPS | cache hit rate | misses/txn |");
     outln!("|---------|-----|----------------|------------|");
-    for (version, tps, stats) in &instr {
+    let debit_credit = experiments::kind_index(WorkloadKind::DebitCredit);
+    for (version, (tps, stats)) in VersionTag::ALL.iter().zip(&grid.standalone[debit_credit]) {
         outln!(
             "| {version} | {tps:.0} | {:.1}% | {:.1} |",
             stats.hit_rate() * 100.0,
@@ -139,7 +152,7 @@ fn main() {
             t.row(
                 &format!("{kind}: {label}"),
                 paper::TABLE3[k][v],
-                table3[k][v],
+                grid.standalone[k][v].0,
             );
         }
     }
@@ -156,7 +169,7 @@ fn main() {
             t.row(
                 &format!("{kind}: {label}"),
                 paper::TABLE4[k][v],
-                t45[k][v].0,
+                grid.pair[k][v].0,
             );
         }
     }
@@ -169,44 +182,32 @@ fn main() {
     for kind in WorkloadKind::ALL {
         let k = experiments::kind_index(kind);
         for (v, label) in paper::VERSION_LABELS.iter().enumerate() {
-            let m = t45[k][v].1;
-            t.row(
-                &format!("{kind}: {label}: modified"),
-                paper::TABLE5[k][v][0],
-                m.modified,
-            );
-            t.row(
-                &format!("{kind}: {label}: undo"),
-                paper::TABLE5[k][v][1],
-                m.undo,
-            );
-            t.row(
-                &format!("{kind}: {label}: meta"),
-                paper::TABLE5[k][v][2],
-                m.meta,
-            );
-            t.row(
-                &format!("{kind}: {label}: total"),
-                paper::TABLE5[k][v][3],
-                m.total(),
+            traffic_rows(
+                &mut t,
+                &format!("{kind}: {label}: "),
+                PARTS,
+                paper::TABLE5[k][v],
+                grid.pair[k][v].1,
             );
         }
     }
     t.print();
 
-    // ---- Tables 6 and 7 ----
+    // ---- Tables 6 and 7: Version 3 of Tables 4 and 5 beside the active backup ----
+    let schemes = [("best passive (V3)", V3), ("active", experiments::ACTIVE)];
     let mut t = Comparison::new(
         "Table 6: passive vs active throughput (TPS)",
         &["configuration", "paper", "measured"],
     );
     for kind in WorkloadKind::ALL {
         let k = experiments::kind_index(kind);
-        t.row(
-            &format!("{kind}: best passive (V3)"),
-            paper::TABLE6[k][0],
-            t67[k][0].0,
-        );
-        t.row(&format!("{kind}: active"), paper::TABLE6[k][1], t67[k][1].0);
+        for (s, (scheme, j)) in schemes.into_iter().enumerate() {
+            t.row(
+                &format!("{kind}: {scheme}"),
+                paper::TABLE6[k][s],
+                grid.pair[k][j].0,
+            );
+        }
     }
     t.print();
 
@@ -214,30 +215,15 @@ fn main() {
         "Table 7: data transferred, active vs passive backup (MB)",
         &["configuration", "paper", "measured"],
     );
-    let schemes = ["best passive (V3)", "active"];
     for kind in WorkloadKind::ALL {
         let k = experiments::kind_index(kind);
-        for (s, scheme) in schemes.iter().enumerate() {
-            let m = t67[k][s].1;
-            t.row(
-                &format!("{kind}: {scheme}: modified"),
-                paper::TABLE7[k][s][0],
-                m.modified,
-            );
-            t.row(
-                &format!("{kind}: {scheme}: undo"),
-                paper::TABLE7[k][s][1],
-                m.undo,
-            );
-            t.row(
-                &format!("{kind}: {scheme}: meta"),
-                paper::TABLE7[k][s][2],
-                m.meta,
-            );
-            t.row(
-                &format!("{kind}: {scheme}: total"),
-                paper::TABLE7[k][s][3],
-                m.total(),
+        for (s, (scheme, j)) in schemes.into_iter().enumerate() {
+            traffic_rows(
+                &mut t,
+                &format!("{kind}: {scheme}: "),
+                PARTS,
+                paper::TABLE7[k][s],
+                grid.pair[k][j].1,
             );
         }
     }

@@ -186,7 +186,7 @@ fn replica_set_scenario(name: &'static str, topology: Topology, txns: u64) -> Sc
 /// down, min 1), and the reported `txns` is the actual total simulated.
 fn bigcell_scenario(name: &'static str, txns: u64) -> Scenario {
     let config = EngineConfig::for_db(BIGCELL_DB);
-    let mut exp = SmpExperiment::new(
+    let exp = SmpExperiment::new(
         CostModel::alpha_21164a(),
         Scheme::Passive(VersionTag::ImprovedLog),
         WorkloadKind::DebitCredit,

@@ -1,13 +1,15 @@
-//! The experiment implementations, one per table and figure.
+//! The experiment implementations behind every table and figure.
 //!
-//! Every function runs the relevant configuration in virtual time and
-//! returns structured results; the `benches/` targets and the `reproduce`
-//! binary print them next to the paper's numbers. Transaction counts are
-//! scaled down from the paper's multi-million-transaction runs (throughput
-//! is a steady-state rate and traffic per transaction is constant, so
-//! volumes are rescaled to the paper's run lengths for comparison).
+//! [`Grid`] runs each 50 MB configuration once, and Tables 1–7 read from
+//! it; [`figure1`], [`table8`] and [`smp_figure`] run the configurations
+//! only they use. Each runs in virtual time and returns structured
+//! results, which the `reproduce` binary prints next to the paper's
+//! numbers. Transaction counts are scaled down from the paper's
+//! multi-million-transaction runs (throughput is a steady-state rate and
+//! traffic per transaction is constant, so volumes are rescaled to the
+//! paper's run lengths for comparison).
 
-use dsnrep_core::{build_engine, EngineConfig, Machine, VersionTag};
+use dsnrep_core::{build_engine, EngineConfig, Machine, MachineStats, VersionTag};
 use dsnrep_mcsim::{figure1_sweep, BandwidthPoint, Traffic};
 use dsnrep_repl::{ReplicaSet, Scheme, SmpExperiment};
 use dsnrep_simcore::{CostModel, TrafficClass, MIB};
@@ -228,18 +230,13 @@ impl TrafficMib {
     }
 }
 
-/// Standalone throughput of one version (used by Tables 1 and 3).
-pub fn standalone_tps(kind: WorkloadKind, version: VersionTag, txns: u64) -> f64 {
-    standalone_tps_and_stats(kind, version, txns).0
-}
-
 /// Standalone throughput plus the machine's execution counters — the cache
 /// hit rate is the direct evidence for the paper's Table 3 locality story.
-pub fn standalone_tps_and_stats(
+fn standalone_tps_and_stats(
     kind: WorkloadKind,
     version: VersionTag,
     txns: u64,
-) -> (f64, dsnrep_core::MachineStats) {
+) -> (f64, MachineStats) {
     let config = EngineConfig::for_db(PAPER_DB);
     let arena = dsnrep_core::shared_arena(dsnrep_core::arena_len(version, &config));
     let mut m = Machine::standalone(costs(), arena);
@@ -251,7 +248,7 @@ pub fn standalone_tps_and_stats(
 
 /// Throughput and traffic of the paper's pair under `scheme`: passive
 /// (Tables 1, 2, 4, 5) or active (Tables 6, 7, 8).
-pub fn pair_tps_and_traffic(
+fn pair_tps_and_traffic(
     kind: WorkloadKind,
     scheme: Scheme,
     txns: u64,
@@ -272,113 +269,78 @@ pub fn figure1() -> Vec<BandwidthPoint> {
     figure1_sweep(&costs(), MIB)
 }
 
-/// Table 1 result: `[workload][single, primary_backup]` TPS.
-pub fn table1(scale: RunScale) -> [[f64; 2]; 2] {
-    let res = par_cells(4, |i| {
-        let kind = WorkloadKind::ALL[i / 2];
-        let txns = scale.txns(kind);
-        if i % 2 == 0 {
-            standalone_tps(kind, VersionTag::Vista, txns)
-        } else {
-            pair_tps_and_traffic(kind, Scheme::Passive(VersionTag::Vista), txns, PAPER_DB).0
+/// The pair schemes of the [`Grid`], in [`Grid::pair`] order: passive
+/// Version `v` at index `v`, then the active backup at [`ACTIVE`].
+pub const PAIR_SCHEMES: [Scheme; 5] = [
+    Scheme::Passive(VersionTag::Vista),
+    Scheme::Passive(VersionTag::MirrorCopy),
+    Scheme::Passive(VersionTag::MirrorDiff),
+    Scheme::Passive(VersionTag::ImprovedLog),
+    Scheme::Active,
+];
+
+/// The active backup's index in [`PAIR_SCHEMES`] and [`Grid::pair`].
+pub const ACTIVE: usize = 4;
+
+/// Every 50 MB configuration of Tables 1–7, each simulated once.
+///
+/// The paper's tables share their runs: Table 1 is Version 0 of Tables 3
+/// and 4, Table 2 is Table 5's Version 0 traffic, and the passive column
+/// of Tables 6 and 7 is Version 3 of Tables 4 and 5. The grid runs each
+/// of those configurations once per workload, and all seven tables and
+/// the report's instrumentation block read from it. The first index of
+/// both arrays is [`kind_index`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Grid {
+    /// Standalone TPS and the machine's counters, `[workload][version]`:
+    /// Table 3, whose Version 0 is Table 1's single machine.
+    pub standalone: [[(f64, MachineStats); 4]; 2],
+    /// The pair's TPS and traffic, `[workload][scheme]` in
+    /// [`PAIR_SCHEMES`] order: Tables 4 and 5, whose Version 0 is Tables 1
+    /// and 2's primary-backup, and whose Version 3 is Tables 6 and 7's
+    /// passive column beside [`ACTIVE`].
+    pub pair: [[(f64, TrafficMib); 5]; 2],
+}
+
+/// One grid cell's result.
+enum Cell {
+    Standalone((f64, MachineStats)),
+    Pair((f64, TrafficMib)),
+}
+
+impl Grid {
+    /// Runs the grid: 18 cells, one [`par_cells`] cell per configuration.
+    pub fn run(scale: RunScale) -> Self {
+        let nv = VersionTag::ALL.len();
+        let per_kind = nv + PAIR_SCHEMES.len();
+        let cells = par_cells(WorkloadKind::ALL.len() * per_kind, |i| {
+            let kind = WorkloadKind::ALL[i / per_kind];
+            let txns = scale.txns(kind);
+            match i % per_kind {
+                j if j < nv => {
+                    Cell::Standalone(standalone_tps_and_stats(kind, VersionTag::ALL[j], txns))
+                }
+                j => Cell::Pair(pair_tps_and_traffic(
+                    kind,
+                    PAIR_SCHEMES[j - nv],
+                    txns,
+                    PAPER_DB,
+                )),
+            }
+        });
+        let mut grid = Grid {
+            standalone: [[(0.0, MachineStats::default()); 4]; 2],
+            pair: [[(0.0, TrafficMib::default()); 5]; 2],
+        };
+        for (i, cell) in cells.into_iter().enumerate() {
+            let (k, j) = (kind_index(WorkloadKind::ALL[i / per_kind]), i % per_kind);
+            match cell {
+                Cell::Standalone(run) => grid.standalone[k][j] = run,
+                Cell::Pair(run) => grid.pair[k][j - nv] = run,
+            }
         }
-    });
-    let mut out = [[0.0; 2]; 2];
-    for (i, &tps) in res.iter().enumerate() {
-        out[kind_index(WorkloadKind::ALL[i / 2])][i % 2] = tps;
+        grid
     }
-    out
-}
-
-/// Table 2 result: straightforward-implementation traffic.
-pub fn table2(scale: RunScale) -> [TrafficMib; 2] {
-    let res = par_cells(WorkloadKind::ALL.len(), |i| {
-        let kind = WorkloadKind::ALL[i];
-        pair_tps_and_traffic(
-            kind,
-            Scheme::Passive(VersionTag::Vista),
-            scale.txns(kind),
-            PAPER_DB,
-        )
-        .1
-    });
-    let mut out = [TrafficMib::default(); 2];
-    for (i, &traffic) in res.iter().enumerate() {
-        out[kind_index(WorkloadKind::ALL[i])] = traffic;
-    }
-    out
-}
-
-/// Table 3 result: standalone TPS. `[workload][version]`.
-pub fn table3(scale: RunScale) -> [[f64; 4]; 2] {
-    let nv = VersionTag::ALL.len();
-    let res = par_cells(2 * nv, |i| {
-        let kind = WorkloadKind::ALL[i / nv];
-        standalone_tps(kind, VersionTag::ALL[i % nv], scale.txns(kind))
-    });
-    let mut out = [[0.0; 4]; 2];
-    for (i, &tps) in res.iter().enumerate() {
-        out[kind_index(WorkloadKind::ALL[i / nv])][i % nv] = tps;
-    }
-    out
-}
-
-/// Standalone TPS plus machine counters for every version of `kind` — the
-/// instrumentation block of the report. One cell per version.
-pub fn standalone_instrumentation(
-    kind: WorkloadKind,
-    txns: u64,
-) -> Vec<(VersionTag, f64, dsnrep_core::MachineStats)> {
-    let res = par_cells(VersionTag::ALL.len(), |i| {
-        standalone_tps_and_stats(kind, VersionTag::ALL[i], txns)
-    });
-    VersionTag::ALL
-        .iter()
-        .zip(res)
-        .map(|(&v, (tps, stats))| (v, tps, stats))
-        .collect()
-}
-
-/// Tables 4 and 5 result: passive TPS and traffic per version.
-pub fn table4_and_5(scale: RunScale) -> [[(f64, TrafficMib); 4]; 2] {
-    let nv = VersionTag::ALL.len();
-    let res = par_cells(2 * nv, |i| {
-        let kind = WorkloadKind::ALL[i / nv];
-        pair_tps_and_traffic(
-            kind,
-            Scheme::Passive(VersionTag::ALL[i % nv]),
-            scale.txns(kind),
-            PAPER_DB,
-        )
-    });
-    let mut out = [[(0.0, TrafficMib::default()); 4]; 2];
-    for (i, &cell) in res.iter().enumerate() {
-        out[kind_index(WorkloadKind::ALL[i / nv])][i % nv] = cell;
-    }
-    out
-}
-
-/// Tables 6 and 7 result: `[workload][passive_v3, active]` TPS + traffic.
-pub fn table6_and_7(scale: RunScale) -> [[(f64, TrafficMib); 2]; 2] {
-    let res = par_cells(4, |i| {
-        let kind = WorkloadKind::ALL[i / 2];
-        let txns = scale.txns(kind);
-        if i % 2 == 0 {
-            pair_tps_and_traffic(
-                kind,
-                Scheme::Passive(VersionTag::ImprovedLog),
-                txns,
-                PAPER_DB,
-            )
-        } else {
-            pair_tps_and_traffic(kind, Scheme::Active, txns, PAPER_DB)
-        }
-    });
-    let mut out = [[(0.0, TrafficMib::default()); 2]; 2];
-    for (i, &cell) in res.iter().enumerate() {
-        out[kind_index(WorkloadKind::ALL[i / 2])][i % 2] = cell;
-    }
-    out
 }
 
 /// Table 8 result: active TPS at 10 MB / 100 MB / 1 GB databases.
@@ -415,7 +377,7 @@ pub fn smp_figure(kind: WorkloadKind, scale: RunScale) -> [[f64; 4]; 4] {
         let scheme = FIGURE_SCHEMES[i / 4];
         let procs = i % 4 + 1;
         let config = EngineConfig::for_db(SMP_DB);
-        let mut exp = SmpExperiment::new(costs(), scheme, kind, &config, procs);
+        let exp = SmpExperiment::new(costs(), scheme, kind, &config, procs);
         exp.run(scale.smp_per_stream).aggregate_tps()
     });
     let mut out = [[0.0; 4]; 4];
@@ -431,8 +393,9 @@ mod tests {
 
     #[test]
     fn smoke_table1_shape() {
-        let t = table1(RunScale::smoke());
-        for row in t {
+        let grid = Grid::run(RunScale::smoke());
+        for k in 0..WorkloadKind::ALL.len() {
+            let row = [grid.standalone[k][0].0, grid.pair[k][0].0];
             assert!(
                 row[0] > row[1],
                 "single machine must beat the straightforward port: {row:?}"

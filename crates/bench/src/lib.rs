@@ -1,14 +1,16 @@
 //! The benchmark harness: regenerates every table and figure of the paper.
 //!
-//! * [`experiments`] — one function per paper artifact,
-//!   returning structured results.
+//! * [`experiments`] — the runs behind every paper artifact, returning
+//!   structured results: one [`experiments::Grid`] of 50 MB runs for
+//!   Tables 1–7, and Figure 1, Table 8 and the SMP figures.
 //! * [`paper`] — the published numbers, transcribed.
 //! * [`Comparison`] — paper-vs-measured table rendering.
 //!
-//! Run the whole evaluation with `cargo bench -p dsnrep-bench` (each
-//! `benches/` target regenerates one table or figure), or
-//! `cargo run --release -p dsnrep-bench --bin reproduce` for the full
-//! report in one pass. `DSNREP_TXNS` scales the run lengths.
+//! Run the whole evaluation with
+//! `cargo run --release -p dsnrep-bench --bin reproduce`: one pass prints
+//! every table and figure and simulates each configuration once.
+//! `DSNREP_TXNS` scales the run lengths. The `benches/` targets are the
+//! ablations beyond the paper and micro-benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //! cells on OS threads, so two passes also double as a schedule-independence
 //! check.
 
-use dsnrep_bench::experiments::{self, RunScale};
+use dsnrep_bench::experiments::{self, Grid, RunScale};
 use dsnrep_core::{EngineConfig, MachineStats, VersionTag};
 use dsnrep_mcsim::Traffic;
 use dsnrep_obs::FlightRecorder;
@@ -25,15 +25,12 @@ fn tiny() -> RunScale {
     }
 }
 
-/// Everything the report derives, captured in one pass.
+/// Everything the report derives, captured in one pass: the 50 MB grid
+/// behind Tables 1–7, Figure 1, Table 8 and Figures 2–3.
 #[derive(Debug, PartialEq)]
 struct Evaluation {
     figure1: Vec<(u64, f64)>,
-    table1: [[f64; 2]; 2],
-    table2: [experiments::TrafficMib; 2],
-    table3: [[f64; 4]; 2],
-    table4_and_5: [[(f64, experiments::TrafficMib); 4]; 2],
-    table6_and_7: [[(f64, experiments::TrafficMib); 2]; 2],
+    grid: Grid,
     table8: [[f64; 3]; 2],
     figure2: [[f64; 4]; 4],
     figure3: [[f64; 4]; 4],
@@ -45,11 +42,7 @@ fn evaluate(scale: RunScale) -> Evaluation {
             .iter()
             .map(|p| (p.packet_bytes, p.mib_per_sec))
             .collect(),
-        table1: experiments::table1(scale),
-        table2: experiments::table2(scale),
-        table3: experiments::table3(scale),
-        table4_and_5: experiments::table4_and_5(scale),
-        table6_and_7: experiments::table6_and_7(scale),
+        grid: Grid::run(scale),
         table8: experiments::table8(scale),
         figure2: experiments::smp_figure(WorkloadKind::DebitCredit, scale),
         figure3: experiments::smp_figure(WorkloadKind::OrderEntry, scale),
@@ -242,7 +235,7 @@ fn non_default_cost_models_keep_their_virtual_results() {
 /// One 3-stream x 40-transaction SMP cell on 10 MiB databases.
 fn smp_cell(scheme: Scheme, kind: WorkloadKind) -> (f64, u64, Traffic) {
     let config = EngineConfig::for_db(10 * MIB);
-    let mut exp = SmpExperiment::new(CostModel::alpha_21164a(), scheme, kind, &config, 3);
+    let exp = SmpExperiment::new(CostModel::alpha_21164a(), scheme, kind, &config, 3);
     let report = exp.run(40);
     (
         report.aggregate_tps(),

@@ -31,7 +31,6 @@ use crate::replica_set::{ReplicaSet, Scheme};
 struct Stream {
     set: ReplicaSet,
     workload: Box<dyn Workload>,
-    done: u64,
 }
 
 /// The result of one SMP run.
@@ -68,7 +67,7 @@ impl SmpReport {
 /// use dsnrep_workloads::WorkloadKind;
 ///
 /// let config = EngineConfig::for_db(MIB);
-/// let mut exp = SmpExperiment::new(
+/// let exp = SmpExperiment::new(
 ///     CostModel::alpha_21164a(), Scheme::Active, WorkloadKind::DebitCredit,
 ///     &config, 2);
 /// let report = exp.run(50);
@@ -121,11 +120,7 @@ impl SmpExperiment {
                 )
                 .without_history();
                 let workload = kind.build(set.db_region(), 0xD5E1_0000 + i as u64);
-                Stream {
-                    set,
-                    workload,
-                    done: 0,
-                }
+                Stream { set, workload }
             })
             .collect();
         SmpExperiment { streams, link }
@@ -133,7 +128,26 @@ impl SmpExperiment {
 
     /// Runs every stream to `txns_per_stream` transactions, interleaving in
     /// minimum-virtual-time order.
-    pub fn run(&mut self, txns_per_stream: u64) -> SmpReport {
+    ///
+    /// The run consumes the experiment: the shared link counts its traffic
+    /// from the experiment's construction, so a report describes exactly
+    /// one run only if the experiment runs once. A second run needs a
+    /// fresh experiment.
+    ///
+    /// ```compile_fail
+    /// use dsnrep_core::EngineConfig;
+    /// use dsnrep_repl::{Scheme, SmpExperiment};
+    /// use dsnrep_simcore::{CostModel, MIB};
+    /// use dsnrep_workloads::WorkloadKind;
+    ///
+    /// let config = EngineConfig::for_db(MIB);
+    /// let mut exp = SmpExperiment::new(
+    ///     CostModel::alpha_21164a(), Scheme::Active, WorkloadKind::DebitCredit,
+    ///     &config, 2);
+    /// exp.run(40);
+    /// exp.run(40);
+    /// ```
+    pub fn run(mut self, txns_per_stream: u64) -> SmpReport {
         let start: Vec<VirtualInstant> =
             self.streams.iter().map(|s| s.set.machine().now()).collect();
         // One entry per unfinished stream, keyed on `(clock, index)`: the
@@ -149,11 +163,12 @@ impl SmpExperiment {
         } else {
             BinaryHeap::new()
         };
+        let mut done = vec![0; self.streams.len()];
         while let Some(Reverse((_, i))) = next.pop() {
             let s = &mut self.streams[i];
             s.set.run_txn(s.workload.as_mut());
-            s.done += 1;
-            if s.done < txns_per_stream {
+            done[i] += 1;
+            if done[i] < txns_per_stream {
                 next.push(Reverse((s.set.machine().now(), i)));
             }
         }

@@ -33,7 +33,7 @@ fn main() {
             for procs in 1..=4usize {
                 // 10 MB database per stream, as in the paper.
                 let config = EngineConfig::for_db(10 * MIB);
-                let mut exp =
+                let exp =
                     SmpExperiment::new(CostModel::alpha_21164a(), scheme, kind, &config, procs);
                 tps[procs - 1] = exp.run(txns).aggregate_tps();
             }

@@ -1,13 +1,16 @@
 //! The paper's qualitative results as assertions.
 //!
 //! These are the headline *shapes* of the evaluation — who wins, in which
-//! configuration, and why — checked at a reduced run scale. The full
-//! quantitative comparison lives in `dsnrep-bench` (`cargo bench`, or the
+//! configuration, and why — checked at a reduced run scale. Tables 1–7
+//! read one [`Grid`], run once per test binary, as the `reproduce` binary
+//! does. The full quantitative comparison lives in `dsnrep-bench` (the
 //! `reproduce` binary) and in `EXPERIMENTS.md`.
+
+use std::sync::OnceLock;
 
 use dsnrep::core::VersionTag;
 use dsnrep::workloads::WorkloadKind;
-use dsnrep_bench::experiments::{self, kind_index, RunScale};
+use dsnrep_bench::experiments::{self, kind_index, Grid, RunScale, ACTIVE};
 
 fn scale() -> RunScale {
     RunScale {
@@ -15,6 +18,12 @@ fn scale() -> RunScale {
         order_entry: 2_000,
         smp_per_stream: 800,
     }
+}
+
+/// The 50 MB grid at [`scale`], shared by every test that reads it.
+fn grid() -> &'static Grid {
+    static GRID: OnceLock<Grid> = OnceLock::new();
+    GRID.get_or_init(|| Grid::run(scale()))
 }
 
 const V0: usize = 0;
@@ -40,9 +49,9 @@ fn table1_straightforward_port_collapses_throughput() {
     // "Throughput drops by a factor of 5.6 for Debit-Credit and by a
     // factor of 2.7 for Order-Entry" — we require a large drop with
     // Debit-Credit hit harder.
-    let t = experiments::table1(scale());
-    let drop_dc = t[0][0] / t[0][1];
-    let drop_oe = t[1][0] / t[1][1];
+    let g = grid();
+    let drop_dc = g.standalone[0][V0].0 / g.pair[0][V0].0;
+    let drop_oe = g.standalone[1][V0].0 / g.pair[1][V0].0;
     assert!(drop_dc > 2.5, "Debit-Credit drop {drop_dc:.1}x");
     assert!(drop_oe > 1.8, "Order-Entry drop {drop_oe:.1}x");
     assert!(drop_dc > drop_oe, "Debit-Credit must be hit harder");
@@ -51,14 +60,14 @@ fn table1_straightforward_port_collapses_throughput() {
 #[test]
 fn table2_metadata_dominates_the_straightforward_traffic() {
     // "A very large percentage of the data communicated is meta-data."
-    let t = experiments::table2(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
+        let t = grid().pair[k][V0].1;
         assert!(
-            t[k].meta > t[k].modified + t[k].undo,
+            t.meta > t.modified + t.undo,
             "{kind}: metadata {:.0} MB should dominate {:.0}+{:.0} MB",
-            t[k].meta,
-            t[k].modified,
-            t[k].undo
+            t.meta,
+            t.modified,
+            t.undo
         );
     }
 }
@@ -67,26 +76,11 @@ fn table2_metadata_dominates_the_straightforward_traffic() {
 fn table3_standalone_ordering() {
     // V3 > V1 > V2 > V0 for both benchmarks (Table 3), with every
     // restructured version beating Vista.
-    let t = experiments::table3(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
-        assert!(
-            t[k][V3] > t[k][V1],
-            "{kind}: V3 {} <= V1 {}",
-            t[k][V3],
-            t[k][V1]
-        );
-        assert!(
-            t[k][V1] > t[k][V2],
-            "{kind}: V1 {} <= V2 {}",
-            t[k][V1],
-            t[k][V2]
-        );
-        assert!(
-            t[k][V2] > t[k][V0],
-            "{kind}: V2 {} <= V0 {}",
-            t[k][V2],
-            t[k][V0]
-        );
+        let t = grid().standalone[k].map(|(tps, _)| tps);
+        assert!(t[V3] > t[V1], "{kind}: V3 {} <= V1 {}", t[V3], t[V1]);
+        assert!(t[V1] > t[V2], "{kind}: V1 {} <= V2 {}", t[V1], t[V2]);
+        assert!(t[V2] > t[V0], "{kind}: V2 {} <= V0 {}", t[V2], t[V0]);
     }
 }
 
@@ -94,9 +88,8 @@ fn table3_standalone_ordering() {
 fn table4_passive_ordering_flips_the_mirrors_and_crowns_logging() {
     // Primary-backup: V3 wins by a substantial margin, V2 beats V1
     // (reversed from standalone), and everything beats V0.
-    let t = experiments::table4_and_5(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
-        let tps = |v: usize| t[k][v].0;
+        let tps = |v: usize| grid().pair[k][v].0;
         assert!(tps(V3) > 1.2 * tps(V2), "{kind}: V3 must win clearly");
         assert!(
             tps(V2) > tps(V1),
@@ -113,10 +106,9 @@ fn table4_passive_ordering_flips_the_mirrors_and_crowns_logging() {
 fn table5_logging_ships_more_bytes_but_wins_anyway() {
     // The paper's central point: Version 3 outperforms Version 2 despite
     // communicating more data.
-    let t = experiments::table4_and_5(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
-        let (v3_tps, v3_traffic) = t[k][V3];
-        let (v2_tps, v2_traffic) = t[k][V2];
+        let (v3_tps, v3_traffic) = grid().pair[k][V3];
+        let (v2_tps, v2_traffic) = grid().pair[k][V2];
         assert!(
             v3_traffic.total() > v2_traffic.total(),
             "{kind}: V3 ships more"
@@ -127,10 +119,9 @@ fn table5_logging_ships_more_bytes_but_wins_anyway() {
 
 #[test]
 fn table6_active_beats_the_best_passive() {
-    let t = experiments::table6_and_7(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
-        let (passive, _) = t[k][0];
-        let (active, _) = t[k][1];
+        let (passive, _) = grid().pair[k][V3];
+        let (active, _) = grid().pair[k][ACTIVE];
         assert!(
             active > passive,
             "{kind}: active {active:.0} must beat passive {passive:.0}"
@@ -140,10 +131,9 @@ fn table6_active_beats_the_best_passive() {
 
 #[test]
 fn table7_active_ships_no_undo_and_less_total() {
-    let t = experiments::table6_and_7(scale());
     for (k, kind) in WorkloadKind::ALL.iter().enumerate() {
-        let passive = t[k][0].1;
-        let active = t[k][1].1;
+        let passive = grid().pair[k][V3].1;
+        let active = grid().pair[k][ACTIVE].1;
         assert_eq!(active.undo, 0.0, "{kind}: active ships no undo/mirror data");
         assert!(
             active.total() < passive.total() / 1.5,

@@ -4,7 +4,13 @@
 //! ```text
 //! cargo run --release -p dsnrep-bench --bin reproduce | tee EXPERIMENTS-run.md
 //! DSNREP_TXNS=100000 cargo run --release -p dsnrep-bench --bin reproduce
+//! DSNREP_TRACE=1 cargo run --release -p dsnrep-bench --bin reproduce
 //! ```
+//!
+//! `DSNREP_TXNS` sets the run scale (a positive integer); `DSNREP_TRACE`
+//! appends the flight-recorder section when `1` and leaves it out when
+//! unset or `0`. Both are checked before any cell runs: any other value
+//! exits 2 with a message naming the variable.
 
 use dsnrep_bench::experiments::{self, Grid, RunScale, TrafficMib, FIGURE_SCHEMES};
 use dsnrep_bench::trace::{traced_run, traced_run_with};
@@ -41,11 +47,31 @@ fn traffic_rows(
     }
 }
 
+/// Reads `DSNREP_TRACE`: unset or `0` leaves the trace section out, `1`
+/// appends it.
+///
+/// # Errors
+///
+/// A message naming the variable and its value when it is set to anything
+/// else.
+fn trace_from_env() -> Result<bool, String> {
+    let Some(raw) = std::env::var_os("DSNREP_TRACE") else {
+        return Ok(false);
+    };
+    match raw.to_str() {
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        _ => Err(format!("DSNREP_TRACE={raw:?} is neither 0 nor 1")),
+    }
+}
+
 fn main() {
-    let scale = RunScale::from_env().unwrap_or_else(|e| {
-        eprintln!("reproduce: {e}");
-        std::process::exit(2)
-    });
+    let (scale, trace) = RunScale::from_env()
+        .and_then(|scale| Ok((scale, trace_from_env()?)))
+        .unwrap_or_else(|e| {
+            eprintln!("reproduce: {e}");
+            std::process::exit(2)
+        });
     outln!("# DSN 2000 reproduction — full evaluation\n");
     outln!(
         "Run scale: {} Debit-Credit / {} Order-Entry transactions per \
@@ -290,7 +316,7 @@ fn main() {
     }
 
     // ---- Flight-recorder summary (opt-in) ----
-    if std::env::var("DSNREP_TRACE").as_deref() == Ok("1") {
+    if trace {
         let txns = scale.debit_credit.min(2_000);
         outln!("## Trace summary (DSNREP_TRACE=1)\n");
         outln!(

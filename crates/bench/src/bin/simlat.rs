@@ -8,18 +8,19 @@
 //! cargo run --release -p dsnrep-bench --bin simlat -- --requests 800
 //! ```
 //!
-//! Environment knobs (warn-once fallbacks, see `dsnrep-obs`'s env
-//! module): `DSNREP_ARRIVAL_SEED` seeds the arrival and read-key
-//! generators; `DSNREP_SLO_US` sets the per-request latency SLO the
-//! violation windows are judged against.
+//! The arrival and read-key generators are seeded with 41505, and the
+//! violation windows are judged against a 2000-virtual-µs SLO; both are
+//! constants, the values the blessed artifact records. Every setting is a
+//! flag; no environment variable changes a run.
 //!
 //! Every latency, drop count and window index in the artifact is
 //! virtual-time arithmetic over seeded generators, so the JSON is
-//! bit-stable for a given seed and request count and is gated bit-exactly
+//! bit-stable for a given request count and is gated bit-exactly
 //! by `simdiff` against `crates/bench/baselines/simlat.json`; the `wall`
 //! section is host time and only ever warns.
 //!
-//! Exit codes: `0` — artifact written; `2` — usage error.
+//! Exit codes: `0` — artifact written; `2` — usage error, or an `--out`
+//! file that cannot be written.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,7 +29,6 @@ use dsnrep_bench::openlat::{open_system_run, OpenLatConfig, OpenLatRun};
 use dsnrep_bench::out;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::VersionTag;
-use dsnrep_obs::env::{from_env_with, parse_arrival_seed, parse_slo_us};
 use dsnrep_simcore::{VirtualDuration, MIB};
 use dsnrep_workloads::{ArrivalProcess, WorkloadKind};
 
@@ -62,6 +62,12 @@ const KEY_SKEW: f64 = 1.0;
 /// Commits before the injected head crash in the failover scenarios.
 const CRASH_AFTER_COMMITS: u64 = 60;
 
+/// Seed of the arrival and read-key streams.
+const ARRIVAL_SEED: u64 = 0xA221;
+
+/// Per-request latency SLO, virtual microseconds.
+const SLO_US: u64 = 2_000;
+
 struct Options {
     requests: u64,
     out: Option<String>,
@@ -72,8 +78,7 @@ fn usage() -> ExitCode {
         "usage: simlat [--requests N] [--out FILE]\n\
          \n\
          --requests sets the arrivals per scenario (default 400); --out\n\
-         writes the JSON artifact to FILE instead of stdout.\n\
-         DSNREP_ARRIVAL_SEED and DSNREP_SLO_US shape the run."
+         writes the JSON artifact to FILE instead of stdout."
     );
     ExitCode::from(2)
 }
@@ -100,7 +105,7 @@ fn parse_args() -> Result<Options, ExitCode> {
 
 /// The fixed scenario set: each failover strategy under Poisson load with
 /// a mid-run head crash, plus one calm bursty run.
-fn scenarios(requests: u64, arrival_seed: u64, slo_us: u64) -> Vec<OpenLatConfig> {
+fn scenarios(requests: u64) -> Vec<OpenLatConfig> {
     let base = |label: &str, topology: Topology| OpenLatConfig {
         label: label.to_string(),
         topology,
@@ -109,13 +114,13 @@ fn scenarios(requests: u64, arrival_seed: u64, slo_us: u64) -> Vec<OpenLatConfig
         db_len: DB,
         workload_seed: 0xD5,
         process: ArrivalProcess::poisson(VirtualDuration::from_micros(MEAN_US)),
-        arrival_seed,
+        arrival_seed: ARRIVAL_SEED,
         requests,
         read_every: 2,
         key_population: KEY_POPULATION,
         key_skew: KEY_SKEW,
         queue_cap: QUEUE_CAP,
-        slo_us,
+        slo_us: SLO_US,
         crash_after_commits: Some(CRASH_AFTER_COMMITS.min(requests / 4)),
     };
     let pb3 = Topology::new(3, ReplicationStrategy::PrimaryBackup).expect("rf 3 primary-backup");
@@ -154,7 +159,7 @@ fn indent(json: &str, pad: &str) -> String {
     out
 }
 
-fn render(runs: &[OpenLatRun], arrival_seed: u64, slo_us: u64, requests: u64, wall: f64) -> String {
+fn render(runs: &[OpenLatRun], requests: u64, wall: f64) -> String {
     use std::fmt::Write as _;
     fn opt(v: Option<u64>) -> String {
         v.map_or_else(|| "null".to_string(), |v| v.to_string())
@@ -162,8 +167,8 @@ fn render(runs: &[OpenLatRun], arrival_seed: u64, slo_us: u64, requests: u64, wa
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"schema_version\": 1,\n  \"arrival_seed\": {arrival_seed},\n  \
-         \"slo_us\": {slo_us},\n  \"requests\": {requests},\n  \"scenarios\": ["
+        "{{\n  \"schema_version\": 1,\n  \"arrival_seed\": {ARRIVAL_SEED},\n  \
+         \"slo_us\": {SLO_US},\n  \"requests\": {requests},\n  \"scenarios\": ["
     );
     for (i, run) in runs.iter().enumerate() {
         if i > 0 {
@@ -200,11 +205,8 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    let arrival_seed = from_env_with("DSNREP_ARRIVAL_SEED", parse_arrival_seed);
-    let slo_us = from_env_with("DSNREP_SLO_US", parse_slo_us);
-
     let started = Instant::now();
-    let runs: Vec<OpenLatRun> = scenarios(opts.requests, arrival_seed, slo_us)
+    let runs: Vec<OpenLatRun> = scenarios(opts.requests)
         .iter()
         .map(open_system_run)
         .collect();
@@ -229,7 +231,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = render(&runs, arrival_seed, slo_us, opts.requests, wall);
+    let json = render(&runs, opts.requests, wall);
     match &opts.out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &json) {

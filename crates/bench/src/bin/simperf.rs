@@ -105,15 +105,6 @@ struct Scenario {
     virt: VirtMetrics,
 }
 
-/// Development-only scenario filter: `DSNREP_SIMPERF_ONLY=a,b` runs just the
-/// named scenarios (e.g. to profile one hot path). The emitted JSON then
-/// omits the other scenarios, so it is not comparable with the full
-/// baseline — CI always runs unfiltered.
-fn scenario_filter() -> Option<Vec<String>> {
-    let raw = std::env::var("DSNREP_SIMPERF_ONLY").ok()?;
-    Some(raw.split(',').map(|s| s.trim().to_string()).collect())
-}
-
 fn standalone_scenario(name: &'static str, version: VersionTag, txns: u64) -> Scenario {
     let config = EngineConfig::for_db(DB);
     let arena = dsnrep_core::shared_arena(dsnrep_core::arena_len(version, &config));
@@ -216,43 +207,29 @@ fn main() {
         eprintln!("simperf: {e}");
         std::process::exit(2)
     });
-    let filter = scenario_filter();
     let wall = Instant::now();
 
-    type Build = fn(&'static str, u64) -> Scenario;
-    let table: [(&'static str, Build); 8] = [
-        ("standalone_improved_log", |n, t| {
-            standalone_scenario(n, VersionTag::ImprovedLog, t)
-        }),
-        ("passive_vista", |n, t| {
-            pair_scenario(n, Scheme::Passive(VersionTag::Vista), t)
-        }),
-        ("passive_mirror_copy", |n, t| {
-            pair_scenario(n, Scheme::Passive(VersionTag::MirrorCopy), t)
-        }),
-        ("passive_improved_log", |n, t| {
-            pair_scenario(n, Scheme::Passive(VersionTag::ImprovedLog), t)
-        }),
-        ("active_redo_ring", |n, t| {
-            pair_scenario(n, Scheme::Active, t)
-        }),
-        ("chain_rf3", |n, t| {
-            let topology = Topology::new(3, ReplicationStrategy::Chain).expect("rf 3 chain");
-            replica_set_scenario(n, topology, t)
-        }),
-        ("quorum_rf3", |n, t| {
-            let strategy = ReplicationStrategy::Quorum { read: 2, write: 2 };
-            let topology = Topology::new(3, strategy).expect("rf 3 majority quorum");
-            replica_set_scenario(n, topology, t)
-        }),
-        ("bigcell", bigcell_scenario),
+    let chain3 = Topology::new(3, ReplicationStrategy::Chain).expect("rf 3 chain");
+    let quorum3 = Topology::new(3, ReplicationStrategy::Quorum { read: 2, write: 2 })
+        .expect("rf 3 majority quorum");
+    let scenarios = [
+        standalone_scenario("standalone_improved_log", VersionTag::ImprovedLog, txns),
+        pair_scenario("passive_vista", Scheme::Passive(VersionTag::Vista), txns),
+        pair_scenario(
+            "passive_mirror_copy",
+            Scheme::Passive(VersionTag::MirrorCopy),
+            txns,
+        ),
+        pair_scenario(
+            "passive_improved_log",
+            Scheme::Passive(VersionTag::ImprovedLog),
+            txns,
+        ),
+        pair_scenario("active_redo_ring", Scheme::Active, txns),
+        replica_set_scenario("chain_rf3", chain3, txns),
+        replica_set_scenario("quorum_rf3", quorum3, txns),
+        bigcell_scenario("bigcell", txns),
     ];
-
-    let scenarios: Vec<Scenario> = table
-        .iter()
-        .filter(|(name, _)| filter.as_ref().is_none_or(|f| f.iter().any(|n| n == name)))
-        .map(|(name, build)| build(name, txns))
-        .collect();
 
     let total_txns: u64 = scenarios.iter().map(|s| s.txns).sum();
     let total_secs = wall.elapsed().as_secs_f64();

@@ -31,20 +31,32 @@
 //! on the promoted backup after recovery, so the availability report has
 //! a recovery leg to measure.
 //!
+//! A flag the run cannot honor is a usage error, not dropped: `--version`
+//! picks the passive scheme's engine version, so it is rejected with
+//! `--scheme active`, and `--post-txns` is rejected without `--crash`.
+//!
+//! Every setting is a flag; no environment variable changes a run. Each
+//! ring of the recorder keeps the last 65 536 records and metrics fold
+//! into 1-virtual-ms windows, the values every blessed artifact records.
+//! A run long enough to overflow a ring warns on stderr: lower `--txns`.
+//!
 //! If the post-run audit finds a violation (or takeover recovery fails),
 //! the flight-recorder ring is still dumped — that dump *is* the crash
 //! report — and the process exits non-zero.
+//!
+//! Exit codes: `0` — run passed its audit; `1` — audit violation; `2` —
+//! usage error, or an `--out` directory that cannot be created or written.
 //!
 //! ```text
 //! cargo run --release -p dsnrep-bench --bin simtrace -- \
 //!     --scheme active --workload debit-credit --txns 2000 --crash --out target/trace
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dsnrep_bench::outln;
-use dsnrep_bench::trace::traced_run_with;
+use dsnrep_bench::trace::{traced_run_with, TracedRun};
 use dsnrep_core::VersionTag;
 use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
@@ -64,7 +76,12 @@ fn usage() -> ! {
     eprintln!(
         "usage: simtrace [--scheme passive|active] [--version v0|v1|v2|v3]\n\
          \x20               [--workload debit-credit|order-entry] [--txns N]\n\
-         \x20               [--db-mib N] [--crash] [--post-txns N] [--out DIR]"
+         \x20               [--db-mib N] [--crash] [--post-txns N] [--out DIR]\n\
+         \n\
+         --version picks the passive engine (not with --scheme active);\n\
+         --post-txns runs on the promoted backup (only with --crash).\n\
+         --out writes the seven artifacts into DIR. Each recorder ring keeps\n\
+         the last 65536 records; a run that overflows one warns, so lower --txns."
     );
     std::process::exit(2);
 }
@@ -79,7 +96,7 @@ fn parse_args() -> Options {
         post_txns: None,
         out: None,
     };
-    let mut version = VersionTag::ImprovedLog;
+    let mut version = None;
     let mut active = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -91,13 +108,13 @@ fn parse_args() -> Options {
                 _ => usage(),
             },
             "--version" => {
-                version = match value().as_str() {
+                version = Some(match value().as_str() {
                     "v0" => VersionTag::Vista,
                     "v1" => VersionTag::MirrorCopy,
                     "v2" => VersionTag::MirrorDiff,
                     "v3" => VersionTag::ImprovedLog,
                     _ => usage(),
-                }
+                })
             }
             "--workload" => {
                 opts.kind = match value().as_str() {
@@ -123,12 +140,35 @@ fn parse_args() -> Options {
             _ => usage(),
         }
     }
+    if (active && version.is_some()) || (opts.post_txns.is_some() && !opts.crash) {
+        usage();
+    }
     opts.scheme = if active {
         Scheme::Active
     } else {
-        Scheme::Passive(version)
+        Scheme::Passive(version.unwrap_or(VersionTag::ImprovedLog))
     };
     opts
+}
+
+/// Writes the seven artifacts into `dir`, creating it first.
+///
+/// # Errors
+///
+/// The path that could not be created or written, and why.
+fn write_artifacts(dir: &Path, run: &TracedRun) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let write = |name: &str, contents: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    write("trace.json", run.recorder.chrome_trace_json())?;
+    write("events.jsonl", run.recorder.events_jsonl())?;
+    write("summary.json", run.summary.to_json())?;
+    write("attribution.json", run.attribution.to_json())?;
+    write("timeseries.json", run.timeseries.to_json())?;
+    write("availability.json", run.availability.to_json())?;
+    write("critical_path.json", run.critpath.to_json())
 }
 
 fn main() -> ExitCode {
@@ -148,13 +188,13 @@ fn main() -> ExitCode {
     );
 
     // A truncated ring silently under-reports everything downstream of
-    // it; surface the loss loudly and name the knob that raises the cap.
+    // it; surface the loss loudly and say how to keep the whole run.
     let dropped = run.recorder.dropped_spans() + run.recorder.dropped_instants();
     if dropped > 0 {
         eprintln!(
             "warning: the flight-recorder ring dropped {} span(s) and {} event(s); \
-             the trace and its phase profile are truncated — raise DSNREP_TRACE_CAP \
-             (currently {} records per ring) to keep the whole run",
+             the trace and its phase profile are truncated — lower --txns \
+             (each ring keeps the last {} records) to keep the whole run",
             run.recorder.dropped_spans(),
             run.recorder.dropped_instants(),
             run.recorder.capacity()
@@ -162,21 +202,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(dir) = &opts.out {
-        std::fs::create_dir_all(dir).expect("create output directory");
-        std::fs::write(dir.join("trace.json"), run.recorder.chrome_trace_json())
-            .expect("write trace.json");
-        std::fs::write(dir.join("events.jsonl"), run.recorder.events_jsonl())
-            .expect("write events.jsonl");
-        std::fs::write(dir.join("summary.json"), run.summary.to_json())
-            .expect("write summary.json");
-        std::fs::write(dir.join("attribution.json"), run.attribution.to_json())
-            .expect("write attribution.json");
-        std::fs::write(dir.join("timeseries.json"), run.timeseries.to_json())
-            .expect("write timeseries.json");
-        std::fs::write(dir.join("availability.json"), run.availability.to_json())
-            .expect("write availability.json");
-        std::fs::write(dir.join("critical_path.json"), run.critpath.to_json())
-            .expect("write critical_path.json");
+        if let Err(e) = write_artifacts(dir, &run) {
+            eprintln!("simtrace: {e}");
+            return ExitCode::from(2);
+        }
         eprintln!(
             "wrote {}/trace.json (load in https://ui.perfetto.dev), events.jsonl, \
              summary.json, attribution.json, timeseries.json, availability.json, \

@@ -19,28 +19,11 @@ use std::fmt::Write as _;
 
 use crate::json::JsonValue;
 
-/// Default relative tolerance applied to `wall` metrics before even a
-/// warning is raised: host timing on shared CI runners routinely jitters by
-/// tens of percent, so the band is generous. Virtual-time metrics get no
-/// band. Override per run with `DSNREP_SIMDIFF_WALL_BAND` (see
-/// [`wall_tolerance`]).
+/// Relative tolerance applied to `wall` metrics before even a warning is
+/// raised: host timing on shared CI runners routinely jitters by tens of
+/// percent, so the band is generous. Virtual-time metrics get no band, and
+/// a wall metric only ever warns, so no run needs a different band.
 pub const WALL_TOLERANCE: f64 = 0.5;
-
-/// The wall-metric warn band in effect: `DSNREP_SIMDIFF_WALL_BAND` parsed
-/// as a fraction (`0.25` = ±25%), falling back to [`WALL_TOLERANCE`] when
-/// unset, unparsable, negative, or not finite. A dedicated perf box can
-/// tighten the band; a noisy laptop can widen it — without recompiling.
-pub fn wall_tolerance() -> f64 {
-    parse_band(std::env::var("DSNREP_SIMDIFF_WALL_BAND").ok())
-}
-
-/// The pure parsing core of [`wall_tolerance`], split out so it can be
-/// tested without mutating process-global environment state.
-fn parse_band(raw: Option<String>) -> f64 {
-    raw.and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|b| b.is_finite() && *b >= 0.0)
-        .unwrap_or(WALL_TOLERANCE)
-}
 
 /// How one leaf compared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,14 +123,9 @@ impl DiffReport {
     }
 }
 
-/// Compares two parsed artifact documents with the environment-selected
-/// wall band ([`wall_tolerance`]).
+/// Compares two parsed artifact documents, `wall` leaves within
+/// [`WALL_TOLERANCE`].
 pub fn diff(baseline: &JsonValue, current: &JsonValue) -> DiffOutcome {
-    diff_with_band(baseline, current, wall_tolerance())
-}
-
-/// Compares two parsed artifact documents with an explicit wall band.
-pub fn diff_with_band(baseline: &JsonValue, current: &JsonValue, band: f64) -> DiffOutcome {
     match (
         baseline.get("schema_version").and_then(JsonValue::as_int),
         current.get("schema_version").and_then(JsonValue::as_int),
@@ -177,11 +155,11 @@ pub fn diff_with_band(baseline: &JsonValue, current: &JsonValue, band: f64) -> D
     let mut report = DiffReport::default();
     for (path, bv) in &base_leaves {
         let cv = cur_leaves.iter().find(|(p, _)| p == path).map(|&(_, v)| v);
-        report.deltas.push(compare_leaf(path, Some(bv), cv, band));
+        report.deltas.push(compare_leaf(path, Some(bv), cv));
     }
     for (path, cv) in &cur_leaves {
         if !base_leaves.iter().any(|(p, _)| p == path) {
-            report.deltas.push(compare_leaf(path, None, Some(cv), band));
+            report.deltas.push(compare_leaf(path, None, Some(cv)));
         }
     }
     DiffOutcome::Compared(report)
@@ -212,12 +190,7 @@ fn as_f64(v: &JsonValue) -> Option<f64> {
     }
 }
 
-fn compare_leaf(
-    path: &str,
-    baseline: Option<&JsonValue>,
-    current: Option<&JsonValue>,
-    band: f64,
-) -> Delta {
+fn compare_leaf(path: &str, baseline: Option<&JsonValue>, current: Option<&JsonValue>) -> Delta {
     let wall = is_wall_path(path);
     let (kind, note) = match (baseline, current) {
         (Some(b), Some(c)) if b == c => (DeltaKind::Unchanged, String::new()),
@@ -228,7 +201,7 @@ fn compare_leaf(
                 } else {
                     (cf - bf).abs() / bf.abs()
                 };
-                if rel <= band {
+                if rel <= WALL_TOLERANCE {
                     (DeltaKind::Unchanged, String::new())
                 } else {
                     (
@@ -236,7 +209,7 @@ fn compare_leaf(
                         format!(
                             "host-time drift {:+.1}% exceeds the ±{:.0}% band",
                             (cf - bf) / bf * 100.0,
-                            band * 100.0
+                            WALL_TOLERANCE * 100.0
                         ),
                     )
                 }
@@ -356,6 +329,11 @@ mod tests {
         let r = compared(b, outside);
         assert!(r.passed(), "wall drift must not gate");
         assert_eq!(r.warnings(), 1);
+        assert!(
+            r.deltas[1].note.contains("±50% band"),
+            "{}",
+            r.deltas[1].note
+        );
     }
 
     #[test]
@@ -380,38 +358,6 @@ mod tests {
             DiffOutcome::Refused(why) => assert!(why.contains("baseline")),
             DiffOutcome::Compared(_) => panic!("must refuse unversioned artifacts"),
         }
-    }
-
-    #[test]
-    fn wall_band_is_env_configurable() {
-        // The parsing core, exercised without touching the process
-        // environment (env mutation races with parallel tests).
-        assert_eq!(parse_band(None), WALL_TOLERANCE);
-        assert_eq!(parse_band(Some("0.25".into())), 0.25);
-        assert_eq!(parse_band(Some(" 1.5 ".into())), 1.5);
-        assert_eq!(parse_band(Some("0".into())), 0.0);
-        for bogus in ["", "wide", "-0.1", "inf", "NaN"] {
-            assert_eq!(parse_band(Some(bogus.into())), WALL_TOLERANCE, "{bogus}");
-        }
-    }
-
-    #[test]
-    fn explicit_band_widens_and_tightens_the_warn_threshold() {
-        let b = parse(r#"{"schema_version": 3, "wall_secs": 10.0}"#).unwrap();
-        let c = parse(r#"{"schema_version": 3, "wall_secs": 12.0}"#).unwrap();
-        // +20% drift: clean under the default ±50%, a warning under ±10%.
-        let tight = match diff_with_band(&b, &c, 0.1) {
-            DiffOutcome::Compared(r) => r,
-            DiffOutcome::Refused(why) => panic!("unexpected refusal: {why}"),
-        };
-        assert!(tight.passed(), "wall drift must never gate");
-        assert_eq!(tight.warnings(), 1);
-        assert!(tight.deltas[1].note.contains("±10% band"));
-        let wide = match diff_with_band(&b, &c, 0.5) {
-            DiffOutcome::Compared(r) => r,
-            DiffOutcome::Refused(why) => panic!("unexpected refusal: {why}"),
-        };
-        assert_eq!(wide.warnings(), 0);
     }
 
     #[test]

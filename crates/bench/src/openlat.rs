@@ -37,7 +37,7 @@ use std::collections::BTreeSet;
 
 use dsnrep_cluster::{takeover_timeline, HeartbeatConfig, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
-use dsnrep_obs::{FlightRecorder, Metric, Phase, TimeSeries, Tracer};
+use dsnrep_obs::{FlightRecorder, Metric, Phase, TimeSeries, Tracer, DEFAULT_WINDOW_PICOS};
 use dsnrep_repl::{Failover, ReplicaSet};
 use dsnrep_simcore::{StallCause, VirtualDuration, VirtualInstant};
 use dsnrep_workloads::{ArrivalGen, ArrivalProcess, Workload, WorkloadKind, ZipfKeys};
@@ -268,7 +268,7 @@ pub fn open_system_run(config: &OpenLatConfig) -> OpenLatRun {
     let mut key_hits = vec![0u64; population as usize];
 
     let slo_picos = config.slo_us.saturating_mul(1_000_000);
-    let window = recorder.window_picos();
+    let window = DEFAULT_WINDOW_PICOS;
     let service = costs().cache_miss;
 
     let mut admitted_writes = 0u64;

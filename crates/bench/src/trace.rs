@@ -327,7 +327,7 @@ pub fn traced_run_with(
     crash: bool,
     post_txns: u64,
 ) -> TracedRun {
-    let recorder = FlightRecorder::from_env();
+    let recorder = FlightRecorder::new();
     recorder.set_track_name(TRACK_PRIMARY, "primary");
     recorder.set_track_name(TRACK_BACKUP, "backup");
     let config = EngineConfig::for_db(db_len);

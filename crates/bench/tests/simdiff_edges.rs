@@ -3,6 +3,11 @@
 //! silently compared), missing baselines must exit 2 (not pass), and a
 //! `faultcov.json` schema bump must refuse the comparison outright. The
 //! report binaries reject bad usage the same way: exit 2, no panic.
+//!
+//! The settings contract: a run depends on its flags and on the three
+//! variables `DSNREP_TXNS`, `DSNREP_SIMPERF_TXNS` and `DSNREP_TRACE`,
+//! each checked strictly at its binary's start, and on nothing else in
+//! the environment.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -147,4 +152,106 @@ fn simtrace_rejects_an_empty_or_overflowing_database() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{workload}: {stderr}");
     }
+}
+
+#[test]
+fn simtrace_rejects_a_flag_its_run_cannot_honor() {
+    // The active scheme always runs Version 3, and only a crashed run has
+    // a promoted backup to run post-recovery transactions on.
+    for args in [
+        ["--scheme", "active", "--version", "v0", "--txns", "20"],
+        ["--post-txns", "50", "--txns", "20", "--db-mib", "1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simtrace"))
+            .args(args)
+            .output()
+            .expect("spawn simtrace");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: simtrace"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn simtrace_reports_an_unwritable_out_directory() {
+    let dir = scratch("simtrace-out");
+    let file = dir.join("plain-file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let out_dir = file.join("trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_simtrace"))
+        .args(["--txns", "20", "--out", out_dir.to_str().unwrap()])
+        .output()
+        .expect("spawn simtrace");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(out_dir.to_str().unwrap()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn simtrace_artifacts_ignore_the_environment() {
+    const ARTIFACTS: [&str; 7] = [
+        "summary.json",
+        "attribution.json",
+        "timeseries.json",
+        "critical_path.json",
+        "trace.json",
+        "events.jsonl",
+        "availability.json",
+    ];
+    // A shell may still export these; no run may read them.
+    const EXPORTED: [(&str, &str); 2] = [("DSNREP_TS_WINDOW_US", "5"), ("DSNREP_TRACE_CAP", "100")];
+    let dir = scratch("simtrace-env");
+    let run = |name: &str, set: bool| {
+        let out_dir = dir.join(name);
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_simtrace"));
+        cmd.args(["--txns", "200", "--out", out_dir.to_str().unwrap()]);
+        for (var, value) in EXPORTED {
+            if set {
+                cmd.env(var, value);
+            } else {
+                cmd.env_remove(var);
+            }
+        }
+        let out = cmd.output().expect("spawn simtrace");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        out_dir
+    };
+    let bare = run("bare", false);
+    let exported = run("exported", true);
+    for artifact in ARTIFACTS {
+        let a = std::fs::read(bare.join(artifact)).expect("artifact written");
+        let b = std::fs::read(exported.join(artifact)).expect("artifact written");
+        assert!(a == b, "{artifact} depends on the environment");
+    }
+}
+
+#[test]
+fn reproduce_rejects_a_trace_value_it_cannot_honor() {
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .env("DSNREP_TXNS", "300")
+        .env("DSNREP_TRACE", "yes")
+        .output()
+        .expect("spawn reproduce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("DSNREP_TRACE"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no cell may run before the check");
+}
+
+#[test]
+fn simlat_ignores_the_environment() {
+    let out = Command::new(env!("CARGO_BIN_EXE_simlat"))
+        .args(["--requests", "20"])
+        .env("DSNREP_ARRIVAL_SEED", "7")
+        .env("DSNREP_SLO_US", "500")
+        .output()
+        .expect("spawn simlat");
+    assert_eq!(out.status.code(), Some(0));
+    let json = String::from_utf8_lossy(&out.stdout);
+    assert!(json.contains("\"arrival_seed\": 41505,"), "{json}");
+    assert!(json.contains("\"slo_us\": 2000,"), "{json}");
 }

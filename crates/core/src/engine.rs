@@ -157,27 +157,6 @@ pub trait Engine<T: Tracer = NullTracer>: core::fmt::Debug {
     fn committed_seq(&self, m: &mut Machine<T>) -> u64;
 }
 
-/// Convenience: run `body` inside a transaction and commit it.
-///
-/// # Errors
-///
-/// Propagates any error from `begin`, the body, or `commit`. The
-/// transaction is *not* automatically aborted if the body fails — callers
-/// that want rollback semantics call [`Engine::abort`] themselves.
-///
-/// # Examples
-///
-/// See the crate-level documentation of [`crate`].
-pub fn run_transaction<T: Tracer, E: Engine<T> + ?Sized>(
-    engine: &mut E,
-    m: &mut Machine<T>,
-    body: impl FnOnce(&mut E, &mut Machine<T>) -> Result<(), TxError>,
-) -> Result<(), TxError> {
-    engine.begin(m)?;
-    body(engine, m)?;
-    engine.commit(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -69,19 +69,17 @@ mod mirror;
 mod ranges;
 mod redo;
 mod shadow;
-mod tx;
 mod v0;
 mod v3;
 
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use config::EngineConfig;
-pub use engine::{run_transaction, Engine, RecoveryReport, VersionTag};
+pub use engine::{Engine, RecoveryReport, VersionTag};
 pub use error::TxError;
 pub use machine::{Durability, Machine, MachineStats, MetaMem};
 pub use mirror::{MirrorEngine, MirrorStrategy};
 pub use redo::{Applied, RedoReader, RedoWriter};
 pub use shadow::ShadowDb;
-pub use tx::Tx;
 pub use v0::VistaEngine;
 pub use v3::ImprovedLogEngine;
 

@@ -59,6 +59,10 @@ fn abort_restores_all_ranges() {
         assert_eq!(arena.borrow().read_vec(db, 32), vec![0xAA; 32], "{v}");
         assert_eq!(arena.borrow().read_vec(db + 100, 8), vec![0; 8], "{v}");
         assert_eq!(e.committed_seq(&mut m), 1, "{v}");
+        // The engine takes the next transaction, even an empty one.
+        e.begin(&mut m).unwrap();
+        e.commit(&mut m).unwrap();
+        assert_eq!(e.committed_seq(&mut m), 2, "{v}");
     });
 }
 
@@ -129,6 +133,9 @@ fn set_range_outside_db_is_rejected() {
         e.begin(&mut m).unwrap();
         let err = e.set_range(&mut m, db.end() - 4, 8).unwrap_err();
         assert!(matches!(err, TxError::RangeOutOfDatabase { .. }), "{v}");
+        e.abort(&mut m).unwrap();
+        // The rejected range left the engine clean.
+        e.begin(&mut m).unwrap();
         e.abort(&mut m).unwrap();
     });
 }

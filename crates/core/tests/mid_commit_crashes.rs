@@ -5,11 +5,11 @@
 //! explorer (`dsnrep_faultsim::exhaustive_single_fault`) now drives the
 //! same sweep for every engine version through the shared shadow oracle,
 //! so this file keeps only the low-level contract of the injection hook
-//! itself.
+//! itself, and that every engine hands a halt back to its caller.
 
 use std::rc::Rc;
 
-use dsnrep_core::{arena_len, EngineConfig, Machine, VersionTag};
+use dsnrep_core::{arena_len, build_engine, EngineConfig, Machine, TxError, VersionTag};
 use dsnrep_simcore::{Addr, CostModel, Halted, TrafficClass};
 
 const DB_LEN: u64 = 32 * 1024;
@@ -50,6 +50,25 @@ fn halted_machine_stops_at_the_exact_store() -> Result<(), Halted> {
     m.write(Addr::new(8), &[2], TrafficClass::Meta)?;
     assert_eq!(arena.borrow().read_vec(Addr::new(8), 1), vec![2]);
     Ok(())
+}
+
+#[test]
+fn every_engine_passes_a_halt_out_of_set_range() {
+    for version in VersionTag::ALL {
+        let config = EngineConfig::for_db(DB_LEN);
+        let arena = dsnrep_core::shared_arena(arena_len(version, &config));
+        let mut m = Machine::standalone(CostModel::alpha_21164a(), arena);
+        let mut engine = build_engine(version, &mut m, &config);
+        let db = engine.db_region().start();
+        m.inject_crash_after_stores(1);
+        engine.begin(&mut m).expect("begin stays within the budget");
+        assert_eq!(
+            engine.set_range(&mut m, db, 16),
+            Err(TxError::Halted),
+            "{version}"
+        );
+        assert_eq!(m.stores_executed(), 1, "{version}");
+    }
 }
 
 /// Debug builds catch any accounted access that runs after a halt.

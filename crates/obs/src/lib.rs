@@ -57,7 +57,6 @@
 mod attribution;
 mod chrome;
 mod critpath;
-pub mod env;
 mod recorder;
 mod summary;
 mod timeseries;

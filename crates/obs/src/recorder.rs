@@ -153,26 +153,6 @@ impl FlightRecorder {
         FlightRecorder::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Creates a recorder whose ring capacity honors the
-    /// `DSNREP_TRACE_CAP` environment variable (records; falls back to
-    /// [`FlightRecorder::DEFAULT_CAPACITY`] when unset) and whose metrics
-    /// window honors `DSNREP_TS_WINDOW_US` (virtual microseconds; falls
-    /// back to 1 virtual millisecond). A set-but-unusable value of either
-    /// variable is a misconfiguration, not a request for the default, so
-    /// it warns once on stderr before falling back (see [`crate::env`]).
-    ///
-    /// Raise the capacity when attribution inputs must not be truncated by
-    /// the drop-oldest ring; the summary's `ring` section reports whether
-    /// any record was dropped.
-    pub fn from_env() -> Self {
-        let capacity = crate::env::from_env_with("DSNREP_TRACE_CAP", crate::env::parse_trace_cap);
-        let window_picos =
-            crate::env::from_env_with("DSNREP_TS_WINDOW_US", crate::env::parse_window_us);
-        let rec = FlightRecorder::with_capacity(capacity);
-        rec.set_window_picos(window_picos);
-        rec
-    }
-
     /// Creates a recorder whose span ring holds at most `capacity` records
     /// (the instant and causal rings share the same bound; counters are
     /// unbounded).
@@ -194,26 +174,6 @@ impl FlightRecorder {
                 path_stats: Vec::new(),
             })),
         }
-    }
-
-    /// Reconfigures the metrics window (virtual picoseconds per window).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `picos` is zero or if a metric has already been recorded
-    /// (re-bucketing history is not supported).
-    pub fn set_window_picos(&self, picos: u64) {
-        let mut inner = self.inner.borrow_mut();
-        assert!(
-            inner.hub.is_empty(),
-            "metrics window must be set before the first metric is recorded"
-        );
-        inner.hub = MetricsHub::new(picos);
-    }
-
-    /// The metrics window width in virtual picoseconds.
-    pub fn window_picos(&self) -> u64 {
-        self.inner.borrow().hub.window_picos()
     }
 
     /// Snapshots the windowed metric time-series recorded so far (the open
@@ -605,21 +565,21 @@ mod tests {
     #[test]
     fn txn_spans_and_packets_feed_the_timeseries() {
         use crate::tracer::Metric;
+        const W: u64 = DEFAULT_WINDOW_PICOS;
         let rec = FlightRecorder::new();
-        rec.set_window_picos(1_000);
         rec.set_track_name(0, "primary");
         rec.packet_life(0, PacketLife::sent(at(100), [32, 8, 4]));
-        rec.span(0, Phase::Txn, at(0), at(1024)); // commits in window 1
+        rec.span(0, Phase::Txn, at(W), at(W + 1024)); // commits in window 1
 
         // Counted in the window its link service starts in (2), not in its
         // issue (1) or delivery (3) window.
         rec.packet_life(
             0,
             PacketLife {
-                ready: at(1_900),
-                start: at(2_100),
-                done: at(2_200),
-                delivered: at(3_000),
+                ready: at(2 * W - 100),
+                start: at(2 * W + 100),
+                done: at(2 * W + 200),
+                delivered: at(3 * W),
                 ..PacketLife::sent(at(0), [16, 0, 0])
             },
         );
@@ -680,13 +640,5 @@ mod tests {
         let mut busy = [0u64; BusyCause::COUNT];
         busy[0] = 60; // only 60 of 100 ps accounted
         rec.txn_path(0, 1, at(0), at(100), busy, [0; StallCause::COUNT]);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the first metric")]
-    fn window_cannot_change_after_metrics_recorded() {
-        let rec = FlightRecorder::new();
-        rec.span(0, Phase::Txn, at(0), at(10));
-        rec.set_window_picos(500);
     }
 }

@@ -182,16 +182,6 @@ impl MetricsHub {
         }
     }
 
-    /// The window width in virtual picoseconds.
-    pub fn window_picos(&self) -> u64 {
-        self.window_picos
-    }
-
-    /// Whether any metric has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.tracks.iter().all(|t| !t.touched)
-    }
-
     fn track_mut(&mut self, track: u32) -> &mut TrackSeries {
         let idx = track as usize;
         if idx >= self.tracks.len() {

@@ -171,11 +171,11 @@ struct ReadHistory {
     /// Commit instant of every transaction run so far, in order (the
     /// coordinator's committed-prefix clock for staleness accounting).
     commit_instants: Vec<VirtualInstant>,
-    /// Replica visibility, one column per replica: column `i` holds when
-    /// node `i + 1` held each transaction whole ([`NEVER`]: a partition
-    /// hole left that copy permanently incomplete). Every column stays
-    /// aligned with `commit_instants`. Primary-backup keeps no column: its
-    /// primary serves every read.
+    /// Replica read frontiers, one column per replica: the `k`-th entry of
+    /// column `i` is when node `i + 1` held all of transactions `1..=k`
+    /// ([`NEVER`] from a partition hole on: that copy stays incomplete).
+    /// Every column stays aligned with `commit_instants`. Primary-backup
+    /// keeps no column: its primary serves every read.
     visibility: Vec<Vec<VirtualInstant>>,
 }
 
@@ -765,10 +765,9 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
         summary
     }
 
-    /// Appends the settled transaction's replica visibility to the read
-    /// history's columns: node 1 holds it at `node1`; a downstream node
-    /// holds it at its newest delivery, unless a drop left its copy
-    /// permanently holed ([`NEVER`]).
+    /// Advances the read history's frontiers past the settled transaction:
+    /// node 1 holds it at `node1`; a downstream node holds it at its newest
+    /// delivery, unless a drop left its copy permanently holed ([`NEVER`]).
     fn record_visibility(&mut self, node1: VirtualInstant) {
         let Some(history) = &mut self.history else {
             return;
@@ -777,13 +776,14 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
             .visibility
             .split_first_mut()
             .expect("a chain or quorum history keeps a column per replica");
-        first.push(node1);
+        push_frontier(first, node1);
         for (column, node) in rest.iter_mut().zip(&self.downstream) {
-            column.push(if node.data_lost {
+            let visible = if node.data_lost {
                 NEVER
             } else {
                 node.last_delivery
-            });
+            };
+            push_frontier(column, visible);
         }
     }
 
@@ -897,16 +897,15 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     /// Panics on a set that keeps no read history: [`ReplicaSet::pair`]
     /// and the pair facades.
     pub fn committed_at(&self, at: VirtualInstant) -> u64 {
-        self.history().commit_instants.partition_point(|&t| t <= at) as u64
+        prefix_at(&self.history().commit_instants, at)
     }
 
     /// The committed prefix replica `node` (1-based) held at `at`: the
     /// largest `p` such that every transaction `1..=p` was fully delivered
-    /// to that copy by `at`. One scan of the node's column, one compare
-    /// per transaction ([`NEVER`] is past every read); it answers any `at`,
-    /// in any order.
+    /// to that copy by `at`. One binary search of the node's frontier
+    /// ([`NEVER`] is past every read); it answers any `at`, in any order.
     fn visible_prefix(&self, node: u8, at: VirtualInstant) -> u64 {
-        leading_at_or_before(&self.history().visibility[usize::from(node) - 1], at)
+        prefix_at(&self.history().visibility[usize::from(node) - 1], at)
     }
 
     /// Serves one read issued at `at` through the strategy's read path:
@@ -957,6 +956,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 }
             }
             ReplicationStrategy::Quorum { read, .. } => {
+                let committed = self.committed_at(at);
                 // Rotate the read set over all RF nodes so replica copies
                 // actually serve (a head-always set would never observe
                 // staleness and never offload the coordinator).
@@ -967,7 +967,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 for k in 0..u64::from(read) {
                     let m = ((rotation + k) % u64::from(rf)) as u8;
                     let (response_at, prefix) = if m == 0 {
-                        (at + service, self.committed_at(at))
+                        (at + service, committed)
                     } else {
                         match self.fabric.read_round_trip(
                             0,
@@ -990,7 +990,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                 }
                 // Every remote member timed out: the coordinator serves
                 // from its own copy after the timeout.
-                let (seq, node) = best.unwrap_or((self.committed_at(at), 0));
+                let (seq, node) = best.unwrap_or((committed, 0));
                 if best.is_none() {
                     completed = completed.max(at + service);
                 }
@@ -999,7 +999,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
                     completed,
                     node: NodeId::new(node),
                     seq,
-                    staleness: self.committed_at(at).saturating_sub(seq),
+                    staleness: committed.saturating_sub(seq),
                 }
             }
         };
@@ -1153,17 +1153,16 @@ pub fn modeled_pairs(topology: Topology) -> Vec<(u8, u8)> {
     }
 }
 
-/// How many leading entries of `column` are at or before `at`.
-///
-/// Kept out of line: its loop is then a 15-byte body, which the
-/// compiler's 16-byte loop alignment keeps inside one 64-byte fetch line.
-/// Inlined into [`ReplicaSet::serve_read`], the loop's far exit branch
-/// made it 23 bytes, and builds whose layout put it across a line
-/// boundary served rf3-mixed's reads ~1.3x slower at the median and ~2x
-/// at p99.
-#[inline(never)]
-fn leading_at_or_before(column: &[VirtualInstant], at: VirtualInstant) -> u64 {
-    column.iter().take_while(|&&visible| visible <= at).count() as u64
+/// Appends the next transaction to a read frontier: the later of when the
+/// copy held it whole and the previous entry, so a column never falls and
+/// [`NEVER`] holds from a partition hole on.
+fn push_frontier(column: &mut Vec<VirtualInstant>, visible: VirtualInstant) {
+    column.push(column.last().map_or(visible, |&last| last.max(visible)));
+}
+
+/// How many entries of a nondecreasing column are at or before `at`.
+fn prefix_at(column: &[VirtualInstant], at: VirtualInstant) -> u64 {
+    column.partition_point(|&t| t <= at) as u64
 }
 
 /// What one [`ReplicaSet::forward_up_to`] call moved.
@@ -1177,4 +1176,57 @@ struct ForwardSummary {
     node1_last: VirtualInstant,
     /// Quorum: packets whose node-1 DMA was past the cut (crash case).
     node1_missed: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use dsnrep_simcore::SplitMix64;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// How many leading transactions a copy held by `at`, given when it
+    /// held each one whole: one compare per transaction.
+    fn naive_prefix(visible: &[VirtualInstant], at: VirtualInstant) -> u64 {
+        visible.iter().take_while(|&&t| t <= at).count() as u64
+    }
+
+    /// Instants from a narrow range, so a sequence repeats and falls, and
+    /// the partition-hole sentinel anywhere.
+    fn visibility() -> impl Strategy<Value = VirtualInstant> {
+        prop_oneof![
+            6 => (0u64..40).prop_map(VirtualInstant::from_picos),
+            1 => Just(NEVER),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn the_read_frontier_agrees_with_the_naive_scan(
+            visible in prop::collection::vec(visibility(), 0..48),
+            seed in any::<u64>(),
+        ) {
+            let mut column = Vec::new();
+            for &t in &visible {
+                push_frontier(&mut column, t);
+            }
+            prop_assert_eq!(column.len(), visible.len());
+            let mut queries = vec![
+                VirtualInstant::EPOCH,
+                VirtualInstant::from_picos(u64::MAX) - VirtualDuration::from_millis(1),
+            ];
+            for t in visible.iter().map(|t| t.as_picos()) {
+                let around = [t.checked_sub(1), Some(t), t.checked_add(1)];
+                queries.extend(around.into_iter().flatten().map(VirtualInstant::from_picos));
+            }
+            // A read answers any instant in any order.
+            let mut rng = SplitMix64::new(seed);
+            for i in (1..queries.len()).rev() {
+                queries.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            for at in queries {
+                prop_assert_eq!(prefix_at(&column, at), naive_prefix(&visible, at), "at {}", at);
+            }
+        }
+    }
 }

@@ -416,7 +416,7 @@ fn quorum_reads_stay_current_past_a_holed_replica() {
     }
     // However late the read, it skips the holed member: the 0→2 drop
     // swallows every later send on that link, read requests included, so
-    // node 2 never answers and its holed column is never scanned. (The
+    // node 2 never answers and its holed column is never searched. (The
     // chain test above is the one that reads across a hole.)
     for i in 0..3 {
         let sample = set.serve_read(latest_read() + VirtualDuration::from_nanos(i));

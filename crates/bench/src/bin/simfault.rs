@@ -34,9 +34,7 @@ use std::process::ExitCode;
 
 use dsnrep_bench::faultcov::{render, ScenarioCoverage};
 use dsnrep_bench::out;
-use dsnrep_core::VersionTag;
 use dsnrep_faultsim::{exhaustive_single_fault, partition_campaign, random_campaign, Scenario};
-use dsnrep_workloads::WorkloadKind;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -108,43 +106,13 @@ fn parse_args() -> Result<Options, ExitCode> {
     Ok(opts)
 }
 
-/// The campaign matrix: every scenario the acceptance sweep names.
-fn matrix(txns: u64) -> Vec<Scenario> {
-    // Order-Entry transactions touch an order of magnitude more records
-    // than Debit-Credit's four fixed fields, so halving the run keeps an
-    // exhaustive sweep (quadratic in run length) affordable.
-    let oe_txns = (txns / 2).max(1);
-    let mut scenarios = Vec::new();
-    for version in VersionTag::ALL {
-        scenarios.push(Scenario::passive(version, WorkloadKind::DebitCredit).with_txns(txns));
-        scenarios.push(Scenario::passive(version, WorkloadKind::OrderEntry).with_txns(oe_txns));
-    }
-    for workload in [WorkloadKind::DebitCredit, WorkloadKind::OrderEntry] {
-        let t = match workload {
-            WorkloadKind::DebitCredit => txns,
-            WorkloadKind::OrderEntry => oe_txns,
-        };
-        scenarios.push(Scenario::active(workload).with_txns(t));
-        scenarios.push(Scenario::active(workload).with_txns(t).two_safe());
-    }
-    // N-node fabric drivers at RF = 3: the chain, a majority quorum
-    // (R = W = 2), and a write-all quorum (W = 3) whose commits degrade
-    // visibly whenever a replica link is severed.
-    let v3 = VersionTag::ImprovedLog;
-    scenarios.push(Scenario::chain(v3, WorkloadKind::DebitCredit, 3).with_txns(txns));
-    scenarios.push(Scenario::chain(v3, WorkloadKind::OrderEntry, 3).with_txns(oe_txns));
-    scenarios.push(Scenario::quorum(v3, WorkloadKind::DebitCredit, 3, 2, 2).with_txns(txns));
-    scenarios.push(Scenario::quorum(v3, WorkloadKind::DebitCredit, 3, 1, 3).with_txns(txns));
-    scenarios
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
         Err(code) => return code,
     };
 
-    let scenarios = matrix(opts.txns);
+    let scenarios = Scenario::matrix(opts.txns);
     let mut coverage = Vec::new();
     for scenario in &scenarios {
         let label = scenario.label();

@@ -371,25 +371,37 @@ mod tests {
         spans.iter().map(|span| (span.0, bytes(span))).collect()
     }
 
-    /// A random reference over a 2-4 page database at an unaligned offset
+    /// A random reference over a 2-7 page database at an unaligned offset
     /// of an arena with 4, 16 or 64 KiB pages, plus a recovered image
     /// that differs from it at random bytes, inside random torn spans, on
     /// page edges and across whole pages; all-zero pages of the image
     /// stay unmaterialized. Some reference bytes lie in pages the
     /// recovery never wrote, whose arena pages then stay unmaterialized
-    /// too. The reference has three boundaries: zeros, a first commit of
+    /// too. Most databases of three pages or more hold such a run of
+    /// three or more pages, which the arena lends as one zero piece, with
+    /// reference bytes in its middle page, on its last byte or just past
+    /// it. The reference has three boundaries: zeros, a first commit of
     /// random spans and a second of flipped bytes.
     fn recovered(seed: u64) -> Recovered {
         let mut rng = SplitMix64::new(seed);
-        let mut arena = Arena::new([5 << 12, 12 << 20, 40 << 20][rng.next_below(3) as usize]);
+        let mut arena = Arena::new([10 << 12, 12 << 20, 40 << 20][rng.next_below(3) as usize]);
         let page = arena.page_len() as u64;
         let base = rng.next_below(page);
-        let db_len = 2 * page + rng.next_below(2 * page);
+        let db_len = 2 * page + rng.next_below(5 * page);
         let db = Region::new(Addr::new(base), db_len);
         // Only some arena pages hold data.
-        let populated: Vec<bool> = (0..(base + db_len).div_ceil(page))
+        let mut populated: Vec<bool> = (0..(base + db_len).div_ceil(page))
             .map(|_| rng.next_below(2) == 0)
             .collect();
+        // Arena pages `first..first + k`, region-relative `start..end`.
+        let pages = populated.len() as u64;
+        let zero_run = (pages >= 3 && rng.next_below(4) != 0).then(|| {
+            let k = 3 + rng.next_below(pages - 2);
+            let first = rng.next_below(pages - k + 1);
+            populated[first as usize..(first + k) as usize].fill(false);
+            let start = (first * page).saturating_sub(base);
+            (first, start, ((first + k) * page - base).min(db_len))
+        });
         let mut image = vec![0u8; db_len as usize];
         let mut first = Vec::new();
         for _ in 0..2 + rng.next_below(30) {
@@ -407,6 +419,17 @@ mod tests {
             let off = rng.next_below(db_len);
             flip(&mut rng, &mut image[off as usize]);
             first.push((off, 1));
+        }
+        // Committed bytes in the zero run's middle page, on its last byte
+        // and on the byte past it, each or not.
+        if let Some((run_first, _, end)) = zero_run {
+            let middle = (run_first + 1) * page - base + rng.next_below(page);
+            for off in [middle, end - 1, end] {
+                if off < db_len && rng.next_below(2) == 0 {
+                    image[off as usize] = 1 + rng.next_below(255) as u8;
+                    first.push((off, 1));
+                }
+            }
         }
         let mut next = image.clone();
         let mut second = Vec::new();
@@ -473,6 +496,9 @@ mod tests {
                 let end = ((p as u64 + 1) * page - base).min(db_len) as usize;
                 actual[start..end].fill(0);
             }
+        }
+        if let Some((_, start, end)) = zero_run {
+            actual[start as usize..end as usize].fill(0);
         }
 
         let mut off = 0usize;

@@ -144,6 +144,35 @@ impl Scenario {
         }
     }
 
+    /// The `simfault` campaign matrix, Debit-Credit scenarios running
+    /// `txns` transactions: passive Versions 0-3 on both workloads, the
+    /// active driver 1-safe and 2-safe on both, and at RF = 3 the chain
+    /// on both, a majority quorum (R = W = 2) and a write-all quorum
+    /// (W = 3), whose commits degrade visibly whenever a replica link is
+    /// severed. Order-Entry transactions touch an order of magnitude more
+    /// records than Debit-Credit's four fixed fields, so its scenarios
+    /// run half as many, which keeps an exhaustive sweep (quadratic in
+    /// run length) affordable.
+    pub fn matrix(txns: u64) -> Vec<Scenario> {
+        let oe_txns = (txns / 2).max(1);
+        let (dc, oe) = (WorkloadKind::DebitCredit, WorkloadKind::OrderEntry);
+        let mut scenarios = Vec::new();
+        for version in VersionTag::ALL {
+            scenarios.push(Scenario::passive(version, dc).with_txns(txns));
+            scenarios.push(Scenario::passive(version, oe).with_txns(oe_txns));
+        }
+        for (workload, t) in [(dc, txns), (oe, oe_txns)] {
+            scenarios.push(Scenario::active(workload).with_txns(t));
+            scenarios.push(Scenario::active(workload).with_txns(t).two_safe());
+        }
+        let v3 = VersionTag::ImprovedLog;
+        scenarios.push(Scenario::chain(v3, dc, 3).with_txns(txns));
+        scenarios.push(Scenario::chain(v3, oe, 3).with_txns(oe_txns));
+        scenarios.push(Scenario::quorum(v3, dc, 3, 2, 2).with_txns(txns));
+        scenarios.push(Scenario::quorum(v3, dc, 3, 1, 3).with_txns(txns));
+        scenarios
+    }
+
     /// The N-node [`Topology`] this scenario runs, when its driver is a
     /// [`ReplicaSet`](dsnrep_repl::ReplicaSet) one.
     ///

@@ -5,17 +5,14 @@
 //! queueing, and stalls can be attributed per link (the Tracer/MetricsHub
 //! machinery keys on tracks, and each hop gets its own [`Link`]).
 //!
-//! A [`Fabric`] creates links lazily, keyed by `(from, to)`, and layers
-//! the partition faults that `faultsim` injects: an asymmetric extra
+//! A [`Fabric`] keeps one table of directed hops, sorted by `(from, to)`:
+//! each hop's [`Link`], created on its first packet, beside the partition
+//! fault that `faultsim` injects on it: an asymmetric extra
 //! delivery delay, or dropping every packet after the first `n`, on any
 //! single directed pair. Faults shift or swallow *deliveries* only — the
 //! sender's service timing (and so its posted-write accounting) is
 //! unchanged, exactly like a real switch that delays or discards frames
 //! after the adapter has already completed the DMA.
-
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use dsnrep_obs::Tracer;
 use dsnrep_simcore::{CostModel, VirtualDuration, VirtualInstant};
@@ -36,6 +33,15 @@ struct LinkFault {
     drop_after: Option<u64>,
     /// Packets submitted on this pair since the fault view began.
     sent: u64,
+}
+
+/// One directed pair's link and fault.
+#[derive(Debug)]
+struct Hop {
+    pair: PairKey,
+    /// Created on the first packet: a hop only a fault named carried none.
+    link: Option<Link>,
+    fault: LinkFault,
 }
 
 /// Per-directed-pair links with lazily-created [`Link`]s and partition
@@ -62,8 +68,8 @@ struct LinkFault {
 #[derive(Debug)]
 pub struct Fabric {
     costs: CostModel,
-    links: BTreeMap<PairKey, Rc<RefCell<Link>>>,
-    faults: BTreeMap<PairKey, LinkFault>,
+    /// Every hop a packet or a fault named, sorted by pair.
+    hops: Vec<Hop>,
     /// Packets reported to a tracer so far: the fabric's id sequence (see
     /// [`Fabric::trace_packet`]).
     traced: u64,
@@ -75,21 +81,29 @@ impl Fabric {
     pub fn new(costs: &CostModel) -> Self {
         Fabric {
             costs: costs.clone(),
-            links: BTreeMap::new(),
-            faults: BTreeMap::new(),
+            hops: Vec::new(),
             traced: 0,
         }
     }
 
-    /// The link serving the directed pair `from → to`, created idle on
+    /// Index of the hop `from → to`, added with no link and no fault on
     /// first use.
-    pub fn link(&mut self, from: u8, to: u8) -> Rc<RefCell<Link>> {
-        let costs = &self.costs;
-        Rc::clone(
-            self.links
-                .entry((from, to))
-                .or_insert_with(|| Rc::new(RefCell::new(Link::new(costs)))),
-        )
+    fn hop_at(&mut self, from: u8, to: u8) -> usize {
+        let pair = (from, to);
+        self.hops
+            .binary_search_by_key(&pair, |hop| hop.pair)
+            .unwrap_or_else(|at| {
+                let fault = LinkFault::default();
+                self.hops.insert(
+                    at,
+                    Hop {
+                        pair,
+                        link: None,
+                        fault,
+                    },
+                );
+                at
+            })
     }
 
     /// Submits a packet on the `from → to` link at `ready`.
@@ -104,9 +118,11 @@ impl Fabric {
         ready: VirtualInstant,
         class_bytes: [u64; 3],
     ) -> Option<PacketTiming> {
-        let link = self.link(from, to);
-        let mut timing = link.borrow_mut().send_mixed(ready, class_bytes);
-        let fault = self.faults.entry((from, to)).or_default();
+        let at = self.hop_at(from, to);
+        let hop = &mut self.hops[at];
+        let link = hop.link.get_or_insert_with(|| Link::new(&self.costs));
+        let mut timing = link.send_mixed(ready, class_bytes);
+        let fault = &mut hop.fault;
         fault.sent += 1;
         if fault.drop_after.is_some_and(|n| fault.sent > n) {
             return None;
@@ -185,15 +201,16 @@ impl Fabric {
     /// from now on arrives `extra` later. Cumulative with earlier delays
     /// on the same pair.
     pub fn partition_delay(&mut self, from: u8, to: u8, extra: VirtualDuration) {
-        let fault = self.faults.entry((from, to)).or_default();
-        fault.extra_delay += extra;
+        let at = self.hop_at(from, to);
+        self.hops[at].fault.extra_delay += extra;
     }
 
     /// Injects an asymmetric drop fault: after `n` more packets, every
     /// `from → to` packet is swallowed. `n = 0` drops from the next
     /// packet on.
     pub fn partition_drop_after(&mut self, from: u8, to: u8, n: u64) {
-        let fault = self.faults.entry((from, to)).or_default();
+        let at = self.hop_at(from, to);
+        let fault = &mut self.hops[at].fault;
         let remaining = fault.sent + n;
         fault.drop_after = Some(match fault.drop_after {
             Some(existing) => existing.min(remaining),
@@ -201,22 +218,28 @@ impl Fabric {
         });
     }
 
-    /// Heals every injected partition fault (links and their traffic
-    /// counters are kept).
+    /// Heals every injected partition fault and restarts each hop's
+    /// packet count (links and their traffic counters are kept).
     pub fn heal_partitions(&mut self) {
-        self.faults.clear();
+        for hop in &mut self.hops {
+            hop.fault = LinkFault::default();
+        }
     }
 
     /// Whether the directed pair currently drops packets.
     pub fn is_dropping(&self, from: u8, to: u8) -> bool {
-        self.faults
-            .get(&(from, to))
-            .is_some_and(|f| f.drop_after.is_some_and(|n| f.sent >= n))
+        let at = self.hops.binary_search_by_key(&(from, to), |hop| hop.pair);
+        at.is_ok_and(|at| {
+            let fault = &self.hops[at].fault;
+            fault.drop_after.is_some_and(|n| fault.sent >= n)
+        })
     }
 
-    /// Every materialized link, in deterministic `(from, to)` order.
-    pub fn pairs(&self) -> impl Iterator<Item = (PairKey, &Rc<RefCell<Link>>)> {
-        self.links.iter().map(|(&k, link)| (k, link))
+    /// Every link that carried a packet, in deterministic `(from, to)`
+    /// order.
+    pub fn pairs(&self) -> impl Iterator<Item = (PairKey, &Link)> {
+        let links = self.hops.iter();
+        links.filter_map(|hop| Some((hop.pair, hop.link.as_ref()?)))
     }
 }
 
@@ -283,7 +306,7 @@ mod tests {
         assert!(f.send(1, 0, t, modified(32)).is_some());
         // The link still accounted the dropped packets' service time.
         let (_, link) = f.pairs().next().unwrap();
-        assert_eq!(link.borrow().traffic().total_packets(), 4);
+        assert_eq!(link.traffic().total_packets(), 4);
     }
 
     #[test]
@@ -332,6 +355,34 @@ mod tests {
             (7, t.ready, t.start, t.done, t.delivered)
         );
         assert_eq!(life.class_bytes, modified(32));
+    }
+
+    /// A fault names a hop before any packet does; until one does, the
+    /// hop lists no link. Healing keeps links and their traffic, and
+    /// restarts each hop's drop count.
+    #[test]
+    fn a_fault_on_an_unused_pair_lists_no_link() {
+        let mut f = Fabric::new(&CostModel::alpha_21164a());
+        f.partition_delay(2, 0, VirtualDuration::from_micros(10));
+        f.partition_drop_after(1, 2, 1);
+        assert_eq!(f.pairs().count(), 0);
+        let keys = |f: &Fabric| f.pairs().map(|(pair, _)| pair).collect::<Vec<_>>();
+        let t = f.send(2, 0, VirtualInstant::EPOCH, modified(4)).unwrap();
+        f.send(0, 1, VirtualInstant::EPOCH, modified(4)).unwrap();
+        assert_eq!(keys(&f), [(0, 1), (2, 0)]);
+        assert!(f.send(1, 2, t.done, modified(4)).is_some());
+        assert!(f.send(1, 2, t.done, modified(4)).is_none());
+        assert_eq!(keys(&f), [(0, 1), (1, 2), (2, 0)]);
+        f.heal_partitions();
+        assert_eq!(keys(&f), [(0, 1), (1, 2), (2, 0)]);
+        let (_, hop) = f.pairs().nth(1).unwrap();
+        assert_eq!(hop.traffic().total_packets(), 2);
+        f.partition_drop_after(1, 2, 1);
+        assert!(
+            f.send(1, 2, t.done, modified(4)).is_some(),
+            "the count restarted"
+        );
+        assert!(f.send(1, 2, t.done, modified(4)).is_none());
     }
 
     #[test]

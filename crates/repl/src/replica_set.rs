@@ -607,7 +607,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     pub fn traffic(&self) -> Traffic {
         let mut total = self.head_traffic();
         for (_, link) in self.fabric.pairs() {
-            total.merge(link.borrow().traffic());
+            total.merge(link.traffic());
         }
         total
     }
@@ -618,7 +618,7 @@ impl<T: Tracer + 'static> ReplicaSet<T> {
     pub fn fabric_traffic(&self) -> Vec<((u8, u8), Traffic)> {
         self.fabric
             .pairs()
-            .map(|(pair, link)| (pair, link.borrow().traffic().clone()))
+            .map(|(pair, link)| (pair, link.traffic().clone()))
             .collect()
     }
 

@@ -108,6 +108,12 @@ fn chain_rf3_converges_and_acks_through_the_tail() {
     let ack = &per_pair.iter().find(|(p, _)| *p == (2, 0)).unwrap().1;
     assert_eq!(hop.total_bytes(), set.head_traffic().total_bytes());
     assert_eq!(ack.total_packets(), 100);
+    // A partition armed on a pair the chain never uses lists nothing.
+    set.partition_delay(2, 1, VirtualDuration::from_micros(5));
+    set.partition_drop_after(0, 2, 0);
+    set.run(&mut w, 10);
+    let pairs: Vec<(u8, u8)> = set.fabric_traffic().iter().map(|(p, _)| *p).collect();
+    assert_eq!(pairs, [(1, 2), (2, 0)]);
     assert_eq!(set.degraded_commits(), 0);
 }
 

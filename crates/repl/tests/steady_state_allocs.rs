@@ -8,11 +8,14 @@
 //! transactions. What remains is amortized growth: the read history's
 //! columns and the drivers' queues doubling now and then.
 //!
-//! Arena pages are counted apart. They are the simulated memory itself,
-//! materialized on a page's first nonzero write and never again, and a
-//! workload keeps touching fresh pages of its 2 MiB database for tens of
-//! thousands of transactions (Debit-Credit's history ring alone spans
-//! 32 768 of them).
+//! Arena page frames taken from the heap are counted apart, by rio's own
+//! per-thread count ([`Arena::heap_frames`]). They are the simulated
+//! memory itself, materialized on a page's first nonzero write and never
+//! again, and a workload keeps touching fresh pages of its 2 MiB database
+//! for tens of thousands of transactions (Debit-Credit's history ring
+//! alone spans 32 768 of them). A page whose frame an earlier driver
+//! dropped on this thread takes no allocation at all, so the count is of
+//! frames, not of pages materialized.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,6 +23,7 @@ use std::cell::Cell;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{arena_len, build_engine, shared_arena, EngineConfig, Machine, VersionTag};
 use dsnrep_repl::{ActiveCluster, PassiveCluster, ReplicaSet};
+use dsnrep_rio::Arena;
 use dsnrep_simcore::{CostModel, MIB};
 use dsnrep_workloads::{TxCtx, WorkloadKind};
 
@@ -73,26 +77,23 @@ const MEASURED: u64 = 1_000;
 struct Steady {
     /// Heap allocations and reallocations.
     allocs: u64,
-    /// Arena pages materialized, each one of `allocs`.
-    pages: u64,
+    /// Arena page frames taken from the heap, each one of `allocs`.
+    frames: u64,
 }
 
 /// Runs `step(k)` for every step `k`; each runs one transaction (and
-/// maybe a read) and returns the arena pages its driver's nodes have
-/// materialized so far.
-fn steady(mut step: impl FnMut(u64) -> usize) -> Steady {
-    let mut pages_before = 0;
+/// maybe a read).
+fn steady(mut step: impl FnMut(u64)) -> Steady {
     for k in 0..WARMUP {
-        pages_before = step(k);
+        step(k);
     }
-    let before = ALLOCS.with(Cell::get);
-    let mut pages_after = pages_before;
+    let (allocs, frames) = (ALLOCS.with(Cell::get), Arena::heap_frames());
     for k in WARMUP..WARMUP + MEASURED {
-        pages_after = step(k);
+        step(k);
     }
     Steady {
-        allocs: ALLOCS.with(Cell::get) - before,
-        pages: (pages_after - pages_before) as u64,
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        frames: Arena::heap_frames() - frames,
     }
 }
 
@@ -107,7 +108,6 @@ fn standalone(kind: WorkloadKind, version: VersionTag) -> Steady {
     steady(|_| {
         w.run_txn(&mut TxCtx::new(&mut m, engine.as_mut()))
             .expect("a correctly sized standalone engine never fails");
-        m.arena().borrow().pages_touched()
     })
 }
 
@@ -121,12 +121,6 @@ fn replicated(set: &mut ReplicaSet, kind: WorkloadKind, reads: bool) -> Steady {
             let at = set.machine().now();
             set.serve_read(at);
         }
-        set.machine().arena().borrow().pages_touched()
-            + set
-                .backup_arenas()
-                .iter()
-                .map(|arena| arena.borrow().pages_touched())
-                .sum::<usize>()
     })
 }
 
@@ -163,18 +157,18 @@ fn check(kind: WorkloadKind) {
     }
     for (driver, steady) in &counts {
         assert!(
-            steady.pages <= steady.allocs,
+            steady.frames <= steady.allocs,
             "{kind}, {driver}: {steady:?}"
         );
     }
     let over: Vec<_> = counts
         .iter()
-        .filter(|(_, steady)| (steady.allocs - steady.pages) * 100 >= MEASURED)
+        .filter(|(_, steady)| (steady.allocs - steady.frames) * 100 >= MEASURED)
         .collect();
     assert!(
         over.is_empty(),
-        "{kind}: allocations over {MEASURED} steady-state transactions, beside arena pages: \
-         {over:?} (all: {counts:?})"
+        "{kind}: allocations over {MEASURED} steady-state transactions, beside arena page \
+         frames: {over:?} (all: {counts:?})"
     );
 }
 

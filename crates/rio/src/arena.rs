@@ -15,17 +15,19 @@ use core::fmt;
 
 use dsnrep_simcore::{copy_small, Addr, Halted, Region};
 
+use crate::frames;
+
 /// Shortest page of any arena.
-const MIN_PAGE_LEN: u64 = 4 * 1024;
+pub(crate) const MIN_PAGE_LEN: u64 = 4 * 1024;
 /// Longest page of any arena.
 const MAX_PAGE_LEN: u64 = 64 * 1024;
 
-/// One page piece of an arena byte run, as [`Arena::pieces`] lends it.
+/// One piece of an arena byte run, as [`Arena::pieces`] lends it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Piece<'a> {
-    /// Bytes of a materialized page.
+    /// Bytes of one materialized page.
     Bytes(&'a [u8]),
-    /// This many bytes of an unmaterialized page, which read as zeros.
+    /// This many bytes of unmaterialized pages, which read as zeros.
     Zeros(usize),
 }
 
@@ -61,7 +63,7 @@ fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Pi
     let page = match slot {
         Some(page) => page,
         None if piece.is_zero() => return false,
-        None => slot.insert(vec![0u8; page_len].into_boxed_slice()),
+        None => slot.insert(frames::zeroed(page_len)),
     };
     let dst = &mut page[page_off..page_off + piece.len()];
     match piece {
@@ -74,7 +76,9 @@ fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Pi
 /// A flat, lazily paged, crash-surviving byte space.
 ///
 /// Untouched bytes read as zero, mirroring freshly mapped recoverable
-/// memory.
+/// memory. Page frames come from, and go back to, a per-thread free
+/// list, so a thread that builds and drops arenas over and over (a fault
+/// campaign) stops taking frames from the heap once it is warm.
 ///
 /// # Examples
 ///
@@ -89,7 +93,6 @@ fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Pi
 /// assert_eq!(&buf, b"hello");
 /// assert_eq!(arena.read_u64(Addr::new(0)), 0); // untouched bytes are zero
 /// ```
-#[derive(Clone)]
 pub struct Arena {
     pages: Vec<Option<Box<[u8]>>>,
     /// Log2 of [`page_len`](Arena::page_len): an offset's page is
@@ -109,6 +112,24 @@ pub struct Arena {
     writes: u64,
     /// Armed fault: remaining writes before a simulated halt.
     write_budget: Option<u64>,
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Self {
+        let pages = self.pages.iter();
+        Arena {
+            pages: pages
+                .map(|page| page.as_deref().map(frames::copy_of))
+                .collect(),
+            ..*self
+        }
+    }
+}
+
+impl Drop for Arena {
+    fn drop(&mut self) {
+        frames::recycle(self.pages.drain(..).flatten());
+    }
 }
 
 impl fmt::Debug for Arena {
@@ -142,6 +163,14 @@ impl Arena {
             writes: 0,
             write_budget: None,
         }
+    }
+
+    /// Page frames this thread's arenas have taken from the heap so far:
+    /// the pages they materialized or cloned that the thread's free list
+    /// of dropped frames could not supply. An allocation gate counts them
+    /// apart, as the simulated memory itself.
+    pub fn heap_frames() -> u64 {
+        frames::heap_frames()
     }
 
     /// Monotone count of writes and copies since construction (clones
@@ -337,9 +366,10 @@ impl Arena {
         }
     }
 
-    /// Borrows the `len` bytes at `addr` page piece by page piece, in
-    /// address order and without copying. Every piece lies inside one
-    /// page; an unmaterialized page yields a [`Piece::Zeros`].
+    /// Borrows the `len` bytes at `addr` piece by piece, in address order
+    /// and without copying. A [`Piece::Bytes`] lies inside one
+    /// materialized page; a [`Piece::Zeros`] is a maximal run of
+    /// unmaterialized pages, so two never follow each other.
     ///
     /// # Panics
     ///
@@ -351,14 +381,15 @@ impl Arena {
     /// use dsnrep_rio::{Arena, Piece};
     /// use dsnrep_simcore::Addr;
     ///
-    /// let mut arena = Arena::new(3 * 4096);
+    /// let mut arena = Arena::new(5 * 4096);
     /// let page = arena.page_len() as u64;
     /// assert_eq!(page, 4096);
     /// arena.write(Addr::new(page - 1), &[7, 8]);
     /// let pieces: Vec<Piece> = arena.pieces(Addr::new(page - 1), 4).collect();
     /// assert_eq!(pieces, [Piece::Bytes(&[7]), Piece::Bytes(&[8, 0, 0])]);
-    /// let far: Vec<Piece> = arena.pieces(Addr::new(2 * page), 4).collect();
-    /// assert_eq!(far, [Piece::Zeros(4)]);
+    /// // Pages 2, 3 and 4 were never written: one run of zeros.
+    /// let far: Vec<Piece> = arena.pieces(Addr::new(2 * page), 3 * 4096).collect();
+    /// assert_eq!(far, [Piece::Zeros(3 * 4096)]);
     /// ```
     pub fn pieces(&self, addr: Addr, len: usize) -> impl Iterator<Item = Piece<'_>> + '_ {
         self.check(addr, len);
@@ -368,12 +399,23 @@ impl Arena {
                 return None;
             }
             let (page_idx, page_off) = self.page_of(off);
-            let n = (self.page_len() - page_off).min(end - off);
             let piece = match &self.pages[page_idx] {
-                Some(page) => Piece::Bytes(&page[page_off..page_off + n]),
-                None => Piece::Zeros(n),
+                Some(page) => {
+                    let n = (self.page_len() - page_off).min(end - off);
+                    Piece::Bytes(&page[page_off..page_off + n])
+                }
+                None => {
+                    // The run ends at the next materialized page, or at `end`.
+                    let last = (end - 1) >> self.page_shift;
+                    let rest = &self.pages[page_idx + 1..=last];
+                    let run_end = rest
+                        .iter()
+                        .position(Option::is_some)
+                        .map_or(end, |k| (page_idx + 1 + k) << self.page_shift);
+                    Piece::Zeros(run_end - off)
+                }
             };
-            off += n;
+            off += piece.len();
             Some(piece)
         })
     }
@@ -778,6 +820,8 @@ mod tests {
         a.write(Addr::new(0), &[1]);
     }
 
+    /// A `Bytes` piece stays inside one page; a `Zeros` piece is a
+    /// maximal run of unmaterialized pages, however it meets the range.
     #[test]
     fn pieces_follow_pages_and_read_unwritten_pages_as_zeros() {
         let mut a = Arena::new(12 << 20);
@@ -789,10 +833,14 @@ mod tests {
         let pieces: Vec<Piece> = a.pieces(Addr::new(start), len).collect();
         assert_eq!(
             pieces.iter().map(Piece::len).collect::<Vec<_>>(),
-            [2, page, page, 2]
+            [2, 2 * page, 2]
         );
         assert_eq!(pieces[0], Piece::Bytes(&[1, 2]));
-        assert_eq!(pieces[2], Piece::Zeros(page), "page 2 was never written");
+        assert_eq!(
+            pieces[1],
+            Piece::Zeros(2 * page),
+            "pages 1 and 2 were never written"
+        );
         let mut want = vec![0u8; len];
         want[..2].copy_from_slice(&[1, 2]);
         want[2 + 2 * page] = 3;
@@ -807,6 +855,12 @@ mod tests {
         assert_eq!(a.read_vec(Addr::new(start), len), want);
         assert_eq!(a.pages_touched(), 2, "walking materializes nothing");
         assert_eq!(a.pieces(Addr::new(0), 0).count(), 0);
+        // A run that starts mid-page and ends with the range, and one
+        // that ends mid-page.
+        let tail: Vec<Piece> = a.pieces(Addr::new(4 * page as u64 + 5), 3 * page).collect();
+        assert_eq!(tail, [Piece::Zeros(3 * page)]);
+        let mid: Vec<Piece> = a.pieces(Addr::new(page as u64 + 7), page).collect();
+        assert_eq!(mid, [Piece::Zeros(page)]);
     }
 
     #[test]

@@ -43,6 +43,7 @@
 
 mod alloc;
 mod arena;
+mod frames;
 mod layout;
 
 pub use alloc::{AllocMem, FreeListHeap, HeapCorruption, HeapStats, OutOfMemory};

@@ -10,6 +10,8 @@
 //! the caller converts those to virtual time using a
 //! [`CostModel`](crate::CostModel).
 
+use std::cell::{Cell, RefCell};
+
 use crate::addr::Addr;
 
 /// Hit/miss counts returned by a cache access.
@@ -54,9 +56,9 @@ impl CacheOutcome {
 pub struct DirectMappedCache {
     /// Tag per line, in chunks of [`CHUNK_LINES`] lines created on first
     /// touch: a missing chunk holds only invalid lines, so building the
-    /// 8 MB board cache allocates no tags and a flush frees the chunks
-    /// instead of resetting them. A cache of fewer lines is one chunk whose tail
-    /// is never indexed. A tag is the full line number; `u32::MAX` marks
+    /// 8 MB board cache allocates no tags and a flush hands the chunks
+    /// back to the thread's free list instead of resetting them. A cache
+    /// of fewer lines is one chunk whose tail is never indexed. A tag is the full line number; `u32::MAX` marks
     /// an invalid line. 32-bit tags halve the host footprint of the tag
     /// arrays — which a many-node cell multiplies by machine count — and
     /// suffice for any line number below `u32::MAX`, i.e. 256 GB of
@@ -81,6 +83,19 @@ const CHUNK_SHIFT: u32 = CHUNK_LINES.trailing_zeros();
 
 type Chunk = [u32; CHUNK_LINES];
 
+/// Tag chunks a thread's free list keeps at most: 1 MiB of tags.
+const KEPT_CHUNKS: usize = 256;
+
+thread_local! {
+    /// Chunks this thread's caches flushed or dropped, each handed to
+    /// the next chunk a cache creates, refilled with [`INVALID`] first.
+    /// A fault campaign builds, flushes and drops machines plan after
+    /// plan; this keeps it from taking their tags from the heap again.
+    static FREE_CHUNKS: RefCell<Vec<Box<Chunk>>> = const { RefCell::new(Vec::new()) };
+    /// Chunks this thread's caches took from the heap.
+    static HEAP_CHUNKS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// The tag chunk holding line index `idx`, created all-invalid on first
 /// touch. A free function so callers can update other fields while they
 /// hold the chunk.
@@ -91,7 +106,34 @@ fn chunk(chunks: &mut [Option<Box<Chunk>>], idx: u64) -> &mut Chunk {
 
 #[cold]
 fn invalid_chunk() -> Box<Chunk> {
-    Box::new([INVALID; CHUNK_LINES])
+    let kept = FREE_CHUNKS
+        .try_with(|free| free.borrow_mut().pop())
+        .ok()
+        .flatten();
+    match kept {
+        Some(mut chunk) => {
+            chunk.fill(INVALID);
+            chunk
+        }
+        None => {
+            let _ = HEAP_CHUNKS.try_with(|n| n.set(n.get() + 1));
+            Box::new([INVALID; CHUNK_LINES])
+        }
+    }
+}
+
+/// Hands every chunk of `chunks` back to this thread's free list, up to
+/// its bound, and leaves `chunks` empty: all lines invalid. Chunks the
+/// list does not keep, or every chunk while the thread's locals are being
+/// torn down, are freed.
+fn recycle(chunks: &mut [Option<Box<Chunk>>]) {
+    let mut taken = chunks.iter_mut().filter_map(Option::take);
+    let _ = FREE_CHUNKS.try_with(|free| {
+        let mut free = free.borrow_mut();
+        let room = KEPT_CHUNKS - free.len();
+        free.extend(taken.by_ref().take(room));
+    });
+    taken.for_each(drop);
 }
 
 impl DirectMappedCache {
@@ -120,6 +162,13 @@ impl DirectMappedCache {
             total: CacheOutcome::default(),
             occupied: 0,
         }
+    }
+
+    /// Tag chunks this thread's caches have taken from the heap so far:
+    /// the chunks they created that the thread's free list of flushed and
+    /// dropped chunks could not supply.
+    pub fn heap_chunks() -> u64 {
+        HEAP_CHUNKS.try_with(Cell::get).unwrap_or(0)
     }
 
     /// Creates the paper's board cache: 8 MB, direct-mapped, 64-byte lines.
@@ -234,9 +283,15 @@ impl DirectMappedCache {
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
     pub fn flush(&mut self) {
-        self.chunks.fill(None);
+        recycle(&mut self.chunks);
         self.total = CacheOutcome::default();
         self.occupied = 0;
+    }
+}
+
+impl Drop for DirectMappedCache {
+    fn drop(&mut self) {
+        recycle(&mut self.chunks);
     }
 }
 
@@ -420,6 +475,55 @@ mod tests {
         assert!(c.flat_tags().iter().all(|&t| t == INVALID));
     }
 
+    /// A flushed cache's chunks go to the next cache on the thread,
+    /// refilled with invalid tags.
+    #[test]
+    fn a_rebuilt_cache_takes_no_chunk_from_the_heap() {
+        std::thread::spawn(|| {
+            let touch = |c: &mut DirectMappedCache| {
+                for k in 0..4u64 {
+                    assert_eq!(c.touch(Addr::new(k << 20), 8).misses, 1);
+                }
+            };
+            let before = DirectMappedCache::heap_chunks();
+            let mut c = DirectMappedCache::alpha_board_cache();
+            touch(&mut c);
+            assert_eq!(DirectMappedCache::heap_chunks() - before, 4);
+            c.flush();
+            touch(&mut c);
+            drop(c);
+            let mut fresh = DirectMappedCache::alpha_board_cache();
+            touch(&mut fresh);
+            assert_eq!(DirectMappedCache::heap_chunks() - before, 4);
+            assert_eq!(fresh.occupied_lines(), 4);
+        })
+        .join()
+        .expect("the caches ran");
+    }
+
+    thread_local! {
+        static HELD: RefCell<Option<DirectMappedCache>> = const { RefCell::new(None) };
+    }
+
+    /// A cache dropped while its thread's locals are torn down, the chunk
+    /// list's among them, frees its chunks instead of panicking.
+    #[test]
+    fn a_cache_dropped_at_thread_exit_does_not_panic() {
+        for first in [false, true] {
+            std::thread::spawn(move || {
+                if first {
+                    // The free list is in use before the cache is stored.
+                    DirectMappedCache::new(1 << 16, 64).touch(Addr::new(0), 8);
+                }
+                let mut c = DirectMappedCache::new(1 << 16, 64);
+                c.touch(Addr::new(0), 8);
+                HELD.with(|held| *held.borrow_mut() = Some(c));
+            })
+            .join()
+            .expect("thread-local teardown dropped the cache quietly");
+        }
+    }
+
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -427,6 +531,9 @@ mod tests {
         #[derive(Clone, Copy, Debug)]
         enum Op {
             Flush,
+            /// Drop the cache and build a fresh one, which takes the
+            /// chunks the dropped one handed back.
+            Rebuild,
             Touch(u64, u64),
             /// Touch 8 bytes of the last non-empty touch's first (`false`)
             /// or last (`true`) line again, after a single-line touch, a
@@ -440,6 +547,7 @@ mod tests {
         fn op() -> impl Strategy<Value = Op> {
             prop_oneof![
                 1 => Just(Op::Flush),
+                1 => Just(Op::Rebuild),
                 12 => (0u64..1 << 20, 0u64..2048).prop_map(|(a, l)| Op::Touch(a, l)),
                 3 => (0u64..1 << 20, 0u64..1 << 19).prop_map(|(a, l)| Op::Touch(a, l)),
                 6 => any::<bool>().prop_map(Op::Again),
@@ -451,9 +559,11 @@ mod tests {
 
             /// `touch_range` over chunked tags matches the per-line loop
             /// over a flat array in outcome, stats, occupancy and tag
-            /// state after every step, with flushes and repeated lines
-            /// interleaved, on caches smaller than, equal to and larger
-            /// than one chunk.
+            /// state after every step, with flushes, rebuilds and
+            /// repeated lines interleaved, on caches smaller than, equal
+            /// to and larger than one chunk. Every case runs on this
+            /// test's thread, so chunks that earlier flushes, rebuilds
+            /// and cases handed back are reused.
             #[test]
             fn touch_range_matches_per_line_reference(
                 small_log2 in 1u32..10,
@@ -472,6 +582,11 @@ mod tests {
                             Op::Flush => {
                                 fast.flush();
                                 oracle.flush();
+                                None
+                            }
+                            Op::Rebuild => {
+                                fast = DirectMappedCache::new(capacity, line);
+                                oracle = FlatCache::new(capacity, line);
                                 None
                             }
                             Op::Touch(addr, len) => Some((addr, len)),

@@ -1,14 +1,15 @@
 //! Fault plans' steady state: once a thread has run a scenario's plans,
-//! running them again takes no arena page frame and no cache tag chunk
-//! from the heap.
+//! running them again takes no arena page frame or page map and no cache
+//! tag chunk or chunk map from the heap.
 //!
 //! Every plan builds its driver's nodes, crashes, recovers and drops
 //! them, so each plan materializes the same few dozen arena pages and
 //! touches the same tag chunks of every node's board cache. Arenas and
 //! caches hand what they drop (and what a flush clears) to a per-thread
-//! free list, and the next plan's nodes take from it. The counts are the
-//! libraries' own: [`Arena::heap_frames`] and
-//! [`DirectMappedCache::heap_chunks`].
+//! free list, their emptied maps too, and the next plan's nodes take from
+//! it. The counts are the libraries' own: [`Arena::heap_frames`],
+//! [`Arena::heap_maps`], [`DirectMappedCache::heap_chunks`] and
+//! [`DirectMappedCache::heap_maps`].
 
 use dsnrep_faultsim::{random_campaign, Scenario};
 use dsnrep_rio::Arena;
@@ -21,9 +22,15 @@ const TXNS: u64 = 4;
 const PLANS: u64 = 16;
 const SEED: u64 = 7;
 
-/// Frames and chunks this thread has taken from the heap so far.
-fn taken() -> (u64, u64) {
-    (Arena::heap_frames(), DirectMappedCache::heap_chunks())
+/// Page frames, page maps, tag chunks and chunk maps this thread has
+/// taken from the heap so far.
+fn taken() -> [u64; 4] {
+    [
+        Arena::heap_frames(),
+        Arena::heap_maps(),
+        DirectMappedCache::heap_chunks(),
+        DirectMappedCache::heap_maps(),
+    ]
 }
 
 #[test]
@@ -35,13 +42,14 @@ fn warm_fault_plans_take_no_frames_or_chunks_from_the_heap() {
         let before = taken();
         random_campaign(&scenario, SEED, PLANS, None).expect("the measured campaign runs");
         let after = taken();
-        let took = (after.0 - before.0, after.1 - before.1);
-        if took != (0, 0) {
+        let took: [u64; 4] = std::array::from_fn(|k| after[k] - before[k]);
+        if took != [0; 4] {
             over.push((scenario.label(), took));
         }
     }
     assert!(
         over.is_empty(),
-        "(page frames, tag chunks) taken from the heap by {PLANS} warm plans: {over:?}"
+        "(page frames, page maps, tag chunks, chunk maps) taken from the heap by \
+         {PLANS} warm plans: {over:?}"
     );
 }

@@ -226,15 +226,6 @@ impl Fabric {
         }
     }
 
-    /// Whether the directed pair currently drops packets.
-    pub fn is_dropping(&self, from: u8, to: u8) -> bool {
-        let at = self.hops.binary_search_by_key(&(from, to), |hop| hop.pair);
-        at.is_ok_and(|at| {
-            let fault = &self.hops[at].fault;
-            fault.drop_after.is_some_and(|n| fault.sent >= n)
-        })
-    }
-
     /// Every link that carried a packet, in deterministic `(from, to)`
     /// order.
     pub fn pairs(&self) -> impl Iterator<Item = (PairKey, &Link)> {
@@ -292,7 +283,6 @@ mod tests {
     fn drop_after_swallows_the_tail() {
         let mut f = Fabric::new(&CostModel::alpha_21164a());
         f.partition_drop_after(0, 1, 2);
-        assert!(!f.is_dropping(0, 1));
         let mut t = VirtualInstant::EPOCH;
         for i in 0..4 {
             let sent = f.send(0, 1, t, modified(32));
@@ -301,7 +291,6 @@ mod tests {
                 t = timing.done;
             }
         }
-        assert!(f.is_dropping(0, 1));
         // The other direction is unaffected.
         assert!(f.send(1, 0, t, modified(32)).is_some());
         // The link still accounted the dropped packets' service time.

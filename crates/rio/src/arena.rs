@@ -13,9 +13,10 @@
 
 use core::fmt;
 
+use dsnrep_simcore::listed::Slot;
 use dsnrep_simcore::{copy_small, Addr, Halted, Region};
 
-use crate::frames;
+use crate::frames::{self, PageMap};
 
 /// Shortest page of any arena.
 pub(crate) const MIN_PAGE_LEN: u64 = 4 * 1024;
@@ -56,29 +57,26 @@ impl Piece<'_> {
 
 /// Stores `piece` at `page_off` of the page in `slot`, a page of
 /// `page_len` bytes. An unmaterialized page already reads as zeros, so it
-/// is materialized only for a piece holding a nonzero byte. Returns
-/// whether it was materialized.
-fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Piece<'_>) -> bool {
-    let fresh = slot.is_none();
-    let page = match slot {
-        Some(page) => page,
-        None if piece.is_zero() => return false,
-        None => slot.insert(frames::zeroed(page_len)),
-    };
+/// is materialized only for a piece holding a nonzero byte.
+fn put(slot: Slot<'_, Box<[u8]>>, page_len: usize, page_off: usize, piece: Piece<'_>) {
+    if !slot.is_filled() && piece.is_zero() {
+        return;
+    }
+    let page = slot.get_or_insert_with(|| frames::zeroed(page_len));
     let dst = &mut page[page_off..page_off + piece.len()];
     match piece {
         Piece::Bytes(bytes) => dst.copy_from_slice(bytes),
         Piece::Zeros(_) => dst.fill(0),
     }
-    fresh
 }
 
 /// A flat, lazily paged, crash-surviving byte space.
 ///
 /// Untouched bytes read as zero, mirroring freshly mapped recoverable
-/// memory. Page frames come from, and go back to, a per-thread free
-/// list, so a thread that builds and drops arenas over and over (a fault
-/// campaign) stops taking frames from the heap once it is warm.
+/// memory. Page frames and the page map come from, and go back to, a
+/// per-thread free list, so a thread that builds and drops arenas over
+/// and over (a fault campaign) stops taking either from the heap once it
+/// is warm.
 ///
 /// # Examples
 ///
@@ -94,15 +92,15 @@ fn put(slot: &mut Option<Box<[u8]>>, page_len: usize, page_off: usize, piece: Pi
 /// assert_eq!(arena.read_u64(Addr::new(0)), 0); // untouched bytes are zero
 /// ```
 pub struct Arena {
-    pages: Vec<Option<Box<[u8]>>>,
+    /// A slot per page, holding its frame once materialized. The map
+    /// lists its materialized pages: what
+    /// [`pages_touched`](Arena::pages_touched) counts and what `Clone`
+    /// and `Drop` walk, so neither pays for the whole address space.
+    pages: PageMap,
     /// Log2 of [`page_len`](Arena::page_len): an offset's page is
     /// `off >> page_shift`.
     page_shift: u32,
     len: u64,
-    /// Count of `Some` pages, so [`pages_touched`](Arena::pages_touched)
-    /// (called from `Debug` formatting inside hot loops when tracing) is
-    /// O(1) instead of a scan of the page vector.
-    touched: usize,
     /// Monotone count of [`Arena::try_write`] and [`Arena::try_copy`]
     /// calls that went through, the only mutations. Each call consumes one
     /// unit of an armed write budget before it mutates anything, so this
@@ -116,19 +114,15 @@ pub struct Arena {
 
 impl Clone for Arena {
     fn clone(&self) -> Self {
-        let pages = self.pages.iter();
-        Arena {
-            pages: pages
-                .map(|page| page.as_deref().map(frames::copy_of))
-                .collect(),
-            ..*self
-        }
+        let mut pages = frames::empty_map(self.pages.len());
+        pages.copy_from(&self.pages, |page| frames::copy_of(page));
+        Arena { pages, ..*self }
     }
 }
 
 impl Drop for Arena {
     fn drop(&mut self) {
-        frames::recycle(self.pages.drain(..).flatten());
+        frames::recycle_map(core::mem::take(&mut self.pages));
     }
 }
 
@@ -156,10 +150,9 @@ impl Arena {
             .next_power_of_two();
         let pages = len.div_ceil(page_len);
         Arena {
-            pages: vec![None; usize::try_from(pages).expect("arena too large")],
+            pages: frames::empty_map(usize::try_from(pages).expect("arena too large")),
             page_shift: page_len.trailing_zeros(),
             len,
-            touched: 0,
             writes: 0,
             write_budget: None,
         }
@@ -171,6 +164,13 @@ impl Arena {
     /// apart, as the simulated memory itself.
     pub fn heap_frames() -> u64 {
         frames::heap_frames()
+    }
+
+    /// Page maps this thread's arenas have taken from the heap so far:
+    /// the arenas built or cloned for which the thread's free list held
+    /// no dropped arena's map long enough to reuse.
+    pub fn heap_maps() -> u64 {
+        frames::heap_maps()
     }
 
     /// Monotone count of writes and copies since construction (clones
@@ -241,7 +241,7 @@ impl Arena {
     /// Number of pages that have been materialized by writes.
     #[inline]
     pub fn pages_touched(&self) -> usize {
-        self.touched
+        self.pages.filled().len()
     }
 
     #[inline]
@@ -299,7 +299,7 @@ impl Arena {
         // (virtually all simulated stores are word-sized); `copy_small`
         // keeps these copies inline instead of calling libc.
         if bytes.len() <= self.page_len() - page_off {
-            if let Some(page) = &mut self.pages[page_idx] {
+            if let Some(page) = self.pages.get_mut(page_idx) {
                 copy_small(&mut page[page_off..page_off + bytes.len()], bytes);
                 return Ok(());
             }
@@ -316,13 +316,12 @@ impl Arena {
         while !src.is_empty() {
             let (page_idx, page_off) = self.page_of(off);
             let n = (page_len - page_off).min(src.len());
-            let fresh = put(
-                &mut self.pages[page_idx],
+            put(
+                self.pages.slot(page_idx),
                 page_len,
                 page_off,
                 Piece::Bytes(&src[..n]),
             );
-            self.touched += usize::from(fresh);
             src = &src[n..];
             off += n;
         }
@@ -340,7 +339,7 @@ impl Arena {
         let (page_idx, page_off) = self.page_of(off);
         // Fast path mirroring `write`: single-page reads stay inline.
         if buf.len() <= self.page_len() - page_off {
-            match &self.pages[page_idx] {
+            match self.pages.get(page_idx) {
                 Some(page) => copy_small(buf, &page[page_off..page_off + buf.len()]),
                 None => buf.fill(0),
             }
@@ -356,7 +355,7 @@ impl Arena {
         while !dst.is_empty() {
             let (page_idx, page_off) = self.page_of(off);
             let n = (self.page_len() - page_off).min(dst.len());
-            match &self.pages[page_idx] {
+            match self.pages.get(page_idx) {
                 Some(page) => dst[..n].copy_from_slice(&page[page_off..page_off + n]),
                 None => dst[..n].fill(0),
             }
@@ -399,7 +398,7 @@ impl Arena {
                 return None;
             }
             let (page_idx, page_off) = self.page_of(off);
-            let piece = match &self.pages[page_idx] {
+            let piece = match self.pages.get(page_idx) {
                 Some(page) => {
                     let n = (self.page_len() - page_off).min(end - off);
                     Piece::Bytes(&page[page_off..page_off + n])
@@ -407,7 +406,7 @@ impl Arena {
                 None => {
                     // The run ends at the next materialized page, or at `end`.
                     let last = (end - 1) >> self.page_shift;
-                    let rest = &self.pages[page_idx + 1..=last];
+                    let rest = &self.pages.slots()[page_idx + 1..=last];
                     let run_end = rest
                         .iter()
                         .position(Option::is_some)
@@ -505,22 +504,16 @@ impl Arena {
             if sp == dp {
                 // Disjoint runs of one page; an unmaterialized page reads
                 // as zeros on both sides.
-                if let Some(page) = &mut self.pages[sp] {
+                if let Some(page) = self.pages.get_mut(sp) {
                     page.copy_within(so..so + n, dof);
                 }
             } else {
-                let (from, to) = if sp < dp {
-                    let (low, high) = self.pages.split_at_mut(dp);
-                    (&low[sp], &mut high[0])
-                } else {
-                    let (low, high) = self.pages.split_at_mut(sp);
-                    (&high[0], &mut low[dp])
-                };
+                let (from, to) = self.pages.pair(sp, dp);
                 let piece = match from {
                     Some(page) => Piece::Bytes(&page[so..so + n]),
                     None => Piece::Zeros(n),
                 };
-                self.touched += usize::from(put(to, page_len, dof, piece));
+                put(to, page_len, dof, piece);
             }
             s += n;
             d += n;

@@ -1,4 +1,4 @@
-//! A per-thread free list of arena page frames.
+//! A per-thread free list of arena page frames and page maps.
 //!
 //! A fault plan builds a cluster, crashes it, recovers and drops it, so
 //! every plan materializes and then frees the same few dozen small pages.
@@ -8,8 +8,13 @@
 //! bounded: it keeps at most [`KEPT_FRAMES`] frames, and none longer than
 //! [`KEPT_PAGE_LEN`] (the large pages of big arenas are materialized once
 //! per run, not once per plan).
+//!
+//! Beside the frames it keeps up to [`KEPT_MAPS`] emptied page maps for
+//! the next arena built or cloned.
 
 use std::cell::{Cell, RefCell};
+
+use dsnrep_simcore::listed::{Drain, KeptMaps, ListedMap};
 
 use crate::arena::MIN_PAGE_LEN;
 
@@ -20,6 +25,15 @@ const KEPT_PAGE_LEN: usize = 16 * 1024;
 const KEPT_FRAMES: usize = 512;
 /// Page lengths the free list keeps: 4, 8 and 16 KiB.
 const CLASSES: usize = (KEPT_PAGE_LEN.trailing_zeros() - MIN_PAGE_SHIFT + 1) as usize;
+/// Page maps the free list keeps at most.
+const KEPT_MAPS: usize = 16;
+/// Longest page map the free list keeps: every arena up to 64 MiB has at
+/// most this many pages, so a map holds at most 16 KiB of slots.
+const KEPT_MAP_LEN: usize = 1024;
+
+/// An arena's page map: a slot per page, holding its frame once
+/// materialized.
+pub(crate) type PageMap = ListedMap<Box<[u8]>>;
 
 /// Free frames, one list per kept page length.
 struct FreeFrames {
@@ -34,6 +48,8 @@ thread_local! {
             kept: 0,
         })
     };
+    static MAPS: RefCell<KeptMaps<Box<[u8]>>> =
+        const { RefCell::new(KeptMaps::new(KEPT_MAPS, KEPT_MAP_LEN)) };
     static HEAP_FRAMES: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -88,10 +104,10 @@ pub(crate) fn copy_of(page: &[u8]) -> Box<[u8]> {
     }
 }
 
-/// Hands `frames` back to this thread's free list; those it does not
-/// keep are freed. Safe to call while the thread's locals are being torn
-/// down: the frames are then freed.
-pub(crate) fn recycle(frames: impl Iterator<Item = Box<[u8]>>) {
+/// Hands a drained map's frames back to this thread's free list; those
+/// it does not keep are freed with the drain. Safe to call while the
+/// thread's locals are being torn down: the frames are then freed.
+fn recycle(frames: Drain<'_, Box<[u8]>>) {
     let _ = FREE.try_with(|free| {
         let mut free = free.borrow_mut();
         for frame in frames {
@@ -110,4 +126,23 @@ pub(crate) fn recycle(frames: impl Iterator<Item = Box<[u8]>>) {
 /// pages they materialized or cloned that the free list could not supply.
 pub(crate) fn heap_frames() -> u64 {
     HEAP_FRAMES.try_with(Cell::get).unwrap_or(0)
+}
+
+/// An empty page map of `len` slots, one this thread kept if it can be.
+pub(crate) fn empty_map(len: usize) -> PageMap {
+    MAPS.try_with(|maps| maps.borrow_mut().take_empty(len))
+        .unwrap_or_else(|_| ListedMap::new(len))
+}
+
+/// Hands a dropped arena's page map back: its frames to the frame list,
+/// then the emptied map to the map list.
+pub(crate) fn recycle_map(mut map: PageMap) {
+    recycle(map.drain());
+    let _ = MAPS.try_with(|maps| maps.borrow_mut().give_back(map));
+}
+
+/// Page maps this thread's arenas have taken from the heap so far: the
+/// arenas built or cloned that found no kept map long enough.
+pub(crate) fn heap_maps() -> u64 {
+    MAPS.try_with(|maps| maps.borrow().heap_maps()).unwrap_or(0)
 }

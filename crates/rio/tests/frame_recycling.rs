@@ -1,10 +1,13 @@
-//! Recycled page frames are invisible.
+//! Recycled page frames and page maps are invisible.
 //!
 //! Arenas hand the frames they drop to a per-thread free list and take
-//! from it when they materialize or clone a page. One thread here builds,
-//! writes, copies, clones and drops arenas of every page length in any
-//! order, so later arenas run on frames that earlier ones filled, and
-//! each arena must still read exactly as a fresh-arena model says.
+//! from it when they materialize or clone a page; a dropped arena's
+//! emptied page map goes to the same list, for the next arena built or
+//! cloned. One thread here builds, writes, copies, clones and drops
+//! arenas of every page length in any order, so later arenas run on
+//! frames that earlier ones filled and on maps that equal-length ones
+//! held, and each arena must still read exactly as a fresh-arena model
+//! says.
 
 use std::collections::BTreeSet;
 
@@ -14,6 +17,9 @@ use proptest::prelude::*;
 
 /// Arena lengths whose pages are 4, 8, 16 and 64 KiB.
 const LENS: [u64; 4] = [64 << 10, 6 << 20, 12 << 20, 40 << 20];
+/// An arena of 1 024 pages of 4 KiB: more frames than the free list
+/// keeps.
+const FLOOD_LEN: u64 = 4 << 20;
 
 /// What a fresh arena would hold after the same calls.
 #[derive(Clone, Debug)]
@@ -86,6 +92,10 @@ enum Op {
         arena: usize,
         budget: Option<u64>,
     },
+    /// Build an arena, materialize every page and drop it: the free list
+    /// fills, and every later drop finds it full until a page takes a
+    /// frame from it.
+    Flood,
 }
 
 /// Arena picks, points and lengths are drawn wide and taken modulo what
@@ -105,6 +115,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
             arena,
             budget: (budget < 3).then_some(budget),
         }),
+        1 => Just(Op::Flood),
     ];
     prop::collection::vec(op, 1..60)
 }
@@ -139,6 +150,14 @@ fn run(ops: Vec<Op>) -> Result<(), TestCaseError> {
                 live.push(copy);
             }
             Op::Drop { arena } if n > 0 => drop(live.swap_remove(arena % n)),
+            Op::Flood => {
+                let mut flood = Arena::new(FLOOD_LEN);
+                let page = flood.page_len() as u64;
+                for p in 0..FLOOD_LEN / page {
+                    flood.write(Addr::new(p * page), &[0xA5]);
+                }
+                prop_assert_eq!(flood.pages_touched() as u64, FLOOD_LEN / page);
+            }
             Op::Arm { arena, budget } if n > 0 => {
                 let (a, model) = &mut live[arena % n];
                 match budget {
@@ -197,15 +216,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every case runs on this test's thread, so its arenas also take
-    /// the frames that earlier cases dropped.
+    /// the frames and maps that earlier cases dropped.
     #[test]
     fn recycled_frames_read_as_fresh_ones(ops in ops()) {
         run(ops)?;
     }
 }
 
-/// A thread's second build of the same arena takes its frames from what
-/// the first one dropped; 64 KiB pages are not kept.
+/// A thread's second build of the same arena takes its frames and maps
+/// from what the first one dropped; 64 KiB pages are not kept, their
+/// maps are.
 #[test]
 fn a_rebuilt_arena_takes_no_frame_from_the_heap() {
     std::thread::spawn(|| {
@@ -219,16 +239,18 @@ fn a_rebuilt_arena_takes_no_frame_from_the_heap() {
             assert_eq!(copy.pages_touched(), 8);
             assert_eq!(copy.read_vec(Addr::new(7 * page + 3), 1), [8]);
         };
+        // Frames and maps taken; the arena and its clone each take a map.
         for (len, taken) in [
-            (64 << 10, 16),
-            (64 << 10, 0),
-            (40 << 20, 16),
-            (40 << 20, 16),
+            (64 << 10, (16, 2)),
+            (64 << 10, (0, 0)),
+            (40 << 20, (16, 2)),
+            (40 << 20, (16, 0)),
         ] {
-            let before = Arena::heap_frames();
+            let before = (Arena::heap_frames(), Arena::heap_maps());
             fill(len);
+            let after = (Arena::heap_frames(), Arena::heap_maps());
             assert_eq!(
-                Arena::heap_frames() - before,
+                (after.0 - before.0, after.1 - before.1),
                 taken,
                 "an arena of {len} bytes"
             );

@@ -13,6 +13,7 @@
 use std::cell::{Cell, RefCell};
 
 use crate::addr::Addr;
+use crate::listed::{Drain, KeptMaps, ListedMap};
 
 /// Hit/miss counts returned by a cache access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,7 +53,7 @@ impl CacheOutcome {
 /// let evicted = cache.touch(Addr::new(0), 64);
 /// assert_eq!(evicted.misses, 1);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DirectMappedCache {
     /// Tag per line, in chunks of [`CHUNK_LINES`] lines created on first
     /// touch: a missing chunk holds only invalid lines, so building the
@@ -63,8 +64,9 @@ pub struct DirectMappedCache {
     /// arrays — which a many-node cell multiplies by machine count — and
     /// suffice for any line number below `u32::MAX`, i.e. 256 GB of
     /// simulated address space ([`touch_range`](DirectMappedCache::touch_range)
-    /// asserts the bound).
-    chunks: Vec<Option<Box<Chunk>>>,
+    /// asserts the bound). The map lists the chunks it holds, which is
+    /// what a flush and a drop walk, and comes from a free list too.
+    chunks: ListedMap<Box<Chunk>>,
     line_shift: u32,
     index_mask: u64,
     total: CacheOutcome,
@@ -85,6 +87,11 @@ type Chunk = [u32; CHUNK_LINES];
 
 /// Tag chunks a thread's free list keeps at most: 1 MiB of tags.
 const KEPT_CHUNKS: usize = 256;
+/// Chunk maps a thread's free list keeps at most.
+const KEPT_MAPS: usize = 8;
+/// Longest chunk map the free list keeps: a 64 MiB cache of 64-byte
+/// lines, 8 KiB of slots.
+const KEPT_MAP_LEN: usize = 1024;
 
 thread_local! {
     /// Chunks this thread's caches flushed or dropped, each handed to
@@ -92,6 +99,10 @@ thread_local! {
     /// A fault campaign builds, flushes and drops machines plan after
     /// plan; this keeps it from taking their tags from the heap again.
     static FREE_CHUNKS: RefCell<Vec<Box<Chunk>>> = const { RefCell::new(Vec::new()) };
+    /// Chunk maps this thread's caches dropped, emptied, for the next
+    /// cache built.
+    static FREE_MAPS: RefCell<KeptMaps<Box<Chunk>>> =
+        const { RefCell::new(KeptMaps::new(KEPT_MAPS, KEPT_MAP_LEN)) };
     /// Chunks this thread's caches took from the heap.
     static HEAP_CHUNKS: Cell<u64> = const { Cell::new(0) };
 }
@@ -100,8 +111,8 @@ thread_local! {
 /// touch. A free function so callers can update other fields while they
 /// hold the chunk.
 #[inline]
-fn chunk(chunks: &mut [Option<Box<Chunk>>], idx: u64) -> &mut Chunk {
-    chunks[(idx >> CHUNK_SHIFT) as usize].get_or_insert_with(invalid_chunk)
+fn chunk(chunks: &mut ListedMap<Box<Chunk>>, idx: u64) -> &mut Chunk {
+    chunks.get_or_insert_with((idx >> CHUNK_SHIFT) as usize, invalid_chunk)
 }
 
 #[cold]
@@ -122,18 +133,15 @@ fn invalid_chunk() -> Box<Chunk> {
     }
 }
 
-/// Hands every chunk of `chunks` back to this thread's free list, up to
-/// its bound, and leaves `chunks` empty: all lines invalid. Chunks the
-/// list does not keep, or every chunk while the thread's locals are being
-/// torn down, are freed.
-fn recycle(chunks: &mut [Option<Box<Chunk>>]) {
-    let mut taken = chunks.iter_mut().filter_map(Option::take);
+/// Hands a drained map's chunks back to this thread's free list, up to
+/// its bound. Chunks the list does not keep, or every chunk while the
+/// thread's locals are being torn down, are freed with the drain.
+fn recycle(chunks: Drain<'_, Box<Chunk>>) {
     let _ = FREE_CHUNKS.try_with(|free| {
         let mut free = free.borrow_mut();
         let room = KEPT_CHUNKS - free.len();
-        free.extend(taken.by_ref().take(room));
+        free.extend(chunks.take(room));
     });
-    taken.for_each(drop);
 }
 
 impl DirectMappedCache {
@@ -155,8 +163,11 @@ impl DirectMappedCache {
         assert!(capacity >= line_size, "cache must hold at least one line");
         let lines = capacity / line_size;
         let chunks = usize::try_from(lines.div_ceil(CHUNK_LINES as u64)).expect("cache too large");
+        let chunks = FREE_MAPS
+            .try_with(|maps| maps.borrow_mut().take_empty(chunks))
+            .unwrap_or_else(|_| ListedMap::new(chunks));
         DirectMappedCache {
-            chunks: vec![None; chunks],
+            chunks,
             line_shift: line_size.trailing_zeros(),
             index_mask: lines - 1,
             total: CacheOutcome::default(),
@@ -169,6 +180,15 @@ impl DirectMappedCache {
     /// dropped chunks could not supply.
     pub fn heap_chunks() -> u64 {
         HEAP_CHUNKS.try_with(Cell::get).unwrap_or(0)
+    }
+
+    /// Chunk maps this thread's caches have taken from the heap so far:
+    /// the caches built for which the thread's free list held no dropped
+    /// cache's map long enough to reuse.
+    pub fn heap_maps() -> u64 {
+        FREE_MAPS
+            .try_with(|maps| maps.borrow().heap_maps())
+            .unwrap_or(0)
     }
 
     /// Creates the paper's board cache: 8 MB, direct-mapped, 64-byte lines.
@@ -228,8 +248,8 @@ impl DirectMappedCache {
     #[inline]
     fn holds(&self, line: u64) -> bool {
         let idx = line & self.index_mask;
-        self.chunks[(idx >> CHUNK_SHIFT) as usize]
-            .as_ref()
+        self.chunks
+            .get((idx >> CHUNK_SHIFT) as usize)
             .is_some_and(|tags| tags[(idx & (CHUNK_LINES as u64 - 1)) as usize] == line as u32)
     }
 
@@ -283,15 +303,18 @@ impl DirectMappedCache {
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
     pub fn flush(&mut self) {
-        recycle(&mut self.chunks);
+        recycle(self.chunks.drain());
         self.total = CacheOutcome::default();
         self.occupied = 0;
     }
 }
 
 impl Drop for DirectMappedCache {
+    /// Hands the chunks back, then the emptied map.
     fn drop(&mut self) {
-        recycle(&mut self.chunks);
+        recycle(self.chunks.drain());
+        let map = std::mem::take(&mut self.chunks);
+        let _ = FREE_MAPS.try_with(|maps| maps.borrow_mut().give_back(map));
     }
 }
 
@@ -450,6 +473,7 @@ mod tests {
             let invalid = [INVALID; CHUNK_LINES];
             let tags = self
                 .chunks
+                .slots()
                 .iter()
                 .flat_map(|c| c.as_deref().unwrap_or(&invalid));
             tags.take((self.index_mask + 1) as usize).copied().collect()
@@ -460,15 +484,15 @@ mod tests {
     fn construction_and_flush_touch_only_touched_chunks() {
         let mut c = DirectMappedCache::alpha_board_cache();
         assert!(
-            c.chunks.iter().all(Option::is_none),
+            c.chunks.slots().iter().all(Option::is_none),
             "no tags before a touch"
         );
         c.touch(Addr::new(0), 64);
         c.touch(Addr::new(3 << 20), 8);
-        assert_eq!(c.chunks.iter().flatten().count(), 2);
+        assert_eq!(c.chunks.slots().iter().flatten().count(), 2);
         c.flush();
         assert!(
-            c.chunks.iter().all(Option::is_none),
+            c.chunks.slots().iter().all(Option::is_none),
             "a flush frees every chunk"
         );
         assert_eq!(c.occupied_lines(), 0);
@@ -476,7 +500,7 @@ mod tests {
     }
 
     /// A flushed cache's chunks go to the next cache on the thread,
-    /// refilled with invalid tags.
+    /// refilled with invalid tags, and a dropped cache's map with them.
     #[test]
     fn a_rebuilt_cache_takes_no_chunk_from_the_heap() {
         std::thread::spawn(|| {
@@ -485,16 +509,21 @@ mod tests {
                     assert_eq!(c.touch(Addr::new(k << 20), 8).misses, 1);
                 }
             };
-            let before = DirectMappedCache::heap_chunks();
+            let taken = || {
+                (
+                    DirectMappedCache::heap_chunks(),
+                    DirectMappedCache::heap_maps(),
+                )
+            };
             let mut c = DirectMappedCache::alpha_board_cache();
             touch(&mut c);
-            assert_eq!(DirectMappedCache::heap_chunks() - before, 4);
+            assert_eq!(taken(), (4, 1));
             c.flush();
             touch(&mut c);
             drop(c);
             let mut fresh = DirectMappedCache::alpha_board_cache();
             touch(&mut fresh);
-            assert_eq!(DirectMappedCache::heap_chunks() - before, 4);
+            assert_eq!(taken(), (4, 1), "the rebuilt cache reused chunks and map");
             assert_eq!(fresh.occupied_lines(), 4);
         })
         .join()
@@ -531,8 +560,9 @@ mod tests {
         #[derive(Clone, Copy, Debug)]
         enum Op {
             Flush,
-            /// Drop the cache and build a fresh one, which takes the
-            /// chunks the dropped one handed back.
+            /// Drop the cache and build a fresh one of the same size,
+            /// which takes the chunks and the chunk map the dropped one
+            /// handed back.
             Rebuild,
             Touch(u64, u64),
             /// Touch 8 bytes of the last non-empty touch's first (`false`)
@@ -563,7 +593,8 @@ mod tests {
             /// repeated lines interleaved, on caches smaller than, equal
             /// to and larger than one chunk. Every case runs on this
             /// test's thread, so chunks that earlier flushes, rebuilds
-            /// and cases handed back are reused.
+            /// and cases handed back are reused, and so are the chunk
+            /// maps of dropped caches, of the same size or resized.
             #[test]
             fn touch_range_matches_per_line_reference(
                 small_log2 in 1u32..10,
@@ -585,6 +616,7 @@ mod tests {
                                 None
                             }
                             Op::Rebuild => {
+                                drop(fast);
                                 fast = DirectMappedCache::new(capacity, line);
                                 oracle = FlatCache::new(capacity, line);
                                 None

@@ -8,6 +8,9 @@
 //!   backup (the Memory Channel double-mapping property).
 //! * [`DirectMappedCache`] — the 8 MB board-cache model behind the paper's
 //!   locality results.
+//! * [`listed`] — dense slot maps that list the slots they fill, and a
+//!   free list of emptied ones: the cache's chunk map and an arena's
+//!   page map.
 //! * [`CostModel`] — every calibrated constant, with its derivation.
 //! * [`Halted`] — what every fault budget returns when it stops a node.
 //! * [`SplitMix64`] — a small deterministic RNG.
@@ -38,6 +41,7 @@ mod cache;
 mod clock;
 mod costs;
 mod halt;
+pub mod listed;
 mod rng;
 mod time;
 

@@ -4,20 +4,16 @@
 //! ```text
 //! cargo run --release -p dsnrep-bench --bin reproduce | tee EXPERIMENTS-run.md
 //! DSNREP_TXNS=100000 cargo run --release -p dsnrep-bench --bin reproduce
-//! DSNREP_TRACE=1 cargo run --release -p dsnrep-bench --bin reproduce
 //! ```
 //!
-//! `DSNREP_TXNS` sets the run scale (a positive integer); `DSNREP_TRACE`
-//! appends the flight-recorder section when `1` and leaves it out when
-//! unset or `0`. Both are checked before any cell runs: any other value
-//! exits 2 with a message naming the variable.
+//! `DSNREP_TXNS` sets the run scale (a positive integer). It is checked
+//! before any cell runs: any other value exits 2 with a message naming
+//! the variable. The flight-recorder view of a run is `simtrace`'s
+//! (OBSERVABILITY.md).
 
 use dsnrep_bench::experiments::{self, Grid, RunScale, TrafficMib, FIGURE_SCHEMES};
-use dsnrep_bench::trace::{traced_run, traced_run_with};
 use dsnrep_bench::{ascii_chart, out, outln, paper, Comparison};
 use dsnrep_core::VersionTag;
-use dsnrep_repl::Scheme;
-use dsnrep_simcore::MIB;
 use dsnrep_workloads::WorkloadKind;
 
 // Version 0's and Version 3's index in the grid's standalone and pair rows.
@@ -47,31 +43,11 @@ fn traffic_rows(
     }
 }
 
-/// Reads `DSNREP_TRACE`: unset or `0` leaves the trace section out, `1`
-/// appends it.
-///
-/// # Errors
-///
-/// A message naming the variable and its value when it is set to anything
-/// else.
-fn trace_from_env() -> Result<bool, String> {
-    let Some(raw) = std::env::var_os("DSNREP_TRACE") else {
-        return Ok(false);
-    };
-    match raw.to_str() {
-        Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        _ => Err(format!("DSNREP_TRACE={raw:?} is neither 0 nor 1")),
-    }
-}
-
 fn main() {
-    let (scale, trace) = RunScale::from_env()
-        .and_then(|scale| Ok((scale, trace_from_env()?)))
-        .unwrap_or_else(|e| {
-            eprintln!("reproduce: {e}");
-            std::process::exit(2)
-        });
+    let scale = RunScale::from_env().unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}");
+        std::process::exit(2)
+    });
     outln!("# DSN 2000 reproduction — full evaluation\n");
     outln!(
         "Run scale: {} Debit-Credit / {} Order-Entry transactions per \
@@ -312,57 +288,6 @@ fn main() {
         outln!(
             "```
 "
-        );
-    }
-
-    // ---- Flight-recorder summary (opt-in) ----
-    if trace {
-        let txns = scale.debit_credit.min(2_000);
-        outln!("## Trace summary (DSNREP_TRACE=1)\n");
-        outln!(
-            "Commit-latency histogram (virtual time), stall attribution and\n\
-             traffic-class matrix from a {txns}-transaction Debit-Credit run\n\
-             per scheme. Use the `simtrace` binary for the full Perfetto\n\
-             trace (see OBSERVABILITY.md).\n"
-        );
-        for (label, scheme) in [
-            ("passive-v3", Scheme::Passive(VersionTag::ImprovedLog)),
-            ("active", Scheme::Active),
-        ] {
-            let run = traced_run(scheme, WorkloadKind::DebitCredit, txns, 10 * MIB, false);
-            assert!(run.passed(), "trace run failed its audit");
-            outln!("### {label}\n\n```json\n{}\n```\n", run.summary.to_json());
-            outln!(
-                "Where the virtual time went (leaves sum to each node's\n\
-                 elapsed time — checked):\n\n```\n{}```\n",
-                run.attribution.render_text()
-            );
-            outln!(
-                "Per-transaction critical path (segments provably sum to\n\
-                 each commit latency; in-txn + outside totals equal each\n\
-                 node's elapsed time — checked):\n\n```json\n{}```\n",
-                run.critpath.to_json()
-            );
-        }
-
-        // A failover scenario, for the availability view: the goodput
-        // curve dips through the takeover and recovers when the promoted
-        // backup commits again.
-        outln!("### Availability under failover (active scheme)\n");
-        let run = traced_run_with(
-            Scheme::Active,
-            WorkloadKind::DebitCredit,
-            txns,
-            10 * MIB,
-            true,
-            (txns / 10).max(1),
-        );
-        assert!(run.passed(), "failover trace run failed its audit");
-        outln!(
-            "Goodput per {} virtual-µs window, SLO-violation windows and\n\
-             time-to-first-commit after recovery start:\n\n```json\n{}```\n",
-            run.availability.window_picos / 1_000_000,
-            run.availability.to_json()
         );
     }
 }

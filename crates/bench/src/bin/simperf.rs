@@ -203,10 +203,12 @@ fn bigcell_scenario(name: &'static str, txns: u64) -> Scenario {
 }
 
 fn main() {
-    let txns = txns_from_env("DSNREP_SIMPERF_TXNS", 50_000).unwrap_or_else(|e| {
-        eprintln!("simperf: {e}");
-        std::process::exit(2)
-    });
+    let txns = txns_from_env("DSNREP_SIMPERF_TXNS")
+        .map(|txns| txns.unwrap_or(50_000))
+        .unwrap_or_else(|e| {
+            eprintln!("simperf: {e}");
+            std::process::exit(2)
+        });
     let wall = Instant::now();
 
     let chain3 = Topology::new(3, ReplicationStrategy::Chain).expect("rf 3 chain");

@@ -56,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dsnrep_bench::outln;
-use dsnrep_bench::trace::{traced_run_with, TracedRun};
+use dsnrep_bench::trace::{traced_run, TracedRun};
 use dsnrep_core::VersionTag;
 use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
@@ -178,7 +178,7 @@ fn main() -> ExitCode {
         (true, Some(n)) => n,
         (true, None) => opts.txns / 10,
     };
-    let run = traced_run_with(
+    let run = traced_run(
         opts.scheme,
         opts.kind,
         opts.txns,

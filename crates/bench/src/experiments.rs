@@ -40,7 +40,7 @@ impl RunScale {
     /// As [`txns_from_env`]: `DSNREP_TXNS` is set to anything but a
     /// positive integer.
     pub fn from_env() -> Result<Self, String> {
-        let base = txns_from_env("DSNREP_TXNS", 30_000)?;
+        let base = txns_from_env("DSNREP_TXNS")?.unwrap_or(30_000);
         Ok(RunScale {
             debit_credit: base,
             order_entry: (base / 2).max(1),
@@ -65,30 +65,26 @@ impl RunScale {
     }
 }
 
-/// Reads a transaction count from the environment variable `name`: unset
-/// means `default`, and a set value must be a positive integer.
+/// Reads a transaction count from the environment variable `name`:
+/// `None` when it is unset, and a set value must be a positive integer.
 ///
 /// # Errors
 ///
 /// A message naming `name` and its value when the value is anything else
 /// (zero, a non-number, an empty string): a count the run cannot honor
 /// never silently becomes the default.
-pub fn txns_from_env(name: &str, default: u64) -> Result<u64, String> {
+pub fn txns_from_env(name: &str) -> Result<Option<u64>, String> {
     let raw = std::env::var_os(name);
-    parse_txns(
-        name,
-        raw.as_ref().map(|v| v.to_string_lossy()).as_deref(),
-        default,
-    )
+    parse_txns(name, raw.as_ref().map(|v| v.to_string_lossy()).as_deref())
 }
 
 /// [`txns_from_env`] on the variable's value (`None` when unset).
-fn parse_txns(name: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+fn parse_txns(name: &str, raw: Option<&str>) -> Result<Option<u64>, String> {
     let Some(value) = raw else {
-        return Ok(default);
+        return Ok(None);
     };
     match value.parse::<u64>() {
-        Ok(txns) if txns > 0 => Ok(txns),
+        Ok(txns) if txns > 0 => Ok(Some(txns)),
         _ => Err(format!(
             "{name}={value:?} is not a positive transaction count"
         )),
@@ -411,10 +407,10 @@ mod tests {
 
     #[test]
     fn txn_counts_must_be_positive_integers() {
-        assert_eq!(parse_txns("DSNREP_TXNS", None, 30_000), Ok(30_000));
-        assert_eq!(parse_txns("DSNREP_TXNS", Some("3000"), 30_000), Ok(3_000));
+        assert_eq!(parse_txns("DSNREP_TXNS", None), Ok(None));
+        assert_eq!(parse_txns("DSNREP_TXNS", Some("3000")), Ok(Some(3_000)));
         for bad in ["0", "abc", "", "-5", "1.5"] {
-            let err = parse_txns("DSNREP_TXNS", Some(bad), 30_000)
+            let err = parse_txns("DSNREP_TXNS", Some(bad))
                 .expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.contains("DSNREP_TXNS"), "{err}");
             assert!(err.contains(&format!("{bad:?}")), "{err}");

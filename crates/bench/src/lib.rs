@@ -8,9 +8,9 @@
 //!
 //! Run the whole evaluation with
 //! `cargo run --release -p dsnrep-bench --bin reproduce`: one pass prints
-//! every table and figure and simulates each configuration once.
-//! `DSNREP_TXNS` scales the run lengths. The `benches/` targets are the
-//! ablations beyond the paper and micro-benchmarks.
+//! every table and figure and simulates each configuration once. The
+//! `ablations` binary prints the ablations beyond the paper in one run.
+//! `DSNREP_TXNS` scales the run lengths of both.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

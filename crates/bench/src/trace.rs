@@ -1,7 +1,7 @@
 //! Traced end-to-end runs: the glue between the replication drivers and
 //! the flight recorder.
 //!
-//! Used by the `simtrace` binary and by `reproduce` when `DSNREP_TRACE=1`.
+//! Used by the `simtrace` binary.
 //! Each run wires a [`FlightRecorder`] through a whole cluster, drives a
 //! workload, optionally crashes the primary, audits the surviving arena,
 //! and returns the recorder plus a finished [`TraceSummary`] whose stall
@@ -301,17 +301,6 @@ impl AvailabilityReport {
     }
 }
 
-/// [`traced_run_with`] without post-recovery transactions.
-pub fn traced_run(
-    scheme: Scheme,
-    kind: WorkloadKind,
-    txns: u64,
-    db_len: u64,
-    crash: bool,
-) -> TracedRun {
-    traced_run_with(scheme, kind, txns, db_len, crash, 0)
-}
-
 /// Runs `txns` transactions of `kind` under `scheme` with a flight
 /// recorder attached to every machine and port. With `crash`, the primary
 /// is crashed afterwards, the backup's takeover is traced, and `post_txns`
@@ -319,7 +308,7 @@ pub fn traced_run(
 /// report's recovery leg); the audit then runs against the failed-over
 /// arena (otherwise against the quiesced primary's, and `post_txns` is
 /// ignored).
-pub fn traced_run_with(
+pub fn traced_run(
     scheme: Scheme,
     kind: WorkloadKind,
     txns: u64,

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 
 use dsnrep_bench::experiments::{costs, SEED};
 use dsnrep_bench::json::{parse, JsonValue};
-use dsnrep_bench::trace::traced_run_with;
+use dsnrep_bench::trace::traced_run;
 use dsnrep_cluster::{ReplicationStrategy, Topology};
 use dsnrep_core::{EngineConfig, VersionTag};
 use dsnrep_obs::{FlightRecorder, Phase, Segment, TRACK_BACKUP};
@@ -155,7 +155,7 @@ proptest! {
         } else {
             Scheme::Passive(version)
         };
-        let run = traced_run_with(scheme, kind, txns, MIB, crash, if crash { 5 } else { 0 });
+        let run = traced_run(scheme, kind, txns, MIB, crash, if crash { 5 } else { 0 });
         prop_assert!(run.passed(), "scenario failed its audit");
         assert_flows_well_formed(&run.recorder.chrome_trace_json());
     }
@@ -167,7 +167,7 @@ proptest! {
 fn critical_path_conserves_against_the_attribution_tree() {
     for scheme in [Scheme::Passive(VersionTag::ImprovedLog), Scheme::Active] {
         let txns = 200;
-        let run = traced_run_with(scheme, WorkloadKind::DebitCredit, txns, 10 * MIB, false, 0);
+        let run = traced_run(scheme, WorkloadKind::DebitCredit, txns, 10 * MIB, false, 0);
         assert!(run.passed());
         let report = &run.critpath;
         assert_eq!(report.paths_dropped, 0);
@@ -213,7 +213,7 @@ fn critical_path_conserves_against_the_attribution_tree() {
 #[test]
 fn failover_critical_path_attributes_the_takeover_spike() {
     let post_txns = 40;
-    let run = traced_run_with(
+    let run = traced_run(
         Scheme::Active,
         WorkloadKind::DebitCredit,
         300,

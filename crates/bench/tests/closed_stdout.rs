@@ -8,7 +8,6 @@ use std::process::{Command, Stdio};
 /// that the process exited 0 without writing to stderr.
 fn first_line_then_close(bin: &str, envs: &[(&str, &str)]) {
     let mut child = Command::new(bin)
-        .env_remove("DSNREP_TRACE")
         .envs(envs.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -36,6 +35,11 @@ fn first_line_then_close(bin: &str, envs: &[(&str, &str)]) {
 #[test]
 fn reproduce_stops_quietly_when_stdout_closes() {
     first_line_then_close(env!("CARGO_BIN_EXE_reproduce"), &[("DSNREP_TXNS", "300")]);
+}
+
+#[test]
+fn ablations_stops_quietly_when_stdout_closes() {
+    first_line_then_close(env!("CARGO_BIN_EXE_ablations"), &[("DSNREP_TXNS", "300")]);
 }
 
 #[test]

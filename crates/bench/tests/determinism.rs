@@ -152,9 +152,10 @@ fn stall_breakdown_sums_to_total_stall() {
 /// Virtual results off the default cost model, pinned to constants: one
 /// write buffer, twelve, and a 1 MiB cache, each under passive Vista,
 /// mirror-by-copy and ImprovedLog and the active scheme on Debit-Credit.
-/// The ablation benches run these configurations; this pins them where CI
-/// runs. Each row is elapsed picoseconds, packets, modified/undo/meta
-/// bytes, cache hits and misses.
+/// The `ablations` sweeps run these configurations; this pins their
+/// exact counters, beside the TPS the blessed ablations report prints.
+/// Each row is elapsed picoseconds, packets, modified/undo/meta bytes,
+/// cache hits and misses.
 #[test]
 fn non_default_cost_models_keep_their_virtual_results() {
     let costs = |tweak: fn(&mut CostModel)| {

@@ -4,10 +4,10 @@
 //! `faultcov.json` schema bump must refuse the comparison outright. The
 //! report binaries reject bad usage the same way: exit 2, no panic.
 //!
-//! The settings contract: a run depends on its flags and on the three
-//! variables `DSNREP_TXNS`, `DSNREP_SIMPERF_TXNS` and `DSNREP_TRACE`,
-//! each checked strictly at its binary's start, and on nothing else in
-//! the environment.
+//! The settings contract: a run depends on its flags and on the two
+//! variables `DSNREP_TXNS` and `DSNREP_SIMPERF_TXNS`, each checked
+//! strictly at its binary's start, and on nothing else in the
+//! environment.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -229,17 +229,44 @@ fn simtrace_artifacts_ignore_the_environment() {
 }
 
 #[test]
-fn reproduce_rejects_a_trace_value_it_cannot_honor() {
-    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
-        .env("DSNREP_TXNS", "300")
-        .env("DSNREP_TRACE", "yes")
-        .output()
-        .expect("spawn reproduce");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("DSNREP_TRACE"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no cell may run before the check");
+fn reproduce_ignores_the_trace_variable() {
+    let run = |trace: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+        cmd.env("DSNREP_TXNS", "300");
+        match trace {
+            Some(value) => cmd.env("DSNREP_TRACE", value),
+            None => cmd.env_remove("DSNREP_TRACE"),
+        };
+        let out = cmd.output().expect("spawn reproduce");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{trace:?}: {stderr}");
+        out.stdout
+    };
+    let bare = run(None);
+    for value in ["1", "yes"] {
+        assert!(
+            run(Some(value)) == bare,
+            "DSNREP_TRACE={value} changed the report"
+        );
+    }
+}
+
+#[test]
+fn ablations_reject_a_count_they_cannot_honor() {
+    for bad in ["0", "abc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ablations"))
+            .env("DSNREP_TXNS", bad)
+            .output()
+            .expect("spawn ablations");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
+        assert!(stderr.contains("DSNREP_TXNS"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "no section may print before the check"
+        );
+    }
 }
 
 #[test]

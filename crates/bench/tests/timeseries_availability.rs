@@ -8,7 +8,7 @@
 //!   recovery: SLO-violation windows during the takeover and a measured
 //!   time-to-first-committed-txn after `recovery_start`.
 
-use dsnrep_bench::trace::{traced_run, traced_run_with, AvailabilityReport};
+use dsnrep_bench::trace::{traced_run, AvailabilityReport};
 use dsnrep_core::VersionTag;
 use dsnrep_repl::Scheme;
 use dsnrep_simcore::MIB;
@@ -19,8 +19,8 @@ const TXNS: u64 = 400;
 
 #[test]
 fn traced_run_is_deterministic_across_repeats() {
-    let a = traced_run_with(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
-    let b = traced_run_with(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
+    let a = traced_run(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
+    let b = traced_run(Scheme::Active, WorkloadKind::DebitCredit, 200, DB, true, 40);
     assert_eq!(a.tps.to_bits(), b.tps.to_bits());
     assert_eq!(a.timeseries.to_json(), b.timeseries.to_json());
     assert_eq!(a.availability.to_json(), b.availability.to_json());
@@ -33,7 +33,7 @@ fn traced_run_is_deterministic_across_repeats() {
 /// `recovery_start` event.
 #[test]
 fn failover_availability_shows_goodput_dip_and_recovery() {
-    let run = traced_run_with(
+    let run = traced_run(
         Scheme::Passive(VersionTag::MirrorDiff),
         WorkloadKind::DebitCredit,
         TXNS,
@@ -95,6 +95,7 @@ fn availability_report_for_a_calm_run_has_no_recovery_leg() {
         120,
         DB,
         false,
+        0,
     );
     let a = &run.availability;
     assert_eq!(a.crash_picos, None);

@@ -170,14 +170,6 @@ impl Machine {
     pub fn standalone(costs: CostModel, arena: Rc<RefCell<Arena>>) -> Self {
         Machine::standalone_traced(costs, arena, NullTracer, 0)
     }
-
-    /// Creates a machine whose replicated regions are doubled through
-    /// `port`.
-    pub fn with_port(costs: CostModel, arena: Rc<RefCell<Arena>>, port: TxPort) -> Self {
-        let mut m = Machine::standalone(costs, arena);
-        m.port = Some(port);
-        m
-    }
 }
 
 impl<T: Tracer> Machine<T> {
@@ -735,7 +727,9 @@ mod tests {
         let backup = Rc::new(RefCell::new(Arena::new(1 << 20)));
         let link = Rc::new(RefCell::new(Link::new(&costs)));
         let port = TxPort::new(&costs, link, Rc::clone(&backup));
-        (Machine::with_port(costs, arena, port), backup)
+        let mut m = Machine::standalone(costs, arena);
+        m.attach_port(port);
+        (m, backup)
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl Link {
         &self.traffic
     }
 
-    /// Resets traffic statistics (the busy horizon is kept).
-    pub fn reset_traffic(&mut self) {
-        self.traffic.reset();
-    }
-
     /// Link utilization over `elapsed`: busy time / elapsed time, where busy
     /// time is approximated from the traffic counters.
     pub fn utilization(&self, elapsed: VirtualDuration) -> f64 {
@@ -243,8 +238,6 @@ mod tests {
         l.send(VirtualInstant::EPOCH, 32, TrafficClass::Modified);
         l.send(VirtualInstant::EPOCH, 4, TrafficClass::Meta);
         assert_eq!(l.traffic().total_bytes(), 36);
-        l.reset_traffic();
-        assert_eq!(l.traffic().total_packets(), 0);
     }
 
     #[test]

@@ -124,18 +124,6 @@ impl Traffic {
         }
     }
 
-    /// Number of packets whose payload was exactly `size` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size > 32`.
-    pub fn packets_of_size(&self, size: u64) -> u64 {
-        self.size_hist[usize::try_from(size)
-            .ok()
-            .filter(|&s| s <= 32)
-            .expect("size must be 0..=32")]
-    }
-
     /// Fraction of packets carrying a full 32-byte payload.
     pub fn full_packet_fraction(&self) -> f64 {
         let packets = self.total_packets();
@@ -155,11 +143,6 @@ impl Traffic {
         for i in 0..33 {
             self.size_hist[i] += other.size_hist[i];
         }
-    }
-
-    /// Clears all counts.
-    pub fn reset(&mut self) {
-        *self = Traffic::default();
     }
 }
 
@@ -202,8 +185,6 @@ mod tests {
         t.record_packet(TrafficClass::Meta, 32);
         t.record_packet(TrafficClass::Meta, 32);
         t.record_packet(TrafficClass::Meta, 4);
-        assert_eq!(t.packets_of_size(32), 2);
-        assert_eq!(t.packets_of_size(4), 1);
         assert!((t.full_packet_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 

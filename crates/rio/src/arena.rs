@@ -458,11 +458,6 @@ impl Arena {
         u32::from_le_bytes(b)
     }
 
-    /// Writes a little-endian `u32` at `addr`.
-    pub fn write_u32(&mut self, addr: Addr, value: u32) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
     /// Reads a little-endian `i64` at `addr`.
     pub fn read_i64(&self, addr: Addr) -> i64 {
         self.read_u64(addr) as i64
@@ -715,8 +710,6 @@ mod tests {
         let mut a = Arena::new(1 << 12);
         a.write_u64(Addr::new(8), 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(a.read_u64(Addr::new(8)), 0xDEAD_BEEF_CAFE_F00D);
-        a.write_u32(Addr::new(0), 77);
-        assert_eq!(a.read_u32(Addr::new(0)), 77);
         a.write_i64(Addr::new(16), -42);
         assert_eq!(a.read_i64(Addr::new(16)), -42);
     }

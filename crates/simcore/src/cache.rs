@@ -10,10 +10,10 @@
 //! the caller converts those to virtual time using a
 //! [`CostModel`](crate::CostModel).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use crate::addr::Addr;
-use crate::listed::{Drain, KeptMaps, ListedMap};
+use crate::listed::{KeptMaps, ListedMap};
 
 /// Hit/miss counts returned by a cache access.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub struct DirectMappedCache {
     /// an invalid line. 32-bit tags halve the host footprint of the tag
     /// arrays — which a many-node cell multiplies by machine count — and
     /// suffice for any line number below `u32::MAX`, i.e. 256 GB of
-    /// simulated address space ([`touch_range`](DirectMappedCache::touch_range)
+    /// simulated address space ([`touch`](DirectMappedCache::touch)
     /// asserts the bound). The map lists the chunks it holds, which is
     /// what a flush and a drop walk, and comes from a free list too.
     chunks: ListedMap<Box<Chunk>>,
@@ -94,17 +94,15 @@ const KEPT_MAPS: usize = 8;
 const KEPT_MAP_LEN: usize = 1024;
 
 thread_local! {
-    /// Chunks this thread's caches flushed or dropped, each handed to
-    /// the next chunk a cache creates, refilled with [`INVALID`] first.
-    /// A fault campaign builds, flushes and drops machines plan after
-    /// plan; this keeps it from taking their tags from the heap again.
-    static FREE_CHUNKS: RefCell<Vec<Box<Chunk>>> = const { RefCell::new(Vec::new()) };
-    /// Chunk maps this thread's caches dropped, emptied, for the next
-    /// cache built.
-    static FREE_MAPS: RefCell<KeptMaps<Box<Chunk>>> =
-        const { RefCell::new(KeptMaps::new(KEPT_MAPS, KEPT_MAP_LEN)) };
-    /// Chunks this thread's caches took from the heap.
-    static HEAP_CHUNKS: Cell<u64> = const { Cell::new(0) };
+    /// Tag chunks this thread's caches flushed or dropped, each handed
+    /// to the next chunk a cache creates, refilled with [`INVALID`]
+    /// first, and the chunk maps of dropped caches, emptied, for the next
+    /// cache built. A fault campaign builds, flushes and drops machines
+    /// plan after plan; this keeps it from taking their tags from the
+    /// heap again.
+    static KEPT: RefCell<KeptMaps<Box<Chunk>>> = const {
+        RefCell::new(KeptMaps::new(KEPT_MAPS, KEPT_MAP_LEN, KEPT_CHUNKS, |_| Some(0)))
+    };
 }
 
 /// The tag chunk holding line index `idx`, created all-invalid on first
@@ -117,8 +115,8 @@ fn chunk(chunks: &mut ListedMap<Box<Chunk>>, idx: u64) -> &mut Chunk {
 
 #[cold]
 fn invalid_chunk() -> Box<Chunk> {
-    let kept = FREE_CHUNKS
-        .try_with(|free| free.borrow_mut().pop())
+    let kept = KEPT
+        .try_with(|kept| kept.borrow_mut().take_value(Some(0)))
         .ok()
         .flatten();
     match kept {
@@ -126,22 +124,8 @@ fn invalid_chunk() -> Box<Chunk> {
             chunk.fill(INVALID);
             chunk
         }
-        None => {
-            let _ = HEAP_CHUNKS.try_with(|n| n.set(n.get() + 1));
-            Box::new([INVALID; CHUNK_LINES])
-        }
+        None => Box::new([INVALID; CHUNK_LINES]),
     }
-}
-
-/// Hands a drained map's chunks back to this thread's free list, up to
-/// its bound. Chunks the list does not keep, or every chunk while the
-/// thread's locals are being torn down, are freed with the drain.
-fn recycle(chunks: Drain<'_, Box<Chunk>>) {
-    let _ = FREE_CHUNKS.try_with(|free| {
-        let mut free = free.borrow_mut();
-        let room = KEPT_CHUNKS - free.len();
-        free.extend(chunks.take(room));
-    });
 }
 
 impl DirectMappedCache {
@@ -163,8 +147,8 @@ impl DirectMappedCache {
         assert!(capacity >= line_size, "cache must hold at least one line");
         let lines = capacity / line_size;
         let chunks = usize::try_from(lines.div_ceil(CHUNK_LINES as u64)).expect("cache too large");
-        let chunks = FREE_MAPS
-            .try_with(|maps| maps.borrow_mut().take_empty(chunks))
+        let chunks = KEPT
+            .try_with(|kept| kept.borrow_mut().take_empty(chunks))
             .unwrap_or_else(|_| ListedMap::new(chunks));
         DirectMappedCache {
             chunks,
@@ -179,16 +163,15 @@ impl DirectMappedCache {
     /// the chunks they created that the thread's free list of flushed and
     /// dropped chunks could not supply.
     pub fn heap_chunks() -> u64 {
-        HEAP_CHUNKS.try_with(Cell::get).unwrap_or(0)
+        KEPT.try_with(|kept| kept.borrow().heap_values())
+            .unwrap_or(0)
     }
 
     /// Chunk maps this thread's caches have taken from the heap so far:
     /// the caches built for which the thread's free list held no dropped
     /// cache's map long enough to reuse.
     pub fn heap_maps() -> u64 {
-        FREE_MAPS
-            .try_with(|maps| maps.borrow().heap_maps())
-            .unwrap_or(0)
+        KEPT.try_with(|kept| kept.borrow().heap_maps()).unwrap_or(0)
     }
 
     /// Creates the paper's board cache: 8 MB, direct-mapped, 64-byte lines.
@@ -212,23 +195,17 @@ impl DirectMappedCache {
     /// write-allocate and does not distinguish), returning per-line hit and
     /// miss counts.
     ///
-    /// A zero-length access touches nothing.
-    #[inline]
-    pub fn touch(&mut self, addr: Addr, len: u64) -> CacheOutcome {
-        self.touch_range(addr, len)
-    }
-
-    /// Bulk form of [`touch`](DirectMappedCache::touch): walks the line
-    /// range as index-contiguous tag-array chunks, so a large sequential
-    /// access (a mirror copy, a log append) costs one bounds check and one
-    /// stats merge per wrap of the index space instead of per line. The
-    /// hit/miss outcome is identical to touching each line in order.
+    /// A zero-length access touches nothing. The line range is walked as
+    /// index-contiguous tag-array chunks, so a large sequential access (a
+    /// mirror copy, a log append) costs one bounds check and one stats
+    /// merge per wrap of the index space instead of per line. The hit/miss
+    /// outcome is identical to touching each line in order.
     ///
     /// A single-line hit — most word-sized accesses — is decided inline
     /// by the line's tag. Misses and multi-line walks take the
     /// out-of-line path.
     #[inline]
-    pub fn touch_range(&mut self, addr: Addr, len: u64) -> CacheOutcome {
+    pub fn touch(&mut self, addr: Addr, len: u64) -> CacheOutcome {
         if len != 0 {
             let first = addr.as_u64() >> self.line_shift;
             let last = (addr.as_u64() + len - 1) >> self.line_shift;
@@ -303,7 +280,10 @@ impl DirectMappedCache {
     /// Invalidates every line (e.g. the cold cache after a reboot) and
     /// clears the cumulative statistics.
     pub fn flush(&mut self) {
-        recycle(self.chunks.drain());
+        // Drained outside the closure: if the thread's locals are being
+        // torn down, the drain still frees every chunk.
+        let chunks = self.chunks.drain();
+        let _ = KEPT.try_with(|kept| kept.borrow_mut().keep_values(chunks));
         self.total = CacheOutcome::default();
         self.occupied = 0;
     }
@@ -312,9 +292,8 @@ impl DirectMappedCache {
 impl Drop for DirectMappedCache {
     /// Hands the chunks back, then the emptied map.
     fn drop(&mut self) {
-        recycle(self.chunks.drain());
         let map = std::mem::take(&mut self.chunks);
-        let _ = FREE_MAPS.try_with(|maps| maps.borrow_mut().give_back(map));
+        let _ = KEPT.try_with(|kept| kept.borrow_mut().give_back(map));
     }
 }
 
@@ -419,7 +398,7 @@ mod tests {
     }
 
     /// The flat tag array the chunked one replaced, driven by the
-    /// pre-optimization per-line loop: the oracle for the `touch_range`
+    /// pre-optimization per-line loop: the oracle for the `touch`
     /// equivalence property.
     struct FlatCache {
         tags: Vec<u32>,
@@ -587,7 +566,7 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// `touch_range` over chunked tags matches the per-line loop
+            /// `touch` over chunked tags matches the per-line loop
             /// over a flat array in outcome, stats, occupancy and tag
             /// state after every step, with flushes, rebuilds and
             /// repeated lines interleaved, on caches smaller than, equal
@@ -596,7 +575,7 @@ mod tests {
             /// and cases handed back are reused, and so are the chunk
             /// maps of dropped caches, of the same size or resized.
             #[test]
-            fn touch_range_matches_per_line_reference(
+            fn touch_matches_per_line_reference(
                 small_log2 in 1u32..10,
                 large_log2 in 11u32..13,
                 ops in prop::collection::vec(op(), 1..40),
@@ -625,7 +604,7 @@ mod tests {
                             Op::Again(last) => Some(((if last { lines.1 } else { lines.0 }) * line, 8)),
                         };
                         if let Some((addr, len)) = touch {
-                            let got = fast.touch_range(Addr::new(addr), len);
+                            let got = fast.touch(Addr::new(addr), len);
                             let want = oracle.touch(Addr::new(addr), len);
                             prop_assert_eq!(got, want, "outcome diverged at addr {} len {}", addr, len);
                             if len > 0 {

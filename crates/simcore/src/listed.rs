@@ -1,14 +1,14 @@
 //! Dense slot maps that list the slots they fill, and a bounded free list
-//! of emptied ones.
+//! of emptied ones and the values they held.
 //!
 //! An arena's page map and a cache's chunk map hold one slot per page or
 //! chunk of a whole address space, so a lookup is one index; yet a fault
 //! plan fills a handful of slots. A [`ListedMap`] keeps, beside its slots,
 //! the list of those it filled, so a copy or a drain walks only them, and
-//! [`KeptMaps`] keeps emptied maps for the next map a thread builds. A
-//! slot is filled only through this module and emptied only by draining
-//! the whole map, which is what keeps the list naming exactly the filled
-//! slots and a kept map empty.
+//! [`KeptMaps`] keeps emptied maps and their values for the next map a
+//! thread builds and fills. A slot is filled only through this module and
+//! emptied only by draining the whole map, which is what keeps the list
+//! naming exactly the filled slots and a kept map empty.
 
 /// A dense map of lazily filled slots that lists, in fill order, the
 /// slots it has filled.
@@ -219,23 +219,28 @@ impl<T> Drop for Drain<'_, T> {
     }
 }
 
-/// Emptied [`ListedMap`]s kept for reuse, so a thread that builds and
-/// drops maps of the same few lengths stops taking them from the heap.
-/// It keeps at most `keep` maps, and none whose slots have room for more
-/// than `longest`.
+/// A bounded free list of emptied [`ListedMap`]s and of the values they
+/// held, so a thread that builds and drops maps of the same few lengths,
+/// filled with values of the same few sizes, stops taking either from
+/// the heap. It keeps at most `keep` maps, none whose slots have room
+/// for more than `longest`, and at most `keep_values` values, each in
+/// the list of the class its `class` function names; a value of no class
+/// is not kept. Both are reused last in, first out.
 ///
 /// # Examples
 ///
 /// ```
 /// use dsnrep_simcore::listed::KeptMaps;
 ///
-/// let mut kept = KeptMaps::new(4, 1024);
+/// let mut kept = KeptMaps::new(4, 1024, 8, |_: &char| Some(0));
 /// let mut map = kept.take_empty(521);
-/// map.get_or_insert_with(3, || 'a');
+/// map.get_or_insert_with(3, || kept.take_value(Some(0)).unwrap_or('a'));
 /// kept.give_back(map);
 /// let map = kept.take_empty(521);
 /// assert_eq!((map.len(), map.filled().len(), map.get(3)), (521, 0, None));
 /// assert_eq!(kept.heap_maps(), 1, "the second map was the first, emptied");
+/// assert_eq!(kept.take_value(Some(0)), Some('a'), "and its value was kept");
+/// assert_eq!(kept.heap_values(), 1);
 /// ```
 #[derive(Debug)]
 pub struct KeptMaps<T> {
@@ -243,17 +248,33 @@ pub struct KeptMaps<T> {
     keep: usize,
     longest: usize,
     heap: u64,
+    /// Kept values, one list per class.
+    values: Vec<Vec<T>>,
+    kept_values: usize,
+    keep_values: usize,
+    class: fn(&T) -> Option<usize>,
+    heap_values: u64,
 }
 
 impl<T> KeptMaps<T> {
     /// A free list that keeps at most `keep` maps of at most `longest`
-    /// slots.
-    pub const fn new(keep: usize, longest: usize) -> Self {
+    /// slots, and at most `keep_values` values, sorted by `class`.
+    pub const fn new(
+        keep: usize,
+        longest: usize,
+        keep_values: usize,
+        class: fn(&T) -> Option<usize>,
+    ) -> Self {
         KeptMaps {
             maps: Vec::new(),
             keep,
             longest,
             heap: 0,
+            values: Vec::new(),
+            kept_values: 0,
+            keep_values,
+            class,
+            heap_values: 0,
         }
     }
 
@@ -276,11 +297,12 @@ impl<T> KeptMaps<T> {
         map
     }
 
-    /// Empties `map`, dropping what it still holds, and keeps it for a
+    /// Empties `map`, keeping its values as
+    /// [`keep_values`](KeptMaps::keep_values) does, and keeps it for a
     /// later [`take_empty`](KeptMaps::take_empty) if there is room and
     /// its slots fit; frees it otherwise.
     pub fn give_back(&mut self, mut map: ListedMap<T>) {
-        map.drain().for_each(drop);
+        self.keep_values(map.drain());
         if self.maps.len() < self.keep && map.slots.capacity() <= self.longest {
             self.maps.push(map);
         }
@@ -289,6 +311,42 @@ impl<T> KeptMaps<T> {
     /// Maps [`take_empty`](KeptMaps::take_empty) has taken from the heap.
     pub fn heap_maps(&self) -> u64 {
         self.heap
+    }
+
+    /// The value of class `class` kept last, holding whatever it held
+    /// when it was kept. `None` when no such value is kept, or `class` is
+    /// `None`; the caller then makes one, and it counts in
+    /// [`heap_values`](KeptMaps::heap_values).
+    pub fn take_value(&mut self, class: Option<usize>) -> Option<T> {
+        let value = class.and_then(|class| self.values.get_mut(class)?.pop());
+        match value {
+            Some(_) => self.kept_values -= 1,
+            None => self.heap_values += 1,
+        }
+        value
+    }
+
+    /// Keeps the values `values` yields, in order, each in its class's
+    /// list, until `keep_values` are kept. The drain drops the values of
+    /// no class and every value past the bound.
+    pub fn keep_values(&mut self, values: Drain<'_, T>) {
+        for value in values {
+            if self.kept_values == self.keep_values {
+                return;
+            }
+            if let Some(class) = (self.class)(&value) {
+                if self.values.len() <= class {
+                    self.values.resize_with(class + 1, Vec::new);
+                }
+                self.values[class].push(value);
+                self.kept_values += 1;
+            }
+        }
+    }
+
+    /// Values [`take_value`](KeptMaps::take_value) could not supply.
+    pub fn heap_values(&self) -> u64 {
+        self.heap_values
     }
 }
 
@@ -328,7 +386,7 @@ mod tests {
     /// `longest` slots, a resized one included.
     #[test]
     fn kept_maps_come_back_empty_and_bounded() {
-        let mut kept = KeptMaps::new(2, 1024);
+        let mut kept = KeptMaps::new(2, 1024, 0, |_: &u8| None);
         let mut map = kept.take_empty(521);
         map.get_or_insert_with(520, || 1u8);
         kept.give_back(map);
@@ -352,5 +410,45 @@ mod tests {
             (1, 2),
             "the same length first"
         );
+    }
+
+    /// Kept values come back last in, first out, from their own class's
+    /// list, and within the bound: values of no class and values past
+    /// `keep_values` are dropped, and every value a take cannot supply
+    /// counts as taken from the heap.
+    #[test]
+    fn kept_values_come_back_by_class_and_bounded() {
+        let mut kept = KeptMaps::new(2, 1024, 4, |v: &u32| {
+            (*v < 300).then_some(*v as usize / 100)
+        });
+        let mut map = kept.take_empty(8);
+        for (at, v) in [(5, 101), (1, 7), (2, 500), (6, 102)] {
+            map.get_or_insert_with(at, || v);
+        }
+        kept.give_back(map);
+        let mut map = kept.take_empty(8);
+        for (at, v) in [(0, 8), (3, 9), (4, 103)] {
+            map.get_or_insert_with(at, || v);
+        }
+        kept.keep_values(map.drain());
+        assert!(
+            map.slots().iter().all(Option::is_none),
+            "the drain emptied the map"
+        );
+        assert_eq!(
+            kept.values,
+            [vec![7, 8], vec![101, 102]],
+            "4 kept, 500 and 9 and 103 dropped"
+        );
+        let took: Vec<Option<u32>> = [Some(1), Some(0), Some(1), Some(1), Some(2), None]
+            .into_iter()
+            .map(|class| kept.take_value(class))
+            .collect();
+        assert_eq!(took, [Some(102), Some(8), Some(101), None, None, None]);
+        assert_eq!((kept.heap_values(), kept.heap_maps()), (3, 1));
+        kept.give_back(map);
+        assert_eq!(kept.take_value(Some(0)), Some(7));
+        assert_eq!(kept.take_value(Some(0)), None);
+        assert_eq!(kept.heap_values(), 4);
     }
 }

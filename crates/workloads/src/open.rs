@@ -10,9 +10,9 @@
 //!
 //! * [`ArrivalProcess::poisson`] — homogeneous Poisson arrivals at a mean
 //!   interarrival gap.
-//! * [`ArrivalProcess::bursty`] / [`ArrivalProcess::diurnal`] — a
-//!   square-wave-modulated (piecewise-constant-rate) Poisson process:
-//!   each period opens with a burst window at `factor`× the base rate.
+//! * [`ArrivalProcess::bursty`] — a square-wave-modulated
+//!   (piecewise-constant-rate) Poisson process: each period opens with a
+//!   burst window at `factor`× the base rate.
 //!   Short periods model bursts, day-length periods model diurnal load;
 //!   the generator is the same, exact for exponential interarrivals
 //!   because the process is memoryless at phase boundaries.
@@ -154,19 +154,6 @@ impl ArrivalProcess {
             period_picos: period.as_picos(),
             duty_pct,
         }
-    }
-
-    /// A diurnal profile: the same square wave as [`ArrivalProcess::bursty`]
-    /// with a period meant to be read as a virtual "day" (peak hours at
-    /// `factor`× the off-peak rate). Provided as a named constructor so
-    /// scenario code says what it means.
-    pub fn diurnal(
-        off_peak_mean: VirtualDuration,
-        peak_factor: u64,
-        day: VirtualDuration,
-        peak_pct: u64,
-    ) -> Self {
-        ArrivalProcess::bursty(off_peak_mean, peak_factor, day, peak_pct)
     }
 
     /// The mean interarrival gap in effect at `at_picos`, plus the end of

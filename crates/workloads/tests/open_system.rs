@@ -76,7 +76,7 @@ fn disjoint_seeds_converge_to_the_long_run_mean() {
             VirtualDuration::from_micros(4_000),
             25,
         ),
-        ArrivalProcess::diurnal(
+        ArrivalProcess::bursty(
             VirtualDuration::from_micros(100),
             8,
             VirtualDuration::from_millis(10),
